@@ -37,9 +37,9 @@ print(f"total exit weight under killing: {up.real + down.real:.6f}  (< 1)")
 
 print("\n== behavior of the pair ==")
 print("psi+ rises from 0 at the bottom to 1 at the top:")
-print("  ", [round(psi.psi_plus(k).real, 4) for k in range(0, n, max(1, n // 8))])
+print("  ", [round(float(psi.psi_plus(k).real), 4) for k in range(0, n, max(1, n // 8))])
 print("psi- mirrors it:")
-print("  ", [round(psi.psi_minus(k).real, 4) for k in range(0, n, max(1, n // 8))])
+print("  ", [round(float(psi.psi_minus(k).real), 4) for k in range(0, n, max(1, n // 8))])
 
 print("\n== killing dampens the exit weights monotonically ==")
 for qq in (1.0, 10.0, 100.0):

@@ -23,13 +23,9 @@ from .linsolve import (
     PassageSolution,
     PsiPair,
     Singular,
-    UpdateSingular,
     hitting_coeffs_diffusion,
     psi_pair,
-    smw_refresh,
     solve_passage,
-    solve_R,
-    solve_S_occ,
 )
 from .quantities import (
     FixedPointSingular,

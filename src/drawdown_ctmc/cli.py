@@ -199,26 +199,25 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
 
     x = fget(q, "x", None)
     if x is None:
-        s0 = fget(parser["model"], "s0", 1.0) if parser.has_section("model") else 1.0
-        x = float(np.log(s0))
-    n_x_raw = g.get("n_x", "20,40,80,160") if hasattr(g, "get") else "20,40,80,160"
+        x = float(np.log(fget(parser["model"], "s0", 1.0)))
+    n_x_raw = g.get("n_x", "20,40,80,160")
     try:
         n_x = tuple(int(tok) for tok in str(n_x_raw).replace(" ", "").split(",") if tok)
     except ValueError as exc:
         raise ConfigError(f"bad n_x list {n_x_raw!r}") from exc
-    benchmark = out.get("benchmark") if hasattr(out, "get") else None
+    benchmark = out.get("benchmark")
     if benchmark is not None and benchmark != "self":
         benchmark = float(benchmark)
     try:
         laplace = InversionConfig(
-            decay_param=fget(lp, "decay", 18.4) if hasattr(lp, "get") else 18.4,
-            base_terms=int(fget(lp, "base_terms", 15)) if hasattr(lp, "get") else 15,
-            euler_terms=int(fget(lp, "euler_terms", 11)) if hasattr(lp, "get") else 11,
+            decay_param=fget(lp, "decay", 18.4),
+            base_terms=int(fget(lp, "base_terms", 15)),
+            euler_terms=int(fget(lp, "euler_terms", 11)),
         )
         mc_cfg = McConfig(
-            n_paths=int(fget(mc, "n_paths", 100_000)) if hasattr(mc, "get") else 100_000,
-            seed=int(fget(mc, "seed", 0)) if hasattr(mc, "get") else 0,
-            horizon_cap=fget(mc, "horizon_cap", 200.0) if hasattr(mc, "get") else 200.0,
+            n_paths=int(fget(mc, "n_paths", 100_000)),
+            seed=int(fget(mc, "seed", 0)),
+            horizon_cap=fget(mc, "horizon_cap", 200.0),
         )
         return RunConfig(
             model=model,
@@ -232,15 +231,15 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
             y=fget(q, "y"),
             payoff=q.get("payoff", "one"),
             n_x=n_x,
-            y_min=fget(g, "y_min", -4.0) if hasattr(g, "get") else -4.0,
-            y_max=fget(g, "y_max", 4.0) if hasattr(g, "get") else 4.0,
-            levy_truncation=fget(g, "levy_truncation") if hasattr(g, "get") else None,
-            drift_scheme=g.get("drift_scheme", "auto") if hasattr(g, "get") else "auto",
+            y_min=fget(g, "y_min", -4.0),
+            y_max=fget(g, "y_max", 4.0),
+            levy_truncation=fget(g, "levy_truncation"),
+            drift_scheme=g.get("drift_scheme", "auto"),
             laplace=laplace,
-            csv_path=out.get("csv") if hasattr(out, "get") else None,
+            csv_path=out.get("csv"),
             benchmark=benchmark,
-            precision=out.get("precision", "6") if hasattr(out, "get") else "6",
-            timings=str(out.get("timings", "false")).lower() == "true" if hasattr(out, "get") else False,
+            precision=out.get("precision", "6"),
+            timings=str(out.get("timings", "false")).lower() == "true",
             force_generic=str(q.get("force_generic", "false")).lower() == "true",
             mc=mc_cfg,
         )

@@ -15,8 +15,7 @@ Three storage regimes, matching how the rates are consumed:
 * ``general``       -- dense matrix (state-dependent jump models, small
                        hand-built test chains).
 
-Grids and generators are immutable after assembly; all reads are safe
-from any number of threads.
+Grids and generators are immutable after assembly.
 """
 
 from __future__ import annotations
@@ -123,10 +122,6 @@ class Grid:
 
     def nearest_index(self, value: float) -> int:
         return int(np.argmin(np.abs(self.states - value)))
-
-    def window_bottom(self, i: int, level_steps: int) -> int:
-        """Index i_a = min{j : y_j > y_i - level}, clipped at 0."""
-        return max(0, i - level_steps + 1)
 
     def floor_index(self, i: int, level_steps: int):
         """Index of (y_i - level)^- = sup{y <= y_i - level}, or None if the
@@ -276,21 +271,6 @@ class BirthDeathGenerator(Generator):
             if r < m - 1:
                 blk[r, r + 1] = self.up[i]
         return blk
-
-    def banded_window(self, lo: int, hi: int) -> np.ndarray:
-        """Window block in scipy solve_banded layout (3, m)."""
-        m = hi - lo + 1
-        ab = np.zeros((3, m))
-        idx = np.arange(lo, hi + 1)
-        interior = (idx > 0) & (idx < self.n - 1)
-        ab[1, interior] = self._diag[idx[interior]]
-        for r in np.nonzero(interior)[0]:
-            i = lo + r
-            if r < m - 1:
-                ab[0, r + 1] = self.up[i]
-            if r > 0:
-                ab[2, r - 1] = self.down[i]
-        return ab
 
 
 class ToeplitzLevyGenerator(Generator):

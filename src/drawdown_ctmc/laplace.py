@@ -10,7 +10,7 @@ The discretization error of the damped series is about e^{-decay}; the
 default decay 18.4 gives ~1e-8 for transforms of bounded functions.
 Because the estimate is a fixed linear combination of Re F(q_k), the node
 set and weights are exposed so callers can evaluate the transform per node
-(independently, possibly concurrently) and fold deterministically.
+and fold deterministically.
 """
 
 from __future__ import annotations
@@ -48,19 +48,13 @@ class InversionConfig:
     euler_terms the number of binomially averaged sums after it.
     """
 
-    variant: str = "euler_summation"
     decay_param: float = 18.4
     base_terms: int = 15
     euler_terms: int = 11
-    T: float | None = None
 
     def __post_init__(self):
-        if self.variant != "euler_summation":
-            raise ValueError(f"unsupported inversion variant {self.variant!r}")
         if self.base_terms < 1 or self.euler_terms < 1:
             raise ValueError("base_terms and euler_terms must be >= 1")
-        if self.T is not None and self.T <= 0.0:
-            raise ValueError("maturity must be positive")
 
 
 def inversion_nodes_weights(T: float, cfg: InversionConfig = InversionConfig()):
@@ -98,8 +92,6 @@ def invert(transform, T: float, cfg: InversionConfig = InversionConfig()) -> flo
     ``transform`` maps a complex node with positive real part to the
     transform value; the estimate is deterministic for a fixed config.
     """
-    if T is None:
-        T = cfg.T
     nodes, _ = inversion_nodes_weights(T, cfg)
     vals = np.empty(nodes.size, dtype=complex)
     for idx, qk in enumerate(nodes):

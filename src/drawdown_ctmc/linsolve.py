@@ -12,30 +12,20 @@ whose solution is the killed exit functional with payoff f.  On top of it:
                        (birth-death) chain, held in scaled mantissa/exponent
                        form so that growth like e^{kappa * span} never
                        overflows; any two-sided exit coefficient is a ratio
-                       of 2x2 "bridge" determinants of the pair.
-* ``solve_R``       -- running-minimum-augmented exit system (exit above,
-                       tracking the minimum reached on the way).
-* ``solve_S_occ``   -- running-maximum-augmented occupation system with a
-                       bivariate killing rate k(x, max).
-* ``smw_refresh``   -- Sherman-Morrison-Woodbury inverse update, the opt-in
-                       incremental path for sliding-window recursions.
+                       of 2x2 "bridge" determinants of the pair
+                       (``PsiPair.exit_weights``).
 
 Adjacent-state bridge determinants are evaluated through the Wronskian
 product recurrence W_{i+1} = (down_i / up_i) W_i, which is cancellation
 free; all other bridges are benign because the dominant product is orders
 of magnitude above the discarded one.
-
-All solves are pure functions of immutable inputs, so independent calls
-(one per Laplace node, say) can run concurrently; the sliding-window
-inverse (AmbientInverse) is the one stateful object and must stay
-confined to a single solve sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -48,14 +38,9 @@ __all__ = [
     "Singular",
     "NotBirthDeath",
     "DegenerateWindow",
-    "UpdateSingular",
     "solve_passage",
     "psi_pair",
     "hitting_coeffs_diffusion",
-    "solve_R",
-    "solve_S_occ",
-    "smw_refresh",
-    "AmbientInverse",
 ]
 
 RESIDUAL_RTOL = 1e-10
@@ -71,10 +56,6 @@ class NotBirthDeath(TypeError):
 
 class DegenerateWindow(ValueError):
     """A required window endpoint is missing from the grid."""
-
-
-class UpdateSingular(np.linalg.LinAlgError):
-    """The SMW capacitance matrix is singular; fall back to a fresh solve."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +93,6 @@ class KillingField:
         if callable(k):
             return cls(fn=k)
         raise TypeError(f"cannot interpret {k!r} as a killing field")
-
-    @property
-    def is_bivariate(self) -> bool:
-        return self.fn2 is not None
 
     def values(self, states: np.ndarray) -> np.ndarray:
         if self.const is not None:
@@ -224,19 +201,6 @@ def solve_passage(gen: Generator, window, k, f) -> PassageSolution:
 # fundamental solutions of a birth-death chain (scaled representation)
 # ---------------------------------------------------------------------------
 
-class _Scaled:
-    """A complex number m * e^L kept as (mantissa, natural-log scale)."""
-
-    __slots__ = ("m", "L")
-
-    def __init__(self, m: complex, L: float):
-        self.m = m
-        self.L = L
-
-    def value(self) -> complex:
-        return self.m * math.exp(min(self.L, 700.0))
-
-
 def _rebase(m1, L1, m2, L2):
     """Return (a, b, L) with a e^L = m1 e^L1 and b e^L = m2 e^L2."""
     L = max(L1, L2)
@@ -313,53 +277,23 @@ class PsiPair:
     # -- raw values (may overflow for long chains; meant for tests) ---------
 
     def psi_plus(self, i: int) -> complex:
-        return _Scaled(self._um[i], self._uL[i]).value()
+        return self._um[i] * math.exp(min(self._uL[i], 700.0))
 
     def psi_minus(self, i: int) -> complex:
-        return _Scaled(self._dm[i], self._dL[i]).value()
+        return self._dm[i] * math.exp(min(self._dL[i], 700.0))
 
-    # -- scaled determinants --------------------------------------------------
+    # -- scaled determinants over index arrays ---------------------------------
 
-    def bridge(self, i: int, j: int):
-        """(mantissa, log) of psi+_i psi-_j - psi+_j psi-_i for i > j."""
-        if i <= j:
-            raise ValueError("bridge requires i > j")
-        if i == j + 1:
-            return self._wm[i], self._wL[i]
-        m1, L1 = self._um[i] * self._dm[j], self._uL[i] + self._dL[j]
-        m2, L2 = self._um[j] * self._dm[i], self._uL[j] + self._dL[i]
-        a, b, L = _rebase(m1, L1, m2, L2)
-        return a - b, L
-
-    @staticmethod
-    def _ratio(num, den) -> complex:
-        mn, Ln = num
-        md, Ld = den
-        if md == 0.0:
-            raise Singular("degenerate bridge denominator")
-        d = Ln - Ld
-        if d > 700.0:
-            raise Singular("exit coefficient overflow")
-        return mn / md * math.exp(d)
-
-    def up_coeff(self, x: int, bottom: int, top_plus: int) -> complex:
-        """Exit weight onto state top_plus from x inside (bottom, top_plus)."""
-        return self._ratio(self.bridge(x, bottom), self.bridge(top_plus, bottom))
-
-    def down_coeff(self, x: int, bottom: int, top_plus: int) -> complex:
-        """Exit weight onto state bottom from x inside (bottom, top_plus)."""
-        return self._ratio(self.bridge(top_plus, x), self.bridge(top_plus, bottom))
-
-    def ratio_plus(self, i: int, j: int) -> complex:
-        """psi+_i / psi+_j (used for one-sided hitting weights)."""
-        if self._um[j] == 0.0:
+    def ratio_plus(self, i, j):
+        """psi+_i / psi+_j (one-sided hitting weights); indices or arrays."""
+        i = np.asarray(i, dtype=int)
+        j = np.asarray(j, dtype=int)
+        if np.any(self._um[j] == 0.0):
             raise Singular("psi+ vanishes at the reference state")
         d = self._uL[i] - self._uL[j]
-        if d > 700.0:
+        if np.any(d > 700.0):
             raise Singular("hitting ratio overflow")
-        return self._um[i] / self._um[j] * math.exp(d)
-
-    # -- vectorized variants (index arrays) ----------------------------------
+        return self._um[i] / self._um[j] * np.exp(d)
 
     def bridge_many(self, I, J):
         """(mantissa, log) arrays of the bridge determinant for I > J."""
@@ -389,6 +323,18 @@ class PsiPair:
             raise Singular("exit coefficient overflow")
         return mn / md * np.exp(d)
 
+    def exit_weights(self, x, bottom, top):
+        """Killed exit weights (onto_top, onto_bottom) of the window
+        (bottom, top) started from x: the transforms of leaving it at the
+        state ``top`` and at the state ``bottom``.  The index arguments
+        broadcast against each other; the results are arrays of the
+        broadcast shape, at least one-dimensional."""
+        x, bottom, top = np.broadcast_arrays(np.atleast_1d(x), bottom, top)
+        den = self.bridge_many(top, bottom)
+        onto_top = self.ratio_many(self.bridge_many(x, bottom), den)
+        onto_bottom = self.ratio_many(self.bridge_many(top, x), den)
+        return onto_top, onto_bottom
+
 
 def psi_pair(gen: Generator, q) -> PsiPair:
     """Fundamental solution pair for constant killing q (or a per-state
@@ -403,7 +349,7 @@ def psi_pair(gen: Generator, q) -> PsiPair:
 def hitting_coeffs_diffusion(psi: PsiPair, q, x: float, a: float):
     """Two-sided exit coefficients of the drawdown window (x-a, x].
 
-    Returns (up_coeff, down_coeff): the weights of exiting at the state just
+    Returns (up, down): the weights of exiting at the state just
     above x and at (x-a) respectively, starting from x.
     """
     gen = psi.gen
@@ -413,187 +359,5 @@ def hitting_coeffs_diffusion(psi: PsiPair, q, x: float, a: float):
     floor = grid.floor_index(i, steps)
     if floor is None or i + 1 >= gen.n:
         raise DegenerateWindow("window endpoints (x-a) and x+ must exist on the grid")
-    up = psi.up_coeff(i, floor, i + 1)
-    down = psi.down_coeff(i, floor, i + 1)
-    return up, down
-
-
-# ---------------------------------------------------------------------------
-# min- and max-augmented systems
-# ---------------------------------------------------------------------------
-
-def _bivariate_array(gen: Generator, g, pairs: str) -> Callable:
-    """Normalize g into a function (z_indices, y_index) -> complex array."""
-    states = gen.states
-    if g is None:
-        return lambda z_idx, y_idx: np.ones(len(z_idx), dtype=complex)
-    if callable(g):
-        return lambda z_idx, y_idx: np.asarray(
-            g(states[z_idx], states[y_idx]), dtype=complex)
-    arr = np.asarray(g, dtype=complex)
-    if arr.shape != (gen.n, gen.n):
-        raise ValueError("bivariate payoff must be (n, n)")
-    return lambda z_idx, y_idx: arr[z_idx, y_idx]
-
-
-def solve_R(gen: Generator, window, q: complex, g) -> np.ndarray:
-    """Running-minimum exit transform on (l, r].
-
-    Returns the matrix R[x, y] for position x and minimum y (x >= y);
-    R[x, y] = g(x, y) for x above the window, 0 for x at or below it.
-    ``g`` is a callable g(x_value, y_value) or an (n, n) array.
-    """
-    rows = window_rows(gen, window)
-    if rows.size == 0:
-        raise DegenerateWindow(f"window {window} contains no grid states")
-    lo, hi = int(rows[0]), int(rows[-1])
-    n = gen.n
-    g_fn = _bivariate_array(gen, g, "min")
-    R = np.zeros((n, n), dtype=complex)
-    for x in range(hi + 1, n):
-        z = np.arange(0, x + 1)
-        R[x, :x + 1] = g_fn(np.full(x + 1, x), np.arange(x + 1))
-    # slices of the running minimum, bottom-up
-    for y in range(0, hi + 1):
-        r0 = max(lo, y)
-        sub = np.arange(r0, hi + 1)
-        mat = q * np.eye(sub.size, dtype=complex) - gen.window_block(r0, hi)
-        rhs = np.zeros(sub.size, dtype=complex)
-        for m in sub:
-            if m == 0 or m == n - 1:
-                continue
-            row = gen.row(m)
-            acc = 0.0 + 0.0j
-            above = np.nonzero(row[hi + 1:])[0]
-            if above.size:
-                zz = above + hi + 1
-                acc += row[zz] @ g_fn(zz, np.full(zz.size, y))
-            if y > lo:
-                zz = np.arange(lo, y)
-                acc += row[zz] @ R[zz, zz]
-            rhs[m - r0] = acc
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-        R[sub, y] = sol
-    return R
-
-
-def solve_S_occ(gen: Generator, window, k2, g) -> np.ndarray:
-    """Running-maximum occupation transform on (l, r] with killing k(x, max).
-
-    Returns S[x, y] for position x and maximum y (x <= y); S[x, y] = g(x)
-    for x above the window, 0 at or below.  ``k2`` is a KillingField
-    (bivariate) or callable k2(states, y_value); ``g`` maps states to
-    payoffs (callable or array).
-    """
-    rows = window_rows(gen, window)
-    if rows.size == 0:
-        raise DegenerateWindow(f"window {window} contains no grid states")
-    lo, hi = int(rows[0]), int(rows[-1])
-    n = gen.n
-    kf = k2 if isinstance(k2, KillingField) else KillingField.bivariate(k2)
-    g_arr = _payoff_array(gen, g)
-    S = np.zeros((n, n), dtype=complex)
-    boundary = np.zeros(n, dtype=complex)
-    boundary[hi + 1:] = g_arr[hi + 1:]
-    # slices of the running maximum, top-down
-    for y in range(n - 1, lo - 1, -1):
-        r1 = min(hi, y)
-        sub = np.arange(lo, r1 + 1)
-        kv = kf.values2(gen.states[sub], gen.states[y])
-        mat = np.diag(kv) - gen.window_block(lo, r1)
-        rhs = np.zeros(sub.size, dtype=complex)
-        for m in sub:
-            if m == 0 or m == n - 1:
-                continue
-            row = gen.row(m)
-            acc = 0.0 + 0.0j
-            above = np.nonzero(row[hi + 1:])[0]
-            if above.size:
-                zz = above + hi + 1
-                acc += row[zz] @ boundary[zz]
-            if y < hi:
-                zz = np.arange(y + 1, hi + 1)
-                acc += row[zz] @ S[zz, zz]
-            rhs[m - lo] = acc
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-        S[sub, y] = sol
-    return S
-
-
-# ---------------------------------------------------------------------------
-# Sherman-Morrison-Woodbury refresh
-# ---------------------------------------------------------------------------
-
-def smw_refresh(prev_inverse: np.ndarray, updates: Sequence) -> np.ndarray:
-    """Inverse of (A + sum_k u_k v_k^T) given inv(A) and rank-one pairs.
-
-    ``updates`` is a sequence of (u, v) vectors.  Raises UpdateSingular when
-    the capacitance matrix is singular; callers fall back to a fresh solve.
-    """
-    if len(updates) == 0:
-        return prev_inverse.copy()
-    U = np.column_stack([np.asarray(u, dtype=complex) for u, _ in updates])
-    V = np.column_stack([np.asarray(v, dtype=complex) for _, v in updates])
-    AinvU = prev_inverse @ U
-    cap = np.eye(len(updates), dtype=complex) + V.T @ AinvU
-    cond = np.linalg.cond(cap)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise UpdateSingular(f"capacitance condition {cond:.3g}")
-    try:
-        piv = np.linalg.solve(cap, V.T @ prev_inverse)
-    except np.linalg.LinAlgError as exc:
-        raise UpdateSingular(str(exc)) from exc
-    return prev_inverse - AinvU @ piv
-
-
-class AmbientInverse:
-    """Inverse of the ambient matrix I_outside + I_window (diag(k) - G),
-    maintained across window shifts by rank-one row swaps."""
-
-    def __init__(self, gen: Generator, killing: np.ndarray, lo: int, hi: int):
-        self.gen = gen
-        self.killing = np.asarray(killing, dtype=complex)
-        self.n = gen.n
-        self.lo, self.hi = lo, hi
-        self.inv = np.linalg.inv(self._matrix(lo, hi))
-
-    def _row(self, r: int, lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(self.n, dtype=complex)
-        if lo <= r <= hi:
-            out -= self.gen.row(r)
-            out[r] += self.killing[r]
-        else:
-            out[r] = 1.0
-        return out
-
-    def _matrix(self, lo: int, hi: int) -> np.ndarray:
-        m = np.empty((self.n, self.n), dtype=complex)
-        for r in range(self.n):
-            m[r] = self._row(r, lo, hi)
-        return m
-
-    def shift(self, lo: int, hi: int) -> None:
-        """Move the window, updating the inverse via SMW row swaps."""
-        changed = [r for r in range(self.n)
-                   if (self.lo <= r <= self.hi) != (lo <= r <= hi)]
-        updates = []
-        for r in changed:
-            delta = self._row(r, lo, hi) - self._row(r, self.lo, self.hi)
-            e = np.zeros(self.n, dtype=complex)
-            e[r] = 1.0
-            updates.append((e, delta))
-        try:
-            self.inv = smw_refresh(self.inv, updates)
-        except UpdateSingular:
-            self.inv = np.linalg.inv(self._matrix(lo, hi))
-        self.lo, self.hi = lo, hi
-
-    def apply_row(self, r: int, rhs: np.ndarray) -> complex:
-        """Entry r of inverse @ rhs."""
-        return complex(self.inv[r] @ rhs)
+    up, down = psi.exit_weights(i, floor, i + 1)
+    return complex(up[0]), complex(down[0])

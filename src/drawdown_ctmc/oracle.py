@@ -545,15 +545,21 @@ def _simulate_batch(rng, size, cdf, out_rates, kind, q, a_steps, b_steps,
             alive[hit] = False
             ref[idx] = new_ref
             low[idx] = new_low
-        elif kind == "Hn":
+        elif kind in ("Hn", "Hsum"):
             new_ref = np.where(nxt > ref[idx], nxt, ref[idx])
             fired = (new_ref - nxt) >= a_steps
-            events[idx[fired]] += 1
-            done = fired & (events[idx] >= n_events)
-            hit = idx[done]
-            contrib[hit] = np.exp(-acc[hit]) * f[nxt[done]]
-            alive[hit] = False
-            restart = fired & ~done
+            if kind == "Hn":
+                events[idx[fired]] += 1
+                done = fired & (events[idx] >= n_events)
+                hit = idx[done]
+                contrib[hit] = np.exp(-acc[hit]) * f[nxt[done]]
+                alive[hit] = False
+                restart = fired & ~done
+            else:
+                # pay 1 per event; the reference max restarts at the landing state
+                hit = idx[fired]
+                contrib[hit] += np.exp(-acc[hit])
+                restart = fired
             new_ref[restart] = nxt[restart]
             ref[idx] = new_ref
         else:  # Jn / Jsum

@@ -12,8 +12,7 @@ make every sweep O(N) linear solves plus O(N^2) vector work:
 updated incrementally as i decreases.  Window solves dispatch on the
 generator structure: banded (birth-death), LU cached by the window's
 relative killing pattern (translation-invariant lattices, where the window
-block is the same matrix for every interior top), dense otherwise, or a
-Sherman-Morrison-Woodbury sliding inverse when requested.
+block is the same matrix for every interior top), or dense otherwise.
 
 Quantities:
 
@@ -28,10 +27,8 @@ Quantities:
 
 with translation-invariant closed forms (`*_levy_closed_form`) and
 birth-death fast paths selected automatically from the structure tag.
-
-Each evaluation is a sequential backward recursion (data-dependent
-order), but distinct evaluations share only the immutable generator, so
-distinct Laplace nodes or table rows may run concurrently.
+Every birth-death exit weight comes from one fundamental-solution pair
+through ``PsiPair.exit_weights``.
 """
 
 from __future__ import annotations
@@ -47,10 +44,10 @@ from scipy.signal import fftconvolve
 
 from .ctmc import BIRTH_DEATH, GENERAL, TOEPLITZ_LEVY, Generator
 from .linsolve import (
-    AmbientInverse,
     DegenerateWindow,
     KillingField,
     Singular,
+    _payoff_array,
     psi_pair,
 )
 
@@ -179,17 +176,6 @@ def drawdown_occupation_killing(q: complex, xi: float, shift: complex = 0.0) -> 
     return KillingField.bivariate(fn2)
 
 
-def _payoff(gen: Generator, f) -> np.ndarray:
-    if f is None:
-        return np.ones(gen.n, dtype=complex)
-    if callable(f):
-        return np.asarray(f(gen.states), dtype=complex)
-    arr = np.asarray(f, dtype=complex)
-    if arr.shape != (gen.n,):
-        raise ValueError("payoff must provide one value per state")
-    return arr
-
-
 def _anchor_index(gen: Generator, x) -> int:
     if x is None:
         return gen.grid.eta_x
@@ -248,11 +234,9 @@ def _D_init(gen: Generator, f_arr: np.ndarray, cut: int) -> np.ndarray:
 class _WindowSolver:
     """Last-row window solves with structure dispatch and LU caching."""
 
-    def __init__(self, gen: Generator, use_smw: bool = False):
+    def __init__(self, gen: Generator):
         self.gen = gen
-        self.use_smw = use_smw and gen.structure == GENERAL
         self.cache = {}
-        self.ambient: Optional[AmbientInverse] = None
         self._bd_diag = gen.diagonal() if gen.structure == BIRTH_DEATH else None
 
     def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> complex:
@@ -291,7 +275,6 @@ class _WindowSolver:
 
 def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
                           f_arr: np.ndarray, stop: int, *,
-                          use_smw: bool = False,
                           solver: "_WindowSolver" = None) -> np.ndarray:
     """Backward recursion over window tops; returns the value vector.
 
@@ -301,9 +284,6 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     ends stay 0.  A shared ``solver`` carries window factorizations across
     repeated sweeps with the same killing (event-count recursions).
     """
-    if use_smw and gen.structure == GENERAL:
-        return _sweep_smw(gen, a_steps, killing_fn, f_arr, stop)
-
     n = gen.n
     V = np.zeros(n, dtype=complex)
     S = np.zeros(n, dtype=complex)
@@ -332,47 +312,32 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     return V
 
 
-def _sweep_smw(gen: Generator, a_steps: int, killing_fn: Callable,
-               f_arr: np.ndarray, stop: int) -> np.ndarray:
-    """Same sweep through the ambient-matrix inverse updated by SMW swaps."""
-    n = gen.n
-    if n > 2500:
-        raise TooLarge("SMW ambient path caps at 2500 states")
-    V = np.zeros(n, dtype=complex)
-    kill_full = np.zeros(n, dtype=complex)
-    ambient = None
-    for i in range(n - 2, stop - 1, -1):
-        lo = max(0, i - a_steps + 1)
-        kv = np.asarray(killing_fn(i, lo), dtype=complex)
-        kill_full[lo:i + 1] = kv
-        if ambient is None:
-            ambient = AmbientInverse(gen, kill_full, lo, i)
-        else:
-            ambient.killing = kill_full
-            ambient.shift(lo, i)
-        cut = i - a_steps
-        b_full = np.zeros(n, dtype=complex)
-        if cut >= 0:
-            b_full[:cut + 1] = f_arr[:cut + 1]
-        b_full[i + 1:] = V[i + 1:]
-        V[i] = ambient.apply_row(i, b_full)
-    return V
-
-
 # ---------------------------------------------------------------------------
 # Q: drawdown-time transform
 # ---------------------------------------------------------------------------
 
+def _window_weights(psi, tops: np.ndarray, a_steps: int):
+    """Exit weights of the drawdown windows (y_i - a, y_i] started at their
+    tops i: onto the state above the top, and onto the floor state i - a.
+    The down weight is 0 where the window reaches the absorbing state 0."""
+    up, down = psi.exit_weights(tops, np.maximum(tops - a_steps, 0), tops + 1)
+    return up, np.where(tops >= a_steps, down, 0.0)
+
+
+def _recovery_weights(psi, tops: np.ndarray, a_steps: int) -> np.ndarray:
+    """psi+ ratios from each window's floor state i - a back up to its top i
+    (the recovery passage), 0 where the window has no floor state."""
+    has_floor = tops >= a_steps
+    rec = np.zeros(tops.size, dtype=complex)
+    rec[has_floor] = psi.ratio_plus(tops[has_floor] - a_steps, tops[has_floor])
+    return rec
+
+
 def _psi_sweep_coeffs(gen: Generator, q: complex, a_steps: int, stop: int):
     """Per-top exit weights of the drawdown windows from one pair of
     fundamental solutions (reusable across repeated sweeps)."""
-    psi = psi_pair(gen, q)
     idx = np.arange(stop, gen.n - 1)
-    lo = np.maximum(0, idx - a_steps + 1)
-    bottom = np.where(lo > 0, lo - 1, 0)
-    den = psi.bridge_many(idx + 1, bottom)
-    up = psi.ratio_many(psi.bridge_many(idx, bottom), den)
-    down = psi.ratio_many(psi.bridge_many(idx + 1, idx), den)
+    up, down = _window_weights(psi_pair(gen, q), idx, a_steps)
     return idx, up, down
 
 
@@ -391,17 +356,17 @@ def _q_psi_sweep(gen: Generator, q: complex, a_steps: int, f_arr: np.ndarray,
 
 
 def q_drawdown(gen: Generator, q: complex, a: float, f=None, x=None, *,
-               force_generic: bool = False, use_smw: bool = False) -> complex:
+               force_generic: bool = False) -> complex:
     """E[e^{-q tau_a} f(Y_{tau_a})] started from a fresh running maximum."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    f_arr = _payoff(gen, f)
-    if gen.structure == BIRTH_DEATH and not force_generic and not use_smw:
+    f_arr = _payoff_array(gen, f)
+    if gen.structure == BIRTH_DEATH and not force_generic:
         V = _q_psi_sweep(gen, complex(q), a_steps, f_arr, eta)
     else:
         kfn = lambda i, lo: np.full(i - lo + 1, complex(q))
-        V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta, use_smw=use_smw)
+        V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
     return complex(V[eta])
 
 
@@ -409,31 +374,22 @@ def q_drawdown(gen: Generator, q: complex, a: float, f=None, x=None, *,
 # B: generalized occupation until the drawdown time
 # ---------------------------------------------------------------------------
 
-def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
-                              use_smw: bool = False) -> complex:
+def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None) -> complex:
     """E[e^{-int_0^{tau_a} k(Y_s) ds} f(Y_{tau_a})]."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    f_arr = _payoff(gen, f)
+    f_arr = _payoff_array(gen, f)
     kf = KillingField.coerce(k)
     kill = kf.values(gen.states)
     kfn = lambda i, lo: kill[lo:i + 1]
-    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta, use_smw=use_smw)
+    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
     return complex(V[eta])
 
 
 # ---------------------------------------------------------------------------
 # C: occupation of the drawdown process until the drawdown time
 # ---------------------------------------------------------------------------
-
-def _k2_field(k2, q: complex = None, xi: float = None, shift: complex = 0.0) -> KillingField:
-    if k2 is not None:
-        return k2 if isinstance(k2, KillingField) else KillingField.bivariate(k2)
-    if q is None or xi is None:
-        raise ValueError("need either k2 or (q, xi)")
-    return drawdown_occupation_killing(q, xi, shift)
-
 
 def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None) -> complex:
     """E[e^{-int_0^{tau_a} k(Y_s, max_s) ds} f(Y_{tau_a})].
@@ -444,7 +400,7 @@ def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None) -> complex
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    f_arr = _payoff(gen, f)
+    f_arr = _payoff_array(gen, f)
     kf = k2 if isinstance(k2, KillingField) else KillingField.bivariate(k2)
     states = gen.states
 
@@ -515,7 +471,7 @@ def drawdown_before_drawup(gen: Generator, q: complex, a: float, b: float,
     b_steps = grid.steps_at_least(b)
     eta = _anchor_index(gen, x)
     q = complex(q)
-    f_arr = _payoff(gen, f)
+    f_arr = _payoff_array(gen, f)
     if y is None:
         y_pos = float(eta)
     else:
@@ -547,32 +503,24 @@ def _a_diffusion(gen: Generator, q: complex, a_steps: int, b_steps: int,
     Returns the value row over the starting-minimum index at position eta."""
     n = gen.n
     psi = psi_pair(gen, q)
+    up_full, dn_full = _window_weights(psi, np.arange(eta, n - 1), a_steps)
     row_next = np.zeros(n, dtype=complex)   # A(q, y_{i+1}, .) by min index
     row_cur = np.zeros(n, dtype=complex)
     for i in range(n - 2, eta - 1, -1):
         lo = max(0, i - a_steps + 1)
         lob = max(0, i - b_steps + 1)
         row_cur[:] = 0.0
-        bottom = lo - 1 if lo > 0 else 0
-        den = psi.bridge(i + 1, bottom)
-        up_full = psi.ratio_many(psi.bridge(i, bottom), den)
-        dn_full = psi.ratio_many(psi.bridge(i + 1, i), den) if lo > 0 else 0.0
-        pay = dn_full * f_arr[lo - 1] if lo > 0 else 0.0
+        pay = dn_full[i - eta] * f_arr[lo - 1] if lo > 0 else 0.0
         # frozen-minimum block: minima in (y_i - b, y_i - a] plus the window
         # bottom state, where the minimum cannot move before exit
-        row_cur[lob:lo + 1] = pay + up_full * row_next[lob:lo + 1]
+        row_cur[lob:lo + 1] = pay + up_full[i - eta] * row_next[lob:lo + 1]
         if i > lo:
-            # sub-window exits [t..i]: from the top (inner assignments) and
-            # from the bottom (minimum-update continuations)
-            t = np.arange(lo + 1, i + 1)
-            den_t = psi.bridge_many(np.full(t.size, i + 1), t - 1)
-            up_top = psi.ratio_many(psi.bridge_many(np.full(t.size, i), t - 1), den_t)
-            dn_top = psi.ratio_many(psi.bridge_many(np.full(t.size, i + 1), np.full(t.size, i)), den_t)
+            # sub-window exits [t..i], t = m + 1: from the top (inner
+            # assignments) and from the bottom (minimum-update continuations)
             m = np.arange(lo, i)
-            m_bot = np.maximum(m - 1, 0)   # m = 0 only at the absorbing state, where the value is forced to 0
-            den_m = psi.bridge_many(np.full(m.size, i + 1), m_bot)
-            up_bot = psi.ratio_many(psi.bridge_many(np.maximum(m, 1), m_bot), den_m)
-            dn_bot = psi.ratio_many(psi.bridge_many(np.full(m.size, i + 1), m), den_m)
+            up_top, dn_top = psi.exit_weights(i, m, i + 1)
+            # m = 0 only at the absorbing state, where the value is forced to 0
+            up_bot, dn_bot = psi.exit_weights(np.maximum(m, 1), np.maximum(m - 1, 0), i + 1)
             r_prev = 0.0 + 0.0j
             r_diag = np.zeros(m.size, dtype=complex)
             for pos in range(m.size):
@@ -650,7 +598,7 @@ def nth_drawdown_no_recovery(gen: Generator, q: complex, a: float, f=None,
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     q = complex(q)
-    prev = _payoff(gen, f)
+    prev = _payoff_array(gen, f)
     if gen.structure == BIRTH_DEATH:
         coeffs = _psi_sweep_coeffs(gen, q, a_steps, 0)
         for _ in range(n):
@@ -661,20 +609,6 @@ def nth_drawdown_no_recovery(gen: Generator, q: complex, a: float, f=None,
         for _ in range(n):
             prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
     return complex(prev[eta])
-
-
-def _h_coeff_rows_bd(gen: Generator, q: complex, a_steps: int):
-    """Per-state up/down exit weights of the drawdown window (birth-death)."""
-    n = gen.n
-    psi = psi_pair(gen, q)
-    idx = np.arange(1, n - 1)
-    lo = np.maximum(0, idx - a_steps + 1)
-    bottom = np.where(lo > 0, lo - 1, 0)
-    den = psi.bridge_many(idx + 1, bottom)
-    up = psi.ratio_many(psi.bridge_many(idx, bottom), den)
-    down = psi.ratio_many(psi.bridge_many(idx + 1, idx), den)
-    down = np.where(lo > 0, down, 0.0)
-    return idx, lo, up, down
 
 
 def insurance_partial_sums(gen: Generator, q: complex, a: float, x=None, y=None, *,
@@ -690,7 +624,7 @@ def insurance_partial_sums(gen: Generator, q: complex, a: float, x=None, y=None,
     sums = []
     total = 0.0 + 0.0j
     if not recovery:
-        prev = _payoff(gen, None)
+        prev = _payoff_array(gen, None)
         coeffs = _psi_sweep_coeffs(gen, q, a_steps, 0) if gen.structure == BIRTH_DEATH else None
         solver = None if coeffs is not None else _WindowSolver(gen)
         kfn = lambda i, lo: np.full(i - lo + 1, q)
@@ -726,7 +660,8 @@ def insurance_no_recovery(gen: Generator, q: complex, a: float, x=None, *,
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return h_levy_closed_form(gen, q, a)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        idx, lo, up, down = _h_coeff_rows_bd(gen, q, a_steps)
+        idx = np.arange(1, n - 1)
+        up, down = _window_weights(psi_pair(gen, q), idx, a_steps)
         floor = idx - a_steps
         rows_list = [np.arange(n)]
         cols_list = [np.arange(n)]
@@ -856,12 +791,8 @@ def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
     nn = gen.n
     psi = psi_pair(gen, q)
     idx = np.arange(1, nn - 1)
-    lo = np.maximum(0, idx - a_steps + 1)
-    bottom = np.where(lo > 0, lo - 1, 0)
-    den = psi.bridge_many(idx + 1, bottom)
-    up = psi.ratio_many(psi.bridge_many(idx, bottom), den)
-    down = np.where(lo > 0,
-                    psi.ratio_many(psi.bridge_many(idx + 1, idx), den), 0.0)
+    up, down = _window_weights(psi, idx, a_steps)
+    rec = _recovery_weights(psi, idx, a_steps) if n > 1 else None
     diag_prev = None
     for k in range(1, n + 1):
         diag_cur = np.zeros(nn, dtype=complex)
@@ -873,7 +804,7 @@ def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
                     pay = complex(f2_fn(np.array([fl]), i)[0])
                 else:
                     # previous-count value at (floor, max=i): must recover to i
-                    pay = psi.ratio_plus(fl, i) * diag_prev[i]
+                    pay = rec[pos] * diag_prev[i]
                 val = down[pos] * pay
             else:
                 val = 0.0
@@ -947,25 +878,16 @@ def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> complex:
     and to itself through the down-exit/recovery cycle."""
     nn = gen.n
     psi = psi_pair(gen, q)
+    idx = np.arange(1, nn - 1)
+    up, dn = _window_weights(psi, idx, a_steps)
+    # a window without a floor state has dn = 0: no cycle, denominator 1
+    cycle = 1.0 - dn * _recovery_weights(psi, idx, a_steps)
+    if np.any(np.abs(cycle) < 1e-15):
+        raise FixedPointSingular("recovery cycle weight reached 1")
     diag = np.zeros(nn, dtype=complex)
-    for i in range(nn - 2, -1, -1):
-        lo = max(0, i - a_steps + 1)
-        if i == 0:
-            diag[0] = 0.0
-            continue
-        bottom = lo - 1 if lo > 0 else 0
-        den = psi.bridge(i + 1, bottom)
-        up = psi.ratio_many(psi.bridge(i, bottom), den)
-        fl = i - a_steps
-        if fl >= 0:
-            dn = psi.ratio_many(psi.bridge(i + 1, i), den)
-            rec = psi.ratio_plus(fl, i)
-            denom = 1.0 - dn * rec
-            if abs(denom) < 1e-15:
-                raise FixedPointSingular("recovery cycle weight reached 1")
-            diag[i] = (up * diag[i + 1] + dn) / denom
-        else:
-            diag[i] = up * diag[i + 1]
+    for pos in range(idx.size - 1, -1, -1):
+        i = idx[pos]
+        diag[i] = (up[pos] * diag[i + 1] + dn[pos]) / cycle[pos]
     if eta_x == eta_y:
         return complex(diag[eta_y])
     return psi.ratio_plus(eta_x, eta_y) * complex(diag[eta_y])
@@ -1091,7 +1013,11 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
     if kind == "C":
         if gen.structure == TOEPLITZ_LEVY and not force_generic and req.k2 is None:
             return c_levy_closed_form(gen, req.q, req.a, req.xi, shift=req.shift)
-        k2 = req.k2 if req.k2 is not None else _k2_field(None, req.q, req.xi, req.shift)
+        k2 = req.k2
+        if k2 is None:
+            if req.xi is None:
+                raise ValueError("quantity C needs either k2 or the threshold xi")
+            k2 = drawdown_occupation_killing(req.q, req.xi, req.shift)
         return drawdown_occupation(gen, k2, req.a, f=req.f, x=req.x)
     if kind == "Hn":
         return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n)

@@ -45,7 +45,6 @@ class TestGrid:
     def test_window_helpers(self):
         g = build_grid(0.0, 0.2, 4, -1.0, 1.0)
         i = g.eta_x
-        assert g.window_bottom(i, 4) == i - 3
         assert g.floor_index(i, 4) == i - 4
         assert g.floor_index(2, 4) is None
         assert g.steps_of(0.2) == 4

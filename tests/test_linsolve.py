@@ -3,17 +3,13 @@ import pytest
 
 from drawdown_ctmc.ctmc import BirthDeathGenerator, DenseGenerator, Grid, build_generator, build_grid
 from drawdown_ctmc.linsolve import (
-    AmbientInverse,
     DegenerateWindow,
     KillingField,
     NotBirthDeath,
     Singular,
     hitting_coeffs_diffusion,
     psi_pair,
-    smw_refresh,
     solve_passage,
-    solve_R,
-    solve_S_occ,
 )
 from drawdown_ctmc.models import ModelSpec
 
@@ -177,12 +173,46 @@ class TestPsiPair:
         q = 1.7
         psi = psi_pair(gen, q)
         i = 4
-        up = psi.up_coeff(i, i - 1, i + 1)
-        down = psi.down_coeff(i, i - 1, i + 1)
+        up, down = psi.exit_weights(i, i - 1, i + 1)
+        assert up.shape == down.shape == (1,)
         out = gen.up[i] + gen.down[i]
-        assert up == pytest.approx(gen.up[i] / (q + out), rel=1e-12)
-        assert down == pytest.approx(gen.down[i] / (q + out), rel=1e-12)
-        assert up + down == pytest.approx(out / (q + out), rel=1e-12)
+        assert up[0] == pytest.approx(gen.up[i] / (q + out), rel=1e-12)
+        assert down[0] == pytest.approx(gen.down[i] / (q + out), rel=1e-12)
+        assert up[0] + down[0] == pytest.approx(out / (q + out), rel=1e-12)
+
+    def test_exit_weights_match_passage_solve(self):
+        # random (x, bottom, top) triples with bottom < x < top, including
+        # one-state windows and starts next to either end
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            gen = random_birth_death(14, 40 + seed)
+            q = complex(rng.uniform(0.1, 3.0), rng.uniform(-20.0, 20.0))
+            psi = psi_pair(gen, q)
+            bottom = rng.integers(0, gen.n - 2, size=12)
+            top = bottom + 2 + rng.integers(0, gen.n - 1 - (bottom + 2) + 1)
+            x = bottom + 1 + rng.integers(0, top - bottom - 1)
+            # (bottom, x, top): a one-state window, a start next to the
+            # absorbing bottom state, a start next to the absorbing top state
+            for k, triple in enumerate([(3, 4, 5), (0, 1, 7), (5, 12, 13)]):
+                bottom[k], x[k], top[k] = triple
+            up, down = psi.exit_weights(x, bottom, top)
+            for k in range(x.size):
+                window = (gen.states[bottom[k]], gen.states[top[k] - 1])
+                e_top = np.zeros(gen.n)
+                e_top[top[k]] = 1.0
+                e_bot = np.zeros(gen.n)
+                e_bot[bottom[k]] = 1.0
+                ref_up = solve_passage(gen, window, q, e_top).at(x[k])
+                ref_dn = solve_passage(gen, window, q, e_bot).at(x[k])
+                assert abs(up[k] - ref_up) < 1e-10
+                assert abs(down[k] - ref_dn) < 1e-10
+            # a scalar top broadcasts against arrays of starts and bottoms
+            xs = np.arange(5, 12)
+            bots = xs - 1 - (xs % 3)
+            up_b, down_b = psi.exit_weights(xs, bots, 12)
+            up_e, down_e = psi.exit_weights(xs, bots, np.full(xs.size, 12))
+            assert up_b.shape == (xs.size,)
+            assert np.array_equal(up_b, up_e) and np.array_equal(down_b, down_e)
 
     def test_coeffs_decrease_in_killing(self):
         gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 10, -0.5, 0.3))
@@ -211,98 +241,3 @@ class TestPsiPair:
         up, down = hitting_coeffs_diffusion(psi, q, 0.0, 0.2)
         assert np.isfinite(up.real) and np.isfinite(down.real)
         assert abs(up) <= 1.0 and abs(down) <= 1.0
-
-
-class TestAugmentedSystems:
-    def test_R_boundary_clauses(self):
-        gen = random_jump_chain(10, 11)
-        w = (gen.states[2], gen.states[6])
-        g = lambda x, y: (1.0 + x) * (2.0 + y)
-        R = solve_R(gen, w, 1.5, g)
-        for x in range(0, 3):
-            assert np.all(R[x, :x + 1] == 0.0)
-        for x in range(7, 10):
-            for y in range(0, x + 1):
-                assert R[x, y] == pytest.approx(g(gen.states[x], gen.states[y]))
-
-    def test_R_frozen_min_reduction(self):
-        gen = random_birth_death(6, 12)
-        w = (gen.states[1], gen.states[4])
-        g = lambda x, y: 1.0 + 0.3 * x - 0.2 * y
-        R = solve_R(gen, w, 2.0, g)
-        y0 = gen.states[0]
-        f1d = np.array([g(x, y0) for x in gen.states], dtype=complex)
-        f1d[gen.states <= w[1]] = 0.0
-        p = solve_passage(gen, w, 2.0, f1d)
-        rows = np.arange(2, 5)
-        assert np.abs(R[rows, 0] - p.values[rows]).max() < 1e-12
-
-    def test_S_constant_killing_collapse(self):
-        gen = random_jump_chain(10, 13)
-        w = (gen.states[2], gen.states[6])
-        q = 1.7 + 0.4j
-        S = solve_S_occ(gen, w, KillingField.bivariate(lambda s, y: np.full(len(s), q)), np.ones(10))
-        f1d = np.ones(10, dtype=complex)
-        f1d[gen.states <= w[1]] = 0.0
-        p = solve_passage(gen, w, q, f1d)
-        rows = np.arange(3, 7)
-        for y in range(6, 10):
-            sub = rows[rows <= y]
-            assert np.abs(S[sub, y] - p.values[sub]).max() < 1e-11
-
-    def test_S_bivariate_vs_brute_force(self):
-        # assemble the full (position, max)-indexed linear system directly
-        gen = random_jump_chain(6, 14)
-        q = 1.3
-        xi = 0.3
-        kf = KillingField.bivariate(lambda s, y: np.where(y - s > xi, q, 0.0) + 0.2)
-        w = (gen.states[1], gen.states[3])
-        S = solve_S_occ(gen, w, kf, np.ones(6))
-        n = 6
-        dense = gen.to_dense().astype(complex)
-        pairs = [(x, y) for y in range(n) for x in range(min(y, 3) + 1) if 2 <= x <= 3 and x <= y]
-        idx = {p: k for k, p in enumerate(pairs)}
-        M = np.zeros((len(pairs), len(pairs)), dtype=complex)
-        rhs = np.zeros(len(pairs), dtype=complex)
-        for (x, y), r in idx.items():
-            kv = kf.values2(gen.states[[x]], gen.states[y])[0]
-            M[r, r] = kv - dense[x, x]
-            for z in range(n):
-                if z == x:
-                    continue
-                rate = dense[x, z]
-                if rate == 0.0:
-                    continue
-                zy = max(z, y)
-                if 2 <= z <= 3:
-                    M[r, idx[(z, zy)]] -= rate
-                elif z > 3:
-                    rhs[r] += rate  # exit above: payoff 1
-        sol = np.linalg.solve(M, rhs)
-        for (x, y), r in idx.items():
-            assert S[x, y] == pytest.approx(sol[r], abs=1e-12)
-
-
-class TestSMW:
-    def test_empty_update(self):
-        rng = np.random.default_rng(15)
-        A = rng.random((6, 6)) + np.eye(6) * 3
-        inv = np.linalg.inv(A)
-        assert np.array_equal(smw_refresh(inv, []), inv)
-
-    def test_rank_one_matches_fresh(self):
-        rng = np.random.default_rng(16)
-        A = rng.random((10, 10)) + np.eye(10) * 5
-        inv = np.linalg.inv(A)
-        u, v = rng.random(10), rng.random(10)
-        updated = smw_refresh(inv, [(u, v)])
-        fresh = np.linalg.inv(A + np.outer(u, v))
-        assert np.abs(updated - fresh).max() < 1e-10
-
-    def test_ambient_inverse_window_shift(self):
-        gen = random_jump_chain(12, 17)
-        kill = np.full(12, 1.5 + 0.5j)
-        amb = AmbientInverse(gen, kill, 4, 9)
-        amb.shift(3, 8)
-        fresh = np.linalg.inv(amb._matrix(3, 8))
-        assert np.abs(amb.inv - fresh).max() < 1e-8

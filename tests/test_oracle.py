@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from drawdown_ctmc.cli import load_config, run_oracle
 from drawdown_ctmc.ctmc import BirthDeathGenerator, Grid, build_generator, build_grid
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import HorizonCapHit, McConfig, dense_product_solve, mc_estimate
@@ -122,3 +125,14 @@ class TestMonteCarlo:
         req = QuantityRequest("B", a=0.2, q=1e-9, xi=-1.9)  # almost no killing
         with pytest.raises(HorizonCapHit):
             mc_estimate(gen, req, McConfig(n_paths=2000, seed=5, horizon_cap=0.05))
+
+
+@pytest.mark.parametrize("kind", ["Hsum", "Jsum"])
+def test_event_sum_mc_matches_product_chain(kind):
+    # 14-state BS chain of the shipped no-recovery insurance study, q = 1/T
+    path = Path(__file__).resolve().parents[1] / "configs" / "insurance_no_recovery_bs.ini"
+    cfg = load_config(str(path), [f"quantity.kind={kind}", "grid.n_x=4",
+                                  "grid.y_min=-0.6", "grid.y_max=0.4"])
+    (row,) = run_oracle(cfg, McConfig(n_paths=4000, seed=cfg.mc.seed))
+    assert row["dense"] == pytest.approx(row["analytic"], abs=1e-9)
+    assert abs(row["mc"] - row["dense"]) < 3.0 * row["stderr"]

@@ -63,12 +63,6 @@ class TestQDrawdown:
             slow = q_drawdown(bs_small, q, 0.2, force_generic=True)
             assert abs(fast - slow) < 1e-9
 
-    def test_smw_toggle_identical(self, bs_small):
-        dense = densify(bs_small)
-        v_on = q_drawdown(dense, 1.3, 0.2, use_smw=True)
-        v_off = q_drawdown(dense, 1.3, 0.2, use_smw=False)
-        assert abs(v_on - v_off) < 1e-9
-
     def test_monotone_in_q(self, bs_small):
         vals = [q_drawdown(bs_small, q, 0.2).real for q in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
