@@ -19,10 +19,10 @@ import numpy as np
 from drawdown_ctmc import ModelSpec, build_generator, build_grid, build_levy_generator
 from drawdown_ctmc.laplace import InversionConfig, inversion_nodes_weights, invert_values
 from drawdown_ctmc.quantities import (
-    h_levy_closed_form,
+    QuantityRequest,
+    evaluate,
     insurance_no_recovery,
     insurance_with_recovery,
-    j_levy_closed_form,
     nth_drawdown_no_recovery,
 )
 
@@ -33,8 +33,8 @@ nodes, _ = inversion_nodes_weights(T, InversionConfig())
 
 print(f"25%-drawdown insurance, maturity {T}y (BS, n_x = 40)\n")
 gen = build_generator(ModelSpec.bs(r_f=RF), build_grid(0.0, A, 40, -4.0, 4.0))
-no_rec = invert_values([insurance_no_recovery(gen, q + RF, A) / q for q in nodes], T)
-with_rec = invert_values([insurance_with_recovery(gen, q + RF, A) / q for q in nodes], T)
+no_rec = invert_values(insurance_no_recovery(gen, nodes + RF, A) / nodes, T)
+with_rec = invert_values(insurance_with_recovery(gen, nodes + RF, A) / nodes, T)
 print(f"  expected discounted payments, no recovery:   {no_rec:.5f}")
 print(f"  expected discounted payments, with recovery: {with_rec:.5f}")
 print("  (recovery gating always lowers the price)")
@@ -51,7 +51,7 @@ print(f"  fixed-point total: {total:.6f}")
 print("\nSame products under the Kou model via the lattice closed forms:")
 dejd = ModelSpec.dejd(r_f=RF)
 lat = build_levy_generator(dejd, A / 40, -4.0, 4.0)
-no_rec = invert_values([h_levy_closed_form(lat, q + RF, A) / q for q in nodes], T)
-with_rec = invert_values([j_levy_closed_form(lat, q + RF, A) / q for q in nodes], T)
+no_rec = invert_values(evaluate(lat, QuantityRequest("Hsum", a=A, q=nodes + RF)) / nodes, T)
+with_rec = invert_values(evaluate(lat, QuantityRequest("Jsum", a=A, q=nodes + RF)) / nodes, T)
 print(f"  no recovery:   {no_rec:.5f}")
 print(f"  with recovery: {with_rec:.5f}")

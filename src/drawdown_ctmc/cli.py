@@ -327,9 +327,9 @@ def _resolve_scheme(cfg: RunConfig) -> str:
     return choose_drift_scheme(cfg.model, h, sample)
 
 
-def _node_request(cfg: RunConfig, q: complex) -> tuple[QuantityRequest, complex]:
-    """QuantityRequest for one inversion node, and the Laplace argument
-    actually passed (after the event-sum shift)."""
+def _node_request(cfg: RunConfig, q) -> tuple[QuantityRequest, complex]:
+    """QuantityRequest for one inversion node or a vector of them, and the
+    Laplace argument actually passed (after the event-sum shift)."""
     r_f = cfg.model.r_f
     kind = cfg.kind
     f = None
@@ -360,16 +360,14 @@ def _snap_request(gen, req: QuantityRequest) -> QuantityRequest:
 
 
 def _price_at(cfg: RunConfig, gen, nodes) -> float:
-    vals = np.empty(nodes.size, dtype=complex)
-    for pos, q in enumerate(nodes):
-        req, _ = _node_request(cfg, complex(q))
-        req = _snap_request(gen, req)
-        try:
-            vals[pos] = evaluate(gen, req, force_generic=cfg.force_generic) / q
-        except NUMERICAL_ERRORS:
-            raise
-        except Exception as exc:
-            raise NodeFailure(complex(q), exc) from exc
+    req, _ = _node_request(cfg, nodes)
+    req = _snap_request(gen, req)
+    try:
+        vals = evaluate(gen, req, force_generic=cfg.force_generic) / nodes
+    except NUMERICAL_ERRORS:
+        raise
+    except Exception as exc:
+        raise NodeFailure(nodes, exc) from exc
     return invert_values(vals, cfg.T, cfg.laplace)
 
 

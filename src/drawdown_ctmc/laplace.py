@@ -9,8 +9,8 @@ and combines the alternating partial sums with binomial (Euler) weights.
 The discretization error of the damped series is about e^{-decay}; the
 default decay 18.4 gives ~1e-8 for transforms of bounded functions.
 Because the estimate is a fixed linear combination of Re F(q_k), the node
-set and weights are exposed so callers can evaluate the transform per node
-and fold deterministically.
+set and weights are exposed so callers can evaluate the whole node set as
+one batch and fold deterministically.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ __all__ = [
 
 
 class NodeFailure(RuntimeError):
-    """A transform evaluation failed at a specific inversion node."""
+    """A transform evaluation failed at an inversion node, or somewhere in a
+    node vector evaluated as one batch (``node`` is then the vector)."""
 
-    def __init__(self, node: complex, cause: Exception):
+    def __init__(self, node, cause: Exception):
         self.node = node
         self.cause = cause
         super().__init__(f"transform evaluation failed at node {node}: {cause}")

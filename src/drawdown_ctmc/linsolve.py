@@ -13,7 +13,9 @@ whose solution is the killed exit functional with payoff f.  On top of it:
                        form so that growth like e^{kappa * span} never
                        overflows; any two-sided exit coefficient is a ratio
                        of 2x2 "bridge" determinants of the pair
-                       (``PsiPair.exit_weights``).
+                       (``PsiPair.exit_weights``).  The pair carries a
+                       trailing node axis: one recursion over the states
+                       builds the pairs of every Laplace node at once.
 
 Adjacent-state bridge determinants are evaluated through the Wronskian
 product recurrence W_{i+1} = (down_i / up_i) W_i, which is cancellation
@@ -23,7 +25,6 @@ of magnitude above the discarded one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +64,11 @@ class DegenerateWindow(ValueError):
 # ---------------------------------------------------------------------------
 
 class KillingField:
-    """Killing rate: a constant q, a state function k(x), or k(x, max)."""
+    """Killing rate: a constant q, a state function k(x), or k(x, max).
+
+    A constant may be a (k,) node vector, and a state function may return
+    one column per node; ``values`` then has shape (states, k).
+    """
 
     def __init__(self, const=None, fn=None, fn2=None):
         self.const = const
@@ -71,8 +76,8 @@ class KillingField:
         self.fn2 = fn2
 
     @classmethod
-    def constant(cls, q: complex) -> "KillingField":
-        return cls(const=complex(q))
+    def constant(cls, q) -> "KillingField":
+        return cls(const=np.asarray(q, dtype=complex))
 
     @classmethod
     def from_function(cls, fn: Callable) -> "KillingField":
@@ -96,7 +101,7 @@ class KillingField:
 
     def values(self, states: np.ndarray) -> np.ndarray:
         if self.const is not None:
-            out = np.full(len(states), self.const, dtype=complex)
+            out = np.full((len(states),) + self.const.shape, self.const)
         elif self.fn is not None:
             out = np.asarray(self.fn(np.asarray(states)), dtype=complex)
         else:
@@ -201,86 +206,88 @@ def solve_passage(gen: Generator, window, k, f) -> PassageSolution:
 # fundamental solutions of a birth-death chain (scaled representation)
 # ---------------------------------------------------------------------------
 
-def _rebase(m1, L1, m2, L2):
-    """Return (a, b, L) with a e^L = m1 e^L1 and b e^L = m2 e^L2."""
-    L = max(L1, L2)
-    return m1 * math.exp(L1 - L), m2 * math.exp(L2 - L), L
-
-
 class PsiPair:
-    """Scaled fundamental solutions of (k - G) psi = 0 on a birth-death chain.
+    """Scaled fundamental solutions of (k - G) psi = 0 on a birth-death chain,
+    one pair per column of the killing.
 
-    psi_plus vanishes at the bottom state and equals 1 at the top;
-    psi_minus mirrors it.  Stored as mantissa * exp(log_scale) per state.
+    ``killing`` is an (n, k) array whose column j is the per-state killing
+    of node j.  psi_plus vanishes at the bottom state and equals 1 at the
+    top; psi_minus mirrors it.  Both are stored as mantissa *
+    exp(log_scale) in (n, k) arrays.  The index-array methods return
+    arrays of shape ``index_shape + (k,)``; a pair built from a single
+    node (``single``) drops the node axis.
     """
 
-    def __init__(self, gen: Generator, killing: np.ndarray):
+    def __init__(self, gen: Generator, killing: np.ndarray, *, single: bool = False):
         if gen.structure != BIRTH_DEATH:
             raise NotBirthDeath("psi pair requires a birth-death generator")
         n = gen.n
         if n < 3:
             raise DegenerateWindow("need at least one interior state")
+        if killing.ndim != 2 or killing.shape[0] != n:
+            raise ValueError("killing needs one row per state and one column per node")
         self.gen = gen
-        self.killing = killing
-        up, down, diag = gen.up, gen.down, gen.diagonal()
-        if np.any(up[1:n - 1] <= 0.0) or np.any(down[1:n - 1] <= 0.0):
+        self.single = single
+        up, down = gen.up[1:n - 1], gen.down[1:n - 1]
+        if np.any(up <= 0.0) or np.any(down <= 0.0):
             raise DegenerateWindow("birth-death chain has a zero interior rate")
 
-        um = np.zeros(n, dtype=complex)
-        uL = np.zeros(n, dtype=float)
+        # Interior row i reads c_i psi_i = up_i psi_{i+1} + down_i psi_{i-1}.
+        # Step the ratios of consecutive values, r_i = psi+_{i+1} / psi+_i
+        # upward from psi+_0 = 0, psi+_1 = 1, and s_i = psi-_{i-1} / psi-_i
+        # downward from psi-_{n-1} = 0, psi-_{n-2} = 1 (row j is state j + 1).
+        c = killing[1:n - 1] - gen.diagonal()[1:n - 1, None]
+        c_up, d_up = c / up[:, None], (down / up).tolist()
+        c_dn, u_dn = c / down[:, None], (up / down).tolist()
+        r = np.empty_like(c)
+        r[0] = rj = c_up[0]
+        for j in range(1, n - 2):
+            r[j] = rj = c_up[j] - d_up[j] / rj
+        s = np.empty_like(c)
+        s[-1] = sj = c_dn[-1]
+        for j in range(n - 4, -1, -1):
+            s[j] = sj = c_dn[j] - u_dn[j] / sj
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))
+                and np.all(r != 0.0) and np.all(s != 0.0)):
+            raise Singular("fundamental solution vanishes inside the chain or at its far end")
+
+        k = killing.shape[1]
+        um = np.zeros((n, k), dtype=complex)
+        uL = np.zeros((n, k))
         um[1] = 1.0
-        for i in range(1, n - 1):
-            c = killing[i] - diag[i]
-            a, b, L = _rebase(um[i], uL[i], um[i - 1], uL[i - 1])
-            val = (c * a - down[i] * b) / up[i]
-            s = abs(val)
-            if s == 0.0:
-                um[i + 1], uL[i + 1] = 0.0, L
-            else:
-                um[i + 1], uL[i + 1] = val / s, L + math.log(s)
-
-        dm = np.zeros(n, dtype=complex)
-        dL = np.zeros(n, dtype=float)
+        um[2:] = np.cumprod(r / np.abs(r), axis=0)
+        uL[2:] = np.cumsum(np.log(np.abs(r)), axis=0)
+        dm = np.zeros((n, k), dtype=complex)
+        dL = np.zeros((n, k))
         dm[n - 2] = 1.0
-        for i in range(n - 2, 0, -1):
-            c = killing[i] - diag[i]
-            a, b, L = _rebase(dm[i], dL[i], dm[i + 1], dL[i + 1])
-            val = (c * a - up[i] * b) / down[i]
-            s = abs(val)
-            if s == 0.0:
-                dm[i - 1], dL[i - 1] = 0.0, L
-            else:
-                dm[i - 1], dL[i - 1] = val / s, L + math.log(s)
-
-        if um[n - 1] == 0.0 or dm[0] == 0.0:
-            raise Singular("fundamental solution vanishes at the far boundary")
+        dm[:n - 2] = np.cumprod((s / np.abs(s))[::-1], axis=0)[::-1]
+        dL[:n - 2] = np.cumsum(np.log(np.abs(s))[::-1], axis=0)[::-1]
         # normalize psi_plus(top) = 1, psi_minus(bottom) = 1
         uL -= uL[n - 1]
-        um = um / um[n - 1]
+        um /= um[n - 1]
         dL -= dL[0]
-        dm = dm / dm[0]
-        um[0] = 0.0
-        dm[n - 1] = 0.0
+        dm /= dm[0]
         self._um, self._uL, self._dm, self._dL = um, uL, dm, dL
 
         # Wronskian W_i = psi+_i psi-_{i-1} - psi+_{i-1} psi-_i by the exact
         # product recurrence W_{i+1} = (down_i/up_i) W_i
-        wm = np.zeros(n, dtype=complex)
-        wL = np.zeros(n, dtype=float)
-        wm[1] = um[1] * dm[0]
-        wL[1] = uL[1] + dL[0]
-        for i in range(1, n - 1):
-            wm[i + 1] = wm[i]
-            wL[i + 1] = wL[i] + math.log(down[i] / up[i])
+        wm = np.zeros((n, k), dtype=complex)
+        wL = np.zeros((n, k))
+        wm[1:] = um[1] * dm[0]
+        steps = np.concatenate(([0.0], np.cumsum(np.log(down / up))))
+        wL[1:] = (uL[1] + dL[0]) + steps[:, None]
         self._wm, self._wL = wm, wL
+
+    def _out(self, arr):
+        return arr[..., 0] if self.single else arr
 
     # -- raw values (may overflow for long chains; meant for tests) ---------
 
-    def psi_plus(self, i: int) -> complex:
-        return self._um[i] * math.exp(min(self._uL[i], 700.0))
+    def psi_plus(self, i):
+        return self._out(self._um[i] * np.exp(np.minimum(self._uL[i], 700.0)))
 
-    def psi_minus(self, i: int) -> complex:
-        return self._dm[i] * math.exp(min(self._dL[i], 700.0))
+    def psi_minus(self, i):
+        return self._out(self._dm[i] * np.exp(np.minimum(self._dL[i], 700.0)))
 
     # -- scaled determinants over index arrays ---------------------------------
 
@@ -293,12 +300,11 @@ class PsiPair:
         d = self._uL[i] - self._uL[j]
         if np.any(d > 700.0):
             raise Singular("hitting ratio overflow")
-        return self._um[i] / self._um[j] * np.exp(d)
+        return self._out(self._um[i] / self._um[j] * np.exp(d))
 
     def bridge_many(self, I, J):
         """(mantissa, log) arrays of the bridge determinant for I > J."""
-        I = np.asarray(I, dtype=int)
-        J = np.asarray(J, dtype=int)
+        I, J = np.broadcast_arrays(np.asarray(I, dtype=int), np.asarray(J, dtype=int))
         L1 = self._uL[I] + self._dL[J]
         L2 = self._uL[J] + self._dL[I]
         L = np.maximum(L1, L2)
@@ -306,11 +312,9 @@ class PsiPair:
                 - self._um[J] * self._dm[I] * np.exp(L2 - L))
         adj = I == J + 1
         if np.any(adj):
-            mant = mant.copy()
-            L = L.copy()
             mant[adj] = self._wm[I[adj]]
             L[adj] = self._wL[I[adj]]
-        return mant, L
+        return self._out(mant), self._out(L)
 
     @staticmethod
     def ratio_many(num, den) -> np.ndarray:
@@ -327,8 +331,8 @@ class PsiPair:
         """Killed exit weights (onto_top, onto_bottom) of the window
         (bottom, top) started from x: the transforms of leaving it at the
         state ``top`` and at the state ``bottom``.  The index arguments
-        broadcast against each other; the results are arrays of the
-        broadcast shape, at least one-dimensional."""
+        broadcast against each other to an index shape, at least
+        one-dimensional; the results have that shape plus the node axis."""
         x, bottom, top = np.broadcast_arrays(np.atleast_1d(x), bottom, top)
         den = self.bridge_many(top, bottom)
         onto_top = self.ratio_many(self.bridge_many(x, bottom), den)
@@ -337,13 +341,14 @@ class PsiPair:
 
 
 def psi_pair(gen: Generator, q) -> PsiPair:
-    """Fundamental solution pair for constant killing q (or a per-state
-    killing vector, which the occupation-time fast paths use)."""
-    if np.isscalar(q):
-        killing = np.full(gen.n, complex(q))
-    else:
-        killing = np.asarray(q, dtype=complex)
-    return PsiPair(gen, killing)
+    """Fundamental solution pairs for killing ``q``: a scalar, a (k,) vector
+    of nodes (one pair per node, constant killing), or an (n, k) per-state
+    killing with one column per node (the occupation-time fast path)."""
+    q = np.asarray(q, dtype=complex)
+    if q.ndim > 2:
+        raise ValueError("killing must be a scalar, a node vector or an (n, k) array")
+    killing = q if q.ndim == 2 else np.broadcast_to(q.reshape(-1), (gen.n, q.size))
+    return PsiPair(gen, killing, single=q.ndim == 0)
 
 
 def hitting_coeffs_diffusion(psi: PsiPair, q, x: float, a: float):

@@ -29,11 +29,19 @@ with translation-invariant closed forms (`*_levy_closed_form`) and
 birth-death fast paths selected automatically from the structure tag.
 Every birth-death exit weight comes from one fundamental-solution pair
 through ``PsiPair.exit_weights``.
+
+Node batching: ``evaluate`` takes a vector of Laplace nodes.  The
+birth-death fast paths carry it as a trailing array axis and evaluate all
+nodes in one pass: Q, A, B (through the pair of the per-state killing),
+Hn, the Hsum partial sums and fixed point (one sparse solve per node), Jn
+and Jsum.  The other routes take one node at a time and ``evaluate``
+loops over the vector: C on birth-death chains, every lattice closed form
+and windowed sweep, and the generic dense paths (``force_generic``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,7 +129,7 @@ class QuantityRequest:
 
     kind: str
     a: float
-    q: complex = 1.0 + 0.0j
+    q: complex = 1.0 + 0.0j   # one Laplace node, or a (k,) vector of nodes
     b: Optional[float] = None
     xi: Optional[float] = None
     n: int = 1
@@ -154,13 +162,15 @@ _IND_TOL = 1e-9
 # outcome uniform across windows (strict inequality in exact arithmetic).
 
 
-def occupation_below_killing(q: complex, xi: float, shift: complex = 0.0) -> KillingField:
-    """k(x) = q 1_{x < xi} + shift, with a roundoff-safe strict inequality."""
-    qq, sh = complex(q), complex(shift)
+def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> KillingField:
+    """k(x) = q 1_{x < xi} + shift, with a roundoff-safe strict inequality;
+    a node vector q gives one column per node."""
+    qq, sh = np.asarray(q, dtype=complex), complex(shift)
     tol = _IND_TOL * max(1.0, abs(xi))
 
     def fn(states):
-        return np.where(states < xi - tol, qq, 0.0) + sh
+        below = np.asarray(states) < xi - tol
+        return np.where(below[:, None] if qq.ndim else below, qq, 0.0) + sh
 
     return KillingField.from_function(fn)
 
@@ -321,52 +331,83 @@ def _window_weights(psi, tops: np.ndarray, a_steps: int):
     tops i: onto the state above the top, and onto the floor state i - a.
     The down weight is 0 where the window reaches the absorbing state 0."""
     up, down = psi.exit_weights(tops, np.maximum(tops - a_steps, 0), tops + 1)
-    return up, np.where(tops >= a_steps, down, 0.0)
+    return up, np.where((tops >= a_steps)[:, None], down, 0.0)
 
 
 def _recovery_weights(psi, tops: np.ndarray, a_steps: int) -> np.ndarray:
     """psi+ ratios from each window's floor state i - a back up to its top i
     (the recovery passage), 0 where the window has no floor state."""
     has_floor = tops >= a_steps
-    rec = np.zeros(tops.size, dtype=complex)
-    rec[has_floor] = psi.ratio_plus(tops[has_floor] - a_steps, tops[has_floor])
-    return rec
+    rec = psi.ratio_plus(np.where(has_floor, tops - a_steps, tops), tops)
+    return np.where(has_floor[:, None], rec, 0.0)
 
 
-def _psi_sweep_coeffs(gen: Generator, q: complex, a_steps: int, stop: int):
-    """Per-top exit weights of the drawdown windows from one pair of
-    fundamental solutions (reusable across repeated sweeps)."""
-    idx = np.arange(stop, gen.n - 1)
-    up, down = _window_weights(psi_pair(gen, q), idx, a_steps)
-    return idx, up, down
-
-
-def _q_psi_sweep(gen: Generator, q: complex, a_steps: int, f_arr: np.ndarray,
-                 stop: int, coeffs=None) -> np.ndarray:
-    """Birth-death fast path: every window exit weight is a bridge ratio of
-    one fundamental-solution pair."""
-    idx, up, down = coeffs if coeffs is not None else _psi_sweep_coeffs(gen, q, a_steps, stop)
-    V = np.zeros(gen.n, dtype=complex)
-    for pos in range(idx.size - 1, -1, -1):
-        i = idx[pos]
-        fl = i - a_steps
-        pay = f_arr[fl] if fl >= 0 else 0.0
-        V[i] = down[pos] * pay + up[pos] * V[i + 1]
+def _chain_down(n: int, tops: np.ndarray, up: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Values over the states, one column per node, of the recursion
+    V[i] = src[pos] + up[pos] V[i + 1] run down the contiguous tops
+    (tops[-1] = N - 2, above which the absorbing top state holds 0)."""
+    V = np.zeros((n, up.shape[1]), dtype=complex)
+    v = V[n - 1]
+    for pos in range(tops.size - 1, -1, -1):
+        V[tops[pos]] = v = src[pos] + up[pos] * v
     return V
 
 
-def q_drawdown(gen: Generator, q: complex, a: float, f=None, x=None, *,
-               force_generic: bool = False) -> complex:
-    """E[e^{-q tau_a} f(Y_{tau_a})] started from a fresh running maximum."""
+def _psi_sweep_coeffs(gen: Generator, killing, a_steps: int, stop: int):
+    """Per-top exit weights of the drawdown windows from one fundamental-
+    solution pair per node (reusable across repeated sweeps); ``killing``
+    is a (k,) node vector or an (n, k) per-state killing."""
+    idx = np.arange(stop, gen.n - 1)
+    up, down = _window_weights(psi_pair(gen, killing), idx, a_steps)
+    return idx, up, down
+
+
+def _q_psi_sweep(gen: Generator, a_steps: int, f_arr: np.ndarray, coeffs) -> np.ndarray:
+    """Birth-death fast path: every window exit weight is a bridge ratio of
+    one fundamental-solution pair.  ``f_arr`` is the down-exit payoff over
+    the states, shared by the nodes or one column per node."""
+    idx, up, down = coeffs
+    pay = f_arr[np.maximum(idx - a_steps, 0)]
+    return _chain_down(gen.n, idx, up, down * (pay if pay.ndim == 2 else pay[:, None]))
+
+
+def _nodes(q):
+    """q as a (k,) node vector, and whether it was given as a single node."""
+    nodes = np.asarray(q, dtype=complex)
+    if nodes.ndim > 1:
+        raise ValueError("q must be one node or a vector of nodes")
+    return nodes.reshape(-1), nodes.ndim == 0
+
+
+def _per_node(values: np.ndarray, single: bool):
+    """The (k,) node values, or one complex for a single node."""
+    return complex(values[0]) if single else values
+
+
+_ONE_NODE = "this route takes one node at a time; evaluate() loops over a node vector"
+
+
+def _one_node(q) -> complex:
+    if np.ndim(q) != 0:
+        raise ValueError(_ONE_NODE)
+    return complex(q)
+
+
+def q_drawdown(gen: Generator, q, a: float, f=None, x=None, *,
+               force_generic: bool = False):
+    """E[e^{-q tau_a} f(Y_{tau_a})] started from a fresh running maximum;
+    a node vector q gives one value per node (birth-death chains)."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     f_arr = _payoff_array(gen, f)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        V = _q_psi_sweep(gen, complex(q), a_steps, f_arr, eta)
-    else:
-        kfn = lambda i, lo: np.full(i - lo + 1, complex(q))
-        V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
+        nodes, single = _nodes(q)
+        V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, nodes, a_steps, eta))
+        return _per_node(V[eta], single)
+    q = _one_node(q)
+    kfn = lambda i, lo: np.full(i - lo + 1, q)
+    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
     return complex(V[eta])
 
 
@@ -374,14 +415,26 @@ def q_drawdown(gen: Generator, q: complex, a: float, f=None, x=None, *,
 # B: generalized occupation until the drawdown time
 # ---------------------------------------------------------------------------
 
-def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None) -> complex:
-    """E[e^{-int_0^{tau_a} k(Y_s) ds} f(Y_{tau_a})]."""
+def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
+                              force_generic: bool = False):
+    """E[e^{-int_0^{tau_a} k(Y_s) ds} f(Y_{tau_a})].
+
+    On a birth-death chain every window's exit weights come from one
+    fundamental-solution pair of the per-state killing; a killing field
+    with one column per node (built from a node vector) gives one value
+    per node.
+    """
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     f_arr = _payoff_array(gen, f)
-    kf = KillingField.coerce(k)
-    kill = kf.values(gen.states)
+    kill = KillingField.coerce(k).values(gen.states)
+    if gen.structure == BIRTH_DEATH and not force_generic:
+        single = kill.ndim == 1
+        coeffs = _psi_sweep_coeffs(gen, kill[:, None] if single else kill, a_steps, eta)
+        return _per_node(_q_psi_sweep(gen, a_steps, f_arr, coeffs)[eta], single)
+    if kill.ndim != 1:
+        raise ValueError(_ONE_NODE)
     kfn = lambda i, lo: kill[lo:i + 1]
     V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
     return complex(V[eta])
@@ -454,11 +507,12 @@ def c_levy_closed_form(gen: Generator, q: complex, a: float, xi: float, *,
 # A: drawdown before drawup
 # ---------------------------------------------------------------------------
 
-def drawdown_before_drawup(gen: Generator, q: complex, a: float, b: float,
+def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
                            f=None, x=None, y=None, *,
-                           force_generic: bool = False) -> complex:
+                           force_generic: bool = False):
     """E[e^{-q tau_a} 1_{tau_a < tauhat_b} f(Y_{tau_a})] from position x
-    (= running max) and running min y.  Requires b >= a.
+    (= running max) and running min y.  Requires b >= a.  A node vector q
+    gives one value per node (birth-death chains).
 
     An off-lattice starting minimum y is handled by linear interpolation
     between the bracketing grid states (the value is piecewise linear in
@@ -470,7 +524,6 @@ def drawdown_before_drawup(gen: Generator, q: complex, a: float, b: float,
     a_steps = grid.steps_of(a)
     b_steps = grid.steps_at_least(b)
     eta = _anchor_index(gen, x)
-    q = complex(q)
     f_arr = _payoff_array(gen, f)
     if y is None:
         y_pos = float(eta)
@@ -480,32 +533,29 @@ def drawdown_before_drawup(gen: Generator, q: complex, a: float, b: float,
         raise ValueError("running minimum cannot exceed the position")
     l0 = min(int(np.floor(y_pos + 1e-9)), eta)
     wgt = y_pos - l0
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        row = _a_diffusion(gen, q, a_steps, b_steps, f_arr, eta)
+        row = _a_diffusion(gen, nodes, a_steps, b_steps, f_arr, eta)
     else:
-        row = _a_generic(gen, q, a_steps, b_steps, f_arr, eta)
-    lob = max(0, eta - b_steps + 1)
-
-    def at(l):
-        if l < lob:
-            return 0.0 + 0.0j   # drawup already at or past b
-        return complex(row[l])
-
+        row = _a_generic(gen, _one_node(q), a_steps, b_steps, f_arr, eta)[:, None]
+    # minima at or below y_eta - b: the drawup has already reached b
+    row[:max(0, eta - b_steps + 1)] = 0.0
     if wgt < 1e-9:
-        return at(l0)
-    return (1.0 - wgt) * at(l0) + wgt * at(l0 + 1)
+        return _per_node(row[l0], single)
+    return _per_node((1.0 - wgt) * row[l0] + wgt * row[l0 + 1], single)
 
 
-def _a_diffusion(gen: Generator, q: complex, a_steps: int, b_steps: int,
+def _a_diffusion(gen: Generator, q: np.ndarray, a_steps: int, b_steps: int,
                  f_arr: np.ndarray, eta: int) -> np.ndarray:
     """Birth-death path: all sub-window exits are single-target, every
     coefficient a bridge ratio; only the row above is ever referenced.
-    Returns the value row over the starting-minimum index at position eta."""
+    Returns the value rows over the starting-minimum index at position
+    eta, one column per node."""
     n = gen.n
     psi = psi_pair(gen, q)
     up_full, dn_full = _window_weights(psi, np.arange(eta, n - 1), a_steps)
-    row_next = np.zeros(n, dtype=complex)   # A(q, y_{i+1}, .) by min index
-    row_cur = np.zeros(n, dtype=complex)
+    row_next = np.zeros((n, q.size), dtype=complex)   # A(q, y_{i+1}, .) by min index
+    row_cur = np.zeros((n, q.size), dtype=complex)
     for i in range(n - 2, eta - 1, -1):
         lo = max(0, i - a_steps + 1)
         lob = max(0, i - b_steps + 1)
@@ -521,16 +571,13 @@ def _a_diffusion(gen: Generator, q: complex, a_steps: int, b_steps: int,
             up_top, dn_top = psi.exit_weights(i, m, i + 1)
             # m = 0 only at the absorbing state, where the value is forced to 0
             up_bot, dn_bot = psi.exit_weights(np.maximum(m, 1), np.maximum(m - 1, 0), i + 1)
-            r_prev = 0.0 + 0.0j
-            r_diag = np.zeros(m.size, dtype=complex)
-            for pos in range(m.size):
-                mm = m[pos]
-                if mm == 0:
-                    r_diag[pos] = 0.0  # absorbed at the bottom state
-                else:
-                    cont_dn = r_prev if mm > lo else 0.0
-                    r_diag[pos] = dn_bot[pos] * cont_dn + up_bot[pos] * row_next[mm]
-                r_prev = r_diag[pos]
+            # minimum-update values R(y_{m+1}): the first continues from the
+            # top only, each later one also from the minimum just below
+            r_diag = up_bot * row_next[lo:i]
+            if lo == 0:
+                r_diag[0] = 0.0   # absorbed at the bottom state
+            for pos in range(1, m.size):
+                r_diag[pos] += dn_bot[pos] * r_diag[pos - 1]
             row_cur[lo + 1:i + 1] = pay + dn_top * r_diag + up_top * row_next[lo + 1:i + 1]
         row_next, row_cur = row_cur, row_next
     return row_next
@@ -586,104 +633,102 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
 # H: n-th drawdown without recovery, and the event-sum fixed point
 # ---------------------------------------------------------------------------
 
-def nth_drawdown_no_recovery(gen: Generator, q: complex, a: float, f=None,
-                             x=None, n: int = 1) -> complex:
+def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
+                             x=None, n: int = 1, *, force_generic: bool = False):
     """E[e^{-q tautilde_{a,n}} f(Y_{tautilde_{a,n}})]; the reference maximum
-    restarts at every event.  The window factorizations do not depend on
-    the event count, so they are built once and reused across the n sweeps.
+    restarts at every event.  The window exit weights (or factorizations)
+    do not depend on the event count, so they are built once and reused
+    across the n sweeps.  A node vector q gives one value per node
+    (birth-death chains).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    q = complex(q)
     prev = _payoff_array(gen, f)
-    if gen.structure == BIRTH_DEATH:
-        coeffs = _psi_sweep_coeffs(gen, q, a_steps, 0)
+    if gen.structure == BIRTH_DEATH and not force_generic:
+        nodes, single = _nodes(q)
+        coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
         for _ in range(n):
-            prev = _q_psi_sweep(gen, q, a_steps, prev, 0, coeffs)
-    else:
-        kfn = lambda i, lo: np.full(i - lo + 1, q)
-        solver = _WindowSolver(gen)
-        for _ in range(n):
-            prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
+            prev = _q_psi_sweep(gen, a_steps, prev, coeffs)
+        return _per_node(prev[eta], single)
+    q = _one_node(q)
+    kfn = lambda i, lo: np.full(i - lo + 1, q)
+    solver = _WindowSolver(gen)
+    for _ in range(n):
+        prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
     return complex(prev[eta])
 
 
-def insurance_partial_sums(gen: Generator, q: complex, a: float, x=None, y=None, *,
+def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
                            recovery: bool = False, n_max: int = 50,
                            tol: float = 1e-10) -> np.ndarray:
     """Running partial sums of the per-event transforms, the convergence
-    diagnostic for the event-sum fixed points.  Stops early once an
-    increment drops below tol (default 50 events, 1e-10)."""
+    diagnostic for the event-sum fixed points.  Stops early once every
+    node's increment drops below tol (default 50 events, 1e-10).  A node
+    vector q gives one column per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    q = complex(q)
+    nodes, single = _nodes(q)
+    prev = _payoff_array(gen, None)
+    if not recovery and gen.structure == BIRTH_DEATH:
+        coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
+        sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
+    elif not recovery:
+        qq = _one_node(q)
+        kfn = lambda i, lo: np.full(i - lo + 1, qq)
+        solver = _WindowSolver(gen)
+        sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
     sums = []
-    total = 0.0 + 0.0j
-    if not recovery:
-        prev = _payoff_array(gen, None)
-        coeffs = _psi_sweep_coeffs(gen, q, a_steps, 0) if gen.structure == BIRTH_DEATH else None
-        solver = None if coeffs is not None else _WindowSolver(gen)
-        kfn = lambda i, lo: np.full(i - lo + 1, q)
-        for _ in range(n_max):
-            if coeffs is not None:
-                prev = _q_psi_sweep(gen, q, a_steps, prev, 0, coeffs)
-            else:
-                prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
-            term = complex(prev[eta])
-            total += term
-            sums.append(total)
-            if abs(term) < tol:
-                break
-        return np.array(sums)
+    total = np.zeros(nodes.size, dtype=complex)
     for k in range(1, n_max + 1):
-        term = nth_drawdown_with_recovery(gen, q, a, x=x, y=y, n=k)
-        total += term
+        if recovery:
+            term = nth_drawdown_with_recovery(gen, q, a, x=x, y=y, n=k)
+        else:
+            prev = sweep(prev)
+            term = prev[eta]
+        total = total + term
         sums.append(total)
-        if abs(term) < tol:
+        if np.all(np.abs(term) < tol):
             break
-    return np.array(sums)
+    sums = np.array(sums)
+    return sums[:, 0] if single else sums
 
 
-def insurance_no_recovery(gen: Generator, q: complex, a: float, x=None, *,
-                          force_generic: bool = False) -> complex:
+def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
+                          force_generic: bool = False):
     """Sum over all no-recovery drawdown events of e^{-q tautilde_{a,k}}:
-    fixed point H = P (1 + H_below) + P H_above."""
+    fixed point H = P (1 + H_below) + P H_above.  A node vector q gives
+    one value per node (birth-death chains)."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    q = complex(q)
     n = gen.n
+    if gen.structure == BIRTH_DEATH and not force_generic:
+        nodes, single = _nodes(q)
+        idx = np.arange(1, n - 1)
+        up, down = _window_weights(psi_pair(gen, nodes), idx, a_steps)
+        floor = idx - a_steps
+        has_floor = floor >= 0
+        rows = np.concatenate([np.arange(n), idx, idx[has_floor]])
+        cols = np.concatenate([np.arange(n), idx + 1, floor[has_floor]])
+        out = np.empty(nodes.size, dtype=complex)
+        for j in range(nodes.size):   # one sparse solve per node
+            data = np.concatenate([np.ones(n), -up[:, j], -down[has_floor, j]])
+            mat = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+            rhs = np.zeros(n, dtype=complex)
+            rhs[idx] = down[:, j]
+            try:
+                sol = spla.spsolve(mat, rhs)
+            except Exception as exc:  # scipy raises several types here
+                raise FixedPointSingular(str(exc)) from exc
+            out[j] = sol[eta]
+        return _per_node(out, single)
+    q = _one_node(q)
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return h_levy_closed_form(gen, q, a)
-    if gen.structure == BIRTH_DEATH and not force_generic:
-        idx = np.arange(1, n - 1)
-        up, down = _window_weights(psi_pair(gen, q), idx, a_steps)
-        floor = idx - a_steps
-        rows_list = [np.arange(n)]
-        cols_list = [np.arange(n)]
-        data_list = [np.ones(n, dtype=complex)]
-        rows_list.append(idx)
-        cols_list.append(idx + 1)
-        data_list.append(-up)
-        has_floor = floor >= 0
-        rows_list.append(idx[has_floor])
-        cols_list.append(floor[has_floor])
-        data_list.append(-down[has_floor])
-        mat = sp.csc_matrix(
-            (np.concatenate(data_list),
-             (np.concatenate(rows_list), np.concatenate(cols_list))),
-            shape=(n, n))
-        rhs = np.zeros(n, dtype=complex)
-        rhs[idx] = down
-        try:
-            sol = spla.spsolve(mat, rhs)
-        except Exception as exc:  # scipy raises several types here
-            raise FixedPointSingular(str(exc)) from exc
-        return complex(sol[eta])
     # generic: assemble the full exit-weight matrix row by row
     if n > 1500:
         raise TooLarge("generic insurance fixed point caps at 1500 states")
@@ -767,11 +812,12 @@ def _bipayoff(gen: Generator, f2) -> Callable:
     return lambda z_idx, y_idx: arr[np.asarray(z_idx), y_idx]
 
 
-def nth_drawdown_with_recovery(gen: Generator, q: complex, a: float, f2=None,
+def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
                                x=None, y=None, n: int = 1, *,
-                               force_generic: bool = False) -> complex:
+                               force_generic: bool = False):
     """E[e^{-q tau_{a,n}} f2(Y, max)] where each new event requires the
-    running maximum to recover to its level at the previous event."""
+    running maximum to recover to its level at the previous event.  A node
+    vector q gives one value per node (birth-death chains)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = gen.grid
@@ -780,39 +826,30 @@ def nth_drawdown_with_recovery(gen: Generator, q: complex, a: float, f2=None,
     eta_y = eta_x if y is None else _anchor_index(gen, y)
     if eta_x > eta_y:
         raise ValueError("position x must not exceed the running max y")
-    q = complex(q)
     f2_fn = _bipayoff(gen, f2)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        return _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n)
-    return _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n)
+        nodes, single = _nodes(q)
+        return _per_node(_jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y, n), single)
+    return _jn_generic(gen, _one_node(q), a_steps, f2_fn, eta_x, eta_y, n)
 
 
-def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
+def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> np.ndarray:
     nn = gen.n
     psi = psi_pair(gen, q)
     idx = np.arange(1, nn - 1)
     up, down = _window_weights(psi, idx, a_steps)
+    # first event: the payoff at (floor, max = top), 0 without a floor
+    has_floor = idx >= a_steps
+    pay = np.where(has_floor, f2_fn(np.where(has_floor, idx - a_steps, 0), idx), 0.0)[:, None]
     rec = _recovery_weights(psi, idx, a_steps) if n > 1 else None
-    diag_prev = None
     for k in range(1, n + 1):
-        diag_cur = np.zeros(nn, dtype=complex)
-        for pos in range(idx.size - 1, -1, -1):
-            i = idx[pos]
-            fl = i - a_steps
-            if fl >= 0:
-                if k == 1:
-                    pay = complex(f2_fn(np.array([fl]), i)[0])
-                else:
-                    # previous-count value at (floor, max=i): must recover to i
-                    pay = rec[pos] * diag_prev[i]
-                val = down[pos] * pay
-            else:
-                val = 0.0
-            diag_cur[i] = val + up[pos] * diag_cur[i + 1]
-        diag_prev = diag_cur
+        if k > 1:
+            # previous-count value at (floor, max = top): must recover to the top
+            pay = rec * diag[idx]
+        diag = _chain_down(nn, idx, up, down * pay)
     if eta_x == eta_y:
-        return complex(diag_prev[eta_y])
-    return psi.ratio_plus(eta_x, eta_y) * complex(diag_prev[eta_y])
+        return diag[eta_y]
+    return psi.ratio_plus(eta_x, eta_y) * diag[eta_y]
 
 
 def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
@@ -856,24 +893,26 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
     return complex(J_prev[eta_x, eta_y])
 
 
-def insurance_with_recovery(gen: Generator, q: complex, a: float, x=None,
-                            y=None, *, force_generic: bool = False) -> complex:
-    """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}."""
+def insurance_with_recovery(gen: Generator, q, a: float, x=None,
+                            y=None, *, force_generic: bool = False):
+    """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}.  A
+    node vector q gives one value per node (birth-death chains)."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta_x = _anchor_index(gen, x)
     eta_y = eta_x if y is None else _anchor_index(gen, y)
     if eta_x > eta_y:
         raise ValueError("position x must not exceed the running max y")
-    q = complex(q)
+    if gen.structure == BIRTH_DEATH and not force_generic:
+        nodes, single = _nodes(q)
+        return _per_node(_jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y), single)
+    q = _one_node(q)
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
-    if gen.structure == BIRTH_DEATH and not force_generic:
-        return _jsum_diffusion(gen, q, a_steps, eta_x, eta_y)
     return _jsum_generic(gen, q, a_steps, eta_x, eta_y)
 
 
-def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> complex:
+def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
     """O(N) backward recursion: each diagonal value couples to the one above
     and to itself through the down-exit/recovery cycle."""
     nn = gen.n
@@ -884,13 +923,10 @@ def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> complex:
     cycle = 1.0 - dn * _recovery_weights(psi, idx, a_steps)
     if np.any(np.abs(cycle) < 1e-15):
         raise FixedPointSingular("recovery cycle weight reached 1")
-    diag = np.zeros(nn, dtype=complex)
-    for pos in range(idx.size - 1, -1, -1):
-        i = idx[pos]
-        diag[i] = (up[pos] * diag[i + 1] + dn[pos]) / cycle[pos]
+    diag = _chain_down(nn, idx, up / cycle, dn / cycle)
     if eta_x == eta_y:
-        return complex(diag[eta_y])
-    return psi.ratio_plus(eta_x, eta_y) * complex(diag[eta_y])
+        return diag[eta_y]
+    return psi.ratio_plus(eta_x, eta_y) * diag[eta_y]
 
 
 def _jsum_generic(gen, q, a_steps, eta_x, eta_y) -> complex:
@@ -994,8 +1030,28 @@ def j_levy_closed_form(gen: Generator, q: complex, a: float, x=None, y=None) -> 
 # request dispatch
 # ---------------------------------------------------------------------------
 
-def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = False) -> complex:
-    """Evaluate one QuantityRequest on a generator (Laplace-domain value)."""
+def _node_axis_route(gen: Generator, req: QuantityRequest, force_generic: bool) -> bool:
+    """Whether the route serving ``req`` evaluates a node vector in one pass:
+    the birth-death fast paths, except C and a B with its own killing."""
+    if gen.structure != BIRTH_DEATH or force_generic:
+        return False
+    return req.kind != "C" and not (req.kind == "B" and req.k is not None)
+
+
+def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = False):
+    """Evaluate one QuantityRequest on a generator (Laplace-domain value).
+
+    ``req.q`` is one node or a vector of nodes; a vector gives an array
+    with one value per node.  Node-axis routes take the whole vector in
+    one pass; every other route is evaluated here node by node.
+    """
+    if np.ndim(req.q) and not _node_axis_route(gen, req, force_generic):
+        return np.array([_evaluate(gen, replace(req, q=complex(q)), force_generic)
+                         for q in req.q])
+    return _evaluate(gen, req, force_generic)
+
+
+def _evaluate(gen: Generator, req: QuantityRequest, force_generic: bool):
     kind = req.kind
     if kind == "Q":
         return q_drawdown(gen, req.q, req.a, f=req.f, x=req.x, force_generic=force_generic)
@@ -1008,8 +1064,9 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
             if req.xi is not None:
                 k = occupation_below_killing(req.q, req.xi, req.shift)
             else:
-                k = KillingField.constant(complex(req.q) + complex(req.shift))
-        return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x)
+                k = KillingField.constant(np.asarray(req.q) + complex(req.shift))
+        return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x,
+                                         force_generic=force_generic)
     if kind == "C":
         if gen.structure == TOEPLITZ_LEVY and not force_generic and req.k2 is None:
             return c_levy_closed_form(gen, req.q, req.a, req.xi, shift=req.shift)
@@ -1020,7 +1077,8 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
             k2 = drawdown_occupation_killing(req.q, req.xi, req.shift)
         return drawdown_occupation(gen, k2, req.a, f=req.f, x=req.x)
     if kind == "Hn":
-        return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n)
+        return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n,
+                                        force_generic=force_generic)
     if kind == "Hsum":
         return insurance_no_recovery(gen, req.q, req.a, x=req.x, force_generic=force_generic)
     if kind == "Jn":

@@ -1,7 +1,18 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+# (script, a line fragment its last section prints)
+NARRATIVES = [
+    ("01_models_and_generators.py", "BS neighbor rates at the anchor"),
+    ("03_drawdown_before_drawup.py", "start minimum -0.20000:"),
+    ("04_occupation_digitals.py", "agreement"),
+    ("05_drawdown_insurance.py", "\n  with recovery: "),
+    ("06_convergence_and_oracles.py", "same seed reproduces bitwise: True"),
+]
 
 
 def test_passage_demo_runs(capsys):
@@ -9,3 +20,9 @@ def test_passage_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "matches the solve above" in out
     assert "np.float64" not in out
+
+
+@pytest.mark.parametrize("script, expected", NARRATIVES, ids=[s[:2] for s, _ in NARRATIVES])
+def test_demo_runs(script, expected, capsys):
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert expected in capsys.readouterr().out

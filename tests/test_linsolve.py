@@ -241,3 +241,53 @@ class TestPsiPair:
         up, down = hitting_coeffs_diffusion(psi, q, 0.0, 0.2)
         assert np.isfinite(up.real) and np.isfinite(down.real)
         assert abs(up) <= 1.0 and abs(down) <= 1.0
+
+
+class TestPsiPairNodeAxis:
+    NODES = np.array([0.9, 2.0 + 15.0j, 5.0 - 40.0j, 9.2 + 800.0j])
+
+    def test_node_vector_stacks_scalar_pairs(self):
+        gen = random_birth_death(16, 50)
+        psi = psi_pair(gen, self.NODES)
+        x = np.array([[3, 4], [7, 9]])
+        bottom = x - 1 - x % 2
+        top = np.array([[5, 11], [12, 15]])
+        up, down = psi.exit_weights(x, bottom, top)
+        rec = psi.ratio_plus(bottom, x)
+        assert up.shape == down.shape == rec.shape == x.shape + (self.NODES.size,)
+        for j, q in enumerate(self.NODES):
+            one = psi_pair(gen, q)
+            up1, down1 = one.exit_weights(x, bottom, top)
+            assert up1.shape == x.shape
+            for got, ref in ((up[..., j], up1), (down[..., j], down1),
+                             (rec[..., j], one.ratio_plus(bottom, x))):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    def test_per_state_killing_matches_passage_solve(self, model):
+        # B's killing q 1{x < xi} + shift, one column per node, on a long
+        # enough chain that |Im q| = 800 needs the scaled arithmetic
+        gen = build_generator(model, build_grid(0.0, 0.2, 20, -1.5, 0.5))
+        xi, shift = -0.1, 0.05
+        below = gen.states < xi
+        killing = np.where(below[:, None], self.NODES, 0.0) + shift
+        psi = psi_pair(gen, killing)
+        tops = np.array([gen.grid.eta_x - 3, gen.grid.eta_x, gen.grid.eta_x + 5])
+        bottoms = tops - 20
+        up, down = psi.exit_weights(tops, bottoms, tops + 1)
+        for j, q in enumerate(self.NODES):
+            kf = KillingField.from_function(
+                lambda s, q=q: np.where(s < xi, q, 0.0) + shift)
+            for pos, (bot, top) in enumerate(zip(bottoms, tops)):
+                window = (gen.states[bot], gen.states[top])
+                e_top = np.zeros(gen.n)
+                e_top[top + 1] = 1.0
+                e_bot = np.zeros(gen.n)
+                e_bot[bot] = 1.0
+                assert abs(up[pos, j] - solve_passage(gen, window, kf, e_top).at(top)) < 1e-10
+                assert abs(down[pos, j] - solve_passage(gen, window, kf, e_bot).at(top)) < 1e-10
+
+    def test_rejects_killing_of_the_wrong_shape(self):
+        gen = random_birth_death(10, 51)
+        with pytest.raises(ValueError):
+            psi_pair(gen, np.ones((9, 2)))

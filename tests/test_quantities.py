@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drawdown_ctmc.ctmc import DenseGenerator, build_generator, build_grid, build_levy_generator
+from drawdown_ctmc.laplace import inversion_nodes_weights
 from drawdown_ctmc.linsolve import KillingField
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import dense_product_solve
@@ -310,3 +313,62 @@ class TestDispatch:
                 req = QuantityRequest(kind, a=0.2, q=q, xi=0.05)
                 vals.append(evaluate(bs_small, req).real)
             assert all(b < a + 1e-14 for a, b in zip(vals, vals[1:])), kind
+
+
+class TestNodeAxis:
+    NODES, _ = inversion_nodes_weights(0.5)
+
+    @staticmethod
+    def chain(model):
+        return build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+
+    CASES = [
+        QuantityRequest("Q", a=0.2),
+        QuantityRequest("A", a=0.2, b=0.3, y=-0.137),   # off-lattice minimum
+        QuantityRequest("B", a=0.2, xi=-0.05, shift=0.05),
+        QuantityRequest("C", a=0.2, xi=0.1, shift=0.05),
+        QuantityRequest("Hn", a=0.2, n=3),
+        QuantityRequest("Hsum", a=0.2),
+        QuantityRequest("Jn", a=0.2, n=3, x=-0.1, y=0.05),
+        QuantityRequest("Jsum", a=0.2, x=-0.1, y=0.05),
+    ]
+
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    @pytest.mark.parametrize("req", CASES, ids=[r.kind for r in CASES])
+    def test_batched_matches_per_node(self, model, req):
+        gen = self.chain(model)
+        batched = evaluate(gen, replace(req, q=self.NODES))
+        assert batched.shape == self.NODES.shape
+        single = np.array([evaluate(gen, replace(req, q=q)) for q in self.NODES])
+        assert np.all(np.abs(batched - single) <= 1e-10 * np.abs(single))
+
+    def test_force_generic_reaches_the_window_sweep(self, bs_small, monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+
+        q = 1.5 + 2.0j
+        reqs = (QuantityRequest("Hn", a=0.2, q=q, n=2),
+                QuantityRequest("B", a=0.2, q=q, xi=0.05, shift=0.1))
+        fast = [evaluate(bs_small, req) for req in reqs]
+        calls = {"sweep": 0, "psi": 0}
+        sweep, psi = qmod.backward_window_sweep, qmod.psi_pair
+
+        def counted_sweep(*args, **kwargs):
+            calls["sweep"] += 1
+            return sweep(*args, **kwargs)
+
+        def counted_psi(*args, **kwargs):
+            calls["psi"] += 1
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(qmod, "backward_window_sweep", counted_sweep)
+        monkeypatch.setattr(qmod, "psi_pair", counted_psi)
+        for req, ref in zip(reqs, fast):
+            before = calls["sweep"]
+            slow = evaluate(bs_small, req, force_generic=True)
+            assert calls["sweep"] > before, req.kind
+            assert abs(slow - ref) < 1e-10, req.kind
+        assert calls["psi"] == 0
+
+    def test_one_node_routes_reject_a_node_vector(self, bs_small):
+        with pytest.raises(ValueError):
+            q_drawdown(bs_small, self.NODES, 0.2, force_generic=True)
