@@ -300,27 +300,37 @@ class ToeplitzLevyGenerator(Generator):
             raise NegativeRate(grid.states[1], grid.states[2], up_rate)
         if dn_rate < 0.0:
             raise NegativeRate(grid.states[1], grid.states[0], dn_rate)
-        # prefix sums for O(1) row sums: csum[k] = sum(stencil[:k])
+        # prefix and suffix sums for O(1) stencil range sums:
+        # csum[k] = sum(stencil[:k]), rsum[k] = sum(stencil[k:])
         self._csum = np.concatenate([[0.0], np.cumsum(self.stencil)])
+        self._rsum = np.concatenate([np.cumsum(self.stencil[::-1])[::-1], [0.0]])
         self._diag = self._build_diagonal()
 
-    def _stencil_sum(self, d0: int, d1: int) -> float:
-        """Sum of stencil over offsets d0..d1 inclusive."""
-        a = max(d0 + self.center, 0)
-        b = min(d1 + self.center + 1, self.stencil.size)
-        if b <= a:
-            return 0.0
-        return float(self._csum[b] - self._csum[a])
-
     def _build_diagonal(self) -> np.ndarray:
-        n = self.n
+        n, c, csum = self.n, self.center, self._csum
+        m = np.arange(1, n - 1)
         d = np.zeros(n)
-        for m in range(1, n - 1):
-            s = self.local_up + self.local_down
-            s += self._stencil_sum(1 - m, n - 2 - m) - self._stencil_sum(0, 0)
-            s += self.tail_bot[m] + self.tail_top[m]
-            d[m] = -s
+        # stencil over the interior columns (offsets 1-m .. n-2-m) less the centre
+        s = (self.local_up + self.local_down) \
+            + ((csum[2 * n - 2 - m] - csum[n - m]) - (csum[c + 1] - csum[c]))
+        d[m] = -(s + (self.tail_bot[m] + self.tail_top[m]))
         return d
+
+    def window_exit_masses(self, lo: int, hi: int):
+        """Total rates of the interior rows lo..hi into the states below lo
+        and above hi: two (hi - lo + 1,) arrays from the boundary tails,
+        the local rates and one-sided stencil sums (prefix sums for the
+        offsets below, suffix sums for those above, so that a small tail
+        mass is not the difference of two large ones)."""
+        if not 1 <= lo <= hi <= self.n - 2:
+            raise ValueError("exit masses need interior rows")
+        n, c = self.n, self.center
+        m = np.arange(lo, hi + 1)
+        below = self.tail_bot[m] + (self._csum[lo - m + c] - self._csum[1 - m + c])
+        above = self.tail_top[m] + (self._rsum[hi + 1 - m + c] - self._rsum[n - 1 - m + c])
+        below[0] += self.local_down
+        above[-1] += self.local_up
+        return below, above
 
     def row(self, i: int) -> np.ndarray:
         n = self.n

@@ -10,7 +10,7 @@ make every sweep O(N) linear solves plus O(N^2) vector work:
     D[m] = sum_{z <= i-a} G(m, z) * payoff[z]    (payoff inflow)
 
 updated incrementally as i decreases.  Window solves dispatch on the
-generator structure: banded (birth-death), LU cached by the window's
+generator structure: banded (birth-death), cached by the window's
 relative killing pattern (translation-invariant lattices, where the window
 block is the same matrix for every interior top), or dense otherwise.
 
@@ -30,13 +30,22 @@ birth-death fast paths selected automatically from the structure tag.
 Every birth-death exit weight comes from one fundamental-solution pair
 through ``PsiPair.exit_weights``.
 
-Node batching: ``evaluate`` takes a vector of Laplace nodes.  The
-birth-death fast paths carry it as a trailing array axis and evaluate all
-nodes in one pass: Q, A, B (through the pair of the per-state killing),
-Hn, the Hsum partial sums and fixed point (one sparse solve per node), Jn
-and Jsum.  The other routes take one node at a time and ``evaluate``
-loops over the vector: C on birth-death chains, every lattice closed form
-and windowed sweep, and the generic dense paths (``force_generic``).
+Node batching: ``evaluate`` takes a vector of Laplace nodes and carries
+it as a trailing array axis, so each rung evaluates all nodes in one pass:
+
+* the birth-death fast paths: Q, A, B (through the pair of the per-state
+  killing), Hn, the Hsum partial sums and fixed point (one sparse solve
+  per node), Jn and Jsum;
+* the windowed sweep (Q, B, C, Hn and the Hsum partial sums on any
+  structure): the running vectors are (n, k); lattice windows cache the
+  last rows of every node's inverse, from one stacked solve per killing
+  pattern; birth-death windows take one banded solve per node per top;
+* the lattice closed forms (C, Hsum, Jsum): the window block and its exit
+  masses are built once, then one LU per node.
+
+Only the dense generic recursions (A and Jn off birth-death chains, the
+generic Hsum and Jsum fixed points) and requests with their own killing
+take one node at a time; ``evaluate`` loops over the vector for them.
 """
 
 from __future__ import annotations
@@ -175,13 +184,15 @@ def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> KillingField
     return KillingField.from_function(fn)
 
 
-def drawdown_occupation_killing(q: complex, xi: float, shift: complex = 0.0) -> KillingField:
-    """k(x, max) = q 1_{max - x > xi} + shift, roundoff-safe."""
-    qq, sh = complex(q), complex(shift)
+def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> KillingField:
+    """k(x, max) = q 1_{max - x > xi} + shift, roundoff-safe; a node vector
+    q gives one column per node."""
+    qq, sh = np.asarray(q, dtype=complex), complex(shift)
     tol = _IND_TOL * max(1.0, abs(xi))
 
     def fn2(states, y):
-        return np.where(y - states > xi + tol, qq, 0.0) + sh
+        above = y - np.asarray(states) > xi + tol
+        return np.where(above[:, None] if qq.ndim else above, qq, 0.0) + sh
 
     return KillingField.bivariate(fn2)
 
@@ -196,128 +207,179 @@ def _anchor_index(gen: Generator, x) -> int:
 
 def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
     """Off-diagonal payoff inflow sum_{z <= cut, z != m} G(m, z) f[z] on a
-    translation-invariant lattice, via one FFT correlation plus local and
-    boundary-column corrections."""
+    translation-invariant lattice, one column per payoff column, via one
+    FFT correlation plus local and boundary-column corrections."""
     n = gen.n
-    D = np.zeros(n, dtype=complex)
+    D = np.zeros(f_arr.shape, dtype=complex)
     if cut < 0:
         return D
     hi = min(cut, n - 2)
     if hi >= 1:
-        f_seg = np.zeros(n, dtype=complex)
+        f_seg = np.zeros(f_arr.shape, dtype=complex)
         f_seg[1:hi + 1] = f_arr[1:hi + 1]
-        rev = gen.stencil[::-1]
-        D += fftconvolve(f_seg, rev)[n - 1:2 * n - 1]
+        rev = gen.stencil[::-1, None]
+        D += fftconvolve(f_seg, rev, axes=0)[n - 1:2 * n - 1]
         D[0:hi] += gen.local_up * f_arr[1:hi + 1]
         D[2:hi + 2] += gen.local_down * f_arr[1:hi + 1]
     # column 0 carries the extended tail bin
-    D[1:n - 1] += gen.tail_bot[1:n - 1] * f_arr[0]
+    D[1:n - 1] += gen.tail_bot[1:n - 1, None] * f_arr[0]
     D[1] += gen.local_down * f_arr[0]
     D[0] = D[n - 1] = 0.0
     return D
 
 
 def _D_init(gen: Generator, f_arr: np.ndarray, cut: int) -> np.ndarray:
-    """Initial payoff-inflow vector, excluding diagonal column terms (rows
-    inside a window never have their own column in the below-window set)."""
+    """Initial payoff-inflow vectors for an (n, k) payoff, excluding
+    diagonal column terms (rows inside a window never have their own
+    column in the below-window set)."""
     n = gen.n
     if cut < 0:
-        return np.zeros(n, dtype=complex)
+        return np.zeros(f_arr.shape, dtype=complex)
     if gen.structure == TOEPLITZ_LEVY:
         return _toeplitz_D_init(gen, f_arr, cut)
     if gen.structure == GENERAL:
         D = gen.rates[:, :cut + 1].astype(complex) @ f_arr[:cut + 1]
         z = np.arange(cut + 1)
-        D[z] -= np.diag(gen.rates)[z] * f_arr[z]
+        D[z] -= np.diag(gen.rates)[z, None] * f_arr[z]
         D[0] = D[n - 1] = 0.0
         return D
-    D = np.zeros(n, dtype=complex)
+    D = np.zeros(f_arr.shape, dtype=complex)
     for z in range(0, cut + 1):
         c0, c1 = gen.col_support(z)
         col = gen.column(z)
         col[z] = 0.0
-        D[c0:c1] += col[c0:c1] * f_arr[z]
+        D[c0:c1] += col[c0:c1, None] * f_arr[z]
     D[0] = D[n - 1] = 0.0
     return D
 
 
+_STACK_BYTES = 1 << 25
+# Node batches of small windows are solved as one stack of complex
+# matrices up to this size; larger ones take one in-place LU per node.
+
+
+def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
+                 trans: bool = False) -> np.ndarray:
+    """Solutions x_j of (diag(kv[:, j]) - blk) x_j = rhs, or of the
+    transposed systems, for the (m, k) killing and an (m,) right-hand side
+    shared by the nodes: a (k, m) array.
+
+    Small batches go through one stacked solve.  Above ``_STACK_BYTES``
+    each node's matrix is built in one Fortran-order buffer and factored
+    in place, so the batch holds a single complex matrix besides the block.
+    """
+    m, k = kv.shape
+    diag = np.arange(m)
+    if 16 * k * m * m <= _STACK_BYTES:
+        mats = np.empty((k, m, m), dtype=complex)
+        mats[:] = -(blk.T if trans else blk)
+        mats[:, diag, diag] += kv.T
+        try:
+            return np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (k, m, 1)))[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise Singular(str(exc)) from exc
+    mat = np.empty((m, m), dtype=complex, order="F")
+    out = np.empty((k, m), dtype=complex)
+    for j in range(k):
+        np.negative(blk, out=mat)
+        mat[diag, diag] += kv[:, j]
+        lu = sla.lu_factor(mat, overwrite_a=True)
+        if np.any(lu[0][diag, diag] == 0.0):
+            raise Singular("window matrix is singular")
+        out[j] = sla.lu_solve(lu, rhs, trans=int(trans))
+    return out
+
+
+def _last_rows(blk: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """Last rows of the inverses of diag(kv[:, j]) - blk, one per node: (k, m)."""
+    e = np.zeros(kv.shape[0], dtype=complex)
+    e[-1] = 1.0
+    return _node_solves(blk, kv, e, trans=True)
+
+
 class _WindowSolver:
-    """Last-row window solves with structure dispatch and LU caching."""
+    """Last-row window solves for a batch of nodes, with structure dispatch
+    and, on lattices, a cache keyed by the window's killing pattern."""
 
     def __init__(self, gen: Generator):
         self.gen = gen
         self.cache = {}
         self._bd_diag = gen.diagonal() if gen.structure == BIRTH_DEATH else None
 
-    def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> complex:
+    def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Last entries of the solutions of (diag(kv[:, j]) - G[lo..i]) x = rhs[:, j]
+        for the (m, k) killing and right-hand sides: one value per node."""
         gen = self.gen
+        m, k = kv.shape
         if gen.structure == BIRTH_DEATH:
-            m = i - lo + 1
             ab = np.zeros((3, m), dtype=complex)
-            ab[1] = kv - self._bd_diag[lo:i + 1]
             if m > 1:
                 ab[0, 1:] = -gen.up[lo:i]
                 ab[2, :-1] = -gen.down[lo + 1:i + 1]
-            try:
-                sol = sla.solve_banded((1, 1), ab, rhs)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise Singular(str(exc)) from exc
-            return complex(sol[-1])
-        if gen.structure == TOEPLITZ_LEVY:
-            key = (i - lo, lo == 0, tuple(kv.tolist()))
-            hit = self.cache.get(key)
-            if hit is None:
-                mat = np.diag(kv) - gen.window_block(lo, i).astype(complex)
-                lu = sla.lu_factor(mat)
-                e = np.zeros(i - lo + 1, dtype=complex)
-                e[-1] = 1.0
-                w = sla.lu_solve(lu, e, trans=1)
-                hit = w
-                self.cache[key] = hit
-            return complex(hit @ rhs)
-        mat = np.diag(kv) - gen.window_block(lo, i).astype(complex)
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-        return complex(sol[-1])
+            diag = self._bd_diag[lo:i + 1]
+            out = np.empty(k, dtype=complex)
+            for j in range(k):   # one banded solve per node
+                ab[1] = kv[:, j] - diag
+                try:
+                    out[j] = sla.solve_banded((1, 1), ab, rhs[:, j])[-1]
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    raise Singular(str(exc)) from exc
+            return out
+        # interior lattice window blocks depend only on the width and on
+        # whether the window reaches state 0: cache their inverses' last rows
+        key = (m, lo == 0, kv.tobytes()) if gen.structure == TOEPLITZ_LEVY else None
+        w = self.cache.get(key)
+        if w is None:
+            w = _last_rows(gen.window_block(lo, i), kv)
+            if key is not None:
+                self.cache[key] = w
+        return np.einsum("jm,mj->j", w, rhs)
 
 
 def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
                           f_arr: np.ndarray, stop: int, *,
                           solver: "_WindowSolver" = None) -> np.ndarray:
-    """Backward recursion over window tops; returns the value vector.
+    """Backward recursion over window tops for k nodes at once; returns the
+    (n, k) values, one column per node.
 
-    killing_fn(i, lo) must return the complex killing rates on the window
-    rows [lo..i].  f_arr is the payoff collected at down-exit (full-state
-    array).  values[j] is filled for stop <= j <= N-1; the two absorbing
-    ends stay 0.  A shared ``solver`` carries window factorizations across
+    killing_fn(i, lo) must return the (m, k) complex killing rates on the
+    window rows [lo..i].  f_arr is the payoff collected at down-exit over
+    the states, shared by the nodes ((n,)) or one column per node ((n, k)).
+    values[j] is filled for stop <= j <= N-1; the two absorbing ends stay
+    0.  A shared ``solver`` carries the cached lattice window solves across
     repeated sweeps with the same killing (event-count recursions).
     """
     n = gen.n
-    V = np.zeros(n, dtype=complex)
-    S = np.zeros(n, dtype=complex)
-    cut = (n - 2) - a_steps
-    D = _D_init(gen, f_arr, cut)
+    top = n - 2
+    kv = killing_fn(top, max(0, top - a_steps + 1))
+    k = kv.shape[1]
+    V = np.zeros((n, k), dtype=complex)
+    S = np.zeros((n, k), dtype=complex)
+    f = f_arr.reshape(n, -1)
+    cut = top - a_steps
+    D = _D_init(gen, f, cut)
+    # rows below the lowest window bottom are never read
+    floor = max(0, stop - a_steps + 1)
 
     if solver is None:
         solver = _WindowSolver(gen)
-    for i in range(n - 2, stop - 1, -1):
+    for i in range(top, stop - 1, -1):
         lo = max(0, i - a_steps + 1)
-        kv = np.asarray(killing_fn(i, lo), dtype=complex)
-        rhs = D[lo:i + 1] + S[lo:i + 1]
-        V[i] = solver.last_row_solve(lo, i, kv, rhs)
-        if V[i] != 0.0:
+        if i < top:
+            kv = killing_fn(i, lo)
+        V[i] = v = solver.last_row_solve(lo, i, kv, D[lo:i + 1] + S[lo:i + 1])
+        if v.any():
             c0, c1 = gen.col_support(i)
-            c1 = min(c1, i)
+            c0, c1 = max(c0, floor), min(c1, i)
             if c1 > c0:
                 col = gen.column(i)
-                S[c0:c1] += col[c0:c1] * V[i]
-        if cut >= 0 and f_arr[cut] != 0.0:
+                S[c0:c1] += col[c0:c1, None] * v
+        if cut >= 0 and f[cut].any():
             c0, c1 = gen.col_support(cut)
+            c0 = max(c0, floor)
             col = gen.column(cut)
             col[cut] = 0.0   # diagonal column terms are kept out of D
-            D[c0:c1] -= col[c0:c1] * f_arr[cut]
+            D[c0:c1] -= col[c0:c1, None] * f[cut]
         cut -= 1
     return V
 
@@ -384,31 +446,31 @@ def _per_node(values: np.ndarray, single: bool):
     return complex(values[0]) if single else values
 
 
-_ONE_NODE = "this route takes one node at a time; evaluate() loops over a node vector"
-
-
 def _one_node(q) -> complex:
     if np.ndim(q) != 0:
-        raise ValueError(_ONE_NODE)
+        raise ValueError("this route takes one node at a time; evaluate() loops over a node vector")
     return complex(q)
+
+
+def _constant_killing(nodes: np.ndarray) -> Callable:
+    """Window killing of a constant rate per node, for the sweep."""
+    return lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
 
 
 def q_drawdown(gen: Generator, q, a: float, f=None, x=None, *,
                force_generic: bool = False):
     """E[e^{-q tau_a} f(Y_{tau_a})] started from a fresh running maximum;
-    a node vector q gives one value per node (birth-death chains)."""
+    a node vector q gives one value per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     f_arr = _payoff_array(gen, f)
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        nodes, single = _nodes(q)
         V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, nodes, a_steps, eta))
-        return _per_node(V[eta], single)
-    q = _one_node(q)
-    kfn = lambda i, lo: np.full(i - lo + 1, q)
-    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
-    return complex(V[eta])
+    else:
+        V = backward_window_sweep(gen, a_steps, _constant_killing(nodes), f_arr, eta)
+    return _per_node(V[eta], single)
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +491,26 @@ def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
     eta = _anchor_index(gen, x)
     f_arr = _payoff_array(gen, f)
     kill = KillingField.coerce(k).values(gen.states)
+    single = kill.ndim == 1
+    kill = kill.reshape(gen.n, -1)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        single = kill.ndim == 1
-        coeffs = _psi_sweep_coeffs(gen, kill[:, None] if single else kill, a_steps, eta)
-        return _per_node(_q_psi_sweep(gen, a_steps, f_arr, coeffs)[eta], single)
-    if kill.ndim != 1:
-        raise ValueError(_ONE_NODE)
-    kfn = lambda i, lo: kill[lo:i + 1]
-    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
-    return complex(V[eta])
+        V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, kill, a_steps, eta))
+    else:
+        V = backward_window_sweep(gen, a_steps, lambda i, lo: kill[lo:i + 1], f_arr, eta)
+    return _per_node(V[eta], single)
 
 
 # ---------------------------------------------------------------------------
 # C: occupation of the drawdown process until the drawdown time
 # ---------------------------------------------------------------------------
 
-def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None) -> complex:
+def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None):
     """E[e^{-int_0^{tau_a} k(Y_s, max_s) ds} f(Y_{tau_a})].
 
     Inside the window topped at y_i the running maximum is frozen at y_i,
     so each step is a univariate windowed solve with killing k2(., y_i).
+    A killing with one column per node (built from a node vector) gives
+    one value per node.
     """
     grid = gen.grid
     a_steps = grid.steps_of(a)
@@ -456,51 +518,46 @@ def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None) -> complex
     f_arr = _payoff_array(gen, f)
     kf = k2 if isinstance(k2, KillingField) else KillingField.bivariate(k2)
     states = gen.states
+    single = kf.values2(states[eta:eta + 1], states[eta]).ndim == 1
 
     def kfn(i, lo):
-        return kf.values2(states[lo:i + 1], states[i])
+        return kf.values2(states[lo:i + 1], states[i]).reshape(i - lo + 1, -1)
 
     V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
-    return complex(V[eta])
+    return _per_node(V[eta], single)
 
 
-def c_levy_closed_form(gen: Generator, q: complex, a: float, xi: float, *,
-                       shift: complex = 0.0) -> complex:
+def _anchored_window(gen: Generator, a_steps: int) -> int:
+    """Bottom row of the lattice window (-a, 0] at the anchor."""
+    lo = gen.grid.eta_x - a_steps + 1
+    if lo < 1:
+        raise DegenerateWindow("lattice too narrow below the anchor")
+    return lo
+
+
+def c_levy_closed_form(gen: Generator, q, a: float, xi: float, *,
+                       shift: complex = 0.0):
     """Translation-invariant solution of the drawdown-occupation transform
-    with k(x, max) = q 1_{max - x > xi} + shift: one window solve."""
+    with k(x, max) = q 1_{max - x > xi} + shift: one window solve per node;
+    a node vector q gives one value per node.
+
+    The form holds on the infinite lattice: it ignores the upper end of a
+    truncated one, so it differs from the sweep on the same chain by the
+    mass that jumps over y_max (5e-7 for the shipped VG digital at n_x=8).
+    """
     if gen.structure != TOEPLITZ_LEVY:
         raise NotLevy("closed form needs a translation-invariant lattice generator")
     grid = gen.grid
-    a_steps = grid.steps_of(a)
+    nodes, single = _nodes(q)
     eta = grid.eta_x
-    lo = eta - a_steps + 1
-    if lo < 1:
-        raise DegenerateWindow("lattice too narrow below the anchor")
+    lo = _anchored_window(gen, grid.steps_of(a))
     states = gen.states
-    kf = drawdown_occupation_killing(q, xi, shift)
-    kv = kf.values2(states[lo:eta + 1], states[eta])
-    mat = np.diag(kv) - gen.window_block(lo, eta).astype(complex)
-    lu = sla.lu_factor(mat)
-    e = np.zeros(eta - lo + 1, dtype=complex)
-    e[-1] = 1.0
-    w = sla.lu_solve(lu, e, trans=1)
-    below = np.zeros(gen.n, dtype=complex)
-    below[:lo] = 1.0
-    above = np.zeros(gen.n, dtype=complex)
-    above[eta + 1:] = 1.0
-    rows = np.arange(lo, eta + 1)
-    rhs_dn = np.zeros(rows.size, dtype=complex)
-    rhs_up = np.zeros(rows.size, dtype=complex)
-    for m in rows:
-        row = gen.row(m)
-        rhs_dn[m - lo] = row[:lo] @ below[:lo]
-        rhs_up[m - lo] = row[eta + 1:] @ above[eta + 1:]
-    p_dn = complex(w @ rhs_dn)
-    p_up = complex(w @ rhs_up)
+    kv = drawdown_occupation_killing(nodes, xi, shift).values2(states[lo:eta + 1], states[eta])
+    p_dn, p_up, _ = _levy_window_masses(gen, kv)
     den = 1.0 - p_up
-    if abs(den) < 1e-14:
+    if np.any(np.abs(den) < 1e-14):
         raise FixedPointSingular("unit up-exit weight in the closed form")
-    return p_dn / den
+    return _per_node(p_dn / den, single)
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +704,16 @@ def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     prev = _payoff_array(gen, f)
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        nodes, single = _nodes(q)
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
         for _ in range(n):
             prev = _q_psi_sweep(gen, a_steps, prev, coeffs)
-        return _per_node(prev[eta], single)
-    q = _one_node(q)
-    kfn = lambda i, lo: np.full(i - lo + 1, q)
-    solver = _WindowSolver(gen)
-    for _ in range(n):
-        prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
-    return complex(prev[eta])
+    else:
+        kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
+        for _ in range(n):
+            prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
+    return _per_node(prev[eta], single)
 
 
 def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
@@ -677,9 +732,7 @@ def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
         sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     elif not recovery:
-        qq = _one_node(q)
-        kfn = lambda i, lo: np.full(i - lo + 1, qq)
-        solver = _WindowSolver(gen)
+        kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
         sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
     sums = []
     total = np.zeros(nodes.size, dtype=complex)
@@ -701,7 +754,7 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
                           force_generic: bool = False):
     """Sum over all no-recovery drawdown events of e^{-q tautilde_{a,k}}:
     fixed point H = P (1 + H_below) + P H_above.  A node vector q gives
-    one value per node (birth-death chains)."""
+    one value per node (birth-death chains and lattices)."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
@@ -726,9 +779,9 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
                 raise FixedPointSingular(str(exc)) from exc
             out[j] = sol[eta]
         return _per_node(out, single)
-    q = _one_node(q)
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return h_levy_closed_form(gen, q, a)
+    q = _one_node(q)
     # generic: assemble the full exit-weight matrix row by row
     if n > 1500:
         raise TooLarge("generic insurance fixed point caps at 1500 states")
@@ -757,44 +810,34 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
     return complex(sol[eta])
 
 
-def _levy_window_masses(gen: Generator, q: complex, a_steps: int, payoff_below=None):
-    """Exit masses of the anchored window (-a, 0] on a lattice: returns
-    (down_mass, up_mass, down_weighted) where down_weighted applies an
-    optional payoff vector over the below-window states."""
-    grid = gen.grid
-    eta = grid.eta_x
-    lo = eta - a_steps + 1
-    if lo < 1:
-        raise DegenerateWindow("lattice too narrow below the anchor")
-    kv = np.full(eta - lo + 1, complex(q))
-    mat = np.diag(kv) - gen.window_block(lo, eta).astype(complex)
-    lu = sla.lu_factor(mat)
-    e = np.zeros(eta - lo + 1, dtype=complex)
-    e[-1] = 1.0
-    w = sla.lu_solve(lu, e, trans=1)
-    rows = np.arange(lo, eta + 1)
-    rhs_dn = np.zeros(rows.size, dtype=complex)
-    rhs_up = np.zeros(rows.size, dtype=complex)
-    rhs_wt = np.zeros(rows.size, dtype=complex)
-    for m in rows:
-        row = gen.row(m).astype(complex)
-        rhs_dn[m - lo] = row[:lo].sum()
-        rhs_up[m - lo] = row[eta + 1:].sum()
-        if payoff_below is not None:
-            rhs_wt[m - lo] = row[:lo] @ payoff_below[:lo]
-    return complex(w @ rhs_dn), complex(w @ rhs_up), complex(w @ rhs_wt)
+def _levy_window_masses(gen: Generator, kv: np.ndarray, payoff_below=None):
+    """Exit masses of the anchored lattice window (-a, 0] under the (m, k)
+    killing kv of its rows (m = a / h): returns (down_mass, up_mass,
+    down_weighted), one value per node each, where down_weighted applies
+    an optional (n, k) payoff over the states below the window."""
+    eta = gen.grid.eta_x
+    lo = _anchored_window(gen, kv.shape[0])
+    w = _last_rows(gen.window_block(lo, eta), kv)
+    below, above = gen.window_exit_masses(lo, eta)
+    p_wt = None
+    if payoff_below is not None:
+        p_wt = np.einsum("jm,mj->j", w, _toeplitz_D_init(gen, payoff_below, lo - 1)[lo:eta + 1])
+    return w @ below, w @ above, p_wt
 
 
-def h_levy_closed_form(gen: Generator, q: complex, a: float) -> complex:
-    """Translation-invariant insurance sum without recovery."""
+def h_levy_closed_form(gen: Generator, q, a: float):
+    """Translation-invariant insurance sum without recovery; a node vector
+    q gives one value per node.  Like ``c_levy_closed_form`` it holds on
+    the infinite lattice and ignores the truncation of the chain's ends."""
     if gen.structure != TOEPLITZ_LEVY:
         raise NotLevy("closed form needs a translation-invariant lattice generator")
+    nodes, single = _nodes(q)
     a_steps = gen.grid.steps_of(a)
-    p_dn, p_up, _ = _levy_window_masses(gen, complex(q), a_steps)
+    p_dn, p_up, _ = _levy_window_masses(gen, np.broadcast_to(nodes, (a_steps, nodes.size)))
     den = 1.0 - p_dn - p_up
-    if abs(den) < 1e-14:
+    if np.any(np.abs(den) < 1e-14):
         raise FixedPointSingular("degenerate fixed point in the closed form")
-    return p_dn / den
+    return _per_node(p_dn / den, single)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +939,8 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
 def insurance_with_recovery(gen: Generator, q, a: float, x=None,
                             y=None, *, force_generic: bool = False):
     """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}.  A
-    node vector q gives one value per node (birth-death chains)."""
+    node vector q gives one value per node (birth-death chains and
+    lattices)."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta_x = _anchor_index(gen, x)
@@ -906,10 +950,9 @@ def insurance_with_recovery(gen: Generator, q, a: float, x=None,
     if gen.structure == BIRTH_DEATH and not force_generic:
         nodes, single = _nodes(q)
         return _per_node(_jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y), single)
-    q = _one_node(q)
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
-    return _jsum_generic(gen, q, a_steps, eta_x, eta_y)
+    return _jsum_generic(gen, _one_node(q), a_steps, eta_x, eta_y)
 
 
 def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
@@ -980,50 +1023,43 @@ def _jsum_generic(gen, q, a_steps, eta_x, eta_y) -> complex:
     return complex(sol_b[eta_x])
 
 
-def j_levy_closed_form(gen: Generator, q: complex, a: float, x=None, y=None) -> complex:
-    """Translation-invariant insurance sum with recovery.
+def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
+    """Translation-invariant insurance sum with recovery; a node vector q
+    gives one value per node.
 
     Needs one window solve on (-a, 0], one recovery solve on the window
     between the lattice bottom and the anchor, and (for x < y) one more
-    recovery factor.
+    recovery factor, each one LU per node.  Like ``c_levy_closed_form``
+    it holds on the infinite lattice and ignores the chain's upper end.
     """
     if gen.structure != TOEPLITZ_LEVY:
         raise NotLevy("closed form needs a translation-invariant lattice generator")
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = grid.eta_x
-    q = complex(q)
+    nodes, single = _nodes(q)
     eta_x = eta if x is None else (int(x) if isinstance(x, (int, np.integer)) else grid.index_of(float(x)))
     eta_y = eta_x if y is None else (int(y) if isinstance(y, (int, np.integer)) else grid.index_of(float(y)))
     nn = gen.n
     if eta - 1 > 3000:
         raise TooLarge("recovery window too large for the dense closed form")
     # recovery weights u(z) = E_z[e^{-qT} ; reach >= anchor before the bottom]
-    rows = np.arange(1, eta)
-    mat = q * np.eye(rows.size, dtype=complex) - gen.window_block(1, eta - 1).astype(complex)
-    rhs = np.zeros(rows.size, dtype=complex)
-    for m in rows:
-        row = gen.row(m)
-        rhs[m - 1] = row[eta:].sum()
-    try:
-        u_int = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(str(exc)) from exc
-    u = np.zeros(nn, dtype=complex)
-    u[1:eta] = u_int
-    p_dn, p_up, p_mix = _levy_window_masses(gen, q, a_steps, payoff_below=u)
+    _, rhs = gen.window_exit_masses(1, eta - 1)
+    u = np.zeros((nn, nodes.size), dtype=complex)
+    u[1:eta] = _node_solves(gen.window_block(1, eta - 1),
+                            np.broadcast_to(nodes, (eta - 1, nodes.size)), rhs).T
+    p_dn, p_up, p_mix = _levy_window_masses(
+        gen, np.broadcast_to(nodes, (a_steps, nodes.size)), payoff_below=u)
     den = 1.0 - p_up - p_mix
-    if abs(den) < 1e-14:
+    if np.any(np.abs(den) < 1e-14):
         raise FixedPointSingular("degenerate recovery fixed point")
     j00 = p_dn / den
-    if eta_x == eta_y:
-        return complex(j00)
-    # starting below the max: one recovery passage over the gap, which by
-    # translation invariance is u evaluated at the matching relative state
-    start = eta - (eta_y - eta_x)
-    if start <= 0:
-        return 0.0 + 0.0j
-    return complex(u[start] * j00)
+    if eta_x != eta_y:
+        # starting below the max: one recovery passage over the gap, which by
+        # translation invariance is u evaluated at the matching relative state
+        start = eta - (eta_y - eta_x)
+        j00 = u[start] * j00 if start > 0 else np.zeros_like(j00)
+    return _per_node(j00, single)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,10 +1068,16 @@ def j_levy_closed_form(gen: Generator, q: complex, a: float, x=None, y=None) -> 
 
 def _node_axis_route(gen: Generator, req: QuantityRequest, force_generic: bool) -> bool:
     """Whether the route serving ``req`` evaluates a node vector in one pass:
-    the birth-death fast paths, except C and a B with its own killing."""
-    if gen.structure != BIRTH_DEATH or force_generic:
+    every route except the dense generic recursions (A and Jn off
+    birth-death chains, Hsum and Jsum on dense or forced-generic paths)
+    and a B or C with its own killing."""
+    if (req.kind == "B" and req.k is not None) or (req.kind == "C" and req.k2 is not None):
         return False
-    return req.kind != "C" and not (req.kind == "B" and req.k is not None)
+    if req.kind in ("A", "Jn"):
+        return gen.structure == BIRTH_DEATH and not force_generic
+    if req.kind in ("Hsum", "Jsum"):
+        return gen.structure != GENERAL and not force_generic
+    return True
 
 
 def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = False):
@@ -1043,7 +1085,7 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
 
     ``req.q`` is one node or a vector of nodes; a vector gives an array
     with one value per node.  Node-axis routes take the whole vector in
-    one pass; every other route is evaluated here node by node.
+    one pass; the few others are evaluated here node by node.
     """
     if np.ndim(req.q) and not _node_axis_route(gen, req, force_generic):
         return np.array([_evaluate(gen, replace(req, q=complex(q)), force_generic)

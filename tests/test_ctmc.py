@@ -142,6 +142,34 @@ class TestLevyGenerator:
             blk = gen.window_block(0, n - 1)
             assert np.allclose(blk, dense, atol=1e-14)
 
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    def test_diagonal_matches_per_state_stencil_sums(self, model):
+        # the per-state loop with one prefix-sum difference per range
+        gen = build_levy_generator(model, 0.01, -1.0, 1.0)
+        n, c, csum = gen.n, gen.center, gen._csum
+        expect = np.zeros(n)
+        for m in range(1, n - 1):
+            s = gen.local_up + gen.local_down
+            s += float(csum[n - 2 - m + c + 1] - csum[1 - m + c]) - float(csum[c + 1] - csum[c])
+            s += gen.tail_bot[m] + gen.tail_top[m]
+            expect[m] = -s
+        assert np.array_equal(gen.diagonal(), expect)
+
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg(), ModelSpec.bs()],
+                             ids=["DEJD", "VG", "BS"])
+    def test_window_exit_masses_match_row_sums(self, model):
+        gen = build_levy_generator(model, 0.005, -1.0, 1.0)
+        n = gen.n
+        for lo, hi in ((1, 1), (1, 6), (20, 60), (n // 2, n - 2), (1, n - 2), (n - 2, n - 2)):
+            below, above = gen.window_exit_masses(lo, hi)
+            rows = [gen.row(m) for m in range(lo, hi + 1)]
+            ref_below = np.array([row[:lo].sum() for row in rows])
+            ref_above = np.array([row[hi + 1:].sum() for row in rows])
+            assert np.all(np.abs(below - ref_below) <= 1e-14 * np.abs(ref_below)), (lo, hi)
+            assert np.all(np.abs(above - ref_above) <= 1e-14 * np.abs(ref_above)), (lo, hi)
+        with pytest.raises(ValueError):
+            gen.window_exit_masses(0, 5)
+
     def test_col_support_covers_nonzeros(self):
         gen = build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.6)
         for j in range(gen.n):

@@ -154,12 +154,37 @@ class TestDrawdownOccupation:
         rec = drawdown_occupation(gen, drawdown_occupation_killing(q, 0.04, 0.5), 0.1)
         assert abs(cf - rec) < 1e-8
 
+    def test_closed_form_gap_comes_from_the_lattice_top(self):
+        # the shipped VG digital at n_x=8: the closed form (infinite lattice)
+        # and the sweep (truncated chain) differ by the mass that jumps over
+        # y_max; widening the top closes the gap, widening the bottom does not
+        from pathlib import Path
+
+        from drawdown_ctmc.cli import load_config
+
+        ini = Path(__file__).resolve().parents[1] / "configs" / "drawdown_occupation_digital_vg.ini"
+        cfg = load_config(str(ini), ["grid.n_x=8"])
+        q, h, shift = 1.0 / cfg.T, cfg.a / 8, cfg.model.r_f
+
+        def gap(y_min, y_max):
+            gen = build_levy_generator(cfg.model, h, y_min, y_max, x0=cfg.x,
+                                       drift_scheme="central")
+            cf = c_levy_closed_form(gen, q, cfg.a, cfg.xi, shift=shift)
+            sweep = drawdown_occupation(gen, drawdown_occupation_killing(q, cfg.xi, shift), cfg.a)
+            return abs(cf - sweep)
+
+        shipped = gap(cfg.y_min, cfg.y_max)
+        assert (cfg.y_min, cfg.y_max) == (-5.0, 5.0)
+        assert 4e-7 < shipped < 6e-7
+        assert gap(cfg.y_min, 8.0) < 1e-9
+        assert gap(-8.0, cfg.y_max) == pytest.approx(shipped, rel=1e-6)
+
     def test_closed_form_denominator_modulus(self, dejd_lattice):
         # the up-exit weight has modulus < 1 under strict killing
         from drawdown_ctmc.quantities import _levy_window_masses
-        _, p_up, _ = _levy_window_masses(dejd_lattice, 2.0 + 1.0j,
-                                         dejd_lattice.grid.steps_of(0.1))
-        assert abs(p_up) < 1.0
+        kv = np.full((dejd_lattice.grid.steps_of(0.1), 1), 2.0 + 1.0j)
+        _, p_up, _ = _levy_window_masses(dejd_lattice, kv)
+        assert abs(p_up[0]) < 1.0
 
 
 class TestNthDrawdownNoRecovery:
@@ -315,6 +340,22 @@ class TestDispatch:
             assert all(b < a + 1e-14 for a, b in zip(vals, vals[1:])), kind
 
 
+# Lattice and dense routes of the node axis: Hsum and Jsum run the lattice
+# closed forms; their dense generic fixed points take one node at a time.
+LATTICE_CASES = [
+    QuantityRequest("Q", a=0.1),
+    QuantityRequest("B", a=0.1, xi=-0.05, shift=0.05),
+    QuantityRequest("C", a=0.1, xi=0.05, shift=0.05),
+    QuantityRequest("Hn", a=0.1, n=2),
+    QuantityRequest("Hsum", a=0.1),
+    QuantityRequest("Jsum", a=0.1, x=-0.05, y=0.05),
+]
+LATTICE_ROUTES = [(s, fg, r) for s in ("DEJD", "VG", "dense") for fg in (False, True)
+                  for r in LATTICE_CASES
+                  if not (s == "dense" and fg)   # a dense generator has no fast route
+                  and (r.kind not in ("Hsum", "Jsum") or (s != "dense" and not fg))]
+
+
 class TestNodeAxis:
     NODES, _ = inversion_nodes_weights(0.5)
 
@@ -371,4 +412,88 @@ class TestNodeAxis:
 
     def test_one_node_routes_reject_a_node_vector(self, bs_small):
         with pytest.raises(ValueError):
-            q_drawdown(bs_small, self.NODES, 0.2, force_generic=True)
+            drawdown_before_drawup(bs_small, self.NODES, 0.2, 0.3, force_generic=True)
+
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        dejd = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
+        vg = build_levy_generator(ModelSpec.vg(), 0.025, -1.0, 1.0)
+        return {"DEJD": dejd, "VG": vg, "dense": densify(dejd)}
+
+    @pytest.mark.parametrize("structure, force_generic, req", LATTICE_ROUTES,
+                             ids=[f"{s}-{'generic' if fg else 'fast'}-{r.kind}"
+                                  for s, fg, r in LATTICE_ROUTES])
+    def test_lattice_batched_matches_per_node(self, lattices, structure, force_generic, req):
+        gen = lattices[structure]
+        batched = evaluate(gen, replace(req, q=self.NODES), force_generic=force_generic)
+        assert batched.shape == self.NODES.shape
+        single = np.array([evaluate(gen, replace(req, q=q), force_generic=force_generic)
+                           for q in self.NODES])
+        assert np.all(np.abs(batched - single) <= 1e-10 * np.abs(single))
+
+    @pytest.mark.parametrize("req", LATTICE_CASES[:4], ids=[r.kind for r in LATTICE_CASES[:4]])
+    def test_lattice_sweep_matches_the_dense_chain(self, lattices, req):
+        # the cached lattice window solves against uncached dense ones on
+        # the same chain (B's killing pattern changes across window tops)
+        lattice = evaluate(lattices["DEJD"], replace(req, q=self.NODES), force_generic=True)
+        dense = evaluate(lattices["dense"], replace(req, q=self.NODES))
+        assert np.all(np.abs(lattice - dense) <= 1e-10 * np.abs(dense))
+
+    def test_lattice_routes_take_one_pass_per_rung(self, lattices, monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+
+        calls = {"backward_window_sweep": 0, "c_levy_closed_form": 0, "h_levy_closed_form": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(qmod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qmod, name, counted)
+        for kind in ("Q", "B", "C", "Hsum"):   # two sweeps and two closed forms
+            req = next(r for r in LATTICE_CASES if r.kind == kind)
+            evaluate(lattices["DEJD"], replace(req, q=self.NODES))
+        assert calls == {"backward_window_sweep": 2, "c_levy_closed_form": 1,
+                         "h_levy_closed_form": 1}
+
+    @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
+    def test_lattice_single_node_vector_keeps_its_axis(self, lattices, req):
+        gen = lattices["DEJD"]
+        q = self.NODES[:1]
+        vec = evaluate(gen, replace(req, q=q))
+        one = evaluate(gen, replace(req, q=q[0]))
+        assert isinstance(vec, np.ndarray) and vec.shape == (1,)
+        assert isinstance(one, complex)
+        assert abs(vec[0] - one) <= 1e-14 * abs(one)
+
+    def test_sweep_returns_one_column_per_node(self, lattices):
+        from drawdown_ctmc.quantities import backward_window_sweep
+
+        gen, nodes = lattices["VG"], self.NODES[:3]
+        kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
+        V = backward_window_sweep(gen, 4, kfn, np.ones(gen.n), gen.grid.eta_x)
+        assert V.shape == (gen.n, nodes.size)
+        for j, q in enumerate(nodes):
+            ref = q_drawdown(gen, q, 0.1)
+            assert abs(V[gen.grid.eta_x, j] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
+    def test_in_place_node_solves_match_the_stack(self, lattices, req, monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+
+        gen = lattices["DEJD"]
+        stacked = evaluate(gen, replace(req, q=self.NODES))
+        monkeypatch.setattr(qmod, "_STACK_BYTES", 0)   # one in-place LU per node
+        in_place = evaluate(gen, replace(req, q=self.NODES))
+        assert np.all(np.abs(in_place - stacked) <= 1e-12 * np.abs(stacked))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")   # lu_factor's zero pivot
+    @pytest.mark.parametrize("stack_bytes", [1 << 25, 0], ids=["stacked", "in-place"])
+    def test_singular_node_solve_raises(self, stack_bytes, monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import Singular
+
+        monkeypatch.setattr(qmod, "_STACK_BYTES", stack_bytes)
+        kv = np.array([[1.0, 0.0], [1.0, 0.0]])   # the second node is singular
+        with pytest.raises(Singular):
+            qmod._node_solves(np.zeros((2, 2)), kv, np.ones(2))
