@@ -124,6 +124,8 @@ class RunConfig:
             raise ConfigError(f"quantity {self.kind} needs the occupation threshold xi")
         if self.payoff not in ("one", "zero"):
             raise ConfigError("payoff must be 'one' or 'zero'")
+        if self.payoff == "zero" and self.kind in ("Hsum", "Jsum"):
+            raise ConfigError(f"quantity {self.kind} sums event discounts and takes no payoff")
         if len(self.n_x) == 0:
             raise ConfigError("need at least one grid resolution")
         if any(b <= a for a, b in zip(self.n_x, self.n_x[1:])):
@@ -291,10 +293,6 @@ class PriceTable:
                 cells.append(f"{r.runtime_sec:.3f}")
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str, precision: str = "6", timings: bool = False) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv(precision, timings))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +515,6 @@ def _add_common(sub):
     sub.add_argument("--timings", action="store_true", help="add runtime column to CSV")
     sub.add_argument("--force-generic", action="store_true",
                      help="bypass structure fast paths")
-    sub.add_argument("--dump-generator", metavar="PATH",
-                     help="also dump the finest generator to CSV")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -538,18 +534,12 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _emit_table(cfg: RunConfig, table: PriceTable) -> None:
-    text = table.to_csv(cfg.precision, cfg.timings)
+def _emit(cfg: RunConfig, text: str) -> None:
+    """Write a command's output to output.csv, if set, and to stdout."""
     if cfg.csv_path:
         with open(cfg.csv_path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-
-
-def _maybe_dump(cfg: RunConfig, args) -> None:
-    if getattr(args, "dump_generator", None):
-        gen = _build_generator_for(cfg, max(cfg.n_x), _resolve_scheme(cfg))
-        gen.dump_csv(args.dump_generator)
 
 
 def main(argv=None) -> int:
@@ -571,21 +561,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "price":
-            table = run_price(cfg)
-            _emit_table(cfg, table)
+            _emit(cfg, run_price(cfg).to_csv(cfg.precision, cfg.timings))
         elif args.command == "table":
-            table = run_table(cfg)
-            _emit_table(cfg, table)
+            _emit(cfg, run_table(cfg).to_csv(cfg.precision, cfg.timings))
         elif args.command == "convergence":
             table, pairs, slope = run_convergence(cfg)
             lines = ["log10_n_x,log10_abs_err"]
             lines += [f"{a:.6f},{b:.6f}" for a, b in pairs]
             lines.append(f"# slope={'converged' if slope is None else f'{slope:.4f}'}")
-            text = "\n".join(lines) + "\n"
-            if cfg.csv_path:
-                with open(cfg.csv_path, "w") as fh:
-                    fh.write(text)
-            sys.stdout.write(text)
+            _emit(cfg, "\n".join(lines) + "\n")
         elif args.command == "oracle":
             rows = run_oracle(cfg)
             lines = ["n_x,analytic,mc,stderr,z,dense"]
@@ -593,15 +577,10 @@ def main(argv=None) -> int:
                 dense = "" if r["dense"] is None else f"{r['dense']:.9f}"
                 lines.append(f"{r['n_x']},{r['analytic']:.9f},{r['mc']:.9f},"
                              f"{r['stderr']:.3e},{r['z']:.3f},{dense}")
-            text = "\n".join(lines) + "\n"
-            if cfg.csv_path:
-                with open(cfg.csv_path, "w") as fh:
-                    fh.write(text)
-            sys.stdout.write(text)
+            _emit(cfg, "\n".join(lines) + "\n")
         elif args.command == "dump-generator":
             gen = _build_generator_for(cfg, max(cfg.n_x), _resolve_scheme(cfg))
             gen.dump_csv(args.out)
-        _maybe_dump(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ctmc import Generator
-from .linsolve import KillingField
 from .quantities import (
     QuantityRequest,
     TooLarge,
@@ -74,21 +73,14 @@ def _payoff_vec(gen: Generator, f) -> np.ndarray:
 
 
 def _k_vec(gen: Generator, req: QuantityRequest) -> np.ndarray:
-    if req.k is not None:
-        kf = KillingField.coerce(req.k)
-    elif req.xi is not None:
-        kf = occupation_below_killing(req.q, req.xi, req.shift)
-    else:
+    if req.xi is None:
         return np.full(gen.n, complex(req.q) + complex(req.shift))
-    return kf.values(gen.states)
+    return occupation_below_killing(req.q, req.xi, req.shift).values(gen.states)
 
 
 def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
     states = gen.states
-    if req.k2 is not None:
-        kf = req.k2 if isinstance(req.k2, KillingField) else KillingField.bivariate(req.k2)
-    else:
-        kf = drawdown_occupation_killing(req.q, req.xi, req.shift)
+    kf = drawdown_occupation_killing(req.q, req.xi, req.shift)
     return np.stack([kf.values2(states, y) for y in states], axis=1)
 
 

@@ -30,8 +30,9 @@ birth-death fast paths selected automatically from the structure tag.
 Every birth-death exit weight comes from one fundamental-solution pair
 through ``PsiPair.exit_weights``.
 
-Node batching: ``evaluate`` takes a vector of Laplace nodes and carries
-it as a trailing array axis, so each rung evaluates all nodes in one pass:
+Node batching: every quantity takes one Laplace node or a vector of
+them, and a vector gives one value per node.  Most routes carry the nodes
+as a trailing array axis, so each rung evaluates all nodes in one pass:
 
 * the birth-death fast paths: Q, A, B (through the pair of the per-state
   killing), Hn, the Hsum partial sums and fixed point (one sparse solve
@@ -43,14 +44,14 @@ it as a trailing array axis, so each rung evaluates all nodes in one pass:
 * the lattice closed forms (C, Hsum, Jsum): the window block and its exit
   masses are built once, then one LU per node.
 
-Only the dense generic recursions (A and Jn off birth-death chains, the
-generic Hsum and Jsum fixed points) and requests with their own killing
-take one node at a time; ``evaluate`` loops over the vector for them.
+The dense generic recursions (A and Jn off birth-death chains, the
+generic Hsum and Jsum fixed points) solve one node at a time; their
+public functions loop over the vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,12 +141,10 @@ class QuantityRequest:
     a: float
     q: complex = 1.0 + 0.0j   # one Laplace node, or a (k,) vector of nodes
     b: Optional[float] = None
-    xi: Optional[float] = None
+    xi: Optional[float] = None  # occupation threshold of the B and C killings
     n: int = 1
     x: Optional[float] = None
     y: Optional[float] = None
-    k: object = None          # univariate killing (B); defaults to q 1_{x<xi} + shift
-    k2: object = None         # bivariate killing (C); defaults to q 1_{max-x>xi} + shift
     shift: complex = 0.0      # constant killing added on top of the indicator
     f: object = None          # terminal payoff over states (None = 1)
     f2: object = None         # bivariate terminal payoff (Jn)
@@ -384,6 +383,33 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     return V
 
 
+def _killed_solve(dense: np.ndarray, q: complex, lo: int, hi: int, rhs: np.ndarray, *,
+                  trans: bool = False) -> np.ndarray:
+    """Solution of (q I - G[lo..hi]) x = rhs on the dense generator matrix,
+    or of the transposed system: the step of the dense generic recursions."""
+    mat = q * np.eye(hi - lo + 1, dtype=complex) - dense[lo:hi + 1, lo:hi + 1]
+    try:
+        return np.linalg.solve(mat.T if trans else mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(str(exc)) from exc
+
+
+def _dense_exit_rows(dense: np.ndarray, q: complex, a_steps: int) -> np.ndarray:
+    """Exit weights P[i, z] of the drawdown window (y_i - a, y_i] started at
+    its top i onto each state z outside it, from the dense generator matrix
+    (rows of the two absorbing ends stay 0)."""
+    n = dense.shape[0]
+    P = np.zeros((n, n), dtype=complex)
+    for i in range(1, n - 1):
+        lo = max(0, i - a_steps + 1)
+        e = np.zeros(i - lo + 1, dtype=complex)
+        e[-1] = 1.0
+        w = _killed_solve(dense, q, lo, i, e, trans=True)
+        outside = np.concatenate([np.arange(0, lo), np.arange(i + 1, n)])
+        P[i, outside] = w @ dense[np.ix_(np.arange(lo, i + 1), outside)]
+    return P
+
+
 # ---------------------------------------------------------------------------
 # Q: drawdown-time transform
 # ---------------------------------------------------------------------------
@@ -444,12 +470,6 @@ def _nodes(q):
 def _per_node(values: np.ndarray, single: bool):
     """The (k,) node values, or one complex for a single node."""
     return complex(values[0]) if single else values
-
-
-def _one_node(q) -> complex:
-    if np.ndim(q) != 0:
-        raise ValueError("this route takes one node at a time; evaluate() loops over a node vector")
-    return complex(q)
 
 
 def _constant_killing(nodes: np.ndarray) -> Callable:
@@ -569,7 +589,7 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
                            force_generic: bool = False):
     """E[e^{-q tau_a} 1_{tau_a < tauhat_b} f(Y_{tau_a})] from position x
     (= running max) and running min y.  Requires b >= a.  A node vector q
-    gives one value per node (birth-death chains).
+    gives one value per node.
 
     An off-lattice starting minimum y is handled by linear interpolation
     between the bracketing grid states (the value is piecewise linear in
@@ -594,7 +614,7 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
     if gen.structure == BIRTH_DEATH and not force_generic:
         row = _a_diffusion(gen, nodes, a_steps, b_steps, f_arr, eta)
     else:
-        row = _a_generic(gen, _one_node(q), a_steps, b_steps, f_arr, eta)[:, None]
+        row = np.stack([_a_generic(gen, q, a_steps, b_steps, f_arr, eta) for q in nodes], axis=1)
     # minima at or below y_eta - b: the drawup has already reached b
     row[:max(0, eta - b_steps + 1)] = 0.0
     if wgt < 1e-9:
@@ -648,23 +668,17 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
         raise TooLarge("generic drawdown-before-drawup path caps at 2000 states")
     A = np.zeros((n, n), dtype=complex)   # A[i, l]: top/position i, min l
     dense = gen.to_dense(max_states=n).astype(complex)
-    eye = np.eye
     for i in range(n - 2, eta - 1, -1):
         lo = max(0, i - a_steps + 1)
         lob = max(0, i - b_steps + 1)
         rows = np.arange(lo, i + 1)
-        sub = dense[np.ix_(rows, rows)]
-        mat = q * eye(rows.size, dtype=complex) - sub
         rhs_f = dense[np.ix_(rows, np.arange(0, lo))] @ f_arr[:lo] if lo > 0 else np.zeros(rows.size, dtype=complex)
         above = np.arange(i + 1, n)
         up_block = dense[np.ix_(rows, above)]
         # frozen-minimum columns l in [lob .. lo]
         cols = np.arange(lob, lo + 1)
         rhs_frozen = up_block @ A[np.ix_(above, cols)]
-        try:
-            sol = np.linalg.solve(mat, np.column_stack([rhs_f, rhs_frozen]))
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
+        sol = _killed_solve(dense, q, lo, i, np.column_stack([rhs_f, rhs_frozen]))
         pay = complex(sol[-1, 0])
         A[i, lob:lo + 1] = pay + sol[-1, 1:]
         r_diag = np.zeros(i, dtype=complex)       # R(q, y_t, y_t) indexed by t
@@ -673,13 +687,9 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
             r_diag[lo] = complex(sol[0, 1 + (lo - lob)])
         for t in range(lo + 1, i + 1):
             rows_t = np.arange(t, i + 1)
-            mat_t = q * eye(rows_t.size, dtype=complex) - dense[np.ix_(rows_t, rows_t)]
             rhs_t = dense[np.ix_(rows_t, np.arange(lo, t))] @ r_diag[lo:t]
             rhs_t += dense[np.ix_(rows_t, above)] @ A[above, t]
-            try:
-                sol_t = np.linalg.solve(mat_t, rhs_t)
-            except np.linalg.LinAlgError as exc:
-                raise Singular(str(exc)) from exc
+            sol_t = _killed_solve(dense, q, t, i, rhs_t)
             if t <= i - 1:
                 r_diag[t] = complex(sol_t[0])
             A[i, t] = pay + complex(sol_t[-1])
@@ -693,27 +703,30 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
 def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
                              x=None, n: int = 1, *, force_generic: bool = False):
     """E[e^{-q tautilde_{a,n}} f(Y_{tautilde_{a,n}})]; the reference maximum
-    restarts at every event.  The window exit weights (or factorizations)
-    do not depend on the event count, so they are built once and reused
-    across the n sweeps.  A node vector q gives one value per node
-    (birth-death chains).
+    restarts at every event.  A node vector q gives one value per node.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    grid = gen.grid
-    a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     prev = _payoff_array(gen, f)
     nodes, single = _nodes(q)
+    sweep = _event_sweep(gen, nodes, gen.grid.steps_of(a), force_generic)
+    for _ in range(n):
+        prev = sweep(prev)
+    return _per_node(prev[eta], single)
+
+
+def _event_sweep(gen: Generator, nodes: np.ndarray, a_steps: int,
+                 force_generic: bool = False) -> Callable:
+    """One step of the no-recovery event recursion: the (n, k) values over
+    all states from the down-exit payoff of the previous event.  The window
+    exit weights (or factorizations) do not depend on the event count, so
+    they are built once and reused by every step."""
     if gen.structure == BIRTH_DEATH and not force_generic:
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
-        for _ in range(n):
-            prev = _q_psi_sweep(gen, a_steps, prev, coeffs)
-    else:
-        kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
-        for _ in range(n):
-            prev = backward_window_sweep(gen, a_steps, kfn, prev, 0, solver=solver)
-    return _per_node(prev[eta], single)
+        return lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
+    kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
+    return lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
 
 
 def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
@@ -728,12 +741,8 @@ def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
     eta = _anchor_index(gen, x)
     nodes, single = _nodes(q)
     prev = _payoff_array(gen, None)
-    if not recovery and gen.structure == BIRTH_DEATH:
-        coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
-        sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
-    elif not recovery:
-        kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
-        sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
+    if not recovery:
+        sweep = _event_sweep(gen, nodes, a_steps)
     sums = []
     total = np.zeros(nodes.size, dtype=complex)
     for k in range(1, n_max + 1):
@@ -754,13 +763,13 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
                           force_generic: bool = False):
     """Sum over all no-recovery drawdown events of e^{-q tautilde_{a,k}}:
     fixed point H = P (1 + H_below) + P H_above.  A node vector q gives
-    one value per node (birth-death chains and lattices)."""
+    one value per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     n = gen.n
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        nodes, single = _nodes(q)
         idx = np.arange(1, n - 1)
         up, down = _window_weights(psi_pair(gen, nodes), idx, a_steps)
         floor = idx - a_steps
@@ -781,24 +790,15 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
         return _per_node(out, single)
     if gen.structure == TOEPLITZ_LEVY and not force_generic:
         return h_levy_closed_form(gen, q, a)
-    q = _one_node(q)
-    # generic: assemble the full exit-weight matrix row by row
+    return _per_node(np.array([_hsum_generic(gen, q, a_steps, eta) for q in nodes]), single)
+
+
+def _hsum_generic(gen: Generator, q: complex, a_steps: int, eta: int) -> complex:
+    """Fixed point over the full exit-weight matrix, from dense window solves."""
+    n = gen.n
     if n > 1500:
         raise TooLarge("generic insurance fixed point caps at 1500 states")
-    dense = gen.to_dense(max_states=n).astype(complex)
-    P = np.zeros((n, n), dtype=complex)
-    for i in range(1, n - 1):
-        lo = max(0, i - a_steps + 1)
-        rows = np.arange(lo, i + 1)
-        mat = q * np.eye(rows.size, dtype=complex) - dense[np.ix_(rows, rows)]
-        e = np.zeros(rows.size, dtype=complex)
-        e[-1] = 1.0
-        try:
-            w = np.linalg.solve(mat.T, e)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-        outside = np.concatenate([np.arange(0, lo), np.arange(i + 1, n)])
-        P[i, outside] = w @ dense[np.ix_(rows, outside)]
+    P = _dense_exit_rows(gen.to_dense(max_states=n).astype(complex), q, a_steps)
     below_mask = np.zeros((n, n), dtype=bool)
     for i in range(n):
         below_mask[i, :max(0, i - a_steps + 1)] = True
@@ -860,7 +860,7 @@ def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
                                force_generic: bool = False):
     """E[e^{-q tau_{a,n}} f2(Y, max)] where each new event requires the
     running maximum to recover to its level at the previous event.  A node
-    vector q gives one value per node (birth-death chains)."""
+    vector q gives one value per node."""
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = gen.grid
@@ -870,10 +870,12 @@ def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
     if eta_x > eta_y:
         raise ValueError("position x must not exceed the running max y")
     f2_fn = _bipayoff(gen, f2)
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        nodes, single = _nodes(q)
-        return _per_node(_jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y, n), single)
-    return _jn_generic(gen, _one_node(q), a_steps, f2_fn, eta_x, eta_y, n)
+        out = _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y, n)
+    else:
+        out = np.array([_jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) for q in nodes])
+    return _per_node(out, single)
 
 
 def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> np.ndarray:
@@ -909,29 +911,18 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
         for i in range(nn - 2, -1, -1):
             lo = max(0, i - a_steps + 1)
             rows = np.arange(lo, i + 1)
-            mat = q * np.eye(rows.size, dtype=complex) - dense[np.ix_(rows, rows)]
             rhs = np.zeros(rows.size, dtype=complex)
             if lo > 0:
                 rhs += dense[np.ix_(rows, np.arange(lo))] @ J_prev[:lo, i]
             above = np.arange(i + 1, nn)
             diag_above = J_cur[above, above]
             rhs += dense[np.ix_(rows, above)] @ diag_above
-            try:
-                sol = np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise Singular(str(exc)) from exc
-            J_cur[i, i] = sol[-1]
+            J_cur[i, i] = _killed_solve(dense, q, lo, i, rhs)[-1]
             # recovery fill below the diagonal: first passage to >= y_i
             if i >= 1:
-                rows_b = np.arange(0, i)
-                mat_b = q * np.eye(i, dtype=complex) - dense[np.ix_(rows_b, rows_b)]
                 targets = np.arange(i, nn)
-                rhs_b = dense[np.ix_(rows_b, targets)] @ J_cur[targets, targets]
-                try:
-                    sol_b = np.linalg.solve(mat_b, rhs_b)
-                except np.linalg.LinAlgError as exc:
-                    raise Singular(str(exc)) from exc
-                J_cur[:i, i] = sol_b
+                rhs_b = dense[np.ix_(np.arange(0, i), targets)] @ J_cur[targets, targets]
+                J_cur[:i, i] = _killed_solve(dense, q, 0, i - 1, rhs_b)
         J_prev = J_cur
     return complex(J_prev[eta_x, eta_y])
 
@@ -939,20 +930,21 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
 def insurance_with_recovery(gen: Generator, q, a: float, x=None,
                             y=None, *, force_generic: bool = False):
     """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}.  A
-    node vector q gives one value per node (birth-death chains and
-    lattices)."""
+    node vector q gives one value per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta_x = _anchor_index(gen, x)
     eta_y = eta_x if y is None else _anchor_index(gen, y)
     if eta_x > eta_y:
         raise ValueError("position x must not exceed the running max y")
+    nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
-        nodes, single = _nodes(q)
-        return _per_node(_jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y), single)
-    if gen.structure == TOEPLITZ_LEVY and not force_generic:
+        out = _jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y)
+    elif gen.structure == TOEPLITZ_LEVY and not force_generic:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
-    return _jsum_generic(gen, _one_node(q), a_steps, eta_x, eta_y)
+    else:
+        out = np.array([_jsum_generic(gen, q, a_steps, eta_x, eta_y) for q in nodes])
+    return _per_node(out, single)
 
 
 def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
@@ -978,34 +970,19 @@ def _jsum_generic(gen, q, a_steps, eta_x, eta_y) -> complex:
     if nn > 500:
         raise TooLarge("generic recovery fixed point caps at 500 states")
     dense = gen.to_dense(max_states=nn).astype(complex)
+    P = _dense_exit_rows(dense, q, a_steps)
     M = np.zeros((nn, nn), dtype=complex)
     c = np.zeros(nn, dtype=complex)
     for i in range(1, nn - 1):
         lo = max(0, i - a_steps + 1)
-        rows = np.arange(lo, i + 1)
-        mat = q * np.eye(rows.size, dtype=complex) - dense[np.ix_(rows, rows)]
-        e = np.zeros(rows.size, dtype=complex)
-        e[-1] = 1.0
-        try:
-            w = np.linalg.solve(mat.T, e)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-        p = np.zeros(nn, dtype=complex)
-        outside = np.concatenate([np.arange(0, lo), np.arange(i + 1, nn)])
-        p[outside] = w @ dense[np.ix_(rows, outside)]
+        p = P[i]
         above = np.arange(i + 1, nn)
         M[i, above] += p[above]
         if lo > 0:
             below = np.arange(0, lo)
             c[i] = p[below].sum()
-            rec_rows = np.arange(0, i)
-            mat_b = q * np.eye(i, dtype=complex) - dense[np.ix_(rec_rows, rec_rows)]
             targets = np.arange(i, nn)
-            rhs_b = dense[np.ix_(rec_rows, targets)]
-            try:
-                REC = np.linalg.solve(mat_b, rhs_b)   # (i, targets)
-            except np.linalg.LinAlgError as exc:
-                raise Singular(str(exc)) from exc
+            REC = _killed_solve(dense, q, 0, i - 1, dense[np.ix_(np.arange(0, i), targets)])
             M[i, targets] += p[below] @ REC[below, :]
     try:
         diag = np.linalg.solve(np.eye(nn, dtype=complex) - M, c)
@@ -1015,12 +992,9 @@ def _jsum_generic(gen, q, a_steps, eta_x, eta_y) -> complex:
         return complex(diag[eta_y])
     if eta_y == 0:
         return complex(diag[0])
-    rec_rows = np.arange(0, eta_y)
-    mat_b = q * np.eye(eta_y, dtype=complex) - dense[np.ix_(rec_rows, rec_rows)]
     targets = np.arange(eta_y, nn)
-    rhs_b = dense[np.ix_(rec_rows, targets)] @ diag[targets]
-    sol_b = np.linalg.solve(mat_b, rhs_b)
-    return complex(sol_b[eta_x])
+    rhs_b = dense[np.ix_(np.arange(0, eta_y), targets)] @ diag[targets]
+    return complex(_killed_solve(dense, q, 0, eta_y - 1, rhs_b)[eta_x])
 
 
 def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
@@ -1038,8 +1012,8 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     a_steps = grid.steps_of(a)
     eta = grid.eta_x
     nodes, single = _nodes(q)
-    eta_x = eta if x is None else (int(x) if isinstance(x, (int, np.integer)) else grid.index_of(float(x)))
-    eta_y = eta_x if y is None else (int(y) if isinstance(y, (int, np.integer)) else grid.index_of(float(y)))
+    eta_x = _anchor_index(gen, x)
+    eta_y = eta_x if y is None else _anchor_index(gen, y)
     nn = gen.n
     if eta - 1 > 3000:
         raise TooLarge("recovery window too large for the dense closed form")
@@ -1066,34 +1040,15 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
 # request dispatch
 # ---------------------------------------------------------------------------
 
-def _node_axis_route(gen: Generator, req: QuantityRequest, force_generic: bool) -> bool:
-    """Whether the route serving ``req`` evaluates a node vector in one pass:
-    every route except the dense generic recursions (A and Jn off
-    birth-death chains, Hsum and Jsum on dense or forced-generic paths)
-    and a B or C with its own killing."""
-    if (req.kind == "B" and req.k is not None) or (req.kind == "C" and req.k2 is not None):
-        return False
-    if req.kind in ("A", "Jn"):
-        return gen.structure == BIRTH_DEATH and not force_generic
-    if req.kind in ("Hsum", "Jsum"):
-        return gen.structure != GENERAL and not force_generic
-    return True
-
-
 def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = False):
     """Evaluate one QuantityRequest on a generator (Laplace-domain value).
 
     ``req.q`` is one node or a vector of nodes; a vector gives an array
-    with one value per node.  Node-axis routes take the whole vector in
-    one pass; the few others are evaluated here node by node.
+    with one value per node.  Each public function picks its route from
+    the generator structure; only C's lattice closed form is picked here,
+    because ``drawdown_occupation`` takes the killing rather than the node,
+    and only without a payoff, which the closed form does not take.
     """
-    if np.ndim(req.q) and not _node_axis_route(gen, req, force_generic):
-        return np.array([_evaluate(gen, replace(req, q=complex(q)), force_generic)
-                         for q in req.q])
-    return _evaluate(gen, req, force_generic)
-
-
-def _evaluate(gen: Generator, req: QuantityRequest, force_generic: bool):
     kind = req.kind
     if kind == "Q":
         return q_drawdown(gen, req.q, req.a, f=req.f, x=req.x, force_generic=force_generic)
@@ -1101,22 +1056,18 @@ def _evaluate(gen: Generator, req: QuantityRequest, force_generic: bool):
         return drawdown_before_drawup(gen, req.q, req.a, req.b, f=req.f,
                                       x=req.x, y=req.y, force_generic=force_generic)
     if kind == "B":
-        k = req.k
-        if k is None:
-            if req.xi is not None:
-                k = occupation_below_killing(req.q, req.xi, req.shift)
-            else:
-                k = KillingField.constant(np.asarray(req.q) + complex(req.shift))
+        if req.xi is not None:
+            k = occupation_below_killing(req.q, req.xi, req.shift)
+        else:
+            k = KillingField.constant(np.asarray(req.q) + complex(req.shift))
         return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x,
                                          force_generic=force_generic)
     if kind == "C":
-        if gen.structure == TOEPLITZ_LEVY and not force_generic and req.k2 is None:
+        if req.xi is None:
+            raise ValueError("quantity C needs the threshold xi")
+        if gen.structure == TOEPLITZ_LEVY and not force_generic and req.f is None:
             return c_levy_closed_form(gen, req.q, req.a, req.xi, shift=req.shift)
-        k2 = req.k2
-        if k2 is None:
-            if req.xi is None:
-                raise ValueError("quantity C needs either k2 or the threshold xi")
-            k2 = drawdown_occupation_killing(req.q, req.xi, req.shift)
+        k2 = drawdown_occupation_killing(req.q, req.xi, req.shift)
         return drawdown_occupation(gen, k2, req.a, f=req.f, x=req.x)
     if kind == "Hn":
         return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n,

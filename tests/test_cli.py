@@ -52,12 +52,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             smoke_config(**{"quantity.kind": "A"})
 
+    @pytest.mark.parametrize("kind", ["Hsum", "Jsum"])
+    def test_event_sums_reject_a_payoff(self, kind):
+        # the event sums take no payoff, so payoff=zero would be ignored
+        with pytest.raises(ConfigError):
+            smoke_config(**{"quantity.kind": kind, "quantity.payoff": "zero"})
+
 
 class TestRunners:
     def test_zero_payoff_prices_to_zero(self):
         cfg = smoke_config(**{"quantity.payoff": "zero", "grid.n_x": "10"})
         table = run_price(cfg)
         assert table.rows[0].value == 0.0
+
+    def test_zero_payoff_bypasses_the_lattice_closed_form(self):
+        # the C closed form has no payoff argument; the sweep serves payoffs
+        cfg = load_config(os.path.join(CONFIG_DIR, "drawdown_occupation_digital_vg.ini"),
+                          ["grid.n_x=8", "quantity.payoff=zero"])
+        assert run_price(cfg).rows[0].value == 0.0
 
     def test_extrapolated_column_is_richardson(self):
         cfg = smoke_config()
@@ -122,6 +134,24 @@ class TestMain:
         code = main(["table", "model.kind=BS", "quantity.kind=Q",
                      "quantity.a=-1", "quantity.t=0.5"])
         assert code == 2
+
+    def test_event_sum_payoff_exit_two(self, capsys):
+        code = main(["price", "-c", os.path.join(CONFIG_DIR, "insurance_no_recovery_bs.ini"),
+                     "grid.n_x=20", "quantity.payoff=zero"])
+        assert code == 2
+        assert "takes no payoff" in capsys.readouterr().err
+
+    def test_convergence_writes_csv_and_stdout(self, capsys, tmp_path):
+        out = os.path.join(tmp_path, "c.csv")
+        code = main(["convergence", "model.kind=BS", "model.r_f=0.05",
+                     "quantity.kind=Q", "quantity.a=0.2", "quantity.t=0.5",
+                     "grid.n_x=8,16", "grid.y_min=-1.0", "grid.y_max=0.8",
+                     "output.benchmark=0.5", f"output.csv={out}"])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("log10_n_x,log10_abs_err\n")
+        with open(out) as fh:
+            assert fh.read() == text
 
     def test_numerical_exit_three(self, capsys):
         # drift-dominated coarse step with the abort-on-negative scheme

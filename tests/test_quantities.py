@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -341,7 +342,8 @@ class TestDispatch:
 
 
 # Lattice and dense routes of the node axis: Hsum and Jsum run the lattice
-# closed forms; their dense generic fixed points take one node at a time.
+# closed forms, or the dense generic fixed points on a dense generator and
+# when forced.
 LATTICE_CASES = [
     QuantityRequest("Q", a=0.1),
     QuantityRequest("B", a=0.1, xi=-0.05, shift=0.05),
@@ -352,8 +354,7 @@ LATTICE_CASES = [
 ]
 LATTICE_ROUTES = [(s, fg, r) for s in ("DEJD", "VG", "dense") for fg in (False, True)
                   for r in LATTICE_CASES
-                  if not (s == "dense" and fg)   # a dense generator has no fast route
-                  and (r.kind not in ("Hsum", "Jsum") or (s != "dense" and not fg))]
+                  if not (s == "dense" and fg)]   # a dense generator has no fast route
 
 
 class TestNodeAxis:
@@ -373,14 +374,17 @@ class TestNodeAxis:
         QuantityRequest("Jn", a=0.2, n=3, x=-0.1, y=0.05),
         QuantityRequest("Jsum", a=0.2, x=-0.1, y=0.05),
     ]
+    ROUTES = list(itertools.product(CASES, (False, True)))
 
     @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
-    @pytest.mark.parametrize("req", CASES, ids=[r.kind for r in CASES])
-    def test_batched_matches_per_node(self, model, req):
+    @pytest.mark.parametrize("req, force_generic", ROUTES,
+                             ids=[r.kind + ("-generic" if fg else "") for r, fg in ROUTES])
+    def test_batched_matches_per_node(self, model, req, force_generic):
         gen = self.chain(model)
-        batched = evaluate(gen, replace(req, q=self.NODES))
+        batched = evaluate(gen, replace(req, q=self.NODES), force_generic=force_generic)
         assert batched.shape == self.NODES.shape
-        single = np.array([evaluate(gen, replace(req, q=q)) for q in self.NODES])
+        single = np.array([evaluate(gen, replace(req, q=q), force_generic=force_generic)
+                           for q in self.NODES])
         assert np.all(np.abs(batched - single) <= 1e-10 * np.abs(single))
 
     def test_force_generic_reaches_the_window_sweep(self, bs_small, monkeypatch):
@@ -409,11 +413,6 @@ class TestNodeAxis:
             assert calls["sweep"] > before, req.kind
             assert abs(slow - ref) < 1e-10, req.kind
         assert calls["psi"] == 0
-
-    def test_one_node_routes_reject_a_node_vector(self, bs_small):
-        with pytest.raises(ValueError):
-            drawdown_before_drawup(bs_small, self.NODES, 0.2, 0.3, force_generic=True)
-
 
     @pytest.fixture(scope="class")
     def lattices(self):
