@@ -64,16 +64,15 @@ class DegenerateWindow(ValueError):
 # ---------------------------------------------------------------------------
 
 class KillingField:
-    """Killing rate: a constant q, a state function k(x), or k(x, max).
+    """Killing rate: a constant q or a state function k(x).
 
     A constant may be a (k,) node vector, and a state function may return
     one column per node; ``values`` then has shape (states, k).
     """
 
-    def __init__(self, const=None, fn=None, fn2=None):
+    def __init__(self, const=None, fn=None):
         self.const = const
         self.fn = fn
-        self.fn2 = fn2
 
     @classmethod
     def constant(cls, q) -> "KillingField":
@@ -83,11 +82,6 @@ class KillingField:
     def from_function(cls, fn: Callable) -> "KillingField":
         """fn maps an array of states to killing rates."""
         return cls(fn=fn)
-
-    @classmethod
-    def bivariate(cls, fn2: Callable) -> "KillingField":
-        """fn2 maps (array of states, running max) to killing rates."""
-        return cls(fn2=fn2)
 
     @classmethod
     def coerce(cls, k) -> "KillingField":
@@ -102,19 +96,10 @@ class KillingField:
     def values(self, states: np.ndarray) -> np.ndarray:
         if self.const is not None:
             out = np.full((len(states),) + self.const.shape, self.const)
-        elif self.fn is not None:
-            out = np.asarray(self.fn(np.asarray(states)), dtype=complex)
         else:
-            raise TypeError("bivariate killing field needs a running-max argument")
+            out = np.asarray(self.fn(np.asarray(states)), dtype=complex)
         _check_nonneg_real(out)
         return out
-
-    def values2(self, states: np.ndarray, y: float) -> np.ndarray:
-        if self.fn2 is not None:
-            out = np.asarray(self.fn2(np.asarray(states), y), dtype=complex)
-            _check_nonneg_real(out)
-            return out
-        return self.values(states)
 
 
 def _check_nonneg_real(vals: np.ndarray) -> None:
@@ -303,17 +288,20 @@ class PsiPair:
         return self._out(self._um[i] / self._um[j] * np.exp(d))
 
     def bridge_many(self, I, J):
-        """(mantissa, log) arrays of the bridge determinant for I > J."""
+        """(mantissa, log) arrays of the bridge determinant
+        psi+_I psi-_J - psi+_J psi-_I; adjacent states, in either order,
+        take the cancellation-free Wronskian."""
         I, J = np.broadcast_arrays(np.asarray(I, dtype=int), np.asarray(J, dtype=int))
         L1 = self._uL[I] + self._dL[J]
         L2 = self._uL[J] + self._dL[I]
         L = np.maximum(L1, L2)
         mant = (self._um[I] * self._dm[J] * np.exp(L1 - L)
                 - self._um[J] * self._dm[I] * np.exp(L2 - L))
-        adj = I == J + 1
+        adj = np.abs(I - J) == 1
         if np.any(adj):
-            mant[adj] = self._wm[I[adj]]
-            L[adj] = self._wL[I[adj]]
+            upper = np.maximum(I, J)[adj]
+            mant[adj] = (I - J)[adj][:, None] * self._wm[upper]   # W_upper, signed
+            L[adj] = self._wL[upper]
         return self._out(mant), self._out(L)
 
     @staticmethod

@@ -81,7 +81,7 @@ def _k_vec(gen: Generator, req: QuantityRequest) -> np.ndarray:
 def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
     states = gen.states
     kf = drawdown_occupation_killing(req.q, req.xi, req.shift)
-    return np.stack([kf.values2(states, y) for y in states], axis=1)
+    return np.stack([kf(states, y) for y in states], axis=1)
 
 
 def _f2_mat(gen: Generator, f2) -> np.ndarray:

@@ -9,10 +9,10 @@ make every sweep O(N) linear solves plus O(N^2) vector work:
     S[m] = sum_{z > i}   G(m, z) * value[z]      (continuation inflow)
     D[m] = sum_{z <= i-a} G(m, z) * payoff[z]    (payoff inflow)
 
-updated incrementally as i decreases.  Window solves dispatch on the
-generator structure: banded (birth-death), cached by the window's
-relative killing pattern (translation-invariant lattices, where the window
-block is the same matrix for every interior top), or dense otherwise.
+updated incrementally as i decreases.  Window solves are cached by the
+window's relative killing pattern on translation-invariant lattices, where
+the window block is the same matrix for every interior top, and dense
+otherwise.
 
 Quantities:
 
@@ -25,22 +25,22 @@ Quantities:
 * ``nth_drawdown_with_recovery`` n-th drawdown, max must first recover
 * ``insurance_with_recovery``    sum over all such events
 
-with translation-invariant closed forms (`*_levy_closed_form`) and
-birth-death fast paths selected automatically from the structure tag.
-Every birth-death exit weight comes from one fundamental-solution pair
-through ``PsiPair.exit_weights``.
+with translation-invariant closed forms (`*_levy_closed_form`, at the
+lattice anchor) and birth-death fast paths selected automatically from the
+structure tag.  Every birth-death exit weight comes from fundamental-
+solution pairs: one through ``PsiPair.exit_weights``, two spliced for C.
 
 Node batching: every quantity takes one Laplace node or a vector of
 them, and a vector gives one value per node.  Most routes carry the nodes
 as a trailing array axis, so each rung evaluates all nodes in one pass:
 
-* the birth-death fast paths: Q, A, B (through the pair of the per-state
-  killing), Hn, the Hsum partial sums and fixed point (one sparse solve
-  per node), Jn and Jsum;
-* the windowed sweep (Q, B, C, Hn and the Hsum partial sums on any
-  structure): the running vectors are (n, k); lattice windows cache the
-  last rows of every node's inverse, from one stacked solve per killing
-  pattern; birth-death windows take one banded solve per node per top;
+* the birth-death fast paths: Q and B (through the pair of the per-state
+  killing), C (through the spliced pairs), A, Hn, the Hsum partial sums and
+  fixed point (one sparse solve per node), Jn and Jsum;
+* the windowed sweep (Q, B, C, Hn and the Hsum partial sums off
+  birth-death chains, or forced): the running vectors are (n, k); lattice
+  windows cache the last rows of every node's inverse, from one stacked
+  solve per killing pattern;
 * the lattice closed forms (C, Hsum, Jsum): the window block and its exit
   masses are built once, then one LU per node.
 
@@ -52,7 +52,8 @@ public functions loop over the vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,7 +65,9 @@ from .ctmc import BIRTH_DEATH, GENERAL, TOEPLITZ_LEVY, Generator
 from .linsolve import (
     DegenerateWindow,
     KillingField,
+    PsiPair,
     Singular,
+    _check_nonneg_real,
     _payoff_array,
     psi_pair,
 )
@@ -156,6 +159,8 @@ class QuantityRequest:
                 raise ValueError("quantity A needs the drawup level b")
             if self.b < self.a:
                 raise UnsupportedRegime("drawup level b must be >= drawdown level a")
+        if self.kind == "C" and self.xi is None:
+            raise ValueError("quantity C needs the threshold xi")
         if self.kind in ("Hn", "Jn") and self.n < 1:
             raise ValueError("event count n must be >= 1")
 
@@ -183,17 +188,19 @@ def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> KillingField
     return KillingField.from_function(fn)
 
 
-def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> KillingField:
-    """k(x, max) = q 1_{max - x > xi} + shift, roundoff-safe; a node vector
-    q gives one column per node."""
+def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> Callable:
+    """k(x, max) = q 1_{max - x > xi} + shift as a function of (states,
+    running max), roundoff-safe; a node vector q gives one column per node."""
     qq, sh = np.asarray(q, dtype=complex), complex(shift)
     tol = _IND_TOL * max(1.0, abs(xi))
 
     def fn2(states, y):
         above = y - np.asarray(states) > xi + tol
-        return np.where(above[:, None] if qq.ndim else above, qq, 0.0) + sh
+        out = np.where(above[:, None] if qq.ndim else above, qq, 0.0) + sh
+        _check_nonneg_real(out)
+        return out
 
-    return KillingField.bivariate(fn2)
+    return fn2
 
 
 def _anchor_index(gen: Generator, x) -> int:
@@ -297,39 +304,24 @@ def _last_rows(blk: np.ndarray, kv: np.ndarray) -> np.ndarray:
 
 
 class _WindowSolver:
-    """Last-row window solves for a batch of nodes, with structure dispatch
-    and, on lattices, a cache keyed by the window's killing pattern."""
+    """Last-row window solves for a batch of nodes: cached by the window's
+    killing pattern on lattices, one dense solve per window otherwise
+    (birth-death chains reach it only when the generic route is forced)."""
 
     def __init__(self, gen: Generator):
         self.gen = gen
         self.cache = {}
-        self._bd_diag = gen.diagonal() if gen.structure == BIRTH_DEATH else None
 
     def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Last entries of the solutions of (diag(kv[:, j]) - G[lo..i]) x = rhs[:, j]
         for the (m, k) killing and right-hand sides: one value per node."""
-        gen = self.gen
-        m, k = kv.shape
-        if gen.structure == BIRTH_DEATH:
-            ab = np.zeros((3, m), dtype=complex)
-            if m > 1:
-                ab[0, 1:] = -gen.up[lo:i]
-                ab[2, :-1] = -gen.down[lo + 1:i + 1]
-            diag = self._bd_diag[lo:i + 1]
-            out = np.empty(k, dtype=complex)
-            for j in range(k):   # one banded solve per node
-                ab[1] = kv[:, j] - diag
-                try:
-                    out[j] = sla.solve_banded((1, 1), ab, rhs[:, j])[-1]
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    raise Singular(str(exc)) from exc
-            return out
         # interior lattice window blocks depend only on the width and on
         # whether the window reaches state 0: cache their inverses' last rows
-        key = (m, lo == 0, kv.tobytes()) if gen.structure == TOEPLITZ_LEVY else None
+        lattice = self.gen.structure == TOEPLITZ_LEVY
+        key = (kv.shape[0], lo == 0, kv.tobytes()) if lattice else None
         w = self.cache.get(key)
         if w is None:
-            w = _last_rows(gen.window_block(lo, i), kv)
+            w = _last_rows(self.gen.window_block(lo, i), kv)
             if key is not None:
                 self.cache[key] = w
         return np.einsum("jm,mj->j", w, rhs)
@@ -472,25 +464,12 @@ def _per_node(values: np.ndarray, single: bool):
     return complex(values[0]) if single else values
 
 
-def _constant_killing(nodes: np.ndarray) -> Callable:
-    """Window killing of a constant rate per node, for the sweep."""
-    return lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
-
-
 def q_drawdown(gen: Generator, q, a: float, f=None, x=None, *,
                force_generic: bool = False):
-    """E[e^{-q tau_a} f(Y_{tau_a})] started from a fresh running maximum;
-    a node vector q gives one value per node."""
-    grid = gen.grid
-    a_steps = grid.steps_of(a)
-    eta = _anchor_index(gen, x)
-    f_arr = _payoff_array(gen, f)
-    nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH and not force_generic:
-        V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, nodes, a_steps, eta))
-    else:
-        V = backward_window_sweep(gen, a_steps, _constant_killing(nodes), f_arr, eta)
-    return _per_node(V[eta], single)
+    """E[e^{-q tau_a} f(Y_{tau_a})] from a fresh running maximum: B with the
+    constant killing q.  A node vector q gives one value per node."""
+    return occupation_until_drawdown(gen, KillingField.constant(q), a, f=f, x=x,
+                                     force_generic=force_generic)
 
 
 # ---------------------------------------------------------------------------
@@ -524,27 +503,66 @@ def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
 # C: occupation of the drawdown process until the drawdown time
 # ---------------------------------------------------------------------------
 
-def drawdown_occupation(gen: Generator, k2, a: float, f=None, x=None):
-    """E[e^{-int_0^{tau_a} k(Y_s, max_s) ds} f(Y_{tau_a})].
+def drawdown_occupation(gen: Generator, q, a: float, xi: float, f=None, x=None, *,
+                        shift: complex = 0.0, force_generic: bool = False):
+    """E[e^{-int_0^{tau_a} k(Y_s, max_s) ds} f(Y_{tau_a})] for the killing
+    k(x, max) = q 1_{max - x > xi} + shift; a node vector q gives one value
+    per node.
 
-    Inside the window topped at y_i the running maximum is frozen at y_i,
-    so each step is a univariate windowed solve with killing k2(., y_i).
-    A killing with one column per node (built from a node vector) gives
-    one value per node.
+    Inside the window topped at y_i the running maximum is frozen, so the
+    killing is q + shift below the breakpoint y_i - xi and shift above it.
+    Birth-death chains splice two fundamental-solution pairs there
+    (``_spliced_sweep_coeffs``) and run down the tops as Q does; lattices
+    take ``c_levy_closed_form`` without a payoff, started at the anchor;
+    everything else, and ``force_generic``, takes the windowed sweep.
     """
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
+    if (gen.structure == TOEPLITZ_LEVY and not force_generic and f is None
+            and eta == grid.eta_x):
+        return c_levy_closed_form(gen, q, a, xi, shift=shift)
     f_arr = _payoff_array(gen, f)
-    kf = k2 if isinstance(k2, KillingField) else KillingField.bivariate(k2)
-    states = gen.states
-    single = kf.values2(states[eta:eta + 1], states[eta]).ndim == 1
-
-    def kfn(i, lo):
-        return kf.values2(states[lo:i + 1], states[i]).reshape(i - lo + 1, -1)
-
-    V = backward_window_sweep(gen, a_steps, kfn, f_arr, eta)
+    nodes, single = _nodes(q)
+    if gen.structure == BIRTH_DEATH and not force_generic:
+        _check_nonneg_real(np.append(nodes + shift, shift))
+        coeffs = _spliced_sweep_coeffs(gen, nodes, a_steps, xi, shift, eta)
+        V = _q_psi_sweep(gen, a_steps, f_arr, coeffs)
+    else:
+        kf, states = drawdown_occupation_killing(nodes, xi, shift), gen.states
+        V = backward_window_sweep(
+            gen, a_steps, lambda i, lo: kf(states[lo:i + 1], states[i]), f_arr, eta)
     return _per_node(V[eta], single)
+
+
+def _spliced_sweep_coeffs(gen: Generator, nodes: np.ndarray, a_steps: int, xi: float,
+                          shift: complex, stop: int):
+    """Per-top exit weights of the drawdown windows under C's killing, from
+    the bridges B_L of the killing q + shift (rows z < c, y_i - y_z > xi)
+    and B_H of the killing shift (rows z >= c).  The solution vanishing at
+    the floor l = max(i - a, 0) follows B_L(., l) up to state c, then a B_H
+    solution: X(r) = B_H(r, c-1) B_L(c, l) - B_H(r, c) B_L(c-1, l).  The
+    weights are X(i) / X(i+1) onto the top and B_H(i+1, i) B_L(c, c-1) /
+    X(i+1) onto the floor; c clipped to l + 1 or i + 1 gives one pair's."""
+    idx = np.arange(stop, gen.n - 1)
+    low = psi_pair(gen, nodes + shift)
+    high = psi_pair(gen, np.array([shift]))   # node independent: one column
+    floor = np.maximum(idx - a_steps, 0)
+    tol = _IND_TOL * max(1.0, abs(xi))
+    c = np.clip(np.searchsorted(gen.states, gen.states[idx] - xi - tol), floor + 1, idx + 1)
+    (lm, lL), (lm1, lL1) = low.bridge_many(c, floor), low.bridge_many(c - 1, floor)
+
+    def spliced(r):   # X(r) in (mantissa, log) form
+        (m, L), (m1, L1) = high.bridge_many(r, c - 1), high.bridge_many(r, c)
+        L, L1 = L + lL, L1 + lL1
+        top = np.maximum(L, L1)
+        return m * lm * np.exp(L - top) - m1 * lm1 * np.exp(L1 - top), top
+
+    den = spliced(idx + 1)
+    up = PsiPair.ratio_many(spliced(idx), den)
+    (hm, hL), (cm, cL) = high.bridge_many(idx + 1, idx), low.bridge_many(c, c - 1)
+    down = PsiPair.ratio_many((hm * cm, hL + cL), den)
+    return idx, up, np.where((idx >= a_steps)[:, None], down, 0.0)
 
 
 def _anchored_window(gen: Generator, a_steps: int) -> int:
@@ -572,7 +590,7 @@ def c_levy_closed_form(gen: Generator, q, a: float, xi: float, *,
     eta = grid.eta_x
     lo = _anchored_window(gen, grid.steps_of(a))
     states = gen.states
-    kv = drawdown_occupation_killing(nodes, xi, shift).values2(states[lo:eta + 1], states[eta])
+    kv = drawdown_occupation_killing(nodes, xi, shift)(states[lo:eta + 1], states[eta])
     p_dn, p_up, _ = _levy_window_masses(gen, kv)
     den = 1.0 - p_up
     if np.any(np.abs(den) < 1e-14):
@@ -707,26 +725,28 @@ def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eta = _anchor_index(gen, x)
-    prev = _payoff_array(gen, f)
     nodes, single = _nodes(q)
-    sweep = _event_sweep(gen, nodes, gen.grid.steps_of(a), force_generic)
-    for _ in range(n):
-        prev = sweep(prev)
-    return _per_node(prev[eta], single)
+    terms = _hn_terms(gen, nodes, gen.grid.steps_of(a), _payoff_array(gen, f),
+                      _anchor_index(gen, x), force_generic)
+    return _per_node(next(islice(terms, n - 1, None)), single)
 
 
-def _event_sweep(gen: Generator, nodes: np.ndarray, a_steps: int,
-                 force_generic: bool = False) -> Callable:
-    """One step of the no-recovery event recursion: the (n, k) values over
-    all states from the down-exit payoff of the previous event.  The window
-    exit weights (or factorizations) do not depend on the event count, so
-    they are built once and reused by every step."""
+def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray,
+              eta: int, force_generic: bool = False) -> Iterator[np.ndarray]:
+    """Values of the n-th no-recovery event, n = 1, 2, ..., one (k,) node
+    vector each: every step sweeps the down-exit payoff of the previous
+    event.  The window exit weights (or factorizations) do not depend on
+    the event count, so they are built once and reused by every step."""
     if gen.structure == BIRTH_DEATH and not force_generic:
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
-        return lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
-    kfn, solver = _constant_killing(nodes), _WindowSolver(gen)
-    return lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
+        sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
+    else:
+        kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
+        solver = _WindowSolver(gen)
+        sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
+    while True:
+        f_arr = sweep(f_arr)
+        yield f_arr[eta]
 
 
 def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
@@ -736,21 +756,15 @@ def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
     diagnostic for the event-sum fixed points.  Stops early once every
     node's increment drops below tol (default 50 events, 1e-10).  A node
     vector q gives one column per node."""
-    grid = gen.grid
-    a_steps = grid.steps_of(a)
-    eta = _anchor_index(gen, x)
+    a_steps = gen.grid.steps_of(a)
     nodes, single = _nodes(q)
-    prev = _payoff_array(gen, None)
-    if not recovery:
-        sweep = _event_sweep(gen, nodes, a_steps)
+    if recovery:
+        terms = _jn_terms(gen, nodes, a_steps, _bipayoff(gen, None), *_start_pair(gen, x, y))
+    else:
+        terms = _hn_terms(gen, nodes, a_steps, _payoff_array(gen, None), _anchor_index(gen, x))
     sums = []
     total = np.zeros(nodes.size, dtype=complex)
-    for k in range(1, n_max + 1):
-        if recovery:
-            term = nth_drawdown_with_recovery(gen, q, a, x=x, y=y, n=k)
-        else:
-            prev = sweep(prev)
-            term = prev[eta]
+    for term in islice(terms, n_max):
         total = total + term
         sums.append(total)
         if np.all(np.abs(term) < tol):
@@ -788,7 +802,7 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
                 raise FixedPointSingular(str(exc)) from exc
             out[j] = sol[eta]
         return _per_node(out, single)
-    if gen.structure == TOEPLITZ_LEVY and not force_generic:
+    if gen.structure == TOEPLITZ_LEVY and not force_generic and eta == grid.eta_x:
         return h_levy_closed_form(gen, q, a)
     return _per_node(np.array([_hsum_generic(gen, q, a_steps, eta) for q in nodes]), single)
 
@@ -855,6 +869,15 @@ def _bipayoff(gen: Generator, f2) -> Callable:
     return lambda z_idx, y_idx: arr[np.asarray(z_idx), y_idx]
 
 
+def _start_pair(gen: Generator, x, y):
+    """Grid indices of the position x and the running maximum y (default x)."""
+    eta_x = _anchor_index(gen, x)
+    eta_y = eta_x if y is None else _anchor_index(gen, y)
+    if eta_x > eta_y:
+        raise ValueError("position x must not exceed the running max y")
+    return eta_x, eta_y
+
+
 def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
                                x=None, y=None, n: int = 1, *,
                                force_generic: bool = False):
@@ -863,41 +886,40 @@ def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
     vector q gives one value per node."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    grid = gen.grid
-    a_steps = grid.steps_of(a)
-    eta_x = _anchor_index(gen, x)
-    eta_y = eta_x if y is None else _anchor_index(gen, y)
-    if eta_x > eta_y:
-        raise ValueError("position x must not exceed the running max y")
-    f2_fn = _bipayoff(gen, f2)
     nodes, single = _nodes(q)
+    terms = _jn_terms(gen, nodes, gen.grid.steps_of(a), _bipayoff(gen, f2),
+                      *_start_pair(gen, x, y), force_generic)
+    return _per_node(next(islice(terms, n - 1, None)), single)
+
+
+def _jn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f2_fn: Callable,
+              eta_x: int, eta_y: int, force_generic: bool = False) -> Iterator[np.ndarray]:
+    """Values of the n-th with-recovery event, n = 1, 2, ..., one (k,) node
+    vector each; every count carries the previous one forward."""
     if gen.structure == BIRTH_DEATH and not force_generic:
-        out = _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y, n)
-    else:
-        out = np.array([_jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) for q in nodes])
-    return _per_node(out, single)
+        return _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y)
+    return map(np.array, zip(*[_jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y)
+                               for q in nodes]))
 
 
-def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> np.ndarray:
+def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[np.ndarray]:
     nn = gen.n
     psi = psi_pair(gen, q)
     idx = np.arange(1, nn - 1)
     up, down = _window_weights(psi, idx, a_steps)
+    rec = _recovery_weights(psi, idx, a_steps)
+    hit = 1.0 if eta_x == eta_y else psi.ratio_plus(eta_x, eta_y)
     # first event: the payoff at (floor, max = top), 0 without a floor
     has_floor = idx >= a_steps
     pay = np.where(has_floor, f2_fn(np.where(has_floor, idx - a_steps, 0), idx), 0.0)[:, None]
-    rec = _recovery_weights(psi, idx, a_steps) if n > 1 else None
-    for k in range(1, n + 1):
-        if k > 1:
-            # previous-count value at (floor, max = top): must recover to the top
-            pay = rec * diag[idx]
+    while True:
         diag = _chain_down(nn, idx, up, down * pay)
-    if eta_x == eta_y:
-        return diag[eta_y]
-    return psi.ratio_plus(eta_x, eta_y) * diag[eta_y]
+        yield hit * diag[eta_y]
+        # this count's value at (floor, max = top): must recover to the top
+        pay = rec * diag[idx]
 
 
-def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
+def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[complex]:
     nn = gen.n
     if nn > 600:
         raise TooLarge("generic recovery recursion caps at 600 states")
@@ -906,7 +928,7 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
     J_prev = np.zeros((nn, nn), dtype=complex)   # J_{k-1}[x, y]
     for yy in range(nn):
         J_prev[:yy + 1, yy] = f2_fn(np.arange(yy + 1), yy)
-    for k in range(1, n + 1):
+    while True:
         J_cur = np.zeros((nn, nn), dtype=complex)
         for i in range(nn - 2, -1, -1):
             lo = max(0, i - a_steps + 1)
@@ -924,7 +946,7 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y, n) -> complex:
                 rhs_b = dense[np.ix_(np.arange(0, i), targets)] @ J_cur[targets, targets]
                 J_cur[:i, i] = _killed_solve(dense, q, 0, i - 1, rhs_b)
         J_prev = J_cur
-    return complex(J_prev[eta_x, eta_y])
+        yield complex(J_prev[eta_x, eta_y])
 
 
 def insurance_with_recovery(gen: Generator, q, a: float, x=None,
@@ -933,14 +955,11 @@ def insurance_with_recovery(gen: Generator, q, a: float, x=None,
     node vector q gives one value per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
-    eta_x = _anchor_index(gen, x)
-    eta_y = eta_x if y is None else _anchor_index(gen, y)
-    if eta_x > eta_y:
-        raise ValueError("position x must not exceed the running max y")
+    eta_x, eta_y = _start_pair(gen, x, y)
     nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH and not force_generic:
         out = _jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y)
-    elif gen.structure == TOEPLITZ_LEVY and not force_generic:
+    elif gen.structure == TOEPLITZ_LEVY and not force_generic and eta_y == grid.eta_x:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
     else:
         out = np.array([_jsum_generic(gen, q, a_steps, eta_x, eta_y) for q in nodes])
@@ -1012,8 +1031,7 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     a_steps = grid.steps_of(a)
     eta = grid.eta_x
     nodes, single = _nodes(q)
-    eta_x = _anchor_index(gen, x)
-    eta_y = eta_x if y is None else _anchor_index(gen, y)
+    eta_x, eta_y = _start_pair(gen, x, y)
     nn = gen.n
     if eta - 1 > 3000:
         raise TooLarge("recovery window too large for the dense closed form")
@@ -1045,9 +1063,7 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
 
     ``req.q`` is one node or a vector of nodes; a vector gives an array
     with one value per node.  Each public function picks its route from
-    the generator structure; only C's lattice closed form is picked here,
-    because ``drawdown_occupation`` takes the killing rather than the node,
-    and only without a payoff, which the closed form does not take.
+    the generator structure.
     """
     kind = req.kind
     if kind == "Q":
@@ -1063,12 +1079,8 @@ def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = Fals
         return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x,
                                          force_generic=force_generic)
     if kind == "C":
-        if req.xi is None:
-            raise ValueError("quantity C needs the threshold xi")
-        if gen.structure == TOEPLITZ_LEVY and not force_generic and req.f is None:
-            return c_levy_closed_form(gen, req.q, req.a, req.xi, shift=req.shift)
-        k2 = drawdown_occupation_killing(req.q, req.xi, req.shift)
-        return drawdown_occupation(gen, k2, req.a, f=req.f, x=req.x)
+        return drawdown_occupation(gen, req.q, req.a, req.xi, f=req.f, x=req.x,
+                                   shift=req.shift, force_generic=force_generic)
     if kind == "Hn":
         return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n,
                                         force_generic=force_generic)

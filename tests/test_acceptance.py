@@ -30,7 +30,6 @@ from drawdown_ctmc.quantities import (
     QuantityRequest,
     c_levy_closed_form,
     drawdown_occupation,
-    drawdown_occupation_killing,
     evaluate,
     h_levy_closed_form,
     insurance_no_recovery,
@@ -139,7 +138,7 @@ class TestCriterion3DrawdownOccupationDigital:
         gen = build_levy_generator(vg, 0.5 / 640, -5.0, 5.0)
         q = 18.4 / (2 * 0.1) + 0.0j
         cf = c_levy_closed_form(gen, q, 0.5, 0.2, shift=0.05)
-        rec = drawdown_occupation(gen, drawdown_occupation_killing(q, 0.2, 0.05), 0.5)
+        rec = drawdown_occupation(gen, q, 0.5, 0.2, shift=0.05, force_generic=True)
         gap = abs(cf - rec)
         report("criterion 3c (closed form vs generic path)", gap < 1e-8,
                f"gap {gap:.2e} (tol 1e-8)")
@@ -317,7 +316,7 @@ class TestCriterion10FastPathAgreement:
         gaps = {
             "drawdown occupation": abs(
                 c_levy_closed_form(gen, q, 0.1, 0.04, shift=0.5)
-                - drawdown_occupation(dense, drawdown_occupation_killing(q, 0.04, 0.5), 0.1)),
+                - drawdown_occupation(dense, q, 0.1, 0.04, shift=0.5)),
             "insurance no recovery": abs(
                 h_levy_closed_form(gen, q, 0.1)
                 - insurance_no_recovery(dense, q, 0.1, force_generic=True)),

@@ -15,7 +15,6 @@ from drawdown_ctmc.quantities import (
     c_levy_closed_form,
     drawdown_before_drawup,
     drawdown_occupation,
-    drawdown_occupation_killing,
     evaluate,
     h_levy_closed_form,
     insurance_no_recovery,
@@ -70,6 +69,11 @@ class TestQDrawdown:
     def test_monotone_in_q(self, bs_small):
         vals = [q_drawdown(bs_small, q, 0.2).real for q in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_negative_killing_rejected(self, bs_small):
+        for force_generic in (False, True):
+            with pytest.raises(ValueError, match="nonnegative real part"):
+                q_drawdown(bs_small, -1.0 + 2.0j, 0.2, force_generic=force_generic)
 
 
 class TestDrawdownBeforeDrawup:
@@ -137,22 +141,36 @@ class TestOccupationUntilDrawdown:
 
 class TestDrawdownOccupation:
     def test_max_independent_killing_collapses(self, bs_small):
+        # xi < 0: every state of every window carries the killing q
         q = 1.4
-        k2 = KillingField.bivariate(lambda s, y: np.full(len(s), q))
-        v = drawdown_occupation(bs_small, k2, 0.2)
+        v = drawdown_occupation(bs_small, q, 0.2, -0.05)
         ref = occupation_until_drawdown(bs_small, KillingField.constant(q), 0.2)
         assert abs(v - ref) < 1e-12
 
     def test_bounds(self, bs_small):
-        k2 = drawdown_occupation_killing(2.0, 0.1, 0.3)
-        v = drawdown_occupation(bs_small, k2, 0.2).real
+        v = drawdown_occupation(bs_small, 2.0, 0.2, 0.1, shift=0.3).real
         assert 0.0 <= v <= 1.0
+
+    NODES = np.append(inversion_nodes_weights(0.1)[0], 1.0 + 800.0j)
+
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    @pytest.mark.parametrize("xi", [-0.05, 0.0, 0.0125, 0.1, 0.175, 0.2, 0.25])
+    def test_pair_route_matches_the_sweep(self, model, xi):
+        # h = 0.025 and a = 0.2: the breakpoint sits at the window top for
+        # xi < h, at the floor for xi >= a - h, and inside otherwise; started
+        # two states above the bottom, the lowest windows reach state 0
+        gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+        for x in (None, gen.states[2]):
+            fast = drawdown_occupation(gen, self.NODES, 0.2, xi, x=x, shift=0.05)
+            slow = drawdown_occupation(gen, self.NODES, 0.2, xi, x=x, shift=0.05,
+                                       force_generic=True)
+            assert np.all(np.abs(fast - slow) <= 1e-10 * np.maximum(1.0, np.abs(slow)))
 
     def test_levy_closed_form_vs_recursion(self):
         gen = build_levy_generator(ModelSpec.dejd(), 0.02, -4.0, 4.0)
         q = 6.0 + 0.5j
         cf = c_levy_closed_form(gen, q, 0.1, 0.04, shift=0.5)
-        rec = drawdown_occupation(gen, drawdown_occupation_killing(q, 0.04, 0.5), 0.1)
+        rec = drawdown_occupation(gen, q, 0.1, 0.04, shift=0.5, force_generic=True)
         assert abs(cf - rec) < 1e-8
 
     def test_closed_form_gap_comes_from_the_lattice_top(self):
@@ -171,7 +189,7 @@ class TestDrawdownOccupation:
             gen = build_levy_generator(cfg.model, h, y_min, y_max, x0=cfg.x,
                                        drift_scheme="central")
             cf = c_levy_closed_form(gen, q, cfg.a, cfg.xi, shift=shift)
-            sweep = drawdown_occupation(gen, drawdown_occupation_killing(q, cfg.xi, shift), cfg.a)
+            sweep = drawdown_occupation(gen, q, cfg.a, cfg.xi, shift=shift, force_generic=True)
             return abs(cf - sweep)
 
         shipped = gap(cfg.y_min, cfg.y_max)
@@ -186,6 +204,20 @@ class TestDrawdownOccupation:
         kv = np.full((dejd_lattice.grid.steps_of(0.1), 1), 2.0 + 1.0j)
         _, p_up, _ = _levy_window_masses(dejd_lattice, kv)
         assert abs(p_up[0]) < 1.0
+
+
+@pytest.mark.parametrize("req", [
+    QuantityRequest("C", a=0.1, q=2.0, xi=0.05, x=0.9),
+    QuantityRequest("Hsum", a=0.1, q=2.0, x=0.9),
+    QuantityRequest("Jsum", a=0.1, q=2.0, x=0.9),
+], ids=["C", "Hsum", "Jsum"])
+def test_lattice_closed_forms_only_at_the_anchor(req):
+    # the closed forms hold at the lattice anchor (0 here); started near the
+    # top of the lattice the value must come from the recursions
+    gen = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
+    fast = evaluate(gen, req)
+    slow = evaluate(gen, req, force_generic=True)
+    assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
 
 
 class TestNthDrawdownNoRecovery:
@@ -264,14 +296,15 @@ class TestTranslationInvariance:
         eta = gen.grid.eta_x
         dense = densify(gen)
         base_q = q_drawdown(gen, q, 0.1, x=gen.states[eta])
-        k2 = drawdown_occupation_killing(q, 0.05, 0.4)
-        base_c = drawdown_occupation(gen, k2, 0.1, x=gen.states[eta])
+        base_c = drawdown_occupation(gen, q, 0.1, 0.05, x=gen.states[eta], shift=0.4,
+                                     force_generic=True)
         base_h = insurance_no_recovery(dense, q, 0.1, x=gen.states[eta],
                                        force_generic=True)
         for shift in (-4, 2, 4):
             x = gen.states[eta + shift]
             assert abs(q_drawdown(gen, q, 0.1, x=x) - base_q) < 1e-8
-            assert abs(drawdown_occupation(gen, k2, 0.1, x=x) - base_c) < 1e-8
+            assert abs(drawdown_occupation(gen, q, 0.1, 0.05, x=x, shift=0.4,
+                                           force_generic=True) - base_c) < 1e-8
             assert abs(insurance_no_recovery(dense, q, 0.1, x=x, force_generic=True)
                        - base_h) < 1e-8
 
@@ -392,8 +425,8 @@ class TestNodeAxis:
 
         q = 1.5 + 2.0j
         reqs = (QuantityRequest("Hn", a=0.2, q=q, n=2),
-                QuantityRequest("B", a=0.2, q=q, xi=0.05, shift=0.1))
-        fast = [evaluate(bs_small, req) for req in reqs]
+                QuantityRequest("B", a=0.2, q=q, xi=0.05, shift=0.1),
+                QuantityRequest("C", a=0.2, q=q, xi=0.05, shift=0.1))
         calls = {"sweep": 0, "psi": 0}
         sweep, psi = qmod.backward_window_sweep, qmod.psi_pair
 
@@ -407,6 +440,9 @@ class TestNodeAxis:
 
         monkeypatch.setattr(qmod, "backward_window_sweep", counted_sweep)
         monkeypatch.setattr(qmod, "psi_pair", counted_psi)
+        fast = [evaluate(bs_small, req) for req in reqs]
+        assert calls["sweep"] == 0 and calls["psi"] > 0
+        calls["psi"] = 0
         for req, ref in zip(reqs, fast):
             before = calls["sweep"]
             slow = evaluate(bs_small, req, force_generic=True)
