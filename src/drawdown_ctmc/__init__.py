@@ -18,7 +18,6 @@ from .ctmc import (
 )
 from .linsolve import (
     DegenerateWindow,
-    KillingField,
     NotBirthDeath,
     PassageSolution,
     PsiPair,

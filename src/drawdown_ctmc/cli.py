@@ -3,7 +3,8 @@ convergence/oracle jobs, CSV artifacts.
 
 A run configuration is an INI file with sections [model], [quantity],
 [grid], [laplace], [output] and optionally [mc]; every key can be
-overridden on the command line as --section.key=value.  Subcommands:
+overridden on the command line as --section.key=value, and an unknown
+section or key is a configuration error.  Subcommands:
 
     price            one resolution, one CSV row
     table            refinement study with first-order extrapolation
@@ -106,7 +107,6 @@ class RunConfig:
     benchmark: float | str | None = None   # number, "self", or None
     precision: str = "6"               # significant digits or "full"
     timings: bool = False
-    force_generic: bool = False
     mc: McConfig = field(default_factory=McConfig)
 
     def __post_init__(self):
@@ -120,6 +120,13 @@ class RunConfig:
                 raise ConfigError("quantity A needs the drawup level b")
             if self.b < self.a:
                 raise ConfigError("quantity A needs b >= a")
+        if self.kind == "A" and self.y is not None:
+            if self.y > self.x:
+                raise ConfigError("quantity A needs the running minimum y <= x")
+            if self.y < self.y_min:
+                raise ConfigError("grid bounds must enclose the running minimum y")
+        if self.kind in ("Jn", "Jsum") and self.y is not None and self.y < self.x:
+            raise ConfigError(f"quantity {self.kind} needs the running maximum y >= x")
         if self.kind in ("B", "C") and self.xi is None:
             raise ConfigError(f"quantity {self.kind} needs the occupation threshold xi")
         if self.payoff not in ("one", "zero"):
@@ -138,11 +145,14 @@ class RunConfig:
             raise ConfigError(f"drift_scheme must be one of {ctmc.DRIFT_SCHEMES}")
 
 
-_MODEL_KEYS = {
-    "kind": str, "r_f": float, "d": float, "sigma": float, "beta": float,
-    "lam": float, "lambda": float, "p_plus": float, "p_minus": float,
-    "eta_plus": float, "eta_minus": float, "theta": float, "nu_vg": float,
-    "s0": float,
+_KEYS = {
+    "model": {"kind", "r_f", "d", "sigma", "beta", "lam", "lambda", "p_plus", "p_minus",
+              "eta_plus", "eta_minus", "theta", "nu_vg", "s0"},
+    "quantity": {"kind", "a", "t", "b", "xi", "n", "x", "y", "payoff"},
+    "grid": {"n_x", "y_min", "y_max", "levy_truncation", "drift_scheme"},
+    "laplace": {"decay", "base_terms", "euler_terms"},
+    "output": {"csv", "benchmark", "precision", "timings"},
+    "mc": {"n_paths", "seed", "horizon_cap"},
 }
 
 
@@ -154,8 +164,6 @@ def _parse_model(sec) -> ModelSpec:
     for key, value in sec.items():
         if key == "kind" or key == "s0":
             continue
-        if key not in _MODEL_KEYS:
-            raise ConfigError(f"unknown model key {key!r}")
         name = "lam" if key == "lambda" else key
         kwargs[name] = float(value)
     try:
@@ -183,6 +191,12 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
             parser.add_section(section)
         parser.set(section, name, value)
 
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - _KEYS[section])
+        if unknown:
+            raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
     if not parser.has_section("model"):
         raise ConfigError("missing [model] section")
     if not parser.has_section("quantity"):
@@ -242,7 +256,6 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
             benchmark=benchmark,
             precision=out.get("precision", "6"),
             timings=str(out.get("timings", "false")).lower() == "true",
-            force_generic=str(q.get("force_generic", "false")).lower() == "true",
             mc=mc_cfg,
         )
     except ConfigError:
@@ -361,7 +374,7 @@ def _price_at(cfg: RunConfig, gen, nodes) -> float:
     req, _ = _node_request(cfg, nodes)
     req = _snap_request(gen, req)
     try:
-        vals = evaluate(gen, req, force_generic=cfg.force_generic) / nodes
+        vals = evaluate(gen, req) / nodes
     except NUMERICAL_ERRORS:
         raise
     except Exception as exc:
@@ -488,7 +501,7 @@ def run_oracle(cfg: RunConfig, mc_cfg: McConfig | None = None) -> list:
             # simulation tracks lattice states; snap even where the
             # analytic path would interpolate
             req = replace(req, y=float(gen.grid.states[gen.grid.nearest_index(req.y)]))
-        analytic = evaluate(gen, req, force_generic=cfg.force_generic).real
+        analytic = evaluate(gen, req).real
         est, stderr = mc_estimate(gen, req, mc_cfg)
         z = (est - analytic) / stderr if stderr > 0 else 0.0
         dense = None
@@ -513,8 +526,6 @@ def _add_common(sub):
     sub.add_argument("--aw-euler", type=int, help="inversion Euler terms")
     sub.add_argument("--precision", help="CSV precision (digits or 'full')")
     sub.add_argument("--timings", action="store_true", help="add runtime column to CSV")
-    sub.add_argument("--force-generic", action="store_true",
-                     help="bypass structure fast paths")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -529,8 +540,6 @@ def _config_from_args(args) -> RunConfig:
         overrides.append(f"output.precision={args.precision}")
     if args.timings:
         overrides.append("output.timings=true")
-    if getattr(args, "force_generic", False):
-        overrides.append("quantity.force_generic=true")
     return load_config(args.config, overrides)
 
 

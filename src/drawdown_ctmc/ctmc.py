@@ -186,10 +186,6 @@ class Generator:
 
     # -- shared helpers ------------------------------------------------------
 
-    def col_support(self, j: int):
-        """Half-open row range outside which column j vanishes."""
-        return 0, self.n
-
     def out_rate(self, i: int) -> float:
         return -float(self.diagonal()[i])
 
@@ -248,9 +244,6 @@ class BirthDeathGenerator(Generator):
             out[j + 1] = self.down[j + 1]
         out[j] = self._diag[j] if 0 < j < self.n - 1 else 0.0
         return out
-
-    def col_support(self, j: int):
-        return max(0, j - 1), min(self.n, j + 2)
 
     def diagonal(self) -> np.ndarray:
         d = self._diag.copy()

@@ -26,14 +26,12 @@ of magnitude above the discarded one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .ctmc import BIRTH_DEATH, Generator
 
 __all__ = [
-    "KillingField",
     "PassageSolution",
     "PsiPair",
     "Singular",
@@ -42,6 +40,7 @@ __all__ = [
     "solve_passage",
     "psi_pair",
     "hitting_coeffs_diffusion",
+    "killing_values",
 ]
 
 RESIDUAL_RTOL = 1e-10
@@ -63,43 +62,19 @@ class DegenerateWindow(ValueError):
 # killing fields
 # ---------------------------------------------------------------------------
 
-class KillingField:
-    """Killing rate: a constant q or a state function k(x).
-
-    A constant may be a (k,) node vector, and a state function may return
-    one column per node; ``values`` then has shape (states, k).
-    """
-
-    def __init__(self, const=None, fn=None):
-        self.const = const
-        self.fn = fn
-
-    @classmethod
-    def constant(cls, q) -> "KillingField":
-        return cls(const=np.asarray(q, dtype=complex))
-
-    @classmethod
-    def from_function(cls, fn: Callable) -> "KillingField":
-        """fn maps an array of states to killing rates."""
-        return cls(fn=fn)
-
-    @classmethod
-    def coerce(cls, k) -> "KillingField":
-        if isinstance(k, KillingField):
-            return k
-        if np.isscalar(k):
-            return cls.constant(k)
-        if callable(k):
-            return cls(fn=k)
-        raise TypeError(f"cannot interpret {k!r} as a killing field")
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        if self.const is not None:
-            out = np.full((len(states),) + self.const.shape, self.const)
-        else:
-            out = np.asarray(self.fn(np.asarray(states)), dtype=complex)
-        _check_nonneg_real(out)
-        return out
+def killing_values(k, states: np.ndarray) -> np.ndarray:
+    """Killing rates over the states.  ``k`` is a constant, one node or a
+    (k,) node vector (one column per node), or a function of the states,
+    which may return one column per node."""
+    if callable(k):
+        out = np.asarray(k(np.asarray(states)), dtype=complex)
+    else:
+        const = np.asarray(k, dtype=complex)
+        if const.ndim > 1:
+            raise ValueError("a constant killing is one node or a vector of nodes")
+        out = np.full((len(states),) + const.shape, const)
+    _check_nonneg_real(out)
+    return out
 
 
 def _check_nonneg_real(vals: np.ndarray) -> None:
@@ -155,18 +130,17 @@ class PassageSolution:
 def solve_passage(gen: Generator, window, k, f) -> PassageSolution:
     """Solve the killed exit system on the window (l, r].
 
-    ``k`` may be a scalar, a callable, or a KillingField (univariate);
+    ``k`` is a scalar or a function of the states (``killing_values``);
     ``f`` a callable, an array over states, or None for f = 1.
     """
     rows = window_rows(gen, window)
     if rows.size == 0:
         raise DegenerateWindow(f"window {window} contains no grid states")
-    kf = KillingField.coerce(k)
     f_arr = _payoff_array(gen, f)
     lo, hi = int(rows[0]), int(rows[-1])
     if not np.array_equal(rows, np.arange(lo, hi + 1)):
         raise DegenerateWindow("window rows must be contiguous")
-    kv = kf.values(gen.states[lo:hi + 1])
+    kv = killing_values(k, gen.states[lo:hi + 1])
 
     block = gen.window_block(lo, hi).astype(complex)
     mat = np.diag(kv) - block

@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ctmc import Generator
+from .linsolve import killing_values
 from .quantities import (
     QuantityRequest,
     TooLarge,
@@ -75,7 +76,7 @@ def _payoff_vec(gen: Generator, f) -> np.ndarray:
 def _k_vec(gen: Generator, req: QuantityRequest) -> np.ndarray:
     if req.xi is None:
         return np.full(gen.n, complex(req.q) + complex(req.shift))
-    return occupation_below_killing(req.q, req.xi, req.shift).values(gen.states)
+    return killing_values(occupation_below_killing(req.q, req.xi, req.shift), gen.states)
 
 
 def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:

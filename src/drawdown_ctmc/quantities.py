@@ -37,10 +37,10 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
 * the birth-death fast paths: Q and B (through the pair of the per-state
   killing), C (through the spliced pairs), A, Hn, the Hsum partial sums and
   fixed point (one sparse solve per node), Jn and Jsum;
-* the windowed sweep (Q, B, C, Hn and the Hsum partial sums off
-  birth-death chains, or forced): the running vectors are (n, k); lattice
-  windows cache the last rows of every node's inverse, from one stacked
-  solve per killing pattern;
+* the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
+  and dense generators): the running vectors are (n, k); lattice windows
+  cache the last rows of every node's inverse, from one stacked solve per
+  killing pattern;
 * the lattice closed forms (C, Hsum, Jsum): the window block and its exit
   masses are built once, then one LU per node.
 
@@ -61,14 +61,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.signal import fftconvolve
 
-from .ctmc import BIRTH_DEATH, GENERAL, TOEPLITZ_LEVY, Generator
+from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator
 from .linsolve import (
     DegenerateWindow,
-    KillingField,
     PsiPair,
     Singular,
     _check_nonneg_real,
     _payoff_array,
+    killing_values,
     psi_pair,
 )
 
@@ -175,7 +175,7 @@ _IND_TOL = 1e-9
 # outcome uniform across windows (strict inequality in exact arithmetic).
 
 
-def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> KillingField:
+def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> Callable:
     """k(x) = q 1_{x < xi} + shift, with a roundoff-safe strict inequality;
     a node vector q gives one column per node."""
     qq, sh = np.asarray(q, dtype=complex), complex(shift)
@@ -185,7 +185,7 @@ def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> KillingField
         below = np.asarray(states) < xi - tol
         return np.where(below[:, None] if qq.ndim else below, qq, 0.0) + sh
 
-    return KillingField.from_function(fn)
+    return fn
 
 
 def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> Callable:
@@ -243,18 +243,10 @@ def _D_init(gen: Generator, f_arr: np.ndarray, cut: int) -> np.ndarray:
         return np.zeros(f_arr.shape, dtype=complex)
     if gen.structure == TOEPLITZ_LEVY:
         return _toeplitz_D_init(gen, f_arr, cut)
-    if gen.structure == GENERAL:
-        D = gen.rates[:, :cut + 1].astype(complex) @ f_arr[:cut + 1]
-        z = np.arange(cut + 1)
-        D[z] -= np.diag(gen.rates)[z, None] * f_arr[z]
-        D[0] = D[n - 1] = 0.0
-        return D
-    D = np.zeros(f_arr.shape, dtype=complex)
-    for z in range(0, cut + 1):
-        c0, c1 = gen.col_support(z)
-        col = gen.column(z)
-        col[z] = 0.0
-        D[c0:c1] += col[c0:c1, None] * f_arr[z]
+    rates = gen.to_dense(max_states=n)
+    D = rates[:, :cut + 1].astype(complex) @ f_arr[:cut + 1]
+    z = np.arange(cut + 1)
+    D[z] -= np.diag(rates)[z, None] * f_arr[z]
     D[0] = D[n - 1] = 0.0
     return D
 
@@ -305,8 +297,7 @@ def _last_rows(blk: np.ndarray, kv: np.ndarray) -> np.ndarray:
 
 class _WindowSolver:
     """Last-row window solves for a batch of nodes: cached by the window's
-    killing pattern on lattices, one dense solve per window otherwise
-    (birth-death chains reach it only when the generic route is forced)."""
+    killing pattern on lattices, one dense solve per window otherwise."""
 
     def __init__(self, gen: Generator):
         self.gen = gen
@@ -331,7 +322,8 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
                           f_arr: np.ndarray, stop: int, *,
                           solver: "_WindowSolver" = None) -> np.ndarray:
     """Backward recursion over window tops for k nodes at once; returns the
-    (n, k) values, one column per node.
+    (n, k) values, one column per node.  It serves lattices and dense
+    generators; birth-death chains take the fundamental-solution pairs.
 
     killing_fn(i, lo) must return the (m, k) complex killing rates on the
     window rows [lo..i].  f_arr is the payoff collected at down-exit over
@@ -359,18 +351,12 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
         if i < top:
             kv = killing_fn(i, lo)
         V[i] = v = solver.last_row_solve(lo, i, kv, D[lo:i + 1] + S[lo:i + 1])
-        if v.any():
-            c0, c1 = gen.col_support(i)
-            c0, c1 = max(c0, floor), min(c1, i)
-            if c1 > c0:
-                col = gen.column(i)
-                S[c0:c1] += col[c0:c1, None] * v
+        if v.any() and i > floor:
+            S[floor:i] += gen.column(i)[floor:i, None] * v
         if cut >= 0 and f[cut].any():
-            c0, c1 = gen.col_support(cut)
-            c0 = max(c0, floor)
             col = gen.column(cut)
             col[cut] = 0.0   # diagonal column terms are kept out of D
-            D[c0:c1] -= col[c0:c1, None] * f[cut]
+            D[floor:] -= col[floor:, None] * f[cut]
         cut -= 1
     return V
 
@@ -464,35 +450,32 @@ def _per_node(values: np.ndarray, single: bool):
     return complex(values[0]) if single else values
 
 
-def q_drawdown(gen: Generator, q, a: float, f=None, x=None, *,
-               force_generic: bool = False):
+def q_drawdown(gen: Generator, q, a: float, f=None, x=None):
     """E[e^{-q tau_a} f(Y_{tau_a})] from a fresh running maximum: B with the
     constant killing q.  A node vector q gives one value per node."""
-    return occupation_until_drawdown(gen, KillingField.constant(q), a, f=f, x=x,
-                                     force_generic=force_generic)
+    return occupation_until_drawdown(gen, q, a, f=f, x=x)
 
 
 # ---------------------------------------------------------------------------
 # B: generalized occupation until the drawdown time
 # ---------------------------------------------------------------------------
 
-def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
-                              force_generic: bool = False):
+def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None):
     """E[e^{-int_0^{tau_a} k(Y_s) ds} f(Y_{tau_a})].
 
+    ``k`` is a constant or a function of the states (``killing_values``).
     On a birth-death chain every window's exit weights come from one
-    fundamental-solution pair of the per-state killing; a killing field
-    with one column per node (built from a node vector) gives one value
-    per node.
+    fundamental-solution pair of the per-state killing; a killing with one
+    column per node (a node vector) gives one value per node.
     """
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
     f_arr = _payoff_array(gen, f)
-    kill = KillingField.coerce(k).values(gen.states)
+    kill = killing_values(k, gen.states)
     single = kill.ndim == 1
     kill = kill.reshape(gen.n, -1)
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, kill, a_steps, eta))
     else:
         V = backward_window_sweep(gen, a_steps, lambda i, lo: kill[lo:i + 1], f_arr, eta)
@@ -504,7 +487,7 @@ def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None, *,
 # ---------------------------------------------------------------------------
 
 def drawdown_occupation(gen: Generator, q, a: float, xi: float, f=None, x=None, *,
-                        shift: complex = 0.0, force_generic: bool = False):
+                        shift: complex = 0.0):
     """E[e^{-int_0^{tau_a} k(Y_s, max_s) ds} f(Y_{tau_a})] for the killing
     k(x, max) = q 1_{max - x > xi} + shift; a node vector q gives one value
     per node.
@@ -514,17 +497,17 @@ def drawdown_occupation(gen: Generator, q, a: float, xi: float, f=None, x=None, 
     Birth-death chains splice two fundamental-solution pairs there
     (``_spliced_sweep_coeffs``) and run down the tops as Q does; lattices
     take ``c_levy_closed_form`` without a payoff, started at the anchor;
-    everything else, and ``force_generic``, takes the windowed sweep.
+    a lattice given a payoff or another start, and a dense generator, take
+    the windowed sweep.
     """
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    if (gen.structure == TOEPLITZ_LEVY and not force_generic and f is None
-            and eta == grid.eta_x):
+    if gen.structure == TOEPLITZ_LEVY and f is None and eta == grid.eta_x:
         return c_levy_closed_form(gen, q, a, xi, shift=shift)
     f_arr = _payoff_array(gen, f)
     nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         _check_nonneg_real(np.append(nodes + shift, shift))
         coeffs = _spliced_sweep_coeffs(gen, nodes, a_steps, xi, shift, eta)
         V = _q_psi_sweep(gen, a_steps, f_arr, coeffs)
@@ -603,8 +586,7 @@ def c_levy_closed_form(gen: Generator, q, a: float, xi: float, *,
 # ---------------------------------------------------------------------------
 
 def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
-                           f=None, x=None, y=None, *,
-                           force_generic: bool = False):
+                           f=None, x=None, y=None):
     """E[e^{-q tau_a} 1_{tau_a < tauhat_b} f(Y_{tau_a})] from position x
     (= running max) and running min y.  Requires b >= a.  A node vector q
     gives one value per node.
@@ -626,10 +608,13 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
         y_pos = (float(y) - grid.x0) / grid.h + grid.eta_x
     if y_pos > eta + 1e-9:
         raise ValueError("running minimum cannot exceed the position")
+    if y_pos < -1e-9:
+        # the minimum is the bottom end of the drawup window
+        raise DegenerateWindow("running minimum lies below the lowest grid state")
     l0 = min(int(np.floor(y_pos + 1e-9)), eta)
     wgt = y_pos - l0
     nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         row = _a_diffusion(gen, nodes, a_steps, b_steps, f_arr, eta)
     else:
         row = np.stack([_a_generic(gen, q, a_steps, b_steps, f_arr, eta) for q in nodes], axis=1)
@@ -719,7 +704,7 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
 # ---------------------------------------------------------------------------
 
 def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
-                             x=None, n: int = 1, *, force_generic: bool = False):
+                             x=None, n: int = 1):
     """E[e^{-q tautilde_{a,n}} f(Y_{tautilde_{a,n}})]; the reference maximum
     restarts at every event.  A node vector q gives one value per node.
     """
@@ -727,17 +712,17 @@ def nth_drawdown_no_recovery(gen: Generator, q, a: float, f=None,
         raise ValueError("n must be >= 1")
     nodes, single = _nodes(q)
     terms = _hn_terms(gen, nodes, gen.grid.steps_of(a), _payoff_array(gen, f),
-                      _anchor_index(gen, x), force_generic)
+                      _anchor_index(gen, x))
     return _per_node(next(islice(terms, n - 1, None)), single)
 
 
 def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray,
-              eta: int, force_generic: bool = False) -> Iterator[np.ndarray]:
+              eta: int) -> Iterator[np.ndarray]:
     """Values of the n-th no-recovery event, n = 1, 2, ..., one (k,) node
     vector each: every step sweeps the down-exit payoff of the previous
     event.  The window exit weights (or factorizations) do not depend on
     the event count, so they are built once and reused by every step."""
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
         sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     else:
@@ -773,8 +758,7 @@ def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
     return sums[:, 0] if single else sums
 
 
-def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
-                          force_generic: bool = False):
+def insurance_no_recovery(gen: Generator, q, a: float, x=None):
     """Sum over all no-recovery drawdown events of e^{-q tautilde_{a,k}}:
     fixed point H = P (1 + H_below) + P H_above.  A node vector q gives
     one value per node."""
@@ -783,7 +767,7 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
     eta = _anchor_index(gen, x)
     n = gen.n
     nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         idx = np.arange(1, n - 1)
         up, down = _window_weights(psi_pair(gen, nodes), idx, a_steps)
         floor = idx - a_steps
@@ -802,7 +786,7 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None, *,
                 raise FixedPointSingular(str(exc)) from exc
             out[j] = sol[eta]
         return _per_node(out, single)
-    if gen.structure == TOEPLITZ_LEVY and not force_generic and eta == grid.eta_x:
+    if gen.structure == TOEPLITZ_LEVY and eta == grid.eta_x:
         return h_levy_closed_form(gen, q, a)
     return _per_node(np.array([_hsum_generic(gen, q, a_steps, eta) for q in nodes]), single)
 
@@ -879,8 +863,7 @@ def _start_pair(gen: Generator, x, y):
 
 
 def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
-                               x=None, y=None, n: int = 1, *,
-                               force_generic: bool = False):
+                               x=None, y=None, n: int = 1):
     """E[e^{-q tau_{a,n}} f2(Y, max)] where each new event requires the
     running maximum to recover to its level at the previous event.  A node
     vector q gives one value per node."""
@@ -888,15 +871,15 @@ def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
         raise ValueError("n must be >= 1")
     nodes, single = _nodes(q)
     terms = _jn_terms(gen, nodes, gen.grid.steps_of(a), _bipayoff(gen, f2),
-                      *_start_pair(gen, x, y), force_generic)
+                      *_start_pair(gen, x, y))
     return _per_node(next(islice(terms, n - 1, None)), single)
 
 
 def _jn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f2_fn: Callable,
-              eta_x: int, eta_y: int, force_generic: bool = False) -> Iterator[np.ndarray]:
+              eta_x: int, eta_y: int) -> Iterator[np.ndarray]:
     """Values of the n-th with-recovery event, n = 1, 2, ..., one (k,) node
     vector each; every count carries the previous one forward."""
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         return _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y)
     return map(np.array, zip(*[_jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y)
                                for q in nodes]))
@@ -949,17 +932,16 @@ def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[complex]:
         yield complex(J_prev[eta_x, eta_y])
 
 
-def insurance_with_recovery(gen: Generator, q, a: float, x=None,
-                            y=None, *, force_generic: bool = False):
+def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
     """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}.  A
     node vector q gives one value per node."""
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta_x, eta_y = _start_pair(gen, x, y)
     nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH and not force_generic:
+    if gen.structure == BIRTH_DEATH:
         out = _jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y)
-    elif gen.structure == TOEPLITZ_LEVY and not force_generic and eta_y == grid.eta_x:
+    elif gen.structure == TOEPLITZ_LEVY and eta_y == grid.eta_x:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
     else:
         out = np.array([_jsum_generic(gen, q, a_steps, eta_x, eta_y) for q in nodes])
@@ -1058,39 +1040,32 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
 # request dispatch
 # ---------------------------------------------------------------------------
 
-def evaluate(gen: Generator, req: QuantityRequest, *, force_generic: bool = False):
+def evaluate(gen: Generator, req: QuantityRequest):
     """Evaluate one QuantityRequest on a generator (Laplace-domain value).
 
     ``req.q`` is one node or a vector of nodes; a vector gives an array
     with one value per node.  Each public function picks its route from
-    the generator structure.
+    the generator structure and the start point.
     """
     kind = req.kind
     if kind == "Q":
-        return q_drawdown(gen, req.q, req.a, f=req.f, x=req.x, force_generic=force_generic)
+        return q_drawdown(gen, req.q, req.a, f=req.f, x=req.x)
     if kind == "A":
-        return drawdown_before_drawup(gen, req.q, req.a, req.b, f=req.f,
-                                      x=req.x, y=req.y, force_generic=force_generic)
+        return drawdown_before_drawup(gen, req.q, req.a, req.b, f=req.f, x=req.x, y=req.y)
     if kind == "B":
         if req.xi is not None:
             k = occupation_below_killing(req.q, req.xi, req.shift)
         else:
-            k = KillingField.constant(np.asarray(req.q) + complex(req.shift))
-        return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x,
-                                         force_generic=force_generic)
+            k = np.asarray(req.q) + complex(req.shift)
+        return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x)
     if kind == "C":
-        return drawdown_occupation(gen, req.q, req.a, req.xi, f=req.f, x=req.x,
-                                   shift=req.shift, force_generic=force_generic)
+        return drawdown_occupation(gen, req.q, req.a, req.xi, f=req.f, x=req.x, shift=req.shift)
     if kind == "Hn":
-        return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n,
-                                        force_generic=force_generic)
+        return nth_drawdown_no_recovery(gen, req.q, req.a, f=req.f, x=req.x, n=req.n)
     if kind == "Hsum":
-        return insurance_no_recovery(gen, req.q, req.a, x=req.x, force_generic=force_generic)
+        return insurance_no_recovery(gen, req.q, req.a, x=req.x)
     if kind == "Jn":
-        return nth_drawdown_with_recovery(gen, req.q, req.a, f2=req.f2,
-                                          x=req.x, y=req.y, n=req.n,
-                                          force_generic=force_generic)
+        return nth_drawdown_with_recovery(gen, req.q, req.a, f2=req.f2, x=req.x, y=req.y, n=req.n)
     if kind == "Jsum":
-        return insurance_with_recovery(gen, req.q, req.a, x=req.x, y=req.y,
-                                       force_generic=force_generic)
+        return insurance_with_recovery(gen, req.q, req.a, x=req.x, y=req.y)
     raise ValueError(f"unhandled kind {kind}")

@@ -37,6 +37,7 @@ from drawdown_ctmc.quantities import (
     j_levy_closed_form,
     q_drawdown,
 )
+from helpers import dense_copy
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -133,12 +134,13 @@ class TestCriterion3DrawdownOccupationDigital:
         diff = abs(extra - 0.63236)
         report("criterion 3b (drawdown-occupation digital VG, lattice form)",
                diff < 1e-3, f"{extra:.5f} vs 0.63236, diff {diff:.2e} (tol 1e-3)")
-        # closed form against the generic sweep on the same lattice
+        # closed form against the generic sweep on the same lattice, which
+        # a payoff (of ones) selects
         vg = ModelSpec.vg(r_f=0.05)
         gen = build_levy_generator(vg, 0.5 / 640, -5.0, 5.0)
         q = 18.4 / (2 * 0.1) + 0.0j
         cf = c_levy_closed_form(gen, q, 0.5, 0.2, shift=0.05)
-        rec = drawdown_occupation(gen, q, 0.5, 0.2, shift=0.05, force_generic=True)
+        rec = drawdown_occupation(gen, q, 0.5, 0.2, f=np.ones(gen.n), shift=0.05)
         gap = abs(cf - rec)
         report("criterion 3c (closed form vs generic path)", gap < 1e-8,
                f"gap {gap:.2e} (tol 1e-8)")
@@ -298,20 +300,18 @@ class TestCriterion10FastPathAgreement:
     def test_birth_death_vs_generic(self):
         g = build_grid(0.0, 0.2, 10, -1.2, 0.8)
         gen = build_generator(ModelSpec.bs(r_f=0.05), g)
-        dense = DenseGenerator.from_dense(gen.states, gen.to_dense(), x0_index=g.eta_x)
+        dense = dense_copy(gen)
         worst = 0.0
         for q in (1.0, 2.5 + 4.0j):
-            worst = max(worst, abs(q_drawdown(gen, q, 0.2)
-                                   - q_drawdown(dense, q, 0.2, force_generic=True)))
+            worst = max(worst, abs(q_drawdown(gen, q, 0.2) - q_drawdown(dense, q, 0.2)))
             worst = max(worst, abs(insurance_with_recovery(gen, q, 0.2)
-                                   - insurance_with_recovery(dense, q, 0.2, force_generic=True)))
+                                   - insurance_with_recovery(dense, q, 0.2)))
         report("criterion 10a (fundamental-solution path vs dense path)",
                worst < 1e-9, f"worst |diff| {worst:.2e} (tol 1e-9)")
 
     def test_lattice_closed_forms_vs_generic(self):
         gen = build_levy_generator(ModelSpec.dejd(), 0.02, -3.5, 3.5)
-        dense = DenseGenerator.from_dense(gen.states, gen.to_dense(),
-                                          x0_index=gen.grid.eta_x)
+        dense = dense_copy(gen)
         q = 6.0 + 0.5j
         gaps = {
             "drawdown occupation": abs(
@@ -319,10 +319,10 @@ class TestCriterion10FastPathAgreement:
                 - drawdown_occupation(dense, q, 0.1, 0.04, shift=0.5)),
             "insurance no recovery": abs(
                 h_levy_closed_form(gen, q, 0.1)
-                - insurance_no_recovery(dense, q, 0.1, force_generic=True)),
+                - insurance_no_recovery(dense, q, 0.1)),
             "insurance with recovery": abs(
                 j_levy_closed_form(gen, q, 0.1)
-                - insurance_with_recovery(dense, q, 0.1, force_generic=True)),
+                - insurance_with_recovery(dense, q, 0.1)),
         }
         worst = max(gaps.values())
         report("criterion 10b (lattice closed forms vs generic recursions)",
@@ -348,10 +348,9 @@ class TestRelativeRuntime:
         for _ in range(3):
             h_levy_closed_form(gen, q, 0.2)
         fast = (time.perf_counter() - t0) / 3
-        dense = DenseGenerator.from_dense(gen.states, gen.to_dense(max_states=2000),
-                                          x0_index=gen.grid.eta_x)
+        dense = dense_copy(gen)
         t0 = time.perf_counter()
-        insurance_no_recovery(dense, q, 0.2, force_generic=True)
+        insurance_no_recovery(dense, q, 0.2)
         slow = time.perf_counter() - t0
         ratio = slow / max(fast, 1e-9)
         report("relative runtime (lattice path vs generic, matched config)",

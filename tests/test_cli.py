@@ -52,6 +52,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             smoke_config(**{"quantity.kind": "A"})
 
+    @pytest.mark.parametrize("override", [
+        "grid.nx=40", "laplace.decays=5", "quantity.bogus=1", "output.timing=true",
+        "mc.paths=10", "model.sigmaa=0.3", "grd.n_x=40",
+    ])
+    def test_unknown_keys_rejected(self, override):
+        with pytest.raises(ConfigError, match="unknown"):
+            smoke_config(**dict([override.split("=")]))
+
+    @pytest.mark.parametrize("kind, y", [("A", 0.05), ("Jn", -0.05), ("Jsum", -0.05)])
+    def test_start_value_on_the_wrong_side_of_x_rejected(self, kind, y):
+        # A's running minimum lies at or below x; J's running maximum at or above
+        with pytest.raises(ConfigError, match="running"):
+            smoke_config(**{"quantity.kind": kind, "quantity.b": "0.3", "quantity.y": str(y)})
+        smoke_config(**{"quantity.kind": kind, "quantity.b": "0.3", "quantity.y": str(-y)})
+
     @pytest.mark.parametrize("kind", ["Hsum", "Jsum"])
     def test_event_sums_reject_a_payoff(self, kind):
         # the event sums take no payoff, so payoff=zero would be ignored
@@ -140,6 +155,25 @@ class TestMain:
                      "grid.n_x=20", "quantity.payoff=zero"])
         assert code == 2
         assert "takes no payoff" in capsys.readouterr().err
+
+    def test_stale_route_key_exit_two(self, capsys):
+        # routes follow the generator alone; the removed key must not be
+        # accepted and silently ignored
+        code = main(["price", "-c", os.path.join(CONFIG_DIR, "insurance_with_recovery_bs.ini"),
+                     "grid.n_x=20", "quantity.force_generic=true"])
+        assert code == 2
+        assert "unknown quantity key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, y", [
+        ("insurance_with_recovery_bs.ini", "-0.5"),   # maximum below x
+        ("drawdown_before_drawup_bs.ini", "0.1"),     # minimum above x
+        ("drawdown_before_drawup_bs.ini", "-4.5"),    # minimum below the grid
+    ])
+    def test_start_values_exit_two(self, capsys, config, y):
+        code = main(["price", "-c", os.path.join(CONFIG_DIR, config),
+                     "grid.n_x=20", f"quantity.y={y}"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_convergence_writes_csv_and_stdout(self, capsys, tmp_path):
         out = os.path.join(tmp_path, "c.csv")

@@ -170,14 +170,6 @@ class TestLevyGenerator:
         with pytest.raises(ValueError):
             gen.window_exit_masses(0, 5)
 
-    def test_col_support_covers_nonzeros(self):
-        gen = build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.6)
-        for j in range(gen.n):
-            c0, c1 = gen.col_support(j)
-            col = gen.column(j)
-            outside = np.concatenate([col[:c0], col[c1:]])
-            assert np.all(outside == 0.0)
-
 
 class TestSchemeChoice:
     def test_diffusions_keep_central(self):

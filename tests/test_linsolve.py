@@ -4,7 +4,6 @@ import pytest
 from drawdown_ctmc.ctmc import BirthDeathGenerator, DenseGenerator, Grid, build_generator, build_grid
 from drawdown_ctmc.linsolve import (
     DegenerateWindow,
-    KillingField,
     NotBirthDeath,
     Singular,
     hitting_coeffs_diffusion,
@@ -92,8 +91,7 @@ class TestSolvePassage:
             rng = np.random.default_rng(seed + 100)
             f = rng.random(12)
             k = rng.uniform(0.0, 3.0, 12)
-            kf = KillingField.from_function(
-                lambda s, k=k, grid=gen.states: np.interp(s, grid, k))
+            kf = lambda s, k=k, grid=gen.states: np.interp(s, grid, k)
             vals = solve_passage(gen, w, kf, f).values
             assert np.all(vals.real >= -1e-12) and np.all(vals.real <= 1.0 + 1e-12)
 
@@ -276,8 +274,7 @@ class TestPsiPairNodeAxis:
         bottoms = tops - 20
         up, down = psi.exit_weights(tops, bottoms, tops + 1)
         for j, q in enumerate(self.NODES):
-            kf = KillingField.from_function(
-                lambda s, q=q: np.where(s < xi, q, 0.0) + shift)
+            kf = lambda s, q=q: np.where(s < xi, q, 0.0) + shift
             for pos, (bot, top) in enumerate(zip(bottoms, tops)):
                 window = (gen.states[bot], gen.states[top])
                 e_top = np.zeros(gen.n)

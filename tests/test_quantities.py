@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drawdown_ctmc.ctmc import DenseGenerator, build_generator, build_grid, build_levy_generator
+from drawdown_ctmc.ctmc import build_generator, build_grid, build_levy_generator
 from drawdown_ctmc.laplace import inversion_nodes_weights
-from drawdown_ctmc.linsolve import KillingField
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import dense_product_solve
 from drawdown_ctmc.quantities import (
@@ -26,6 +25,7 @@ from drawdown_ctmc.quantities import (
     occupation_until_drawdown,
     q_drawdown,
 )
+from helpers import dense_copy
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,6 @@ def bs_small():
 @pytest.fixture(scope="module")
 def dejd_lattice():
     return build_levy_generator(ModelSpec.dejd(), 0.02, -1.0, 1.0)
-
-
-def densify(gen):
-    return DenseGenerator.from_dense(gen.states, gen.to_dense(max_states=4000),
-                                     x0_index=gen.grid.eta_x)
 
 
 class TestQDrawdown:
@@ -63,7 +58,7 @@ class TestQDrawdown:
     def test_psi_path_equals_generic_complex_argument(self, bs_small):
         for q in (1.0, 2.0 + 3.0j, 20.0 + 60.0j):
             fast = q_drawdown(bs_small, q, 0.2)
-            slow = q_drawdown(bs_small, q, 0.2, force_generic=True)
+            slow = q_drawdown(dense_copy(bs_small), q, 0.2)
             assert abs(fast - slow) < 1e-9
 
     def test_monotone_in_q(self, bs_small):
@@ -71,9 +66,9 @@ class TestQDrawdown:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_negative_killing_rejected(self, bs_small):
-        for force_generic in (False, True):
+        for gen in (bs_small, dense_copy(bs_small)):
             with pytest.raises(ValueError, match="nonnegative real part"):
-                q_drawdown(bs_small, -1.0 + 2.0j, 0.2, force_generic=force_generic)
+                q_drawdown(gen, -1.0 + 2.0j, 0.2)
 
 
 class TestDrawdownBeforeDrawup:
@@ -97,8 +92,7 @@ class TestDrawdownBeforeDrawup:
     def test_diffusion_matches_generic(self, bs_small):
         for (x, y) in ((0.0, 0.0), (0.0, -0.1)):
             fast = drawdown_before_drawup(bs_small, 1.2 + 0.7j, 0.2, 0.3, x=x, y=y)
-            slow = drawdown_before_drawup(bs_small, 1.2 + 0.7j, 0.2, 0.3, x=x, y=y,
-                                          force_generic=True)
+            slow = drawdown_before_drawup(dense_copy(bs_small), 1.2 + 0.7j, 0.2, 0.3, x=x, y=y)
             assert abs(fast - slow) < 1e-10
 
     def test_y_interpolation_is_linear(self, bs_small):
@@ -111,6 +105,13 @@ class TestDrawdownBeforeDrawup:
     def test_started_past_drawup_level_is_zero(self, bs_small):
         assert drawdown_before_drawup(bs_small, 1.0, 0.2, 0.3, y=-0.4) == 0.0
 
+    @pytest.mark.parametrize("y", [-0.85, -1.0, -1.3])
+    def test_minimum_below_the_grid_rejected(self, bs_small, y):
+        # the lowest state is -0.8: the row of a negative minimum index
+        # would read 0 or the value of an unrelated minimum
+        with pytest.raises(ValueError, match="below the lowest grid state"):
+            drawdown_before_drawup(bs_small, 1.0, 0.2, 0.3, y=y)
+
     def test_single_step_levels(self):
         # a one step wide: windows have a single state and no interior minima
         g = build_grid(0.0, 0.05, 2, -0.5, 0.4)
@@ -118,7 +119,7 @@ class TestDrawdownBeforeDrawup:
         h = g.h
         for b_steps in (1, 3):
             req = QuantityRequest("A", a=h, b=b_steps * h, q=1.3, y=-h)
-            val = evaluate(gen, req, force_generic=True)
+            val = evaluate(gen, req)   # a dense generator: the generic route
             ref = dense_product_solve(gen, req)
             assert abs(val - ref) < 1e-12
 
@@ -126,11 +127,11 @@ class TestDrawdownBeforeDrawup:
 class TestOccupationUntilDrawdown:
     def test_constant_killing_collapses_to_q(self, bs_small):
         q = 1.7 + 0.3j
-        v = occupation_until_drawdown(bs_small, KillingField.constant(q), 0.2)
+        v = occupation_until_drawdown(bs_small, q, 0.2)
         assert abs(v - q_drawdown(bs_small, q, 0.2)) < 1e-12
 
     def test_zero_killing_is_probability(self, bs_small):
-        v = occupation_until_drawdown(bs_small, KillingField.constant(1e-12), 0.2).real
+        v = occupation_until_drawdown(bs_small, 1e-12, 0.2).real
         assert 0.0 <= v <= 1.0
 
     def test_threshold_killing_bounds(self, bs_small):
@@ -144,7 +145,7 @@ class TestDrawdownOccupation:
         # xi < 0: every state of every window carries the killing q
         q = 1.4
         v = drawdown_occupation(bs_small, q, 0.2, -0.05)
-        ref = occupation_until_drawdown(bs_small, KillingField.constant(q), 0.2)
+        ref = occupation_until_drawdown(bs_small, q, 0.2)
         assert abs(v - ref) < 1e-12
 
     def test_bounds(self, bs_small):
@@ -160,17 +161,17 @@ class TestDrawdownOccupation:
         # xi < h, at the floor for xi >= a - h, and inside otherwise; started
         # two states above the bottom, the lowest windows reach state 0
         gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+        dense = dense_copy(gen)
         for x in (None, gen.states[2]):
             fast = drawdown_occupation(gen, self.NODES, 0.2, xi, x=x, shift=0.05)
-            slow = drawdown_occupation(gen, self.NODES, 0.2, xi, x=x, shift=0.05,
-                                       force_generic=True)
+            slow = drawdown_occupation(dense, self.NODES, 0.2, xi, x=x, shift=0.05)
             assert np.all(np.abs(fast - slow) <= 1e-10 * np.maximum(1.0, np.abs(slow)))
 
     def test_levy_closed_form_vs_recursion(self):
         gen = build_levy_generator(ModelSpec.dejd(), 0.02, -4.0, 4.0)
         q = 6.0 + 0.5j
         cf = c_levy_closed_form(gen, q, 0.1, 0.04, shift=0.5)
-        rec = drawdown_occupation(gen, q, 0.1, 0.04, shift=0.5, force_generic=True)
+        rec = drawdown_occupation(gen, q, 0.1, 0.04, f=np.ones(gen.n), shift=0.5)   # the sweep
         assert abs(cf - rec) < 1e-8
 
     def test_closed_form_gap_comes_from_the_lattice_top(self):
@@ -189,7 +190,7 @@ class TestDrawdownOccupation:
             gen = build_levy_generator(cfg.model, h, y_min, y_max, x0=cfg.x,
                                        drift_scheme="central")
             cf = c_levy_closed_form(gen, q, cfg.a, cfg.xi, shift=shift)
-            sweep = drawdown_occupation(gen, q, cfg.a, cfg.xi, shift=shift, force_generic=True)
+            sweep = drawdown_occupation(gen, q, cfg.a, cfg.xi, f=np.ones(gen.n), shift=shift)
             return abs(cf - sweep)
 
         shipped = gap(cfg.y_min, cfg.y_max)
@@ -216,7 +217,7 @@ def test_lattice_closed_forms_only_at_the_anchor(req):
     # top of the lattice the value must come from the recursions
     gen = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
     fast = evaluate(gen, req)
-    slow = evaluate(gen, req, force_generic=True)
+    slow = evaluate(dense_copy(gen), req)
     assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
 
 
@@ -242,13 +243,13 @@ class TestNthDrawdownNoRecovery:
         gen = build_levy_generator(ModelSpec.dejd(), 0.02, -3.5, 3.5)
         q = 6.0 + 0.5j
         cf = h_levy_closed_form(gen, q, 0.1)
-        ref = insurance_no_recovery(densify(gen), q, 0.1, force_generic=True)
+        ref = insurance_no_recovery(dense_copy(gen), q, 0.1)
         assert abs(cf - ref) < 1e-8
 
     def test_bd_fixed_point_vs_generic(self, bs_small):
         q = 1.5 + 0.5j
         fast = insurance_no_recovery(bs_small, q, 0.2)
-        slow = insurance_no_recovery(densify(bs_small), q, 0.2, force_generic=True)
+        slow = insurance_no_recovery(dense_copy(bs_small), q, 0.2)
         assert abs(fast - slow) < 1e-9
 
 
@@ -276,15 +277,14 @@ class TestNthDrawdownWithRecovery:
         q = 1.5 + 0.5j
         for (x, y) in ((0.0, 0.0), (-0.1, 0.05)):
             fast = insurance_with_recovery(bs_small, q, 0.2, x=x, y=y)
-            slow = insurance_with_recovery(densify(bs_small), q, 0.2, x=x, y=y,
-                                           force_generic=True)
+            slow = insurance_with_recovery(dense_copy(bs_small), q, 0.2, x=x, y=y)
             assert abs(fast - slow) < 1e-9
 
     def test_levy_fixed_point_vs_generic(self):
         gen = build_levy_generator(ModelSpec.dejd(), 0.02, -3.5, 3.5)
         q = 6.0 + 0.5j
         cf = j_levy_closed_form(gen, q, 0.1)
-        ref = insurance_with_recovery(densify(gen), q, 0.1, force_generic=True)
+        ref = insurance_with_recovery(dense_copy(gen), q, 0.1)
         assert abs(cf - ref) < 1e-8
 
 
@@ -294,40 +294,35 @@ class TestTranslationInvariance:
         gen = build_levy_generator(ModelSpec.dejd(), 0.025, -4.0, 4.0)
         q = 6.0
         eta = gen.grid.eta_x
-        dense = densify(gen)
+        dense, ones = dense_copy(gen), np.ones(gen.n)
         base_q = q_drawdown(gen, q, 0.1, x=gen.states[eta])
-        base_c = drawdown_occupation(gen, q, 0.1, 0.05, x=gen.states[eta], shift=0.4,
-                                     force_generic=True)
-        base_h = insurance_no_recovery(dense, q, 0.1, x=gen.states[eta],
-                                       force_generic=True)
+        base_c = drawdown_occupation(gen, q, 0.1, 0.05, ones, x=gen.states[eta], shift=0.4)
+        base_h = insurance_no_recovery(dense, q, 0.1, x=gen.states[eta])
         for shift in (-4, 2, 4):
             x = gen.states[eta + shift]
             assert abs(q_drawdown(gen, q, 0.1, x=x) - base_q) < 1e-8
-            assert abs(drawdown_occupation(gen, q, 0.1, 0.05, x=x, shift=0.4,
-                                           force_generic=True) - base_c) < 1e-8
-            assert abs(insurance_no_recovery(dense, q, 0.1, x=x, force_generic=True)
-                       - base_h) < 1e-8
+            assert abs(drawdown_occupation(gen, q, 0.1, 0.05, ones, x=x, shift=0.4)
+                       - base_c) < 1e-8
+            assert abs(insurance_no_recovery(dense, q, 0.1, x=x) - base_h) < 1e-8
 
     def test_recovery_sum_depends_on_gap_only(self):
-        gen = densify(build_levy_generator(ModelSpec.dejd(), 0.05, -3.0, 3.0))
+        gen = dense_copy(build_levy_generator(ModelSpec.dejd(), 0.05, -3.0, 3.0))
         q = 6.0
         h = gen.grid.h
-        v1 = insurance_with_recovery(gen, q, 0.1, x=-3 * h, y=2 * h,
-                                     force_generic=True)
-        v2 = insurance_with_recovery(gen, q, 0.1, x=-8 * h, y=-3 * h,
-                                     force_generic=True)
+        v1 = insurance_with_recovery(gen, q, 0.1, x=-3 * h, y=2 * h)
+        v2 = insurance_with_recovery(gen, q, 0.1, x=-8 * h, y=-3 * h)
         assert abs(v1 - v2) < 1e-8
 
 
 class TestVgSmallLattice:
     def test_quantities_vs_product_oracle(self):
         gen = build_levy_generator(ModelSpec.vg(), 0.05, -1.0, 1.0)
-        dense = densify(gen)
+        dense = dense_copy(gen)
         q = 2.5
         for req in (QuantityRequest("Q", a=0.2, q=q),
                     QuantityRequest("C", a=0.2, q=q, xi=0.1, shift=0.3),
                     QuantityRequest("Hsum", a=0.2, q=q)):
-            val = evaluate(gen, req, force_generic=True)
+            val = evaluate(dense, req)
             ref = dense_product_solve(dense, req)
             assert abs(val - ref) < 1e-8, req.kind
 
@@ -374,20 +369,52 @@ class TestDispatch:
             assert all(b < a + 1e-14 for a, b in zip(vals, vals[1:])), kind
 
 
-# Lattice and dense routes of the node axis: Hsum and Jsum run the lattice
-# closed forms, or the dense generic fixed points on a dense generator and
-# when forced.
+# Lattice and dense routes of the node axis.  Started at the lattice anchor
+# ("fast"), C, Hsum and Jsum take the lattice closed forms; started four
+# steps above it ("generic"), they take the window sweep and the dense
+# fixed points, as every start does on a dense generator.
 LATTICE_CASES = [
     QuantityRequest("Q", a=0.1),
     QuantityRequest("B", a=0.1, xi=-0.05, shift=0.05),
     QuantityRequest("C", a=0.1, xi=0.05, shift=0.05),
     QuantityRequest("Hn", a=0.1, n=2),
     QuantityRequest("Hsum", a=0.1),
-    QuantityRequest("Jsum", a=0.1, x=-0.05, y=0.05),
+    QuantityRequest("Jsum", a=0.1, x=-0.05, y=0.0),
 ]
-LATTICE_ROUTES = [(s, fg, r) for s in ("DEJD", "VG", "dense") for fg in (False, True)
+LATTICE_ROUTES = [(s, route, r) for s in ("DEJD", "VG", "dense") for route in ("fast", "generic")
                   for r in LATTICE_CASES
-                  if not (s == "dense" and fg)]   # a dense generator has no fast route
+                  if not (s == "dense" and route == "generic")]
+
+
+def off_anchor(req):
+    """The request started four lattice steps above its start point."""
+    return replace(req, x=(req.x or 0.0) + 0.1, y=None if req.y is None else req.y + 0.1)
+
+
+# The route each kind takes on each structure, all started at the anchor:
+# the fundamental-solution pairs, the window sweep, one of the lattice
+# closed forms, or (an empty set) the dense generic recursions.
+ROUTE_NAMES = ("psi_pair", "backward_window_sweep", "c_levy_closed_form",
+               "h_levy_closed_form", "j_levy_closed_form")
+DISPATCH_CASES = [
+    QuantityRequest("Q", a=0.1, q=2.0),
+    QuantityRequest("A", a=0.1, b=0.15, q=2.0, y=-0.05),
+    QuantityRequest("B", a=0.1, q=2.0, xi=-0.05, shift=0.05),
+    QuantityRequest("C", a=0.1, q=2.0, xi=0.05, shift=0.05),
+    QuantityRequest("Hn", a=0.1, q=2.0, n=2),
+    QuantityRequest("Hsum", a=0.1, q=2.0),
+    QuantityRequest("Jn", a=0.1, q=2.0, n=2),
+    QuantityRequest("Jsum", a=0.1, q=2.0),
+]
+SWEEP = {"backward_window_sweep"}
+EXPECTED_ROUTE = {
+    "birth-death": {r.kind: {"psi_pair"} for r in DISPATCH_CASES},
+    "DEJD": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": {"c_levy_closed_form"}, "Hn": SWEEP,
+             "Hsum": {"h_levy_closed_form"}, "Jn": set(), "Jsum": {"j_levy_closed_form"}},
+    "dense": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": SWEEP, "Hn": SWEEP,
+              "Hsum": set(), "Jn": set(), "Jsum": set()},
+}
+DISPATCH = [(s, r) for s in EXPECTED_ROUTE for r in DISPATCH_CASES]
 
 
 class TestNodeAxis:
@@ -409,73 +436,63 @@ class TestNodeAxis:
     ]
     ROUTES = list(itertools.product(CASES, (False, True)))
 
+    # "generic": the dense copy of the chain, where every kind takes the
+    # window sweep or the dense generic recursions
     @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
-    @pytest.mark.parametrize("req, force_generic", ROUTES,
-                             ids=[r.kind + ("-generic" if fg else "") for r, fg in ROUTES])
-    def test_batched_matches_per_node(self, model, req, force_generic):
-        gen = self.chain(model)
-        batched = evaluate(gen, replace(req, q=self.NODES), force_generic=force_generic)
+    @pytest.mark.parametrize("req, generic", ROUTES,
+                             ids=[r.kind + ("-generic" if g else "") for r, g in ROUTES])
+    def test_batched_matches_per_node(self, model, req, generic):
+        gen = dense_copy(self.chain(model)) if generic else self.chain(model)
+        batched = evaluate(gen, replace(req, q=self.NODES))
         assert batched.shape == self.NODES.shape
-        single = np.array([evaluate(gen, replace(req, q=q), force_generic=force_generic)
-                           for q in self.NODES])
+        single = np.array([evaluate(gen, replace(req, q=q)) for q in self.NODES])
         assert np.all(np.abs(batched - single) <= 1e-10 * np.abs(single))
 
-    def test_force_generic_reaches_the_window_sweep(self, bs_small, monkeypatch):
-        import drawdown_ctmc.quantities as qmod
-
-        q = 1.5 + 2.0j
-        reqs = (QuantityRequest("Hn", a=0.2, q=q, n=2),
-                QuantityRequest("B", a=0.2, q=q, xi=0.05, shift=0.1),
-                QuantityRequest("C", a=0.2, q=q, xi=0.05, shift=0.1))
-        calls = {"sweep": 0, "psi": 0}
-        sweep, psi = qmod.backward_window_sweep, qmod.psi_pair
-
-        def counted_sweep(*args, **kwargs):
-            calls["sweep"] += 1
-            return sweep(*args, **kwargs)
-
-        def counted_psi(*args, **kwargs):
-            calls["psi"] += 1
-            return psi(*args, **kwargs)
-
-        monkeypatch.setattr(qmod, "backward_window_sweep", counted_sweep)
-        monkeypatch.setattr(qmod, "psi_pair", counted_psi)
-        fast = [evaluate(bs_small, req) for req in reqs]
-        assert calls["sweep"] == 0 and calls["psi"] > 0
-        calls["psi"] = 0
-        for req, ref in zip(reqs, fast):
-            before = calls["sweep"]
-            slow = evaluate(bs_small, req, force_generic=True)
-            assert calls["sweep"] > before, req.kind
-            assert abs(slow - ref) < 1e-10, req.kind
-        assert calls["psi"] == 0
-
     @pytest.fixture(scope="class")
-    def lattices(self):
+    def chains(self):
         dejd = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
         vg = build_levy_generator(ModelSpec.vg(), 0.025, -1.0, 1.0)
-        return {"DEJD": dejd, "VG": vg, "dense": densify(dejd)}
+        return {"DEJD": dejd, "VG": vg, "dense": dense_copy(dejd),
+                "birth-death": TestNodeAxis.chain(ModelSpec.bs())}
 
-    @pytest.mark.parametrize("structure, force_generic, req", LATTICE_ROUTES,
-                             ids=[f"{s}-{'generic' if fg else 'fast'}-{r.kind}"
-                                  for s, fg, r in LATTICE_ROUTES])
-    def test_lattice_batched_matches_per_node(self, lattices, structure, force_generic, req):
-        gen = lattices[structure]
-        batched = evaluate(gen, replace(req, q=self.NODES), force_generic=force_generic)
+    @pytest.mark.parametrize("structure, req", DISPATCH,
+                             ids=[f"{s}-{r.kind}" for s, r in DISPATCH])
+    def test_dispatch_picks_the_route_from_the_chain(self, chains, structure, req,
+                                                     monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+
+        ran = set()
+        for name in ROUTE_NAMES:
+            def recorded(*args, _fn=getattr(qmod, name), _name=name, **kwargs):
+                ran.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qmod, name, recorded)
+        evaluate(chains[structure], req)
+        assert ran == EXPECTED_ROUTE[structure][req.kind]
+
+    @pytest.mark.parametrize("structure, route, req", LATTICE_ROUTES,
+                             ids=[f"{s}-{route}-{r.kind}" for s, route, r in LATTICE_ROUTES])
+    def test_lattice_batched_matches_per_node(self, chains, structure, route, req):
+        gen = chains[structure]
+        if route == "generic":
+            req = off_anchor(req)
+        batched = evaluate(gen, replace(req, q=self.NODES))
         assert batched.shape == self.NODES.shape
-        single = np.array([evaluate(gen, replace(req, q=q), force_generic=force_generic)
-                           for q in self.NODES])
+        single = np.array([evaluate(gen, replace(req, q=q)) for q in self.NODES])
         assert np.all(np.abs(batched - single) <= 1e-10 * np.abs(single))
 
     @pytest.mark.parametrize("req", LATTICE_CASES[:4], ids=[r.kind for r in LATTICE_CASES[:4]])
-    def test_lattice_sweep_matches_the_dense_chain(self, lattices, req):
+    def test_lattice_sweep_matches_the_dense_chain(self, chains, req):
         # the cached lattice window solves against uncached dense ones on
-        # the same chain (B's killing pattern changes across window tops)
-        lattice = evaluate(lattices["DEJD"], replace(req, q=self.NODES), force_generic=True)
-        dense = evaluate(lattices["dense"], replace(req, q=self.NODES))
+        # the same chain (B's killing pattern changes across window tops);
+        # a payoff of ones keeps C off its closed form
+        req = replace(req, q=self.NODES, f=np.ones(chains["DEJD"].n))
+        lattice = evaluate(chains["DEJD"], req)
+        dense = evaluate(chains["dense"], req)
         assert np.all(np.abs(lattice - dense) <= 1e-10 * np.abs(dense))
 
-    def test_lattice_routes_take_one_pass_per_rung(self, lattices, monkeypatch):
+    def test_lattice_routes_take_one_pass_per_rung(self, chains, monkeypatch):
         import drawdown_ctmc.quantities as qmod
 
         calls = {"backward_window_sweep": 0, "c_levy_closed_form": 0, "h_levy_closed_form": 0}
@@ -487,13 +504,13 @@ class TestNodeAxis:
             monkeypatch.setattr(qmod, name, counted)
         for kind in ("Q", "B", "C", "Hsum"):   # two sweeps and two closed forms
             req = next(r for r in LATTICE_CASES if r.kind == kind)
-            evaluate(lattices["DEJD"], replace(req, q=self.NODES))
+            evaluate(chains["DEJD"], replace(req, q=self.NODES))
         assert calls == {"backward_window_sweep": 2, "c_levy_closed_form": 1,
                          "h_levy_closed_form": 1}
 
     @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
-    def test_lattice_single_node_vector_keeps_its_axis(self, lattices, req):
-        gen = lattices["DEJD"]
+    def test_lattice_single_node_vector_keeps_its_axis(self, chains, req):
+        gen = chains["DEJD"]
         q = self.NODES[:1]
         vec = evaluate(gen, replace(req, q=q))
         one = evaluate(gen, replace(req, q=q[0]))
@@ -501,10 +518,10 @@ class TestNodeAxis:
         assert isinstance(one, complex)
         assert abs(vec[0] - one) <= 1e-14 * abs(one)
 
-    def test_sweep_returns_one_column_per_node(self, lattices):
+    def test_sweep_returns_one_column_per_node(self, chains):
         from drawdown_ctmc.quantities import backward_window_sweep
 
-        gen, nodes = lattices["VG"], self.NODES[:3]
+        gen, nodes = chains["VG"], self.NODES[:3]
         kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
         V = backward_window_sweep(gen, 4, kfn, np.ones(gen.n), gen.grid.eta_x)
         assert V.shape == (gen.n, nodes.size)
@@ -513,10 +530,10 @@ class TestNodeAxis:
             assert abs(V[gen.grid.eta_x, j] - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
-    def test_in_place_node_solves_match_the_stack(self, lattices, req, monkeypatch):
+    def test_in_place_node_solves_match_the_stack(self, chains, req, monkeypatch):
         import drawdown_ctmc.quantities as qmod
 
-        gen = lattices["DEJD"]
+        gen = chains["DEJD"]
         stacked = evaluate(gen, replace(req, q=self.NODES))
         monkeypatch.setattr(qmod, "_STACK_BYTES", 0)   # one in-place LU per node
         in_place = evaluate(gen, replace(req, q=self.NODES))
