@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ctmc import Generator
+from .ctmc import BIRTH_DEATH, Generator
 from .linsolve import killing_values
 from .quantities import (
     QuantityRequest,
@@ -416,15 +416,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     if abs(q.imag) > 0:
         raise ValueError("MC oracle requires a real Laplace argument")
 
-    out_rates = np.array([gen.out_rate(i) for i in range(n)])
-    dense = gen.to_dense(max_states=n)
-    probs = np.zeros((n, n))
-    active = out_rates > 0.0
-    probs[active] = np.clip(dense[active], 0.0, None)
-    np.fill_diagonal(probs, 0.0)
-    probs[active] /= probs[active].sum(axis=1, keepdims=True)
-    cdf = np.cumsum(probs, axis=1)
-
+    out_rates, cdf, p_down = _jump_tables(gen)
     kind = req.kind
     k_vec = k_mat = f2 = None
     if kind == "B":
@@ -455,7 +447,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
         size = min(cfg.batch_size, cfg.n_paths - b * cfg.batch_size)
         rng = np.random.Generator(np.random.Philox(streams[b]))
         contrib, trunc = _simulate_batch(
-            rng, size, cdf, out_rates, kind, q.real, a_steps, b_steps,
+            rng, size, cdf, p_down, out_rates, kind, q.real, a_steps, b_steps,
             f, k_vec, k_mat, f2, req.n, ix, iy, cfg.horizon_cap)
         total += contrib.sum()
         total_sq += (contrib ** 2).sum()
@@ -469,7 +461,32 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     return float(mean), float(stderr)
 
 
-def _simulate_batch(rng, size, cdf, out_rates, kind, q, a_steps, b_steps,
+def _jump_tables(gen: Generator):
+    """Out rates, the CDF rows of the jump chain, and on a birth-death
+    chain the down-step probabilities p_down[i - 1] = cdf[i, i - 1]
+    (None otherwise)."""
+    n = gen.n
+    out_rates = np.array([gen.out_rate(i) for i in range(n)])
+    dense = gen.to_dense(max_states=n)
+    probs = np.zeros((n, n))
+    active = out_rates > 0.0
+    probs[active] = np.clip(dense[active], 0.0, None)
+    np.fill_diagonal(probs, 0.0)
+    probs[active] /= probs[active].sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    return out_rates, cdf, np.diag(cdf, -1) if gen.structure == BIRTH_DEATH else None
+
+
+def _next_state(cdf, p_down, pos, u):
+    """States the paths at ``pos`` jump to for the uniforms u: the count of
+    CDF entries below u.  A birth-death row steps only to pos - 1 or
+    pos + 1, so one entry, p_down, gives the same count in O(1)."""
+    if p_down is None:
+        return (cdf[pos] < u[:, None]).sum(axis=1).astype(np.int64)
+    return pos - 1 + 2 * (p_down[pos - 1] < u)
+
+
+def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps,
                     f, k_vec, k_mat, f2, n_events, ix, iy, horizon):
     pos = np.full(size, ix, dtype=np.int64)
     t = np.zeros(size)
@@ -518,7 +535,7 @@ def _simulate_batch(rng, size, cdf, out_rates, kind, q, a_steps, b_steps,
             if idx.size == 0:
                 continue
         u = rng.random(idx.size)
-        nxt = (cdf[pos[idx]] < u[:, None]).sum(axis=1).astype(np.int64)
+        nxt = _next_state(cdf, p_down, pos[idx], u)
         if kind in ("Q", "B", "C"):
             up = nxt > ref[idx]
             ref[idx[up]] = nxt[up]

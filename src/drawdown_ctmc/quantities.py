@@ -39,10 +39,14 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
   fixed point (one sparse solve per node), Jn and Jsum;
 * the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
   and dense generators): the running vectors are (n, k); lattice windows
-  cache the last rows of every node's inverse, from one stacked solve per
-  killing pattern;
+  cache the last rows of every node's inverse per killing pattern;
 * the lattice closed forms (C, Hsum, Jsum): the window block and its exit
-  masses are built once, then one LU per node.
+  masses are built once.
+
+Every window solve reduces the real window matrix once (the rows whose
+killing is the same for every node eliminated, the rest brought to
+Hessenberg form) and then costs one O(m^2) banded LU per node
+(``_node_solves``).
 
 The dense generic recursions (A and Jn off birth-death chains, the
 generic Hsum and Jsum fixed points) solve one node at a time; their
@@ -57,6 +61,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.signal import fftconvolve
@@ -251,53 +256,114 @@ def _D_init(gen: Generator, f_arr: np.ndarray, cut: int) -> np.ndarray:
     return D
 
 
-_STACK_BYTES = 1 << 25
-# Node batches of small windows are solved as one stack of complex
-# matrices up to this size; larger ones take one in-place LU per node.
-
-
 def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
                  trans: bool = False) -> np.ndarray:
     """Solutions x_j of (diag(kv[:, j]) - blk) x_j = rhs, or of the
-    transposed systems, for the (m, k) killing and an (m,) right-hand side
-    shared by the nodes: a (k, m) array.
+    transposed systems, for the real (m, m) block, the (m, k) killing and
+    a real (m,) right-hand side shared by the nodes: a (k, m) array.
 
-    Small batches go through one stacked solve.  Above ``_STACK_BYTES``
-    each node's matrix is built in one Fortran-order buffer and factored
-    in place, so the batch holds a single complex matrix besides the block.
+    Every killing the quantities build is kv[:, j] = q_j d + s: "free"
+    rows hold one real value for all nodes, "killed" rows all hold the
+    node's value.  The free rows are eliminated once (one real LU), the
+    real Schur complement on the killed rows is reduced once to Hessenberg
+    form, and each node costs one O(m^2) banded LU (``_shifted_solves``).
+    A killing of another form (state dependent, or a complex offset)
+    takes one complex LU per node.
     """
     m, k = kv.shape
-    diag = np.arange(m)
-    if 16 * k * m * m <= _STACK_BYTES:
-        mats = np.empty((k, m, m), dtype=complex)
-        mats[:] = -(blk.T if trans else blk)
-        mats[:, diag, diag] += kv.T
-        try:
-            return np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (k, m, 1)))[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise Singular(str(exc)) from exc
-    mat = np.empty((m, m), dtype=complex, order="F")
+    same = np.all(kv == kv[:, :1], axis=1)
+    free, killed = np.flatnonzero(same), np.flatnonzero(~same)
+    structured = np.all(kv[free, 0].imag == 0.0) and np.all(kv[killed] == kv[killed[:1]])
+    if not structured:
+        diag = np.arange(m)
+        mat = np.empty((m, m), dtype=complex, order="F")
+        out = np.empty((k, m), dtype=complex)
+        for j in range(k):
+            np.negative(blk, out=mat)
+            mat[diag, diag] += kv[:, j]
+            lu = sla.lu_factor(mat, overwrite_a=True)
+            if np.any(lu[0][diag, diag] == 0.0):
+                raise Singular("window matrix is singular")
+            out[j] = sla.lu_solve(lu, rhs, trans=int(trans))
+        return out
+    mat = np.negative(blk.T if trans else blk, order="F")
+    mat[free, free] += kv[free, 0].real
     out = np.empty((k, m), dtype=complex)
-    for j in range(k):
-        np.negative(blk, out=mat)
-        mat[diag, diag] += kv[:, j]
-        lu = sla.lu_factor(mat, overwrite_a=True)
-        if np.any(lu[0][diag, diag] == 0.0):
+    if free.size == 0:
+        out[:] = _shifted_solves(mat, kv[0], rhs).T
+        return out
+    lu = sla.lu_factor(mat[np.ix_(free, free)], overwrite_a=True)
+    if np.any(np.diag(lu[0]) == 0.0):
+        raise Singular("window matrix is singular")
+    z = sla.lu_solve(lu, rhs[free])
+    if killed.size == 0:   # no row depends on the node
+        out[:] = z
+        return out
+    gain = sla.lu_solve(lu, mat[np.ix_(free, killed)])
+    into = mat[np.ix_(killed, free)]
+    schur = np.asfortranarray(mat[np.ix_(killed, killed)] - into @ gain)
+    del mat
+    y = _shifted_solves(schur, kv[killed[0]], rhs[killed] - into @ z)
+    out[:, killed] = y.T
+    out[:, free] = z - (gain @ y.view(float)).view(complex).T
+    return out
+
+
+def _shifted_solves(mat: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions y_j of (mat + q_j I) y_j = b for a real Fortran-order
+    (p, p) matrix (overwritten), the (k,) shifts and a real (p,) b: a
+    C-order (p, k) array.
+
+    mat = Q H Q^T once (``dgehrd``); then each shift costs one banded LU
+    of the upper Hessenberg H + q_j I, with one subdiagonal (Laub, IEEE
+    TAC 26(2), 1981).
+    """
+    p = mat.shape[0]
+    hess, tau, _ = lapack.dgehrd(mat, lwork=int(lapack.dgehrd_lwork(p)[0]), overwrite_a=True)
+    c = _reflect(hess, tau, b[:, None], "T")[:, 0].astype(complex)
+    # LAPACK band storage with kl = 1, ku = p - 1 holds H[i, j] in row
+    # p + i - j of column j, at Fortran offset p + i + j (p + 1): one strided
+    # view takes all of hess, whose reflectors below the subdiagonal land
+    # in the corner of the band that zgbtrf never reads
+    band = np.zeros((p + 2, p), dtype=complex, order="F")
+    upper = band.ravel(order="F")[p:].reshape(p + 1, p, order="F")[:p]
+    y = np.empty((p, q.size), dtype=complex)
+    for j, qj in enumerate(q):
+        upper[:] = hess
+        band[p] += qj
+        lu, piv, info = lapack.zgbtrf(band, 1, p - 1, overwrite_ab=True)
+        if info > 0:
             raise Singular("window matrix is singular")
-        out[j] = sla.lu_solve(lu, rhs, trans=int(trans))
+        y[:, j] = lapack.zgbtrs(lu, 1, p - 1, c, piv)[0]
+    del band, upper, lu   # only the reflectors are needed from here on
+    return _reflect(hess, tau, y.view(float), "N").view(complex)
+
+
+def _reflect(hess: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
+    """Q c (trans "N") or Q^T c ("T") for the orthogonal factor Q of
+    ``dgehrd``'s output and a real (p, r) array c, as a C-order copy.  The
+    reflectors sit below the subdiagonal and leave row 0 alone."""
+    out = np.array(c, dtype=float)
+    p = out.shape[0]
+    if p > 1:
+        args = ("L", trans, hess[1:, :-1], tau[:p - 1], out[1:])
+        lwork = int(lapack.dormqr(*args, -1)[1][0])
+        out[1:] = lapack.dormqr(*args, lwork)[0]
     return out
 
 
 def _last_rows(blk: np.ndarray, kv: np.ndarray) -> np.ndarray:
     """Last rows of the inverses of diag(kv[:, j]) - blk, one per node: (k, m)."""
-    e = np.zeros(kv.shape[0], dtype=complex)
+    e = np.zeros(kv.shape[0])
     e[-1] = 1.0
     return _node_solves(blk, kv, e, trans=True)
 
 
 class _WindowSolver:
     """Last-row window solves for a batch of nodes: cached by the window's
-    killing pattern on lattices, one dense solve per window otherwise."""
+    killing pattern on lattices, built otherwise for every window; each
+    is one reduction of the window plus one banded LU per node
+    (``_node_solves``)."""
 
     def __init__(self, gen: Generator):
         self.gen = gen
@@ -559,8 +625,8 @@ def _anchored_window(gen: Generator, a_steps: int) -> int:
 def c_levy_closed_form(gen: Generator, q, a: float, xi: float, *,
                        shift: complex = 0.0):
     """Translation-invariant solution of the drawdown-occupation transform
-    with k(x, max) = q 1_{max - x > xi} + shift: one window solve per node;
-    a node vector q gives one value per node.
+    with k(x, max) = q 1_{max - x > xi} + shift: one window solve for all
+    nodes (``_node_solves``); a node vector q gives one value per node.
 
     The form holds on the infinite lattice: it ignores the upper end of a
     truncated one, so it differs from the sweep on the same chain by the
@@ -1004,7 +1070,8 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
 
     Needs one window solve on (-a, 0], one recovery solve on the window
     between the lattice bottom and the anchor, and (for x < y) one more
-    recovery factor, each one LU per node.  Like ``c_levy_closed_form``
+    recovery factor, each one reduction plus one banded LU per node
+    (``_node_solves``).  Like ``c_levy_closed_form``
     it holds on the infinite lattice and ignores the chain's upper end.
     """
     if gen.structure != TOEPLITZ_LEVY:

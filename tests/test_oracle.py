@@ -118,6 +118,20 @@ class TestMonteCarlo:
         ref = drawdown_before_drawup(bs_gen, 1.0, 0.2, 0.3, y=-0.1).real
         assert abs(est - ref) < 3.5 * err
 
+    def test_birth_death_draw_matches_the_cdf_count(self):
+        # random rates, one row that only steps up and one that only steps down
+        from drawdown_ctmc.oracle import _jump_tables, _next_state
+
+        rng = np.random.default_rng(11)
+        g = build_grid(0.0, 0.1, 4, -1.0, 1.0)
+        up, down = rng.uniform(0.0, 5.0, g.n), rng.uniform(0.0, 5.0, g.n)
+        up[3] = down[7] = 0.0
+        _, cdf, p_down = _jump_tables(BirthDeathGenerator(g, up, down))
+        pos = rng.integers(1, g.n - 1, 200_000)
+        u = rng.random(pos.size)
+        assert p_down is not None
+        assert np.array_equal(_next_state(cdf, p_down, pos, u), _next_state(cdf, None, pos, u))
+
     def test_horizon_cap_guard(self):
         # strong mean reversion keeps paths alive: a tiny cap must trip
         g = build_grid(0.0, 0.2, 4, -2.0, 2.0)

@@ -531,21 +531,53 @@ class TestNodeAxis:
 
     @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
     def test_in_place_node_solves_match_the_stack(self, chains, req, monkeypatch):
+        # every window solve a lattice route makes, in both orientations,
+        # against one dense complex solve per node: the route's own killing
+        # (all rows, or a row subset for B and C), one real node, and two
+        # killings that must take the per-node LU (a complex offset on a
+        # row shared by the nodes, and a state-dependent killing)
         import drawdown_ctmc.quantities as qmod
 
-        gen = chains["DEJD"]
-        stacked = evaluate(gen, replace(req, q=self.NODES))
-        monkeypatch.setattr(qmod, "_STACK_BYTES", 0)   # one in-place LU per node
-        in_place = evaluate(gen, replace(req, q=self.NODES))
-        assert np.all(np.abs(in_place - stacked) <= 1e-12 * np.abs(stacked))
+        solve, shifted = qmod._node_solves, qmod._shifted_solves
+        calls, reduced = [], []
+
+        def recorded(blk, kv, rhs, **kwargs):
+            calls.append((blk, np.array(kv), rhs))
+            return solve(blk, kv, rhs, **kwargs)
+
+        def counted(*args):
+            reduced.append(args)
+            return shifted(*args)
+
+        monkeypatch.setattr(qmod, "_node_solves", recorded)
+        evaluate(chains["DEJD"], replace(req, q=self.NODES))
+        monkeypatch.setattr(qmod, "_shifted_solves", counted)
+        assert calls
+        for blk, kv, rhs in calls:
+            m = kv.shape[0]
+            offset = kv.copy()
+            offset[0] = 0.5 + 0.5j
+            state = np.linspace(1.0, 2.0, m)[:, None] * self.NODES
+            for trans in (False, True):
+                for kill, per_node_lu in ((kv, False), (kv[:, :1].real + 0j, False),
+                                          (offset, True), (state, m > 1)):
+                    before = len(reduced)
+                    got = solve(blk, kill, rhs, trans=trans)
+                    assert not (per_node_lu and len(reduced) > before)
+                    for j in range(kill.shape[1]):
+                        mat = np.diag(kill[:, j]) - blk
+                        ref = np.linalg.solve(mat.T if trans else mat, rhs.astype(complex))
+                        assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert reduced   # the route's own killings took the Hessenberg solves
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")   # lu_factor's zero pivot
-    @pytest.mark.parametrize("stack_bytes", [1 << 25, 0], ids=["stacked", "in-place"])
-    def test_singular_node_solve_raises(self, stack_bytes, monkeypatch):
+    @pytest.mark.parametrize("kv", [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]]],
+                             ids=["stacked", "in-place"])
+    def test_singular_node_solve_raises(self, kv):
+        # "stacked": the second node's banded LU has a zero pivot; "in-place":
+        # the node-independent row 0 makes the free-row block singular
         import drawdown_ctmc.quantities as qmod
         from drawdown_ctmc.linsolve import Singular
 
-        monkeypatch.setattr(qmod, "_STACK_BYTES", stack_bytes)
-        kv = np.array([[1.0, 0.0], [1.0, 0.0]])   # the second node is singular
         with pytest.raises(Singular):
-            qmod._node_solves(np.zeros((2, 2)), kv, np.ones(2))
+            qmod._node_solves(np.zeros((2, 2)), np.array(kv, dtype=complex), np.ones(2))
