@@ -57,6 +57,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if self.batch_size < 1:
+            raise ValueError("need at least one path per batch")
         if self.horizon_cap <= 0.0:
             raise ValueError("horizon cap must be positive")
 
@@ -94,6 +96,11 @@ def _f2_mat(gen: Generator, f2) -> np.ndarray:
     return np.asarray(f2, dtype=float)
 
 
+def _require_scalar_q(req: QuantityRequest) -> None:
+    if np.ndim(req.q) != 0:
+        raise ValueError("the oracles need a scalar Laplace argument q, not a node vector")
+
+
 def _start_indices(gen: Generator, req: QuantityRequest):
     grid = gen.grid
     ix = grid.eta_x if req.x is None else grid.index_of(req.x)
@@ -104,64 +111,162 @@ def _start_indices(gen: Generator, req: QuantityRequest):
 # ---------------------------------------------------------------------------
 # dense product-chain solves
 # ---------------------------------------------------------------------------
+#
+# Each augmented chain is assembled one base state i at a time: row i's
+# off-diagonal nonzeros are read once and broadcast against every augmented
+# state whose position is i, masks sort the jumps into new max, fired event
+# or stay, and targets are numbered by arithmetic on int32 offset arrays.
+# No two jumps of one augmented state share a target, so the sparse matrix
+# does not depend on the order in which the blocks are collected.
 
-def _pair_space(gen: Generator, a_steps: int):
-    """Live (position, max) pairs: max - position < a_steps."""
-    n = gen.n
-    index = {}
-    for m in range(n):
-        for i in range(max(0, m - a_steps + 1), m + 1):
-            index[(i, m)] = len(index)
-    return index
-
-
-def _solve_sparse(rows, cols, data, diag, rhs):
-    nn = diag.size
-    mat = sp.csc_matrix((np.concatenate([diag, np.asarray(data, dtype=complex)]),
-                         (np.concatenate([np.arange(nn), np.asarray(rows)]),
-                          np.concatenate([np.arange(nn), np.asarray(cols)]))),
-                        shape=(nn, nn))
-    sol = spla.spsolve(mat, rhs)
-    return sol
+def _check_cap(size: int, cap: int) -> None:
+    if size > cap:
+        raise TooLarge(f"product space has {size} states (cap {cap})")
 
 
-def _pair_solve(gen: Generator, a_steps: int, kappa, event_payoff, cap: int):
-    """First-passage solve on the (position, max) chain.
+def _pair_numbering(n: int, a_steps: int, cap: int):
+    """Live (position, max) pairs, max by max: max - a_steps < position
+    <= max.  Pair (i, m) is number base[m] + i; returns (base, count)."""
+    m = np.arange(n)
+    width = np.minimum(m + 1, a_steps)
+    size = int(width.sum())
+    _check_cap(size, cap)
+    return (np.cumsum(width) - width - (m + 1 - width)).astype(np.int32), size
 
-    kappa(i, m) is the killing rate; event_payoff(j, m) the value collected
-    when a jump to j fires the drawdown from max m.  Returns a dict view
-    (index map, solution vector).
-    """
-    index = _pair_space(gen, a_steps)
-    if len(index) > cap:
-        raise TooLarge(f"product space has {len(index)} states (cap {cap})")
-    nn = len(index)
-    diag = np.empty(nn, dtype=complex)
-    rows, cols, data = [], [], []
-    rhs = np.zeros(nn, dtype=complex)
-    n = gen.n
-    for (i, m), s in index.items():
-        out = gen.out_rate(i)
-        diag[s] = kappa(i, m) + out
-        if out == 0.0:
+
+def _triple_numbering(n: int, a_steps: int, b_steps: int, cap: int):
+    """(position, max, min) states of A: each live pair (i, m), in pair
+    order, with a running min i - b_steps < l <= i.  State (i, m, l) is
+    number tbase[base[m] + i] + l; returns (base, tbase, count)."""
+    m = np.arange(n)
+    lo = np.maximum(m + 1 - a_steps, 0)
+    # mins[i]: (position, min) pairs over the positions below i
+    mins = np.concatenate([[0], np.cumsum(np.minimum(m + 1, b_steps))])
+    size = int((mins[m + 1] - mins[lo]).sum())
+    _check_cap(size, cap)
+    base, pairs = _pair_numbering(n, a_steps, cap)
+    pos = np.arange(pairs) - np.repeat(base, m + 1 - lo)
+    width = np.minimum(pos + 1, b_steps)
+    return base, (np.cumsum(width) - width - (pos + 1 - width)).astype(np.int32), size
+
+
+def _flag_numbering(n: int, a_steps: int, cap: int):
+    """(position, reference max, armed) states of the recovery variants,
+    max by max.  Armed states (i, m, 1) obey m - i < a_steps (otherwise
+    they fire at once) and are number arm[m] + i; disarmed states (i, m, 0)
+    allow any position i <= m and are number dis[m] + i.  Returns
+    (arm, dis, count)."""
+    m = np.arange(n)
+    width = np.minimum(m + 1, a_steps)
+    block = width + m + 1
+    size = int(block.sum())
+    _check_cap(size, cap)
+    start = np.cumsum(block) - block
+    return (start - (m + 1 - width)).astype(np.int32), (start + width).astype(np.int32), size
+
+
+def _base_rows(gen: Generator):
+    """(i, out rate, targets, rates) for every base state i: the off-diagonal
+    nonzeros of row i, targets ascending (none where the out rate is 0)."""
+    out = -gen.diagonal()
+    none = np.zeros(0, dtype=np.int32)
+    for i in range(gen.n):
+        if out[i] == 0.0:
+            yield i, float(out[i]), none, np.zeros(0)
             continue
         row = gen.row(i)
-        for j in np.nonzero(row)[0]:
-            if j == i:
-                continue
-            rate = row[j]
-            if j > m:
-                rows.append(s)
-                cols.append(index[(j, j)])
-                data.append(-rate)
-            elif m - j >= a_steps:
-                rhs[s] += rate * event_payoff(j, m)
-            else:
-                rows.append(s)
-                cols.append(index[(j, m)])
-                data.append(-rate)
-    sol = _solve_sparse(rows, cols, data, diag, rhs)
-    return index, sol
+        j = np.flatnonzero(row).astype(np.int32)
+        j = j[j != i]
+        yield i, float(out[i]), j, row[j]
+
+
+class _Chain:
+    """First-passage system of an augmented chain: the diagonal (killing
+    plus out rate), the jumps between live states, and the fired jumps,
+    whose payoffs make the right-hand side."""
+
+    def __init__(self, size: int):
+        self.diag = np.empty(size, dtype=complex)
+        self._rows, self._cols, self._rates, self._fired = [], [], [], []
+        self._mat = None
+
+    def jumps(self, src, tgt, rate, keep=True):
+        """Jumps from the states src (k, 1) to tgt (k, nnz) at the rates
+        (nnz,), where keep holds."""
+        keep = np.broadcast_to(keep, tgt.shape)
+        self._rows.append(np.broadcast_to(src, keep.shape)[keep])
+        self._cols.append(tgt[keep])
+        self._rates.append(np.broadcast_to(-rate, keep.shape)[keep])
+
+    def fired(self, src, m, fired, j, rate):
+        """Fired jumps from the states src (k, 1) with max m (k, 1) where
+        fired (k, nnz) holds: in each row a prefix of the ascending j."""
+        counts = fired.sum(axis=1)
+        nev = int(counts.max(initial=0))
+        if nev:
+            self._fired.append((src[:, 0], m, counts, j[:nev], rate[:nev]))
+
+    def solve(self, pay):
+        """Solution when a fired jump from max m landing at j pays
+        pay(j, m) (broadcast over arrays).  Each state's payoffs are summed
+        from zero over ascending j."""
+        rhs = np.zeros(self.diag.size, dtype=complex)
+        for src, m, counts, j, rate in self._fired:
+            acc = np.zeros((counts.size, j.size + 1), dtype=complex)
+            acc[:, 1:] = rate * pay(j, m)
+            rhs[src] = np.cumsum(acc, axis=1)[np.arange(counts.size), counts]
+        if self._mat is None:
+            nn = self.diag.size
+            at = np.arange(nn, dtype=np.int32)
+            self._mat = sp.csc_matrix(
+                (np.concatenate([self.diag, *self._rates]),
+                 (np.concatenate([at, *self._rows]), np.concatenate([at, *self._cols]))),
+                shape=(nn, nn))
+        return spla.spsolve(self._mat, rhs)
+
+
+def _pair_chain(gen: Generator, a_steps: int, kappa, cap: int, restart: bool = False):
+    """The (position, max) chain with killing kappa(i, m).  A jump from
+    (i, m) to j sets a new max (j > m), fires the drawdown
+    (m - j >= a_steps) or stays at (j, m).  A fired jump ends the path, or
+    with ``restart`` goes on from (j, j): the reference max resets to the
+    landing state.  Returns (pair numbering base, chain)."""
+    n = gen.n
+    base, size = _pair_numbering(n, a_steps, cap)
+    chain = _Chain(size)
+    for i, out, j, rate in _base_rows(gen):
+        m = np.arange(i, min(i + a_steps, n), dtype=np.int32)[:, None]
+        src = base[m] + i
+        chain.diag[src] = kappa(i, m) + out
+        fired = m - j >= a_steps
+        chain.fired(src, m, fired, j, rate)
+        new = (j > m) | fired if restart else j > m
+        chain.jumps(src, np.where(new, base[j], base[m]) + j, rate, True if restart else ~fired)
+    return base, chain
+
+
+def _flag_chain(gen: Generator, a_steps: int, q: complex, cap: int, rearm_after: bool):
+    """The recovery-flagged chain with killing q.  Armed: a jump from
+    (i, m, 1) to j sets a new max (j > m), fires (m - j >= a_steps) or
+    stays at (j, m, 1); a fired jump ends the path, or with ``rearm_after``
+    goes on disarmed from (j, m, 0).  Disarmed: a jump to j >= m re-arms at
+    (j, j, 1), any other stays at (j, m, 0).  Returns (arm, dis, chain)."""
+    n = gen.n
+    arm, dis, size = _flag_numbering(n, a_steps, cap)
+    chain = _Chain(size)
+    for i, out, j, rate in _base_rows(gen):
+        m = np.arange(i, min(i + a_steps, n), dtype=np.int32)[:, None]
+        src = arm[m] + i
+        chain.diag[src] = q + out
+        fired = m - j >= a_steps
+        chain.fired(src, m, fired, j, rate)
+        tgt = np.where(j > m, arm[j], np.where(fired, dis[m], arm[m])) + j
+        chain.jumps(src, tgt, rate, True if rearm_after else ~fired)
+        m = np.arange(i, n, dtype=np.int32)[:, None]
+        src = dis[m] + i
+        chain.diag[src] = q + out
+        chain.jumps(src, np.where(j >= m, arm[j], dis[m]) + j, rate)
+    return arm, dis, chain
 
 
 def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
@@ -176,213 +281,96 @@ def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     else:
         k2 = _k2_mat(gen, req)
         kappa = lambda i, m: k2[i, m]
-    index, sol = _pair_solve(gen, a_steps, kappa, lambda j, m: f[j], cap)
+    base, chain = _pair_chain(gen, a_steps, kappa, cap)
+    sol = chain.solve(lambda j, m: f[j])
     ix, _ = _start_indices(gen, req)
-    return complex(sol[index[(ix, ix)]])
+    return complex(sol[base[ix] + ix])
 
 
 def _product_hn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     a_steps = gen.grid.steps_of(req.a)
     level = _payoff_vec(gen, req.f).astype(complex)
     q = complex(req.q)
+    base, chain = _pair_chain(gen, a_steps, lambda i, m: q, cap)
+    fresh = base + np.arange(gen.n)    # the pairs (j, j)
     for _ in range(req.n):
         cur = level
-        index, sol = _pair_solve(gen, a_steps, lambda i, m: q,
-                                 lambda j, m: cur[j], cap)
-        nxt = np.zeros(gen.n, dtype=complex)
-        for j in range(gen.n):
-            nxt[j] = sol[index[(j, j)]]
-        level = nxt
+        level = chain.solve(lambda j, m: cur[j])[fresh]
     ix, _ = _start_indices(gen, req)
     return complex(level[ix])
 
 
 def _product_hsum(gen: Generator, req: QuantityRequest, cap: int) -> complex:
-    a_steps = gen.grid.steps_of(req.a)
-    index = _pair_space(gen, a_steps)
-    if len(index) > cap:
-        raise TooLarge(f"product space has {len(index)} states (cap {cap})")
-    nn = len(index)
     q = complex(req.q)
-    diag = np.empty(nn, dtype=complex)
-    rows, cols, data = [], [], []
-    rhs = np.zeros(nn, dtype=complex)
-    for (i, m), s in index.items():
-        out = gen.out_rate(i)
-        diag[s] = q + out
-        if out == 0.0:
-            continue
-        row = gen.row(i)
-        for j in np.nonzero(row)[0]:
-            if j == i:
-                continue
-            rate = row[j]
-            if j > m:
-                tgt = (j, j)
-            elif m - j >= a_steps:
-                # event: pay 1, reference max resets to the landing point
-                rhs[s] += rate
-                tgt = (j, j)
-            else:
-                tgt = (j, m)
-            rows.append(s)
-            cols.append(index[tgt])
-            data.append(-rate)
-    sol = _solve_sparse(rows, cols, data, diag, rhs)
+    # event: pay 1, reference max resets to the landing point
+    base, chain = _pair_chain(gen, gen.grid.steps_of(req.a), lambda i, m: q, cap, restart=True)
+    sol = chain.solve(lambda j, m: 1.0)
     ix, _ = _start_indices(gen, req)
-    return complex(sol[index[(ix, ix)]])
+    return complex(sol[base[ix] + ix])
 
 
 def _triple_solve_a(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     grid = gen.grid
     a_steps = grid.steps_of(req.a)
     b_steps = grid.steps_at_least(req.b)
-    f = _payoff_vec(gen, req.f)
-    q = complex(req.q)
     n = gen.n
-    index = {}
-    for m in range(n):
-        for i in range(max(0, m - a_steps + 1), m + 1):
-            for l in range(max(0, i - b_steps + 1), i + 1):
-                index[(i, m, l)] = len(index)
-    if len(index) > cap:
-        raise TooLarge(f"product space has {len(index)} states (cap {cap})")
-    nn = len(index)
-    diag = np.empty(nn, dtype=complex)
-    rows, cols, data = [], [], []
-    rhs = np.zeros(nn, dtype=complex)
-    for (i, m, l), s in index.items():
-        out = gen.out_rate(i)
-        diag[s] = q + out
-        if out == 0.0:
-            continue
-        row = gen.row(i)
-        for j in np.nonzero(row)[0]:
-            if j == i:
-                continue
-            rate = row[j]
-            if j > i:
-                if j - l >= b_steps:
-                    continue           # drawup fires first: value 0
-                rows.append(s)
-                cols.append(index[(j, max(m, j), l)])
-                data.append(-rate)
-            else:
-                if m - j >= a_steps:
-                    rhs[s] += rate * f[j]   # drawdown fires
-                else:
-                    rows.append(s)
-                    cols.append(index[(j, m, min(l, j))])
-                    data.append(-rate)
-    sol = _solve_sparse(rows, cols, data, diag, rhs)
+    base, tbase, size = _triple_numbering(n, a_steps, b_steps, cap)
     ix, iy = _start_indices(gen, req)
     if ix - iy >= b_steps:
         return 0.0 + 0.0j
-    return complex(sol[index[(ix, ix, iy)]])
+    if iy > ix:
+        raise ValueError("running minimum cannot exceed the position")
+    q = complex(req.q)
+    chain = _Chain(size)
+    for i, out, j, rate in _base_rows(gen):
+        lows = np.arange(max(0, i - b_steps + 1), i + 1, dtype=np.int32)
+        maxes = np.arange(i, min(i + a_steps, n), dtype=np.int32)
+        m = np.repeat(maxes, lows.size)[:, None]
+        low = np.tile(lows, maxes.size)[:, None]
+        src = tbase[base[m] + i] + low
+        chain.diag[src] = q + out
+        up = j > i
+        fired = ~up & (m - j >= a_steps)           # drawdown fires
+        keep = np.where(up, j - low < b_steps, ~fired)  # else the drawup fires first: value 0
+        chain.fired(src, m, fired, j, rate)
+        pair = np.where(keep, np.where(up, base[np.maximum(m, j)], base[m]) + j, 0)
+        chain.jumps(src, tbase[pair] + np.where(up, low, np.minimum(low, j)), rate, keep)
+    f = _payoff_vec(gen, req.f)
+    sol = chain.solve(lambda j, m: f[j])
+    return complex(sol[tbase[base[ix] + ix] + iy])
 
 
-def _flag_space(gen: Generator, a_steps: int):
-    """(position, reference max, armed) states for the recovery variants.
-
-    Armed states obey max - position < a_steps (otherwise they fire at
-    once); disarmed states allow the position anywhere at or below the
-    reference max.
-    """
-    n = gen.n
-    index = {}
-    for m in range(n):
-        for i in range(max(0, m - a_steps + 1), m + 1):
-            index[(i, m, 1)] = len(index)
-        for i in range(0, m + 1):
-            index[(i, m, 0)] = len(index)
-    return index
-
-
-def _recovery_transitions(gen, index, a_steps, on_event):
-    """Common assembly for the recovery-flagged chain; on_event(s, j, m)
-    handles an armed drawdown firing from reference max m landing at j."""
-    rows, cols, data = [], [], []
-    for (i, m, g), s in index.items():
-        out = gen.out_rate(i)
-        if out == 0.0:
-            continue
-        row = gen.row(i)
-        for j in np.nonzero(row)[0]:
-            if j == i:
-                continue
-            rate = row[j]
-            if g == 1:
-                if j > m:
-                    tgt = (j, j, 1)
-                elif m - j >= a_steps:
-                    on_event(s, j, m, rate, rows, cols, data)
-                    continue
-                else:
-                    tgt = (j, m, 1)
-            else:
-                tgt = (j, j, 1) if j >= m else (j, m, 0)
-            rows.append(s)
-            cols.append(index[tgt])
-            data.append(-rate)
-    return rows, cols, data
+def _flag_start(gen: Generator, req: QuantityRequest, arm, dis) -> int:
+    ix, iy = _start_indices(gen, req)
+    if ix > iy:
+        raise ValueError("position cannot exceed the reference max")
+    return int(arm[iy] if ix == iy else dis[iy]) + ix
 
 
 def _product_jn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
-    a_steps = gen.grid.steps_of(req.a)
-    index = _flag_space(gen, a_steps)
-    if len(index) > cap:
-        raise TooLarge(f"product space has {len(index)} states (cap {cap})")
-    nn = len(index)
-    q = complex(req.q)
+    arm, dis, chain = _flag_chain(gen, gen.grid.steps_of(req.a), complex(req.q), cap,
+                                  rearm_after=False)
     f2 = _f2_mat(gen, req.f2)
-    diag = np.empty(nn, dtype=complex)
-    for (i, m, g), s in index.items():
-        diag[s] = q + gen.out_rate(i)
-    prev = None   # previous-count values over the augmented space
-    for k in range(1, req.n + 1):
-        rhs = np.zeros(nn, dtype=complex)
-
-        def on_event(s, j, m, rate, rows, cols, data, k=k, prev=prev, rhs=rhs):
-            if k == 1:
-                rhs[s] += rate * f2[j, m]
-            else:
-                rhs[s] += rate * prev[index[(j, m, 0)]]
-
-        rows, cols, data = _recovery_transitions(gen, index, a_steps, on_event)
-        prev = _solve_sparse(rows, cols, data, diag, rhs)
-    ix, iy = _start_indices(gen, req)
-    g0 = 1 if ix == iy else 0
-    return complex(prev[index[(ix, iy, g0)]])
+    pay = lambda j, m: f2[j, m]
+    for _ in range(req.n):
+        prev = chain.solve(pay)   # values of one fewer event over the augmented space
+        pay = lambda j, m, prev=prev: prev[dis[m] + j]
+    return complex(prev[_flag_start(gen, req, arm, dis)])
 
 
 def _product_jsum(gen: Generator, req: QuantityRequest, cap: int) -> complex:
-    a_steps = gen.grid.steps_of(req.a)
-    index = _flag_space(gen, a_steps)
-    if len(index) > cap:
-        raise TooLarge(f"product space has {len(index)} states (cap {cap})")
-    nn = len(index)
-    q = complex(req.q)
-    diag = np.empty(nn, dtype=complex)
-    for (i, m, g), s in index.items():
-        diag[s] = q + gen.out_rate(i)
-    rhs = np.zeros(nn, dtype=complex)
-
-    def on_event(s, j, m, rate, rows, cols, data):
-        rhs[s] += rate              # unit payment at the event
-        rows.append(s)
-        cols.append(index[(j, m, 0)])
-        data.append(-rate)          # then continue disarmed
-
-    rows, cols, data = _recovery_transitions(gen, index, a_steps, on_event)
-    sol = _solve_sparse(rows, cols, data, diag, rhs)
-    ix, iy = _start_indices(gen, req)
-    g0 = 1 if ix == iy else 0
-    return complex(sol[index[(ix, iy, g0)]])
+    # unit payment at the event, then continue disarmed
+    arm, dis, chain = _flag_chain(gen, gen.grid.steps_of(req.a), complex(req.q), cap,
+                                  rearm_after=True)
+    sol = chain.solve(lambda j, m: 1.0)
+    return complex(sol[_flag_start(gen, req, arm, dis)])
 
 
 def dense_product_solve(gen: Generator, req: QuantityRequest, *, cap: int = 20_000) -> complex:
-    """Reference value of any quantity via one sparse solve on the augmented
-    chain.  Intended for small grids (raises TooLarge above the cap)."""
+    """Reference value of any quantity at one scalar node q via one sparse
+    solve on the augmented chain.  Intended for small grids (raises
+    TooLarge above the cap, before assembling anything)."""
+    _require_scalar_q(req)
     kind = req.kind
     if kind in ("Q", "B", "C"):
         return _product_qbc(gen, req, cap)
@@ -412,6 +400,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     n = gen.n
     if n > 3000:
         raise TooLarge("MC oracle caps at 3000 states")
+    _require_scalar_q(req)
     q = complex(req.q)
     if abs(q.imag) > 0:
         raise ValueError("MC oracle requires a real Laplace argument")
@@ -466,7 +455,7 @@ def _jump_tables(gen: Generator):
     chain the down-step probabilities p_down[i - 1] = cdf[i, i - 1]
     (None otherwise)."""
     n = gen.n
-    out_rates = np.array([gen.out_rate(i) for i in range(n)])
+    out_rates = -gen.diagonal()
     dense = gen.to_dense(max_states=n)
     probs = np.zeros((n, n))
     active = out_rates > 0.0
@@ -480,10 +469,21 @@ def _jump_tables(gen: Generator):
 def _next_state(cdf, p_down, pos, u):
     """States the paths at ``pos`` jump to for the uniforms u: the count of
     CDF entries below u.  A birth-death row steps only to pos - 1 or
-    pos + 1, so one entry, p_down, gives the same count in O(1)."""
-    if p_down is None:
-        return (cdf[pos] < u[:, None]).sum(axis=1).astype(np.int64)
-    return pos - 1 + 2 * (p_down[pos - 1] < u)
+    pos + 1, so one entry, p_down, gives the same count in O(1).  Other
+    rows are non-decreasing, so a binary search with power-of-two strides
+    finds the exact count in about log2(n) gathers."""
+    if p_down is not None:
+        return pos - 1 + 2 * (p_down[pos - 1] < u)
+    n = cdf.shape[1]
+    flat = cdf.ravel()
+    row_end = pos * n - 1           # flat[row_end + c] = cdf[pos, c - 1]
+    count = np.zeros(pos.size, dtype=np.int64)
+    stride = 1 << (n.bit_length() - 1)
+    while stride:
+        probe = np.minimum(count + stride, n)
+        count = np.where(flat[row_end + probe] < u, probe, count)
+        stride >>= 1
+    return count
 
 
 def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps,

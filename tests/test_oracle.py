@@ -2,9 +2,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from drawdown_ctmc.cli import load_config, run_oracle
-from drawdown_ctmc.ctmc import BirthDeathGenerator, Grid, build_generator, build_grid
+from drawdown_ctmc.ctmc import (
+    BirthDeathGenerator,
+    Grid,
+    build_generator,
+    build_grid,
+    build_levy_generator,
+)
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import HorizonCapHit, McConfig, dense_product_solve, mc_estimate
 from drawdown_ctmc.quantities import (
@@ -22,6 +30,101 @@ def tiny_chain():
     down = np.array([0.0, 1.0, 5.0, 2.0, 0.0])
     grid = Grid(states=states, h=0.1, eta_x=2, x0=0.2)
     return BirthDeathGenerator(grid, up, down)
+
+
+# Reference assembly of the product chains: one jump at a time, in the
+# oracle's state order, each fired payoff added to a running sum.
+
+def row_moves(gen, i):
+    """Off-diagonal nonzeros (j, rate) of row i, ascending j; none where
+    the out rate is 0."""
+    row = gen.row(i)
+    if row[i] == 0.0:
+        return []
+    return [(j, row[j]) for j in np.nonzero(row)[0] if j != i]
+
+
+def pair_states(n, a):
+    return [(i, m) for m in range(n) for i in range(max(0, m - a + 1), m + 1)]
+
+
+def triple_states(n, a, b):
+    return [(i, m, l) for i, m in pair_states(n, a) for l in range(max(0, i - b + 1), i + 1)]
+
+
+def flag_states(n, a):
+    return [s for m in range(n) for s in [(i, m, 1) for i in range(max(0, m - a + 1), m + 1)]
+            + [(i, m, 0) for i in range(m + 1)]]
+
+
+def pair_jumps(gen, a, fired):
+    """(target, rate, payoff) of each jump from (i, m); fired(j, m) gives
+    the target (None: absorbed) and payoff of a jump that fires the
+    drawdown."""
+    def jumps(s):
+        i, m = s
+        for j, rate in row_moves(gen, i):
+            if j > m:
+                yield (j, j), rate, None
+            elif m - j >= a:
+                tgt, pay = fired(j, m)
+                yield tgt, rate, pay
+            else:
+                yield (j, m), rate, None
+    return jumps
+
+
+def triple_jumps(gen, a, b, f):
+    def jumps(s):
+        i, m, l = s
+        for j, rate in row_moves(gen, i):
+            if j > i:
+                if j - l < b:              # else the drawup fires first: value 0
+                    yield (j, max(m, j), l), rate, None
+            elif m - j >= a:
+                yield None, rate, f[j]
+            else:
+                yield (j, m, min(l, j)), rate, None
+    return jumps
+
+
+def flag_jumps(gen, a, fired):
+    def jumps(s):
+        i, m, armed = s
+        for j, rate in row_moves(gen, i):
+            if not armed:
+                yield ((j, j, 1) if j >= m else (j, m, 0)), rate, None
+            elif j > m:
+                yield (j, j, 1), rate, None
+            elif m - j >= a:
+                tgt, pay = fired(j, m)
+                yield tgt, rate, pay
+            else:
+                yield (j, m, 1), rate, None
+    return jumps
+
+
+def edge_loop_solve(gen, states, kill, jumps):
+    """Values over the listed states: killing kill(s) plus the out rate on
+    the diagonal, one matrix entry per jump, one sparse solve."""
+    idx = {s: k for k, s in enumerate(states)}
+    diag = np.empty(len(states), dtype=complex)
+    rhs = np.zeros(len(states), dtype=complex)
+    rows, cols, data = [], [], []
+    for s, r in idx.items():
+        diag[r] = kill(s) + gen.out_rate(s[0])
+        for tgt, rate, pay in jumps(s):
+            if pay is not None:
+                rhs[r] += rate * pay
+            if tgt is not None:
+                rows.append(r)
+                cols.append(idx[tgt])
+                data.append(-rate)
+    at = np.arange(len(states))
+    mat = sp.csc_matrix((np.concatenate([diag, np.asarray(data, dtype=complex)]),
+                         (np.concatenate([at, rows]), np.concatenate([at, cols]))),
+                        shape=(len(states),) * 2)
+    return dict(zip(states, spla.spsolve(mat, rhs)))
 
 
 class TestDenseProduct:
@@ -50,6 +153,56 @@ class TestDenseProduct:
         ref = np.linalg.solve(M, rhs)[idx[(2, 2)]]
         assert val.real == pytest.approx(ref, abs=1e-12)
 
+    def test_hand_solved_event_sum_systems(self):
+        # Hsum: an event pays 1 and the reference max restarts at the landing
+        # state.  Jsum: an event pays 1 and disarms; disarmed paths re-arm at
+        # the first return to the reference max.  Every (position, max) pair
+        # and (position, max, armed) triple of the five-state chain is written
+        # out, reachable or not.
+        gen = tiny_chain()
+        q = 0.7
+        kill = lambda s: q
+        ref = edge_loop_solve(gen, pair_states(5, 2), kill,
+                              pair_jumps(gen, 2, lambda j, m: ((j, j), 1.0)))
+        val = dense_product_solve(gen, QuantityRequest("Hsum", a=0.2, q=q))
+        assert val == pytest.approx(ref[(2, 2)], abs=1e-12)
+
+        ref = edge_loop_solve(gen, flag_states(5, 2), kill,
+                              flag_jumps(gen, 2, lambda j, m: ((j, m, 0), 1.0)))
+        for y, start in ((0.2, (2, 2, 1)), (0.3, (2, 3, 0)), (0.4, (2, 4, 0))):
+            val = dense_product_solve(gen, QuantityRequest("Jsum", a=0.2, q=q, y=y))
+            assert val == pytest.approx(ref[start], abs=1e-12)
+
+    def test_edge_loop_reference_bit_for_bit(self):
+        # the same systems assembled one jump at a time, states numbered in
+        # the oracle's order and payoffs summed by a running +=, must give the
+        # oracle's values exactly, on a lattice whose rows reach every state
+        gen = build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.45)
+        n, a, b, x0 = gen.n, 4, 5, gen.grid.eta_x
+        f = 1.0 + 0.3 * np.sin(5.0 * gen.states)
+        f2 = 1.0 + 0.2 * gen.states[:, None] - 0.1 * gen.states[None, :]
+        q = 0.8 + 0.5j
+        kill = lambda s: q
+        req = lambda kind, **kw: QuantityRequest(kind, a=a * gen.grid.h, q=q, **kw)
+
+        ref = edge_loop_solve(gen, pair_states(n, a), kill,
+                              pair_jumps(gen, a, lambda j, m: (None, f[j])))
+        assert dense_product_solve(gen, req("Q", f=f)) == ref[(x0, x0)]
+        ref = edge_loop_solve(gen, pair_states(n, a), kill,
+                              pair_jumps(gen, a, lambda j, m: ((j, j), 1.0)))
+        assert dense_product_solve(gen, req("Hsum")) == ref[(x0, x0)]
+        ref = edge_loop_solve(gen, triple_states(n, a, b), kill, triple_jumps(gen, a, b, f))
+        assert dense_product_solve(gen, req("A", b=b * gen.grid.h, f=f)) == ref[(x0, x0, x0)]
+        ref = edge_loop_solve(gen, flag_states(n, a), kill,
+                              flag_jumps(gen, a, lambda j, m: ((j, m, 0), 1.0)))
+        y = gen.states[x0 + 2]
+        assert dense_product_solve(gen, req("Jsum", y=y)) == ref[(x0, x0 + 2, 0)]
+        stage1 = edge_loop_solve(gen, flag_states(n, a), kill,
+                                 flag_jumps(gen, a, lambda j, m: (None, f2[j, m])))
+        ref = edge_loop_solve(gen, flag_states(n, a), kill,
+                              flag_jumps(gen, a, lambda j, m: (None, stage1[(j, m, 0)])))
+        assert dense_product_solve(gen, req("Jn", n=2, y=y, f2=f2)) == ref[(x0, x0 + 2, 0)]
+
     def test_unreachable_drawup_reduces_to_plain(self):
         gen = tiny_chain()
         a = dense_product_solve(gen, QuantityRequest("A", a=0.2, b=5.0, q=1.3))
@@ -73,11 +226,44 @@ class TestDenseProduct:
         rec = nth_drawdown_no_recovery(gen, q, 0.2, n=2)
         assert abs(two - rec) < 1e-9
 
-    def test_cap_guard(self):
-        g = build_grid(0.0, 0.2, 40, -4.0, 4.0)
+    def test_cap_guard(self, monkeypatch):
+        # the cap is checked on the arithmetic size, before any row is read
+        import drawdown_ctmc.oracle as oracle
+
+        def no_assembly(gen):
+            raise AssertionError("assembled a product chain above the cap")
+            yield
+
+        monkeypatch.setattr(oracle, "_base_rows", no_assembly)
+        g = build_grid(0.0, 0.2, 40, -0.6, 0.4)
         gen = build_generator(ModelSpec.bs(), g)
         with pytest.raises(TooLarge):
             dense_product_solve(gen, QuantityRequest("Q", a=0.2, q=1.0), cap=100)
+        # the 7,260 live pairs fit the default cap; the A and Jsum spaces do not
+        for req in (QuantityRequest("A", a=0.2, b=0.3, q=1.0),
+                    QuantityRequest("Jsum", a=0.2, q=1.0)):
+            with pytest.raises(TooLarge):
+                dense_product_solve(gen, req)
+        # sizes right at the cap pass the check: 41 live pairs on a 41-state
+        # chain with a one-step drawdown
+        small = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 2, -2.0, 2.0))
+        with pytest.raises(AssertionError):
+            dense_product_solve(small, QuantityRequest("Q", a=0.1, q=1.0), cap=small.n)
+
+    def test_start_outside_the_space_rejected(self):
+        gen = tiny_chain()
+        with pytest.raises(ValueError, match="running minimum"):
+            dense_product_solve(gen, QuantityRequest("A", a=0.2, b=0.2, q=1.0, y=0.3))
+        with pytest.raises(ValueError, match="reference max"):
+            dense_product_solve(gen, QuantityRequest("Jsum", a=0.2, q=1.0, y=0.1))
+
+    def test_node_vector_rejected(self):
+        gen = tiny_chain()
+        req = QuantityRequest("Q", a=0.2, q=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="scalar"):
+            dense_product_solve(gen, req)
+        with pytest.raises(ValueError, match="scalar"):
+            mc_estimate(gen, req, McConfig(n_paths=10))
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +317,37 @@ class TestMonteCarlo:
         u = rng.random(pos.size)
         assert p_down is not None
         assert np.array_equal(_next_state(cdf, p_down, pos, u), _next_state(cdf, None, pos, u))
+
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    def test_lattice_draw_matches_the_cdf_count(self, model):
+        from drawdown_ctmc.ctmc import DenseGenerator, build_levy_generator
+        from drawdown_ctmc.oracle import _jump_tables, _next_state
+
+        gen = build_levy_generator(model, 0.05, -1.0, 1.0)
+        rates = gen.to_dense()
+        rates[[5, 20], 8:30] = 0.0            # two rows with flat zero-mass runs
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        rng = np.random.default_rng(17)
+        for chain in (gen, DenseGenerator(gen.grid, rates)):
+            _, cdf, p_down = _jump_tables(chain)
+            assert p_down is None
+            n = chain.n
+            pos = rng.integers(1, n - 1, 200_000)
+            u = rng.random(pos.size)
+            # u exactly on CDF entries (flat runs included), and u = 0
+            on = rng.integers(0, n, 20_000)
+            u[:on.size] = cdf[pos[:on.size], on]
+            u[on.size:on.size + 1000] = 0.0
+            pos[-1000:] = 5
+            u[-1000:] = cdf[5, rng.integers(7, 31, 1000)]
+            ref = (cdf[pos] < u[:, None]).sum(axis=1)
+            assert np.array_equal(_next_state(cdf, None, pos, u), ref)
+
+    def test_batch_size_validated(self):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="batch"):
+                McConfig(batch_size=bad)
 
     def test_horizon_cap_guard(self):
         # strong mean reversion keeps paths alive: a tiny cap must trip
