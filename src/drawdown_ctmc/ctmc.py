@@ -186,9 +186,6 @@ class Generator:
 
     # -- shared helpers ------------------------------------------------------
 
-    def out_rate(self, i: int) -> float:
-        return -float(self.diagonal()[i])
-
     def to_dense(self, max_states: int = 4000) -> np.ndarray:
         if self.n > max_states:
             raise ValueError(f"refusing to densify a {self.n}-state generator")

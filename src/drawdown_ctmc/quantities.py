@@ -27,16 +27,18 @@ Quantities:
 
 with translation-invariant closed forms (`*_levy_closed_form`, at the
 lattice anchor) and birth-death fast paths selected automatically from the
-structure tag.  Every birth-death exit weight comes from fundamental-
-solution pairs: one through ``PsiPair.exit_weights``, two spliced for C.
+structure tag.  Every birth-death exit weight comes from the chain's
+three-term recurrence: through fundamental-solution pairs (one through
+``PsiPair.exit_weights``, two spliced for C), and for A as tables stepped
+over blocks of window tops (``_a_weights``).
 
 Node batching: every quantity takes one Laplace node or a vector of
 them, and a vector gives one value per node.  Most routes carry the nodes
 as a trailing array axis, so each rung evaluates all nodes in one pass:
 
 * the birth-death fast paths: Q and B (through the pair of the per-state
-  killing), C (through the spliced pairs), A, Hn, the Hsum partial sums and
-  fixed point (one sparse solve per node), Jn and Jsum;
+  killing), C (through the spliced pairs), A (through its weight tables),
+  Hn, the Hsum partial sums, Jn and Jsum;
 * the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
   and dense generators): the running vectors are (n, k); lattice windows
   cache the last rows of every node's inverse per killing pattern;
@@ -48,9 +50,11 @@ killing is the same for every node eliminated, the rest brought to
 Hessenberg form) and then costs one O(m^2) banded LU per node
 (``_node_solves``).
 
-The dense generic recursions (A and Jn off birth-death chains, the
-generic Hsum and Jsum fixed points) solve one node at a time; their
-public functions loop over the vector.
+The birth-death Hsum fixed point builds its weights for all nodes at
+once, then makes one sparse solve per node on one sparsity pattern.  The
+dense generic recursions (A and Jn off birth-death chains, the generic
+Hsum and Jsum fixed points) solve one node at a time; their public
+functions loop over the vector.
 """
 
 from __future__ import annotations
@@ -693,40 +697,125 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
 
 def _a_diffusion(gen: Generator, q: np.ndarray, a_steps: int, b_steps: int,
                  f_arr: np.ndarray, eta: int) -> np.ndarray:
-    """Birth-death path: all sub-window exits are single-target, every
-    coefficient a bridge ratio; only the row above is ever referenced.
-    Returns the value rows over the starting-minimum index at position
-    eta, one column per node."""
-    n = gen.n
-    psi = psi_pair(gen, q)
-    up_full, dn_full = _window_weights(psi, np.arange(eta, n - 1), a_steps)
-    row_next = np.zeros((n, q.size), dtype=complex)   # A(q, y_{i+1}, .) by min index
-    row_cur = np.zeros((n, q.size), dtype=complex)
-    for i in range(n - 2, eta - 1, -1):
-        lo = max(0, i - a_steps + 1)
-        lob = max(0, i - b_steps + 1)
-        row_cur[:] = 0.0
-        pay = dn_full[i - eta] * f_arr[lo - 1] if lo > 0 else 0.0
-        # frozen-minimum block: minima in (y_i - b, y_i - a] plus the window
-        # bottom state, where the minimum cannot move before exit
-        row_cur[lob:lo + 1] = pay + up_full[i - eta] * row_next[lob:lo + 1]
-        if i > lo:
-            # sub-window exits [t..i], t = m + 1: from the top (inner
-            # assignments) and from the bottom (minimum-update continuations)
-            m = np.arange(lo, i)
-            up_top, dn_top = psi.exit_weights(i, m, i + 1)
-            # m = 0 only at the absorbing state, where the value is forced to 0
-            up_bot, dn_bot = psi.exit_weights(np.maximum(m, 1), np.maximum(m - 1, 0), i + 1)
-            # minimum-update values R(y_{m+1}): the first continues from the
-            # top only, each later one also from the minimum just below
-            r_diag = up_bot * row_next[lo:i]
-            if lo == 0:
-                r_diag[0] = 0.0   # absorbed at the bottom state
-            for pos in range(1, m.size):
-                r_diag[pos] += dn_bot[pos] * r_diag[pos - 1]
-            row_cur[lo + 1:i + 1] = pay + dn_top * r_diag + up_top * row_next[lo + 1:i + 1]
-        row_next, row_cur = row_cur, row_next
+    """Birth-death path: the value rows V(i, .) over the minimum index at
+    the window tops i = N-2 .. eta, each from the row of the top above
+    only; returns the row at position eta, one column per node.
+
+    Minima in (y_i - b, y_i - a] and the window bottom lo stay frozen
+    until the window exits: V(i, l) = pay + up V(i+1, l), where up and dn
+    are the window's exit weights onto i + 1 and onto the floor lo - 1,
+    and pay = dn f(y_{lo-1}).  A minimum y_{m+1} inside the window (split
+    m in [lo, i)) either exits at i + 1 first, with the weight up_top(i, m)
+    of leaving (m, i + 1) at the top, or is lowered:
+
+        V(i, m+1) = pay + up_top(i, m) V(i+1, m+1)
+                    + sum_{lo <= m' <= m} omega(i, m') V(i+1, m'),
+
+    omega = dn_top up_bot being the weight of first reaching m' and then
+    i + 1 before m' - 1.  Passages down the skip-free chain multiply,
+    dn_top(i, m) dn_bot(m) = dn_top(i, m - 1), so the sum telescopes the
+    minimum-update recursion R(m) = up_bot V(i+1, m) + dn_bot R(m - 1)
+    into one ``cumsum`` per top.
+
+    Every weight comes from the recurrence c_x f(x) = up_x f(x+1) +
+    down_x f(x-1), c_x = q + up_x + down_x, run in its stable direction
+    for a block of 2a tops at once (``_a_weights``).  With h the solution
+    vanishing at m and g the one vanishing at i + 1:
+
+    * up_top(i, m) = h(i) / h(i+1) = 1/rho(i), where rho(m+1) = c/up and
+      rho(x) = c/up - (down/up) / rho(x-1);
+    * sigma(x) = g(x-1) / g(x), where sigma(i) = c/down and sigma(x) =
+      c/down - (up/down) / sigma(x+1);
+    * dn_top(i, m) = prod_{x=m+1..i} 1/sigma(x), and up_bot(i, m) =
+      prod_{x=m..i} (up/down) / sigma(x), because the Wronskian of h and
+      g steps by down/up: h(m) / h(i+1) = (W_m / W_{i+1}) g(i) / g(m-1);
+    * omega = 0 at m = 0, the absorbing state.
+
+    The window weights are the splits one below the window, m = lo - 1.
+    Each entry is an exit weight, bounded by its value at real killing,
+    so no exp or log scale is needed.
+    """
+    n, k = gen.n, q.size
+    coeffs = _a_recurrences(gen, q, a_steps)
+    row_next = np.zeros((n, k), dtype=complex)   # V(i+1, .) by min index
+    row_cur = np.zeros((n, k), dtype=complex)
+    block = 2 * a_steps
+    for t1 in range(n - 2, eta - 1, -block):
+        t0 = max(eta, t1 - block + 1)
+        up, omega, down = _a_weights(coeffs, a_steps, t0, t1)
+        for i in range(t1, t0 - 1, -1):
+            j = i - t0
+            lo = max(0, i - a_steps + 1)
+            lob = max(0, i - b_steps + 1)
+            pay = down[j] * f_arr[lo - 1] if lo > 0 else 0.0
+            row_cur[lob:lo + 1] = pay + up[j, a_steps - min(i, a_steps)] * row_next[lob:lo + 1]
+            if i > lo:
+                # the splits m = lo .. i - 1 are the last i - lo columns
+                cols = slice(a_steps - (i - lo), None)
+                split = row_cur[lo + 1:i + 1]
+                np.cumsum(omega[j, cols] * row_next[lo:i], axis=0, out=split)
+                split += up[j, cols] * row_next[lo + 1:i + 1]
+                split += pay
+            # this buffer held the row of top i + 2, on [lob(i + 2), i + 2]
+            row_cur[i + 1:i + 3] = 0.0
+            row_next, row_cur = row_cur, row_next
     return row_next
+
+
+def _a_recurrences(gen: Generator, q: np.ndarray, a_steps: int) -> np.ndarray:
+    """The recurrence coefficients c/up, down/up, c/down and up/down as one
+    (4, rows, k) array, state x at row x + a - 1.  The a rows of x <= 0
+    hold (1, 0): stepped down into them, a ratio reads 1 and the up/down
+    factor 0."""
+    n, w = gen.n, a_steps - 1
+    up, down = gen.up[1:n - 1, None], gen.down[1:n - 1, None]
+    if np.any(up <= 0.0) or np.any(down <= 0.0):
+        raise DegenerateWindow("birth-death chain has a zero interior rate")
+    c = q - gen.diagonal()[1:n - 1, None]
+    coeffs = np.zeros((4, w + n - 1, q.size), dtype=complex)
+    coeffs[[0, 2], :w + 1] = 1.0
+    for row, coeff in zip(coeffs, (c / up, down / up, c / down, up / down)):
+        row[w + 1:] = coeff
+    return coeffs
+
+
+def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int):
+    """The weights of ``_a_diffusion`` for the tops i in [t0, t1] (row
+    i - t0): (up, omega, down).  Column a - d of up and omega holds the
+    split m = i - d, d = 1 .. a (omega at d < a only); up at d = min(i, a)
+    and down are the window's weights onto i + 1 and onto i - a (0 for
+    i < a).  A non-finite entry raises ``Singular``."""
+    c_up, d_up, c_dn, u_dn = coeffs
+    w, rows = a - 1, t1 - t0 + 1
+    up = np.zeros((rows, a, c_up.shape[1]), dtype=complex)
+    omega = np.zeros(up.shape, dtype=complex)
+    # 1/rho, stepped up over d for the states x0 .. t1 at once: each step
+    # drops the lowest, so every entry starts from a split m = x - d >= 0
+    x0, end = max(1, t0 - w) + w, t1 + w + 1
+    inv = np.zeros((end - x0 + 1, up.shape[2]), dtype=complex)
+    for d in range(1, a + 1):
+        x = slice(x0 + d - 1, end)
+        inv = d_up[x] * inv[:-1]
+        np.reciprocal(np.subtract(c_up[x], inv, out=inv), out=inv)
+        take = min(rows, inv.shape[0])
+        up[rows - take:, a - d] = inv[inv.shape[0] - take:]
+    # 1/sigma at x = i - e, stepped down over e for all tops at once, with
+    # the running products dn_top and up_bot
+    inv = np.zeros((rows, up.shape[2]), dtype=complex)
+    dn, ub = np.ones_like(inv), np.ones_like(inv)
+    for e in range(a):
+        x = slice(t0 - e + w, t1 - e + w + 1)
+        np.multiply(u_dn[x], inv, out=inv)
+        np.reciprocal(np.subtract(c_dn[x], inv, out=inv), out=inv)
+        ub *= u_dn[x]
+        ub *= inv
+        if e:
+            np.multiply(dn, ub, out=omega[:, a - e])
+        dn *= inv
+    down = np.where(np.arange(t0, t1 + 1)[:, None] >= a, dn, 0.0)
+    if not (np.all(np.isfinite(up)) and np.all(np.isfinite(omega)) and np.all(np.isfinite(down))):
+        raise Singular("sub-window exit weight is not finite")
+    return up, omega, down
 
 
 def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
@@ -840,10 +929,13 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None):
         has_floor = floor >= 0
         rows = np.concatenate([np.arange(n), idx, idx[has_floor]])
         cols = np.concatenate([np.arange(n), idx + 1, floor[has_floor]])
+        # one sparsity pattern for every node, its entries in column order
+        order = np.lexsort((rows, cols))
+        rows, indptr = rows[order], np.searchsorted(cols[order], np.arange(n + 1))
+        data = np.concatenate([np.ones((n, nodes.size)), -up, -down[has_floor]])[order].T
         out = np.empty(nodes.size, dtype=complex)
         for j in range(nodes.size):   # one sparse solve per node
-            data = np.concatenate([np.ones(n), -up[:, j], -down[has_floor, j]])
-            mat = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+            mat = sp.csc_matrix((data[j], rows, indptr), shape=(n, n))
             rhs = np.zeros(n, dtype=complex)
             rhs[idx] = down[:, j]
             try:

@@ -108,11 +108,12 @@ def edge_loop_solve(gen, states, kill, jumps):
     """Values over the listed states: killing kill(s) plus the out rate on
     the diagonal, one matrix entry per jump, one sparse solve."""
     idx = {s: k for k, s in enumerate(states)}
+    out_rate = -gen.diagonal()
     diag = np.empty(len(states), dtype=complex)
     rhs = np.zeros(len(states), dtype=complex)
     rows, cols, data = [], [], []
     for s, r in idx.items():
-        diag[r] = kill(s) + gen.out_rate(s[0])
+        diag[r] = kill(s) + out_rate[s[0]]
         for tgt, rate, pay in jumps(s):
             if pay is not None:
                 rhs[r] += rate * pay

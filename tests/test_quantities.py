@@ -123,6 +123,74 @@ class TestDrawdownBeforeDrawup:
             ref = dense_product_solve(gen, req)
             assert abs(val - ref) < 1e-12
 
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    @pytest.mark.parametrize("a_steps", [1, 2, 5])
+    @pytest.mark.parametrize("t0", [1, 12])   # 1: windows reaching state 0
+    def test_weight_tables_match_the_pair(self, model, a_steps, t0):
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import psi_pair
+
+        gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+        nodes = np.array([1.3, 2.0 + 0.7j, 5.0 + 800j, 0.4 - 790j])
+        t1 = gen.n - 2
+        coeffs = qmod._a_recurrences(gen, nodes, a_steps)
+        up, omega, down = qmod._a_weights(coeffs, a_steps, t0, t1)
+        psi = psi_pair(gen, nodes)
+        # every (top i, split m = i - d) with m >= 0, d = 1 .. a
+        i, d = (x.ravel() for x in np.meshgrid(np.arange(t0, t1 + 1), np.arange(1, a_steps + 1)))
+        keep = i >= d
+        i, d = i[keep], d[keep]
+        m = i - d
+        up_top, dn_top = psi.exit_weights(i, m, i + 1)
+        up_bot = psi.exit_weights(np.maximum(m, 1), np.maximum(m - 1, 0), i + 1)[0]
+
+        def close(x, y):
+            return np.all(np.abs(x - y) <= 1e-11 * np.abs(y))
+
+        assert close(up[i - t0, a_steps - d], up_top)
+        split = d < a_steps
+        inner = split & (m > 0)
+        assert close(omega[(i - t0)[inner], (a_steps - d)[inner]], (dn_top * up_bot)[inner])
+        assert np.all(omega[(i - t0)[split & (m == 0)], (a_steps - d)[split & (m == 0)]] == 0.0)
+        tops = np.arange(t0, t1 + 1)
+        window_dn = psi.exit_weights(tops, np.maximum(tops - a_steps, 0), tops + 1)[1]
+        assert close(down[tops >= a_steps], window_dn[tops >= a_steps])
+        assert np.all(down[tops < a_steps] == 0.0)
+
+    def test_zero_interior_rate_rejected(self, bs_small):
+        from drawdown_ctmc.ctmc import BirthDeathGenerator
+        from drawdown_ctmc.linsolve import DegenerateWindow
+
+        up = bs_small.up.copy()
+        up[10] = 0.0
+        gen = BirthDeathGenerator(bs_small.grid, up, bs_small.down)
+        with pytest.raises(DegenerateWindow, match="zero interior rate"):
+            drawdown_before_drawup(gen, 1.0, 0.2, 0.3)
+
+    def test_weights_do_not_grow_with_the_grid(self, monkeypatch):
+        # the weights come in blocks from the recurrence: no bridge
+        # determinant per window top, so the count is the same on every grid
+        from drawdown_ctmc.linsolve import PsiPair
+
+        calls = []
+        bridge_many = PsiPair.bridge_many
+
+        def counted(self, *args):
+            calls.append(1)
+            return bridge_many(self, *args)
+
+        monkeypatch.setattr(PsiPair, "bridge_many", counted)
+        nodes = np.array([1.0, 5.0 + 800j])
+        counts = []
+        for n_x in (4, 16):
+            gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, n_x, -0.8, 0.4))
+            calls.clear()
+            fast = drawdown_before_drawup(gen, nodes, 0.2, 0.3, y=-0.1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
+        slow = drawdown_before_drawup(dense_copy(gen), nodes, 0.2, 0.3, y=-0.1)
+        assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow))
+
 
 class TestOccupationUntilDrawdown:
     def test_constant_killing_collapses_to_q(self, bs_small):
@@ -392,9 +460,10 @@ def off_anchor(req):
 
 
 # The route each kind takes on each structure, all started at the anchor:
-# the fundamental-solution pairs, the window sweep, one of the lattice
-# closed forms, or (an empty set) the dense generic recursions.
-ROUTE_NAMES = ("psi_pair", "backward_window_sweep", "c_levy_closed_form",
+# the fundamental-solution pairs, A's recurrence tables, the window sweep,
+# one of the lattice closed forms, or (an empty set) the dense generic
+# recursions.
+ROUTE_NAMES = ("psi_pair", "_a_weights", "backward_window_sweep", "c_levy_closed_form",
                "h_levy_closed_form", "j_levy_closed_form")
 DISPATCH_CASES = [
     QuantityRequest("Q", a=0.1, q=2.0),
@@ -408,7 +477,8 @@ DISPATCH_CASES = [
 ]
 SWEEP = {"backward_window_sweep"}
 EXPECTED_ROUTE = {
-    "birth-death": {r.kind: {"psi_pair"} for r in DISPATCH_CASES},
+    "birth-death": {r.kind: {"_a_weights" if r.kind == "A" else "psi_pair"}
+                    for r in DISPATCH_CASES},
     "DEJD": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": {"c_levy_closed_form"}, "Hn": SWEEP,
              "Hsum": {"h_levy_closed_form"}, "Jn": set(), "Jsum": {"j_levy_closed_form"}},
     "dense": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": SWEEP, "Hn": SWEEP,
