@@ -393,14 +393,6 @@ class DenseGenerator(Generator):
         if self.rates.shape != (grid.n, grid.n):
             raise ValueError("rate matrix shape does not match the grid")
 
-    @classmethod
-    def from_dense(cls, states: np.ndarray, rates: np.ndarray, *, x0_index: int = 0) -> "DenseGenerator":
-        states = np.asarray(states, dtype=float)
-        diffs = np.diff(states)
-        h = float(diffs.min())
-        grid = Grid(states=states, h=h, eta_x=x0_index, x0=float(states[x0_index]))
-        return cls(grid, rates)
-
     def row(self, i: int) -> np.ndarray:
         return self.rates[i].copy()
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "ModelSpec",
@@ -234,8 +233,13 @@ def _exp_second(rate: float, lo: float, hi: float) -> float:
     return anti(lo) - (0.0 if math.isinf(hi) else anti(hi))
 
 
-def _vg_e1(z: float) -> float:
-    return float(exp1(z)) if not math.isinf(z) else 0.0
+def _e1(z):
+    """Exponential integral E1 of a scalar or an array, with E1(inf) = 0.
+    Only VG bin masses need it, so scipy.special is imported here: BS, CEV
+    and DEJD runs never load it."""
+    from scipy.special import exp1
+
+    return exp1(z)
 
 
 def _split_at_zero(fn_neg, fn_pos, lo: float, hi: float) -> float:
@@ -273,9 +277,9 @@ def levy_bin_mass(model: ModelSpec, x: float, lo: float, hi: float) -> float:
     nv = model.nu_vg
     if hi <= 0.0:
         lm = model.vg_decay_neg
-        return (_vg_e1(lm * (-hi)) - _vg_e1(lm * (-lo))) / nv
+        return (_e1(lm * (-hi)) - _e1(lm * (-lo))) / nv
     lp = model.vg_decay_pos
-    return (_vg_e1(lp * lo) - _vg_e1(lp * hi)) / nv
+    return (_e1(lp * lo) - _e1(lp * hi)) / nv
 
 
 def levy_bin_mass_array(model: ModelSpec, x: float, lo, hi) -> np.ndarray:
@@ -303,15 +307,8 @@ def levy_bin_mass_array(model: ModelSpec, x: float, lo, hi) -> np.ndarray:
         return out
     lp, lm = model.vg_decay_pos, model.vg_decay_neg
     nv = model.nu_vg
-
-    def e1_or_zero(z):
-        res = np.zeros(z.shape)
-        finite = ~np.isinf(z)
-        res[finite] = exp1(z[finite])
-        return res
-
-    out[pos] = (e1_or_zero(lp * lo[pos]) - e1_or_zero(lp * hi[pos])) / nv
-    out[neg] = (e1_or_zero(-lm * hi[neg]) - e1_or_zero(-lm * lo[neg])) / nv
+    out[pos] = (_e1(lp * lo[pos]) - _e1(lp * hi[pos])) / nv
+    out[neg] = (_e1(-lm * hi[neg]) - _e1(-lm * lo[neg])) / nv
     return out
 
 

@@ -68,7 +68,6 @@ import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.signal import fftconvolve
 
 from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator
 from .linsolve import (
@@ -222,23 +221,32 @@ def _anchor_index(gen: Generator, x) -> int:
 
 def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
     """Off-diagonal payoff inflow sum_{z <= cut, z != m} G(m, z) f[z] on a
-    translation-invariant lattice, one column per payoff column, via one
-    FFT correlation plus local and boundary-column corrections."""
+    translation-invariant lattice, one column per payoff column: one
+    circular correlation with the stencil by real numpy FFTs (a complex
+    payoff as stacked real and imaginary columns) at a length >= 2n - 1,
+    so that no offset wraps, plus the local rates and boundary columns."""
     n = gen.n
     D = np.zeros(f_arr.shape, dtype=complex)
     if cut < 0:
         return D
     hi = min(cut, n - 2)
     if hi >= 1:
-        f_seg = np.zeros(f_arr.shape, dtype=complex)
-        f_seg[1:hi + 1] = f_arr[1:hi + 1]
-        rev = gen.stencil[::-1, None]
-        D += fftconvolve(f_seg, rev, axes=0)[n - 1:2 * n - 1]
-        D[0:hi] += gen.local_up * f_arr[1:hi + 1]
-        D[2:hi + 2] += gen.local_down * f_arr[1:hi + 1]
-    # column 0 carries the extended tail bin
-    D[1:n - 1] += gen.tail_bot[1:n - 1, None] * f_arr[0]
-    D[1] += gen.local_down * f_arr[0]
+        size = min(c << (-(-(2 * n - 1) // c) - 1).bit_length() for c in (1, 3, 5))
+        kernel = np.zeros(size)   # kernel[j]: the stencil at offset -j (mod size)
+        kernel[:n], kernel[size - n + 1:] = gen.stencil[n - 1::-1], gen.stencil[:n - 1:-1]
+        seg, k = f_arr[1:hi + 1], f_arr.shape[1]
+        cplx = np.iscomplexobj(seg)
+        cols = np.hstack([seg.real, seg.imag]) if cplx else seg
+        # seg starts at state 1, so output row m - 1 is state m's inflow
+        out = np.fft.irfft(np.fft.rfft(cols, size, axis=0) * np.fft.rfft(kernel)[:, None],
+                           size, axis=0)[:n - 2]
+        D[1:n - 1] = out[:, :k] + 1j * out[:, k:] if cplx else out
+        D[0:hi] += gen.local_up * seg
+        D[2:hi + 2] += gen.local_down * seg
+    # the boundary columns carry the extended tail bins
+    D += gen.column(0)[:, None] * f_arr[0]
+    if cut == n - 1:
+        D += gen.column(n - 1)[:, None] * f_arr[n - 1]
     D[0] = D[n - 1] = 0.0
     return D
 

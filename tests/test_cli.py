@@ -214,3 +214,38 @@ class TestMain:
         assert cfg.laplace.decay_param == 20.0
         assert cfg.laplace.base_terms == 18
         assert cfg.laplace.euler_terms == 12
+
+
+class TestColdImport:
+    """The package loads numpy, scipy.linalg and scipy.sparse; scipy.special
+    is imported by the VG bin masses alone."""
+
+    HEAVY = ("scipy.signal", "scipy.special", "scipy.fft")
+
+    def loaded_after(self, code):
+        import subprocess
+        import sys
+
+        import drawdown_ctmc
+
+        src = os.path.dirname(os.path.dirname(drawdown_ctmc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = f"{code}\nimport sys\nprint('loaded:', *[m for m in {self.HEAVY!r} if m in sys.modules])"
+        run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        return set(run.stdout.splitlines()[-1].split()[1:])
+
+    def test_import_leaves_the_heavy_modules_out(self):
+        assert self.loaded_after("import drawdown_ctmc.cli") == set()
+
+    def test_bs_table_leaves_special_out(self):
+        config = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
+        code = ("from drawdown_ctmc.cli import load_config, run_table\n"
+                f"run_table(load_config({config!r}, ['grid.n_x=8,16']))")
+        assert "scipy.special" not in self.loaded_after(code)
+
+    def test_vg_lattice_loads_special(self):
+        code = ("from drawdown_ctmc.ctmc import build_levy_generator\n"
+                "from drawdown_ctmc.models import ModelSpec\n"
+                "build_levy_generator(ModelSpec.vg(), 0.05, -1.0, 1.0)")
+        assert "scipy.special" in self.loaded_after(code)

@@ -31,7 +31,8 @@ def random_jump_chain(n, seed):
     rates[0] = 0.0
     rates[-1] = 0.0
     np.fill_diagonal(rates, -rates.sum(axis=1))
-    return DenseGenerator.from_dense(states, rates, x0_index=n // 2)
+    grid = Grid(states=states, h=float(np.diff(states).min()), eta_x=n // 2, x0=float(states[n // 2]))
+    return DenseGenerator(grid, rates)
 
 
 def ambient_solve(gen, window, kvals, f):

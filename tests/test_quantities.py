@@ -651,3 +651,37 @@ class TestNodeAxis:
 
         with pytest.raises(Singular):
             qmod._node_solves(np.zeros((2, 2)), np.array(kv, dtype=complex), np.ones(2))
+
+
+class TestToeplitzInflow:
+    """``_toeplitz_D_init`` against the dense payoff inflow
+    sum_{z <= cut, z != m} G(m, z) f[z] of the same lattice."""
+
+    @pytest.fixture(scope="class", params=["DEJD", "VG"])
+    def lattice(self, request):
+        model = ModelSpec.dejd() if request.param == "DEJD" else ModelSpec.vg()
+        gen = build_levy_generator(model, 0.05, -1.0, 1.0)
+        return gen, gen.to_dense()
+
+    @staticmethod
+    def payoffs(n):
+        rng = np.random.default_rng(7)
+        real = rng.uniform(-1.0, 1.0, (n, 1))
+        cplx = rng.uniform(-1.0, 1.0, (n, 3)) + 1j * rng.uniform(-1.0, 1.0, (n, 3))
+        return {"real": real, "complex": cplx}
+
+    @pytest.mark.parametrize("payoff", ["real", "complex"])
+    def test_matches_the_dense_sum(self, lattice, payoff):
+        from drawdown_ctmc.quantities import _toeplitz_D_init
+
+        gen, dense = lattice
+        n = gen.n
+        f = self.payoffs(n)[payoff]
+        off = dense - np.diag(np.diag(dense))
+        for cut in (-1, 0, 1, n // 2, n - 2, n - 1):
+            got = _toeplitz_D_init(gen, f, cut)
+            ref = off[:, :cut + 1] @ f[:cut + 1]
+            ref[[0, n - 1]] = 0.0
+            assert got.shape == f.shape
+            scale = max(np.max(np.abs(ref)), 1.0e-300)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale, cut
