@@ -556,16 +556,20 @@ def build_levy_generator(model: ModelSpec, h: float, trunc_lo: float, trunc_hi: 
         return ToeplitzLevyGenerator(grid, lu, ld, stencil, np.zeros(n), np.zeros(n),
                                      model=model)
 
+    # One-sided tail masses nu[e_d, inf) and nu(-inf, -e_d] at the bin edges
+    # e_d = (d - 1/2) h, d = 1..n: every stencil bin and every truncation
+    # tail is one of them or the difference of two.
+    edges = (np.arange(1, n + 1, dtype=float) - 0.5) * h
+    above = levy_bin_mass_array(model, x0, edges, np.full(n, np.inf))
+    below = levy_bin_mass_array(model, x0, np.full(n, -np.inf), -edges)
     stencil = np.zeros(2 * n - 1)
-    d_pos = np.arange(1, n, dtype=float)
-    stencil[n:] = levy_bin_mass_array(model, x0, d_pos * h - 0.5 * h, d_pos * h + 0.5 * h)
-    d_neg = np.arange(-(n - 1), 0, dtype=float)
-    stencil[:n - 1] = levy_bin_mass_array(model, x0, d_neg * h - 0.5 * h, d_neg * h + 0.5 * h)
+    stencil[n:] = above[:-1] - above[1:]
+    stencil[:n - 1] = (below[:-1] - below[1:])[::-1]
     lu, ld = _local_rates(model, x0, h, h, nu_up=stencil[n], nu_dn=stencil[n - 2],
                           scheme=drift_scheme)
-    m_arr = np.arange(1, n - 1, dtype=float)
+    # state m's jumps past the ends: below state 0 and above state n - 1
     tail_bot = np.zeros(n)
     tail_top = np.zeros(n)
-    tail_bot[1:n - 1] = levy_bin_mass_array(model, x0, np.full(n - 2, -np.inf), (0.5 - m_arr) * h)
-    tail_top[1:n - 1] = levy_bin_mass_array(model, x0, (n - 1.5 - m_arr) * h, np.full(n - 2, np.inf))
+    tail_bot[1:n - 1] = below[:n - 2]
+    tail_top[1:n - 1] = above[n - 3::-1]
     return ToeplitzLevyGenerator(grid, lu, ld, stencil, tail_bot, tail_top, model=model)

@@ -234,12 +234,18 @@ def _exp_second(rate: float, lo: float, hi: float) -> float:
 
 
 def _e1(z):
-    """Exponential integral E1 of a scalar or an array, with E1(inf) = 0.
-    Only VG bin masses need it, so scipy.special is imported here: BS, CEV
-    and DEJD runs never load it."""
+    """Exponential integral E1 of a scalar or an array, with E1(inf) = 0
+    taken as such: infinite points of an array are not evaluated.  Only VG
+    bin masses need it, so scipy.special is imported here: BS, CEV and
+    DEJD runs never load it."""
     from scipy.special import exp1
 
-    return exp1(z)
+    if np.ndim(z) == 0:
+        return exp1(z)
+    out = np.zeros(np.shape(z))
+    finite = np.isfinite(z)
+    out[finite] = exp1(z[finite])
+    return out
 
 
 def _split_at_zero(fn_neg, fn_pos, lo: float, hi: float) -> float:

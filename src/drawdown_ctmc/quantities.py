@@ -51,10 +51,10 @@ Hessenberg form) and then costs one O(m^2) banded LU per node
 (``_node_solves``).
 
 The birth-death Hsum fixed point builds its weights for all nodes at
-once, then makes one sparse solve per node on one sparsity pattern.  The
-dense generic recursions (A and Jn off birth-death chains, the generic
-Hsum and Jsum fixed points) solve one node at a time; their public
-functions loop over the vector.
+once, then solves (I - P) for all nodes in one block elimination
+(``_hsum_birth_death``).  The dense generic recursions (A and Jn off
+birth-death chains, the generic Hsum and Jsum fixed points) solve one
+node at a time; their public functions loop over the vector.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator
 from .linsolve import (
@@ -928,33 +926,74 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None):
     grid = gen.grid
     a_steps = grid.steps_of(a)
     eta = _anchor_index(gen, x)
-    n = gen.n
     nodes, single = _nodes(q)
     if gen.structure == BIRTH_DEATH:
-        idx = np.arange(1, n - 1)
-        up, down = _window_weights(psi_pair(gen, nodes), idx, a_steps)
-        floor = idx - a_steps
-        has_floor = floor >= 0
-        rows = np.concatenate([np.arange(n), idx, idx[has_floor]])
-        cols = np.concatenate([np.arange(n), idx + 1, floor[has_floor]])
-        # one sparsity pattern for every node, its entries in column order
-        order = np.lexsort((rows, cols))
-        rows, indptr = rows[order], np.searchsorted(cols[order], np.arange(n + 1))
-        data = np.concatenate([np.ones((n, nodes.size)), -up, -down[has_floor]])[order].T
-        out = np.empty(nodes.size, dtype=complex)
-        for j in range(nodes.size):   # one sparse solve per node
-            mat = sp.csc_matrix((data[j], rows, indptr), shape=(n, n))
-            rhs = np.zeros(n, dtype=complex)
-            rhs[idx] = down[:, j]
-            try:
-                sol = spla.spsolve(mat, rhs)
-            except Exception as exc:  # scipy raises several types here
-                raise FixedPointSingular(str(exc)) from exc
-            out[j] = sol[eta]
-        return _per_node(out, single)
+        up, down = _window_weights(psi_pair(gen, nodes), np.arange(1, gen.n - 1), a_steps)
+        return _per_node(_hsum_birth_death(up, down, a_steps, eta), single)
     if gen.structure == TOEPLITZ_LEVY and eta == grid.eta_x:
         return h_levy_closed_form(gen, q, a)
     return _per_node(np.array([_hsum_generic(gen, q, a_steps, eta) for q in nodes]), single)
+
+
+def _hsum_birth_death(up: np.ndarray, down: np.ndarray, a_steps: int, eta: int) -> np.ndarray:
+    """H at state eta, one value per node, of the birth-death fixed point
+    H_i - up_i H_{i+1} - down_i H_{i-a} = down_i over the tops i = 1..n-2
+    (H_0 = H_{n-1} = 0), from the (n-2, k) window weights of
+    ``_window_weights`` (down is 0 on tops below a).
+
+    Gaussian elimination without pivoting keeps U upper bidiagonal: after
+    it, H_l = c_l + g_l H_{l+1}, and row r's pivot is 1 - down_r G_r with
+    H_{r-a} = C_r + G_r H_r the composition of the maps of rows r-a..r-1.
+    For Re q > 0, |up| + |down| < 1 makes (I - P) strictly row diagonally
+    dominant, so no pivoting is needed.  The rows go in blocks of a: the
+    maps from each row of the previous block across to this block's first
+    row come from a doubling scan, and inside a block the pivot recurrence
+    is linear in 1 / (running product of g), so it takes one cumprod of
+    up and two cumsums.  Raises FixedPointSingular on a zero or non-finite
+    pivot or value.
+    """
+    if a_steps < 1:
+        raise FixedPointSingular("a drawdown level under one grid step fires at once")
+    n, k = up.shape[0] + 2, up.shape[1]
+    if not 0 < eta < n - 1:
+        return np.zeros(k, dtype=complex)
+    u = np.zeros((n, k), dtype=complex)
+    d = np.zeros((n, k), dtype=complex)
+    u[1:n - 1], d[1:n - 1] = up, down
+    g, c = np.empty_like(u), np.empty_like(u)
+    piv = np.empty_like(u)
+    # H_{s-a+j} = E[j] + A[j] H_s across the previous block; rows below a
+    # have no down weight, so the first block needs none
+    A = E = np.zeros((a_steps, k), dtype=complex)
+    with np.errstate(all="ignore"):
+        for s in range(0, n, a_steps):
+            e = min(s + a_steps, n)
+            ub, db, Ab, Eb = u[s:e], d[s:e], A[:e - s], E[:e - s]
+            # G_r = A_r U_r / D_r with U the running product of up inside the
+            # block and D_r = 1 - sum_{l<r} down_l A_l U_l; pivot = D_{r+1} / D_r
+            U = np.cumprod(np.concatenate([np.ones((1, k)), ub[:-1]]), axis=0)
+            D = np.empty((e - s + 1, k), dtype=complex)
+            D[0] = 1.0
+            D[1:] = 1.0 - np.cumsum(db * Ab * U, axis=0)
+            pay = db * (1.0 + Eb) * U
+            FD = np.cumsum(pay, axis=0) - pay   # F_r D_r, F_r = sum_{l<r} c_l U_l / D_l
+            p = piv[s:e] = D[1:] / D[:-1]
+            g[s:e] = gb = ub / p
+            c[s:e] = cb = db * (1.0 + Eb + Ab * FD / D[:-1]) / p
+            # doubling scan of the maps across this block, to its end
+            E, A = cb.copy(), gb.copy()
+            step = 1
+            while step < e - s:
+                E[:-step] += A[:-step] * E[step:]
+                A[:-step] *= A[step:]
+                step *= 2
+        if not (np.all(np.isfinite(piv)) and np.all(piv != 0.0)):
+            raise FixedPointSingular("zero or non-finite pivot in the insurance fixed point")
+        tail = np.cumprod(g[eta:n - 2], axis=0)
+        val = c[eta] + np.sum(c[eta + 1:n - 1] * tail, axis=0)
+    if not np.all(np.isfinite(val)):
+        raise FixedPointSingular("non-finite insurance fixed point")
+    return val
 
 
 def _hsum_generic(gen: Generator, q: complex, a_steps: int, eta: int) -> complex:

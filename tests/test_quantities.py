@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +320,129 @@ class TestNthDrawdownNoRecovery:
         fast = insurance_no_recovery(bs_small, q, 0.2)
         slow = insurance_no_recovery(dense_copy(bs_small), q, 0.2)
         assert abs(fast - slow) < 1e-9
+
+
+def hsum_system(up, down, a_steps, j):
+    """(I - P) and its right-hand side for node j of the birth-death Hsum
+    fixed point over window weights shaped as ``_window_weights`` gives
+    them (rows are the tops 1..n-2; the two absorbing ends hold 0)."""
+    n = up.shape[0] + 2
+    mat = np.eye(n, dtype=complex)
+    rhs = np.zeros(n, dtype=complex)
+    for i in range(1, n - 1):
+        mat[i, i + 1] -= up[i - 1, j]
+        if i >= a_steps:
+            mat[i, i - a_steps] -= down[i - 1, j]
+        rhs[i] = down[i - 1, j]
+    return mat, rhs
+
+
+def dense_hsum(up, down, a_steps):
+    """Every state's Hsum, one column per node, from dense (I - P) solves."""
+    return np.stack([np.linalg.solve(*hsum_system(up, down, a_steps, j))
+                     for j in range(up.shape[1])], axis=1)
+
+
+def banded_hsum(up, down, a_steps, eta):
+    """Hsum at eta, one value per node, from LAPACK banded solves (partial
+    pivoting) of the same (I - P); they stand in for dense solves, which
+    take too long at chain sizes."""
+    import scipy.linalg as sla
+
+    n = up.shape[0] + 2
+    tops = np.arange(1, n - 1)
+    floored = tops >= a_steps
+    out = []
+    for j in range(up.shape[1]):
+        ab = np.zeros((a_steps + 2, n), dtype=complex)   # rows: super, diag, sub 1..a
+        ab[1] = 1.0
+        ab[0, 2:] = -up[:, j]
+        ab[1 + a_steps, tops[floored] - a_steps] = -down[floored, j]
+        rhs = np.zeros(n, dtype=complex)
+        rhs[1:n - 1] = down[:, j]
+        out.append(sla.solve_banded((a_steps, 1), ab, rhs)[eta])
+    return np.array(out)
+
+
+class TestHsumBirthDeathSolve:
+    """The birth-death Hsum fixed point against LAPACK solves of the same
+    (I - P), built from the same window weights."""
+
+    @staticmethod
+    def weights(n, a_steps, k=3, seed=0):
+        # |up| + |down| < 1 per row, as for window weights at Re q > 0;
+        # the down weight is 0 on tops below a, like _window_weights'
+        rng = np.random.default_rng(seed)
+        size = (n - 2, k)
+        total = rng.uniform(0.05, 0.98, size)
+        share = rng.uniform(0.0, 1.0, size)
+        up = total * share * np.exp(2j * np.pi * rng.uniform(size=size))
+        down = total * (1.0 - share) * np.exp(2j * np.pi * rng.uniform(size=size))
+        down[np.arange(1, n - 1) < a_steps] = 0.0
+        return up, down
+
+    CASES = [(n, a) for n in (4, 5, 13, 40) for a in sorted({1, 2, 3, n - 2, n + 3})]
+
+    @pytest.mark.parametrize("n, a_steps", CASES, ids=[f"n{n}-a{a}" for n, a in CASES])
+    def test_synthetic_weights_match_the_dense_solve(self, n, a_steps):
+        from drawdown_ctmc.quantities import _hsum_birth_death
+
+        up, down = self.weights(n, a_steps)
+        ref = dense_hsum(up, down, a_steps)
+        for eta in range(1, n - 1):
+            got = _hsum_birth_death(up, down, a_steps, eta)
+            assert got.shape == (up.shape[1],)
+            assert np.all(np.abs(got - ref[eta]) <= 1e-12 * np.abs(ref[eta])), eta
+        for eta in (0, n - 1):   # the absorbing ends
+            assert np.all(_hsum_birth_death(up, down, a_steps, eta) == 0.0)
+
+    @pytest.mark.parametrize("n_x", [20, 40])
+    def test_shipped_chain_matches_the_banded_solve(self, n_x):
+        from drawdown_ctmc.cli import _build_generator_for, _resolve_scheme, load_config
+        from drawdown_ctmc.linsolve import psi_pair
+        from drawdown_ctmc.quantities import _window_weights
+
+        path = Path(__file__).resolve().parents[1] / "configs" / "insurance_no_recovery_bs.ini"
+        cfg = load_config(str(path))
+        gen = _build_generator_for(cfg, n_x, _resolve_scheme(cfg))
+        nodes = np.concatenate([[1.3, 2.0 + 0.7j, 5.0 + 800j, 0.4 - 790j],
+                                inversion_nodes_weights(cfg.T)[0]])
+        a_steps, eta = gen.grid.steps_of(cfg.a), gen.grid.eta_x
+        up, down = _window_weights(psi_pair(gen, nodes), np.arange(1, gen.n - 1), a_steps)
+        ref = banded_hsum(up, down, a_steps, eta)
+        got = insurance_no_recovery(gen, nodes, cfg.a)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("bad", ["singular", "nan"])
+    def test_singular_or_nonfinite_system_raises(self, bad):
+        from drawdown_ctmc.quantities import FixedPointSingular, _hsum_birth_death
+
+        # n = 4, a = 1: rows H_1 - H_2 = 0 and H_2 - H_1 = 1 have no solution
+        up = np.array([[1.0], [0.0]], dtype=complex)
+        down = np.array([[0.0], [1.0]], dtype=complex)
+        if bad == "nan":
+            up, down = self.weights(4, 1, k=1)
+            up[1, 0] = np.nan
+        with pytest.raises(FixedPointSingular):
+            _hsum_birth_death(up, down, 1, 1)
+
+    def test_zero_drawdown_level_raises(self, bs_small):
+        # every instant is an event: the sum diverges (no NaN)
+        from drawdown_ctmc.quantities import FixedPointSingular
+
+        with pytest.raises(FixedPointSingular):
+            insurance_no_recovery(bs_small, np.array([1.0, 2.0 + 3.0j]), 0.0)
+
+    def test_no_sparse_solve_on_birth_death_chains(self, bs_small, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-node sparse solve")
+
+        monkeypatch.setattr(spla, "spsolve", refuse)
+        nodes = inversion_nodes_weights(1.0)[0]
+        vals = insurance_no_recovery(bs_small, nodes, 0.2)
+        assert vals.shape == nodes.shape and np.all(np.isfinite(vals))
 
 
 class TestNthDrawdownWithRecovery:
