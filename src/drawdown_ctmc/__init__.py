@@ -45,7 +45,7 @@ from .quantities import (
     occupation_until_drawdown,
     q_drawdown,
 )
-from .laplace import InversionConfig, NodeFailure, invert, invert_values, inversion_nodes_weights, richardson
+from .laplace import InversionConfig, NodeFailure, invert_values, inversion_nodes_weights, richardson
 from .oracle import HorizonCapHit, McConfig, dense_product_solve, mc_estimate
 
 __version__ = "0.1.0"

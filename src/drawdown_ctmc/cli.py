@@ -379,6 +379,9 @@ def _price_at(cfg: RunConfig, gen, nodes) -> float:
         raise
     except Exception as exc:
         raise NodeFailure(nodes, exc) from exc
+    bad = ~np.isfinite(vals)
+    if np.any(bad):   # a NaN would otherwise fold into a NaN price
+        raise NodeFailure(nodes[bad], FloatingPointError("non-finite transform value"))
     return invert_values(vals, cfg.T, cfg.laplace)
 
 

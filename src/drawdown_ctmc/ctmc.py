@@ -416,12 +416,13 @@ class DenseGenerator(Generator):
 DRIFT_SCHEMES = ("auto", "central", "upwind")
 
 
-def _local_rates(model: ModelSpec, x: float, d_minus: float, d_plus: float,
+def _local_rates(model: ModelSpec, x, d_minus, d_plus,
                  nu_up: float = 0.0, nu_dn: float = 0.0, scheme: str = "auto"):
     """Neighbor rates from the local drift and variance at x, with small
     jumps folded in (the second-order coefficient is sigma^2 plus the full
     integral of y^2 nu over the small-jump window, i.e. twice the reported
-    sigma2_bar).
+    sigma2_bar).  x, d_minus and d_plus may be arrays of states and their
+    spacings for a model without jumps; jump models take one step pair.
 
     ``scheme``: "central" uses central differences for the drift and lets
     the caller abort on a negative rate; "upwind" always one-sides the
@@ -434,21 +435,25 @@ def _local_rates(model: ModelSpec, x: float, d_minus: float, d_plus: float,
     """
     if scheme not in DRIFT_SCHEMES:
         raise ValueError(f"unknown drift scheme {scheme!r}")
-    b_bar, s2_bar = small_jump_compensators(model, x, -0.5 * d_minus, 0.5 * d_plus)
-    b_eff = truncated_drift(model, x) - b_bar
-    s2_eff = diffusion_var(model, x) + 2.0 * s2_bar
+    b_eff = truncated_drift(model, x)
+    s2_eff = diffusion_var(model, x)
+    if model.has_jumps:
+        b_bar, s2_bar = small_jump_compensators(model, x, -0.5 * d_minus, 0.5 * d_plus)
+        b_eff = b_eff - b_bar
+        s2_eff = s2_eff + 2.0 * s2_bar
     d_avg = 0.5 * (d_plus + d_minus)
     up_c = b_eff * d_minus / (2.0 * d_plus * d_avg) + s2_eff / (2.0 * d_plus * d_avg)
     dn_c = -b_eff * d_plus / (2.0 * d_minus * d_avg) + s2_eff / (2.0 * d_minus * d_avg)
-    if scheme == "central" or (scheme == "auto" and up_c + nu_up >= 0.0 and dn_c + nu_dn >= 0.0):
+    if scheme == "central":
         return up_c, dn_c
-    if b_eff >= 0.0:
-        up = b_eff / d_plus + s2_eff / (2.0 * d_plus * d_avg)
-        dn = s2_eff / (2.0 * d_minus * d_avg)
-    else:
-        up = s2_eff / (2.0 * d_plus * d_avg)
-        dn = -b_eff / d_minus + s2_eff / (2.0 * d_minus * d_avg)
-    return up, dn
+    # one-sided drift: b_eff / d_plus up where b_eff >= 0, -b_eff / d_minus down otherwise
+    up = np.maximum(b_eff, 0.0) / d_plus + s2_eff / (2.0 * d_plus * d_avg)
+    dn = np.maximum(-b_eff, 0.0) / d_minus + s2_eff / (2.0 * d_minus * d_avg)
+    if scheme == "upwind":
+        return up, dn
+    central = (up_c + nu_up >= 0.0) & (dn_c + nu_dn >= 0.0)
+    # [()] turns the 0-d result of one state back into a scalar
+    return np.where(central, up_c, up)[()], np.where(central, dn_c, dn)[()]
 
 
 def build_generator(model: ModelSpec, grid: Grid, *, drift_scheme: str = "auto") -> Generator:
@@ -460,17 +465,17 @@ def build_generator(model: ModelSpec, grid: Grid, *, drift_scheme: str = "auto")
     n = grid.n
     states = grid.states
     if not model.has_jumps:
+        x = states[1:-1]
         up = np.zeros(n)
         down = np.zeros(n)
-        for i in range(1, n - 1):
-            d_minus = states[i] - states[i - 1]
-            d_plus = states[i + 1] - states[i]
-            u, dn = _local_rates(model, states[i], d_minus, d_plus, scheme=drift_scheme)
-            if u < 0.0:
-                raise NegativeRate(states[i], states[i + 1], u)
-            if dn < 0.0:
-                raise NegativeRate(states[i], states[i - 1], dn)
-            up[i], down[i] = u, dn
+        up[1:-1], down[1:-1] = _local_rates(model, x, x - states[:-2], states[2:] - x,
+                                            scheme=drift_scheme)
+        bad = np.flatnonzero((up < 0.0) | (down < 0.0))
+        if bad.size:   # the first offending state, its up rate checked first
+            i = bad[0]
+            if up[i] < 0.0:
+                raise NegativeRate(states[i], states[i + 1], up[i])
+            raise NegativeRate(states[i], states[i - 1], down[i])
         return BirthDeathGenerator(grid, up, down)
 
     rates = np.zeros((n, n))

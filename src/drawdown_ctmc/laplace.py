@@ -24,15 +24,14 @@ __all__ = [
     "InversionConfig",
     "NodeFailure",
     "inversion_nodes_weights",
-    "invert",
     "invert_values",
     "richardson",
 ]
 
 
 class NodeFailure(RuntimeError):
-    """A transform evaluation failed at an inversion node, or somewhere in a
-    node vector evaluated as one batch (``node`` is then the vector)."""
+    """A transform evaluation failed, or gave a non-finite value, at the
+    inversion nodes ``node`` (a node vector evaluated as one batch)."""
 
     def __init__(self, node, cause: Exception):
         self.node = node
@@ -85,22 +84,6 @@ def invert_values(values, T: float, cfg: InversionConfig = InversionConfig()) ->
     if vals.shape != nodes.shape:
         raise ValueError(f"expected {nodes.size} node values, got {vals.size}")
     return float(np.dot(w, vals.real))
-
-
-def invert(transform, T: float, cfg: InversionConfig = InversionConfig()) -> float:
-    """Invert a Laplace transform at maturity T.
-
-    ``transform`` maps a complex node with positive real part to the
-    transform value; the estimate is deterministic for a fixed config.
-    """
-    nodes, _ = inversion_nodes_weights(T, cfg)
-    vals = np.empty(nodes.size, dtype=complex)
-    for idx, qk in enumerate(nodes):
-        try:
-            vals[idx] = transform(complex(qk))
-        except Exception as exc:
-            raise NodeFailure(complex(qk), exc) from exc
-    return invert_values(vals, T, cfg)
 
 
 def richardson(value_n: float, value_2n: float) -> float:

@@ -146,7 +146,10 @@ class ModelSpec:
 # drift / diffusion coefficients
 # ---------------------------------------------------------------------------
 
-def drift(model: ModelSpec, x: float = 0.0) -> float:
+# Each takes one state x or an array of states; a spatially constant
+# coefficient comes back as a scalar, which broadcasts against the array.
+
+def drift(model: ModelSpec, x: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Log-price drift, with jumps entering uncompensated (added raw).
 
     BS:   r_f - d - sigma^2/2
@@ -157,7 +160,7 @@ def drift(model: ModelSpec, x: float = 0.0) -> float:
     if model.kind == "BS":
         return model.r_f - model.d - 0.5 * model.sigma**2
     if model.kind == "CEV":
-        return model.r_f - model.d - 0.5 * model.sigma**2 * math.exp(2.0 * model.beta * x)
+        return model.r_f - model.d - 0.5 * model.sigma**2 * np.exp(2.0 * model.beta * x)
     if model.kind == "DEJD":
         return model.r_f - model.d - model.lam * model.dejd_zeta - 0.5 * model.sigma**2
     # VG: martingale correction of the subordinated exponent
@@ -165,7 +168,7 @@ def drift(model: ModelSpec, x: float = 0.0) -> float:
     return model.r_f - model.d + corr
 
 
-def truncated_drift(model: ModelSpec, x: float = 0.0) -> float:
+def truncated_drift(model: ModelSpec, x: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Drift coefficient of the generator written with the y*1_{|y|<=1}
     compensator, i.e. drift(x) + integral of y over |y| <= 1 against the
     jump measure.  Equals drift() for models without jumps."""
@@ -174,12 +177,12 @@ def truncated_drift(model: ModelSpec, x: float = 0.0) -> float:
     return drift(model, x) + levy_bin_mean(model, x, -1.0, 0.0) + levy_bin_mean(model, x, 0.0, 1.0)
 
 
-def diffusion_var(model: ModelSpec, x: float = 0.0) -> float:
+def diffusion_var(model: ModelSpec, x: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Diffusion variance sigma^2(x) of the log price; 0 for VG (pure jump)."""
     if model.kind == "BS" or model.kind == "DEJD":
         return model.sigma**2
     if model.kind == "CEV":
-        return model.sigma**2 * math.exp(2.0 * model.beta * x)
+        return model.sigma**2 * np.exp(2.0 * model.beta * x)
     return 0.0
 
 

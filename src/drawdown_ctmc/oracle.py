@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .ctmc import BIRTH_DEATH, Generator
 from .linsolve import killing_values
@@ -209,7 +207,11 @@ class _Chain:
     def solve(self, pay):
         """Solution when a fired jump from max m landing at j pays
         pay(j, m) (broadcast over arrays).  Each state's payoffs are summed
-        from zero over ascending j."""
+        from zero over ascending j.  scipy.sparse is imported here, at the
+        first product-chain solve: no price route needs it."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         rhs = np.zeros(self.diag.size, dtype=complex)
         for src, m, counts, j, rate in self._fired:
             acc = np.zeros((counts.size, j.size + 1), dtype=complex)

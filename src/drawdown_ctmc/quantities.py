@@ -64,8 +64,6 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.linalg.lapack as lapack
 
 from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator
 from .linsolve import (
@@ -279,7 +277,12 @@ def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
     form, and each node costs one O(m^2) banded LU (``_shifted_solves``).
     A killing of another form (state dependent, or a complex offset)
     takes one complex LU per node.
+
+    Only these window solves (lattice and dense chains) need LAPACK, so
+    scipy.linalg is imported here: birth-death runs never load scipy.
     """
+    import scipy.linalg as sla
+
     m, k = kv.shape
     same = np.all(kv == kv[:, :1], axis=1)
     free, killed = np.flatnonzero(same), np.flatnonzero(~same)
@@ -328,6 +331,8 @@ def _shifted_solves(mat: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray
     of the upper Hessenberg H + q_j I, with one subdiagonal (Laub, IEEE
     TAC 26(2), 1981).
     """
+    from scipy.linalg import lapack
+
     p = mat.shape[0]
     hess, tau, _ = lapack.dgehrd(mat, lwork=int(lapack.dgehrd_lwork(p)[0]), overwrite_a=True)
     c = _reflect(hess, tau, b[:, None], "T")[:, 0].astype(complex)
@@ -353,6 +358,8 @@ def _reflect(hess: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np
     """Q c (trans "N") or Q^T c ("T") for the orthogonal factor Q of
     ``dgehrd``'s output and a real (p, r) array c, as a C-order copy.  The
     reflectors sit below the subdiagonal and leave row 0 alone."""
+    from scipy.linalg import lapack
+
     out = np.array(c, dtype=float)
     p = out.shape[0]
     if p > 1:

@@ -23,7 +23,7 @@ from drawdown_ctmc.ctmc import (
     build_grid,
     build_levy_generator,
 )
-from drawdown_ctmc.laplace import invert, richardson
+from drawdown_ctmc.laplace import invert_values, inversion_nodes_weights, richardson
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import McConfig, dense_product_solve, mc_estimate
 from drawdown_ctmc.quantities import (
@@ -333,9 +333,10 @@ class TestCriterion11TransformPairs:
     def test_known_pairs(self):
         worst = 0.0
         for T in (0.1, 0.5, 1.0):
-            worst = max(worst, abs(invert(lambda q: 1 / q, T) - 1.0))
-            worst = max(worst, abs(invert(lambda q: 1 / (q + 1), T) - np.exp(-T)))
-            worst = max(worst, abs(invert(lambda q: 1 / q**2, T) - T))
+            q, _ = inversion_nodes_weights(T)
+            worst = max(worst, abs(invert_values(1 / q, T) - 1.0))
+            worst = max(worst, abs(invert_values(1 / (q + 1), T) - np.exp(-T)))
+            worst = max(worst, abs(invert_values(1 / q**2, T) - T))
         report("criterion 11 (inversion sanity)", worst < 1e-7,
                f"worst abs error {worst:.2e} (tol 1e-7)")
 

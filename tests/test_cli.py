@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from drawdown_ctmc.cli import (
@@ -12,7 +13,7 @@ from drawdown_ctmc.cli import (
     run_price,
     run_table,
 )
-from drawdown_ctmc.laplace import richardson
+from drawdown_ctmc.laplace import NodeFailure, inversion_nodes_weights, richardson
 from drawdown_ctmc.oracle import McConfig
 
 
@@ -216,11 +217,45 @@ class TestMain:
         assert cfg.laplace.euler_terms == 12
 
 
-class TestColdImport:
-    """The package loads numpy, scipy.linalg and scipy.sparse; scipy.special
-    is imported by the VG bin masses alone."""
+class TestNonFiniteNode:
+    """A non-finite transform value is a numerical failure (exit 3), never
+    a NaN row in the CSV."""
 
-    HEAVY = ("scipy.signal", "scipy.special", "scipy.fft")
+    CONFIG = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
+
+    @pytest.fixture
+    def nan_at_node_3(self, monkeypatch):
+        import drawdown_ctmc.cli as cli
+
+        evaluate = cli.evaluate
+
+        def poisoned(gen, req):
+            vals = np.array(evaluate(gen, req), dtype=complex)
+            vals[3] = np.nan
+            return vals
+
+        monkeypatch.setattr(cli, "evaluate", poisoned)
+
+    def test_run_table_raises(self, nan_at_node_3):
+        cfg = load_config(self.CONFIG, ["grid.n_x=8,16"])
+        nodes, _ = inversion_nodes_weights(cfg.T, cfg.laplace)
+        with pytest.raises(NodeFailure) as err:
+            run_table(cfg)
+        assert np.array_equal(err.value.node, nodes[3:4])
+
+    def test_main_exit_three(self, capsys, nan_at_node_3):
+        code = main(["table", "-c", self.CONFIG, "grid.n_x=8,16"])
+        assert code == 3
+        out = capsys.readouterr()
+        assert "NodeFailure" in out.err
+        assert "nan" not in out.out
+
+
+class TestColdImport:
+    """Importing the package loads no scipy module.  The window solves of
+    lattice and dense chains load scipy.linalg at their first solve, the
+    product-chain oracle scipy.sparse at its first solve, and the VG bin
+    masses scipy.special: BS and CEV studies never load scipy."""
 
     def loaded_after(self, code):
         import subprocess
@@ -230,19 +265,40 @@ class TestColdImport:
 
         src = os.path.dirname(os.path.dirname(drawdown_ctmc.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = f"{code}\nimport sys\nprint('loaded:', *[m for m in {self.HEAVY!r} if m in sys.modules])"
+        probe = (f"{code}\nimport sys\n"
+                 "print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, check=True)
         return set(run.stdout.splitlines()[-1].split()[1:])
 
-    def test_import_leaves_the_heavy_modules_out(self):
-        assert self.loaded_after("import drawdown_ctmc.cli") == set()
+    IMPORT_ALL = ("import drawdown_ctmc, drawdown_ctmc.cli, drawdown_ctmc.ctmc, drawdown_ctmc.laplace, "
+                  "drawdown_ctmc.linsolve, drawdown_ctmc.models, drawdown_ctmc.oracle, "
+                  "drawdown_ctmc.quantities\n")
 
-    def test_bs_table_leaves_special_out(self):
-        config = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
-        code = ("from drawdown_ctmc.cli import load_config, run_table\n"
-                f"run_table(load_config({config!r}, ['grid.n_x=8,16']))")
-        assert "scipy.special" not in self.loaded_after(code)
+    def test_import_leaves_the_heavy_modules_out(self):
+        assert self.loaded_after(self.IMPORT_ALL) == set()
+
+    def test_bs_and_cev_tables_load_no_scipy(self):
+        code = self.IMPORT_ALL + "from drawdown_ctmc.cli import load_config, run_table\n"
+        for name in ("occupation_digital_bs", "insurance_with_recovery_cev"):
+            config = os.path.join(CONFIG_DIR, f"{name}.ini")
+            code += f"run_table(load_config({config!r}, ['grid.n_x=8,16']))\n"
+        assert self.loaded_after(code) == set()
+
+    def test_dejd_lattice_loads_linalg_only(self):
+        config = os.path.join(CONFIG_DIR, "occupation_digital_dejd.ini")
+        code = ("from drawdown_ctmc.cli import load_config, run_price\n"
+                f"run_price(load_config({config!r}, ['grid.n_x=8']))")
+        loaded = self.loaded_after(code)
+        assert "scipy.linalg" in loaded
+        assert not any(m.startswith(("scipy.sparse", "scipy.special")) for m in loaded)
+
+    def test_product_solve_loads_sparse(self):
+        code = ("from drawdown_ctmc import ModelSpec, QuantityRequest, build_generator, build_grid\n"
+                "from drawdown_ctmc.oracle import dense_product_solve\n"
+                "gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 4, -0.6, 0.4))\n"
+                "dense_product_solve(gen, QuantityRequest('Q', a=0.2, q=1.0, x=0.0))")
+        assert "scipy.sparse" in self.loaded_after(code)
 
     def test_vg_lattice_loads_special(self):
         code = ("from drawdown_ctmc.ctmc import build_levy_generator\n"

@@ -14,6 +14,7 @@ from drawdown_ctmc.ctmc import (
     build_levy_generator,
     choose_drift_scheme,
     default_levy_truncation,
+    _local_rates,
 )
 from drawdown_ctmc.models import ModelSpec
 
@@ -94,6 +95,56 @@ class TestBuildGenerator:
             build_generator(m, g, drift_scheme="central")
         gen = build_generator(m, g, drift_scheme="auto")  # one-sided drift keeps rates valid
         assert np.all(gen.up[1:-1] >= 0.0) and np.all(gen.down[1:-1] >= 0.0)
+
+
+class TestBirthDeathAssembly:
+    """build_generator assembles a diffusion with one array call of
+    _local_rates; the reference is that formula applied state by state."""
+
+    @staticmethod
+    def per_state(model, grid, scheme):
+        """up/down rates state by state, or the first NegativeRate's
+        (state, neighbor, rate), the up rate checked before the down rate."""
+        states = grid.states
+        up = np.zeros(grid.n)
+        down = np.zeros(grid.n)
+        for i in range(1, grid.n - 1):
+            u, dn = _local_rates(model, states[i], states[i] - states[i - 1],
+                                 states[i + 1] - states[i], scheme=scheme)
+            if u < 0.0:
+                return states[i], states[i + 1], u
+            if dn < 0.0:
+                return states[i], states[i - 1], dn
+            up[i], down[i] = u, dn
+        return up, down
+
+    @pytest.mark.parametrize("scheme", ["central", "upwind", "auto"])
+    @pytest.mark.parametrize("model, rtol", [
+        (ModelSpec.bs(), 0.0),                                 # same arithmetic, bitwise
+        (ModelSpec.bs(sigma=0.05, r_f=0.5, d=0.0), 0.0),
+        (ModelSpec.cev(), 1e-14),                              # array exp vs scalar exp
+        (ModelSpec.cev(sigma=0.3, beta=-1.0, r_f=0.5, d=0.0), 1e-14),
+    ], ids=["BS", "BS-drift-dominated", "CEV", "CEV-steep"])
+    def test_rates_match_per_state(self, model, rtol, scheme):
+        grid = build_grid(0.0, 0.2, 40, -1.5, 1.0)
+        up, down = self.per_state(model, grid, scheme)
+        gen = build_generator(model, grid, drift_scheme=scheme)
+        np.testing.assert_allclose(gen.up, up, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(gen.down, down, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec.bs(sigma=0.05, r_f=0.5, d=0.0),              # down rate, first state
+        ModelSpec.bs(sigma=0.05, r_f=0.0, d=0.5),              # up rate, first state
+        ModelSpec.cev(sigma=0.3, beta=-1.0, r_f=0.5, d=0.0),   # down rate, mid-grid
+        ModelSpec.cev(sigma=0.3, beta=-1.0, r_f=0.0, d=0.5),   # up rate, mid-grid
+    ], ids=["BS-down", "BS-up", "CEV-down", "CEV-up"])
+    def test_negative_rate_names_the_first_state(self, model):
+        grid = build_grid(0.0, 0.2, 4, -1.0, 1.0)
+        state, neighbor, rate = self.per_state(model, grid, "central")
+        with pytest.raises(NegativeRate) as err:
+            build_generator(model, grid, drift_scheme="central")
+        assert (err.value.state, err.value.neighbor) == (state, neighbor)
+        assert err.value.rate == pytest.approx(rate, rel=1e-14)
 
 
 class TestLevyGenerator:
