@@ -194,18 +194,16 @@ class PsiPair:
         # Interior row i reads c_i psi_i = up_i psi_{i+1} + down_i psi_{i-1}.
         # Step the ratios of consecutive values, r_i = psi+_{i+1} / psi+_i
         # upward from psi+_0 = 0, psi+_1 = 1, and s_i = psi-_{i-1} / psi-_i
-        # downward from psi-_{n-1} = 0, psi-_{n-2} = 1 (row j is state j + 1).
+        # downward from psi-_{n-1} = 0, psi-_{n-2} = 1 (row j is state j + 1),
+        # both in one loop: step j holds r_j and s_{n-3-j}.
         c = killing[1:n - 1] - gen.diagonal()[1:n - 1, None]
-        c_up, d_up = c / up[:, None], (down / up).tolist()
-        c_dn, u_dn = c / down[:, None], (up / down).tolist()
-        r = np.empty_like(c)
-        r[0] = rj = c_up[0]
+        coef = np.stack([c / up[:, None], (c / down[:, None])[::-1]], axis=1)
+        back = np.stack([down / up, (up / down)[::-1]], axis=1)[:, :, None]
+        rs = np.empty_like(coef)
+        rs[0] = x = coef[0]
         for j in range(1, n - 2):
-            r[j] = rj = c_up[j] - d_up[j] / rj
-        s = np.empty_like(c)
-        s[-1] = sj = c_dn[-1]
-        for j in range(n - 4, -1, -1):
-            s[j] = sj = c_dn[j] - u_dn[j] / sj
+            rs[j] = x = coef[j] - back[j] / x
+        r, s = rs[:, 0], rs[::-1, 1]
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))
                 and np.all(r != 0.0) and np.all(s != 0.0)):
             raise Singular("fundamental solution vanishes inside the chain or at its far end")

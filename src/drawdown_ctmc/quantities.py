@@ -3,16 +3,21 @@
 All quantities share one backward sweep over window tops i = N-1 .. stop:
 the window (y_i - a, y_i] is solved with the appropriate killing, the
 down-exit payoff comes from states at or below y_i - a, the up-exit
-continuation from already-computed values above y_i.  Two running vectors
-make every sweep O(N) linear solves plus O(N^2) vector work:
+continuation from already-computed values above y_i.  One running vector
+carries both inflows, the diagonal left out:
 
-    S[m] = sum_{z > i}   G(m, z) * value[z]      (continuation inflow)
-    D[m] = sum_{z <= i-a} G(m, z) * payoff[z]    (payoff inflow)
+    R[m] = sum_{z <= i-a} G(m, z) * payoff[z] + sum_{z > i} G(m, z) * value[z]
 
-updated incrementally as i decreases.  Window solves are cached by the
-window's relative killing pattern on translation-invariant lattices, where
-the window block is the same matrix for every interior top, and dense
-otherwise.
+The tops go in blocks (``_SWEEP_BLOCK``).  Inside a block a window's
+right-hand side is R plus the inflow of the tops already solved in the
+block, less the payoff columns that entered the window since the block
+began: two small products with slices of the off-diagonal rates.  After
+the block one product folds it into the rows below.  Every sweep is O(N)
+window solves plus O(N^2) work in BLAS products; a lattice reads its
+rates from one panel of the stencil, with no generator column per top
+(``_OffDiagonal``).  Window solves are cached by the window's relative
+killing pattern on translation-invariant lattices, where the window block
+is the same matrix for every interior top, and dense otherwise.
 
 Quantities:
 
@@ -40,7 +45,8 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
   killing), C (through the spliced pairs), A (through its weight tables),
   Hn, the Hsum partial sums, Jn and Jsum;
 * the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
-  and dense generators): the running vectors are (n, k); lattice windows
+  and dense generators): the running vector R and the values are (n, k),
+  so every block's inflow is one real GEMM over all nodes; lattice windows
   cache the last rows of every node's inverse per killing pattern;
 * the lattice closed forms (C, Hsum, Jsum): the window block and its exit
   masses are built once.
@@ -247,21 +253,74 @@ def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
     return D
 
 
-def _D_init(gen: Generator, f_arr: np.ndarray, cut: int) -> np.ndarray:
-    """Initial payoff-inflow vectors for an (n, k) payoff, excluding
-    diagonal column terms (rows inside a window never have their own
-    column in the below-window set)."""
-    n = gen.n
-    if cut < 0:
-        return np.zeros(f_arr.shape, dtype=complex)
-    if gen.structure == TOEPLITZ_LEVY:
-        return _toeplitz_D_init(gen, f_arr, cut)
-    rates = gen.to_dense(max_states=n)
-    D = rates[:, :cut + 1].astype(complex) @ f_arr[:cut + 1]
-    z = np.arange(cut + 1)
-    D[z] -= np.diag(rates)[z, None] * f_arr[z]
-    D[0] = D[n - 1] = 0.0
-    return D
+_SWEEP_BLOCK = 32
+# Window tops per block of the windowed sweep (``backward_window_sweep``).
+
+
+def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a real matrix and a C-order complex x: one real GEMM
+    on x's interleaved real and imaginary parts."""
+    return (mat @ x.view(float)).view(complex)
+
+
+class _OffDiagonal:
+    """The generator's rates G(m, z), m != z, read by blocks of interior
+    rows (1 <= m <= N-1) and of at most ``width`` columns z <= N-1.
+
+    A lattice keeps one (n - 2 + a, width) panel of its stencil, with the
+    centre set to 0 and the local rates added at offsets +-1: every
+    interior block is a row slice of it, so no N x N array is built.
+    Column 0, whose rates are the tail bins, is the one boundary column
+    the sweep reads (``column(0)``, once).  A dense generator keeps its
+    rates with the diagonal zeroed.
+    """
+
+    def __init__(self, gen: Generator, a_steps: int, width: int):
+        n = self.n = gen.n
+        self.gen = gen
+        if gen.structure == TOEPLITZ_LEVY:
+            line = gen.stencil.copy()   # offset z - m at line[z - m + n - 1]
+            line[n - 1] = 0.0
+            line[n] += gen.local_up
+            line[n - 2] += gen.local_down
+            # panel[p, j] is the rate at offset j - p + n - 3, so rows m0..m1
+            # of columns z0.. are the slice from p = n - 3 + m0 - z0, which
+            # is >= 0 for interior rows and columns and ends by n - 3 + a
+            rows, width = n - 2 + a_steps, min(width, n)
+            ext = np.concatenate([np.zeros(rows), line, np.zeros(width)])
+            starts = np.lib.stride_tricks.sliding_window_view(ext, width)
+            self.panel = np.ascontiguousarray(starts[2 * n - 3:2 * n - 3 + rows][::-1])
+            self.col0 = gen.column(0)
+        else:
+            self.dense = gen.to_dense(max_states=n)
+            np.fill_diagonal(self.dense, 0.0)
+            self.col0 = self.dense[:, 0]
+
+    def times(self, m0: int, m1: int, z0: int, z1: int, x: np.ndarray) -> np.ndarray:
+        """G[m0:m1, z0:z1] @ x[z0:z1] without the diagonal, for the rows of
+        an (n, k) complex array; the rows end at most a above the first
+        column (m1 <= z0 + a)."""
+        lo = max(z0, 1)
+        if self.gen.structure == TOEPLITZ_LEVY:
+            p0 = self.n - 3 + m0 - lo
+            blk = self.panel[p0:p0 + m1 - m0, :z1 - lo]
+        else:
+            blk = self.dense[m0:m1, lo:z1]
+        out = _real_times(blk, x[lo:z1])
+        if z0 == 0:
+            out += self.col0[m0:m1, None] * x[0]
+        return out
+
+    def payoff_inflow(self, f: np.ndarray, cut: int) -> np.ndarray:
+        """sum_{z <= cut, z != m} G(m, z) f[z] over the states, one column
+        per payoff column; the absorbing rows hold 0."""
+        if cut < 0:
+            return np.zeros(f.shape, dtype=complex)
+        if self.gen.structure == TOEPLITZ_LEVY:
+            return _toeplitz_D_init(self.gen, f, cut)
+        D = np.zeros(f.shape, dtype=complex)
+        D[1:self.n - 1] = _real_times(self.dense[1:self.n - 1, :cut + 1], f[:cut + 1])
+        return D
 
 
 def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
@@ -414,33 +473,48 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     values[j] is filled for stop <= j <= N-1; the two absorbing ends stay
     0.  A shared ``solver`` carries the cached lattice window solves across
     repeated sweeps with the same killing (event-count recursions).
+
+    One running vector R holds, for the rows below the current block of
+    tops [t0, t1], the payoff inflow of the columns z <= t1 - a and the
+    continuation inflow of the values above t1.  Top i's window rows add
+    the values of the tops i + 1 .. t1 and drop the payoff columns
+    i - a + 1 .. t1 - a; a finished block is folded into the rows below
+    t0 by one product for its values and one for its payoff columns.  The
+    boundary column 0 (tail bins) enters only where a cut reaches it.
     """
-    n = gen.n
+    n, a = gen.n, a_steps
     top = n - 2
-    kv = killing_fn(top, max(0, top - a_steps + 1))
-    k = kv.shape[1]
-    V = np.zeros((n, k), dtype=complex)
-    S = np.zeros((n, k), dtype=complex)
-    f = f_arr.reshape(n, -1)
-    cut = top - a_steps
-    D = _D_init(gen, f, cut)
-    # rows below the lowest window bottom are never read
-    floor = max(0, stop - a_steps + 1)
+    kv = killing_fn(top, max(0, top - a + 1))
+    V = np.zeros((n, kv.shape[1]), dtype=complex)
+    f = np.ascontiguousarray(f_arr, dtype=complex).reshape(n, -1)
+    rates = _OffDiagonal(gen, a, _SWEEP_BLOCK)
+    R = np.broadcast_to(rates.payoff_inflow(f, top - a), V.shape).copy()
+    # rows below the lowest window bottom are never read, and the
+    # absorbing row 0 keeps no inflow
+    floor = max(1, stop - a + 1)
 
     if solver is None:
         solver = _WindowSolver(gen)
-    for i in range(top, stop - 1, -1):
-        lo = max(0, i - a_steps + 1)
-        if i < top:
-            kv = killing_fn(i, lo)
-        V[i] = v = solver.last_row_solve(lo, i, kv, D[lo:i + 1] + S[lo:i + 1])
-        if v.any() and i > floor:
-            S[floor:i] += gen.column(i)[floor:i, None] * v
-        if cut >= 0 and f[cut].any():
-            col = gen.column(cut)
-            col[cut] = 0.0   # diagonal column terms are kept out of D
-            D[floor:] -= col[floor:, None] * f[cut]
-        cut -= 1
+    for t1 in range(top, stop - 1, -_SWEEP_BLOCK):
+        t0 = max(stop, t1 - _SWEEP_BLOCK + 1)
+        # R holds the payoff columns z <= t1 - a and the values above t1
+        for i in range(t1, t0 - 1, -1):
+            lo = max(0, i - a + 1)
+            if i < top:
+                kv = killing_fn(i, lo)
+            rhs = R[lo:i + 1].copy()
+            if i < t1:
+                m0 = max(lo, 1)
+                inflow = rates.times(m0, i + 1, i + 1, t1 + 1, V)
+                if t1 - a >= lo:   # payoff columns that entered the window
+                    inflow -= rates.times(m0, i + 1, lo, t1 - a + 1, f)
+                rhs[m0 - lo:] += inflow
+            V[i] = solver.last_row_solve(lo, i, kv, rhs)
+        if t0 > max(floor, stop):
+            R[floor:t0] += rates.times(floor, t0, t0, t1 + 1, V)
+            cut = max(t0 - a, 0)
+            if t1 - a >= cut:
+                R[floor:t0] -= rates.times(floor, t0, cut, t1 - a + 1, f)
     return V
 
 

@@ -285,6 +285,32 @@ class TestPsiPairNodeAxis:
                 assert abs(up[pos, j] - solve_passage(gen, window, kf, e_top).at(top)) < 1e-10
                 assert abs(down[pos, j] - solve_passage(gen, window, kf, e_bot).at(top)) < 1e-10
 
+    def test_ratios_step_as_two_separate_loops(self):
+        # the pair steps r upward and s downward in one loop; each ratio
+        # must be bitwise the one its own loop gives
+        gen = random_birth_death(40, 52)
+        n = gen.n
+        killing = np.linspace(0.5, 2.0, n)[:, None] * self.NODES
+        up, down = gen.up[1:n - 1], gen.down[1:n - 1]
+        c = killing[1:n - 1] - gen.diagonal()[1:n - 1, None]
+        r, s = np.empty_like(c), np.empty_like(c)
+        r[0], s[-1] = c[0] / up[0], c[-1] / down[-1]
+        for j in range(1, n - 2):
+            r[j] = c[j] / up[j] - (down[j] / up[j]) / r[j - 1]
+        for j in range(n - 4, -1, -1):
+            s[j] = c[j] / down[j] - (up[j] / down[j]) / s[j + 1]
+        uL = np.zeros((n, self.NODES.size))
+        uL[2:] = np.cumsum(np.log(np.abs(r)), axis=0)
+        dL = np.zeros((n, self.NODES.size))
+        dL[:n - 2] = np.cumsum(np.log(np.abs(s))[::-1], axis=0)[::-1]
+        um = np.zeros((n, self.NODES.size), dtype=complex)
+        um[1] = 1.0
+        um[2:] = np.cumprod(r / np.abs(r), axis=0)
+        psi = psi_pair(gen, killing)
+        assert np.array_equal(psi._uL, uL - uL[n - 1])
+        assert np.array_equal(psi._dL, dL - dL[0])
+        assert np.array_equal(psi._um, um / um[n - 1])
+
     def test_rejects_killing_of_the_wrong_shape(self):
         gen = random_birth_death(10, 51)
         with pytest.raises(ValueError):

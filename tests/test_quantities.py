@@ -686,6 +686,51 @@ class TestNodeAxis:
         dense = evaluate(chains["dense"], req)
         assert np.all(np.abs(lattice - dense) <= 1e-10 * np.abs(dense))
 
+    @pytest.mark.parametrize("structure", ["DEJD", "VG", "dense"])
+    def test_blocked_sweep_matches_the_per_top_order(self, chains, structure, monkeypatch):
+        # one top per block folds every value into the rows below before
+        # the next solve, the order of a per-top sweep; blocks of 2 and one
+        # block over the whole chain carry the inflow of the solved tops
+        # and the payoff cuts inside the block.  Hn sweeps down to state 0,
+        # whose payoff column is the boundary tail bins.
+        import drawdown_ctmc.quantities as qmod
+
+        gen = chains[structure]
+        reqs = [replace(r, q=self.NODES, f=np.ones(gen.n)) for r in LATTICE_CASES[:4]]
+
+        def values(block):
+            monkeypatch.setattr(qmod, "_SWEEP_BLOCK", block)
+            return [evaluate(gen, req) for req in reqs]
+
+        per_top = values(1)
+        for block in (2, gen.n + 1):
+            for req, got, ref in zip(reqs, values(block), per_top):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (block, req.kind)
+
+    def test_lattice_sweep_reads_only_boundary_columns(self, chains, monkeypatch):
+        # the inflow comes from the stencil panel: however many window tops
+        # a lattice sweep runs, the only generator columns it builds are
+        # the boundary ones
+        from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
+        from drawdown_ctmc.quantities import backward_window_sweep
+
+        gen, nodes = chains["VG"], self.NODES
+        column, read = ToeplitzLevyGenerator.column, []
+
+        def recorded(self, j):
+            read.append(j)
+            return column(self, j)
+
+        monkeypatch.setattr(ToeplitzLevyGenerator, "column", recorded)
+        kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
+        counts = []
+        for stop in (gen.n - 2, gen.grid.eta_x, 0):
+            read.clear()
+            backward_window_sweep(gen, 4, kfn, np.ones(gen.n), stop)
+            assert set(read) <= {0, gen.n - 1}
+            counts.append(len(read))
+        assert counts == [counts[0]] * 3
+
     def test_lattice_routes_take_one_pass_per_rung(self, chains, monkeypatch):
         import drawdown_ctmc.quantities as qmod
 
@@ -809,3 +854,23 @@ class TestToeplitzInflow:
             assert got.shape == f.shape
             scale = max(np.max(np.abs(ref)), 1.0e-300)
             assert np.max(np.abs(got - ref)) <= 1e-13 * scale, cut
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_off_diagonal_blocks_match_the_dense_rates(self, lattice, width):
+        # the blocks the windowed sweep multiplies: the columns of solved
+        # tops above the rows, and payoff columns reaching up to a steps
+        # into them (the diagonal among them), down to the boundary column 0
+        from drawdown_ctmc.quantities import _OffDiagonal
+
+        gen, dense = lattice
+        n, a = gen.n, 4
+        off = dense - np.diag(np.diag(dense))
+        x = self.payoffs(n)["complex"]
+        rates = _OffDiagonal(gen, a, width)
+        for m0, m1, z0 in [(1, 2, 2), (1, n - 1 - width, n - 1 - width), (1, n - 2, n - 2),
+                           (n - 2, n - 1, n - 2 - a + 1), (3, 7, 3), (1, a, 0), (2, a, 0),
+                           (10, 14, 10), (20, 23, 19)]:
+            z1 = min(z0 + width, n - 1)
+            got = rates.times(m0, m1, z0, z1, x)
+            ref = off[m0:m1, z0:z1] @ x[z0:z1]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), (m0, m1, z0)
