@@ -362,8 +362,11 @@ class ToeplitzLevyGenerator(Generator):
     def window_block(self, lo: int, hi: int) -> np.ndarray:
         m = hi - lo + 1
         idx = np.arange(lo, hi + 1)
-        offs = idx[None, :] - idx[:, None]
-        blk = self.stencil[offs + self.center].copy()
+        # row r holds the offsets -r .. m-1-r: a strided view of the stencil
+        # starting at the centre and stepping down by one per row
+        c = self.center
+        starts = np.lib.stride_tricks.sliding_window_view(self.stencil, m)
+        blk = starts[c - m + 1:c + 1][::-1].copy()
         r = np.arange(m)
         blk[r[:-1], r[:-1] + 1] += self.local_up
         blk[r[1:], r[1:] - 1] += self.local_down
@@ -380,6 +383,22 @@ class ToeplitzLevyGenerator(Generator):
         blk[r, r] = np.where(interior, self._diag[idx], 0.0)
         blk[~interior, :] = 0.0
         return blk
+
+    def window_symbol(self, lo: int, hi: int):
+        """First column and first row of an interior window block G[lo..hi]
+        (1 <= lo <= hi <= n-2), which is Toeplitz: the stencil and the
+        local rates off the diagonal, and on it the diagonal of row lo (the
+        interior diagonal varies by roundoff only)."""
+        if not 1 <= lo <= hi <= self.n - 2:
+            raise ValueError("a window symbol needs interior rows")
+        m, c = hi - lo + 1, self.center
+        col = self.stencil[c - m + 1:c + 1][::-1].copy()   # offsets 0, -1, .., 1-m
+        row = self.stencil[c:c + m].copy()                 # offsets 0, 1, .., m-1
+        col[0] = row[0] = self._diag[lo]
+        if m > 1:
+            col[1] += self.local_down
+            row[1] += self.local_up
+        return col, row
 
 
 class DenseGenerator(Generator):

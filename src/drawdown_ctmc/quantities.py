@@ -15,9 +15,9 @@ began: two small products with slices of the off-diagonal rates.  After
 the block one product folds it into the rows below.  Every sweep is O(N)
 window solves plus O(N^2) work in BLAS products; a lattice reads its
 rates from one panel of the stencil, with no generator column per top
-(``_OffDiagonal``).  Window solves are cached by the window's relative
-killing pattern on translation-invariant lattices, where the window block
-is the same matrix for every interior top, and dense otherwise.
+(``_OffDiagonal``).  On translation-invariant lattices every interior
+window block is the same Toeplitz matrix, so window solves are cached by
+the window's killing pattern; dense generators solve every window.
 
 Quantities:
 
@@ -48,13 +48,20 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
   and dense generators): the running vector R and the values are (n, k),
   so every block's inflow is one real GEMM over all nodes; lattice windows
   cache the last rows of every node's inverse per killing pattern;
-* the lattice closed forms (C, Hsum, Jsum): the window block and its exit
-  masses are built once.
+* the lattice closed forms (C, Hsum, Jsum): the window solve and its exit
+  masses are made once.
 
-Every window solve reduces the real window matrix once (the rows whose
-killing is the same for every node eliminated, the rest brought to
-Hessenberg form) and then costs one O(m^2) banded LU per node
-(``_node_solves``).
+Each window solve takes one route by the window's structure
+(``_last_rows``).  An interior lattice window killed by one node vector on
+every row (Q, Hn, the Hsum and Jsum closed forms, B's fully killed
+windows) takes one O(m^2) Levinson recursion per node on its Toeplitz
+symbol (``_toeplitz_solves``).  B's nested killing patterns step from one
+to the next by rank-one updates of each node's inverse, O(m^2 k) per
+pattern (``_NestedKilling``).  Every other window (C's fixed pattern,
+windows that reach state 0, dense generators) reduces the real window
+matrix once (the rows whose killing is the same for every node
+eliminated, the rest brought to Hessenberg form) and then costs one
+O(m^2) banded LU per node (``_node_solves``).
 
 The birth-death Hsum fixed point builds its weights for all nodes at
 once, then solves (I - P) for all nodes in one block elimination
@@ -428,51 +435,222 @@ def _reflect(hess: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np
     return out
 
 
-def _last_rows(blk: np.ndarray, kv: np.ndarray) -> np.ndarray:
-    """Last rows of the inverses of diag(kv[:, j]) - blk, one per node: (k, m)."""
-    e = np.zeros(kv.shape[0])
+def _toeplitz_solves(gen: Generator, lo: int, hi: int, nodes: np.ndarray, rhs: np.ndarray, *,
+                     trans: bool = False) -> np.ndarray:
+    """Solutions x_j of (nodes[j] I - G[lo..hi]) x_j = rhs, or of the
+    transposed systems, for an interior lattice window and a real (m,)
+    right-hand side: a (k, m) array.
+
+    The window block is Toeplitz (``window_symbol``), so each node costs
+    one O(m^2) Levinson recursion (N. Levinson, J. Math. Phys. 25, 1947,
+    as ``scipy.linalg.solve_toeplitz``) and no dense block is built.  A
+    zero pivot or a non-finite solution raises ``Singular``.
+    """
+    from scipy.linalg import solve_toeplitz
+
+    col, row = gen.window_symbol(lo, hi)
+    if trans:
+        col, row = row, col
+    col, row = -col.astype(complex), -row.astype(complex)
+    diag = col[0]
+    out = np.empty((nodes.size, hi - lo + 1), dtype=complex)
+    for j, q in enumerate(nodes):
+        col[0] = row[0] = q + diag
+        try:
+            out[j] = solve_toeplitz((col, row), rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise Singular("window matrix has a singular leading block") from exc
+    if not np.all(np.isfinite(out)):
+        raise Singular("non-finite Levinson solution")
+    return out
+
+
+_CHAIN_BLOCK = 16
+# Rank-one steps of a killing-pattern chain applied together by one
+# batched product (``_NestedKilling``).
+
+
+class _NestedKilling:
+    """A killing over the states that holds one node vector on the states
+    below ``cut`` and one real value, shared by the nodes, on the rest:
+    B's q 1{x < xi} + shift (``cut`` = n: the node vector everywhere).
+
+    An interior lattice window [lo..lo+m-1] kills its first
+    p = clip(cut - lo, 0, m) rows; down a sweep lo falls by one per top,
+    so p grows by one row per top.  Pattern 0, the free window, is
+    inverted once in real arithmetic.  Pattern p + 1 adds add_j = q_j at
+    (p, p) of the window matrix, so each node's inverse takes one
+    Sherman-Morrison step (W. W. Hager, SIAM Review 31(2), 1989):
+
+        G' = G - G[:, p] (add_j / d_j) G[p, :],   d_j = 1 + add_j G[p, p].
+
+    Later steps read only rows > p, so the chain carries rows >= p of
+    every node's inverse (at most m^2 k complex).  The steps go in blocks
+    of ``_CHAIN_BLOCK``: inside a block, row p and column p are the rows
+    held at the block start less the block's earlier steps, and the last
+    row is carried on its own; at the block end one batched product
+    applies the block's steps to the rows below it.  A denominator that
+    is not finite, or under 1e-10 (1 + |add_j G[p, p]|), raises
+    ``Singular``.
+    """
+
+    def __init__(self, cut: int, free: float, nodes: np.ndarray):
+        self.cut, self.free, self.add = cut, free, nodes - free
+        self.width = self.p = None   # the pattern the chain carries
+
+    @classmethod
+    def of(cls, kill: np.ndarray) -> Optional["_NestedKilling"]:
+        """The (n, k) killing classified, or None for any other form (a
+        state-dependent killing, a complex value shared by the nodes, or
+        node-vector states that are not the lowest ones)."""
+        n = kill.shape[0]
+        killed = np.all(kill == kill[0], axis=1)
+        cut = int(np.argmin(killed)) if not killed.all() else n
+        if cut == n:
+            return cls(n, 0.0, kill[0])
+        free = kill[cut, 0]
+        if free.imag != 0.0 or killed[cut:].any() or not np.all(kill[cut:] == free):
+            return None
+        return cls(cut, free.real, kill[0])
+
+    def pattern(self, lo: int, m: int) -> int:
+        """Killed rows of the interior window [lo..lo+m-1]."""
+        return min(max(self.cut - lo, 0), m)
+
+    def steps_to(self, lo: int, m: int) -> bool:
+        """Whether the chain gives the window's pattern: pattern 0 starts
+        it, and a pattern 0 < p < m follows the one it carries when that
+        is p - 1 at the same width.  The fully killed pattern m is
+        uniform and left to the Levinson recursion."""
+        p = self.pattern(lo, m)
+        return p < m and (p == 0 or (self.width == m and self.p == p - 1))
+
+    def rows(self, gen: Generator, lo: int, hi: int) -> np.ndarray:
+        """Last rows of the inverses of the window's pattern, one per
+        node: (k, m)."""
+        if self.pattern(lo, hi - lo + 1) == 0:
+            return self._start(gen, lo, hi)
+        return self._step()
+
+    def _start(self, gen: Generator, lo: int, hi: int) -> np.ndarray:
+        m, k = hi - lo + 1, self.add.size
+        try:
+            inv = np.linalg.inv(self.free * np.eye(m) - gen.window_block(lo, hi))
+        except np.linalg.LinAlgError as exc:
+            raise Singular("free window matrix is singular") from exc
+        if not np.all(np.isfinite(inv)):
+            raise Singular("non-finite inverse of the free window")
+        self.width, self.p, self.base = m, 0, 0
+        self.inv = inv   # rows >= base at pattern base: real, shared by the nodes at base 0
+        self.U = np.zeros((k, m, _CHAIN_BLOCK), dtype=complex)   # the block's columns G[:, p]
+        self.W = np.zeros((k, _CHAIN_BLOCK, m), dtype=complex)   # and its scaled rows G[p, :]
+        self.last = np.tile(inv[-1].astype(complex), (k, 1))
+        return self.last
+
+    def _step(self) -> np.ndarray:
+        p = self.p
+        t = p - self.base   # steps held in the block, and row p among the held rows
+        U, W, G = self.U, self.W, self.inv
+        row = G[..., t, :] - (U[:, t, None, :t] @ W[:, :t])[:, 0]
+        col = G[..., t:, p] - (U[:, t:, :t] @ W[:, :t, p, None])[..., 0]
+        shift = self.add * row[:, p]
+        d = 1.0 + shift
+        if not (np.all(np.isfinite(d)) and np.all(np.abs(d) > 1e-10 * (1.0 + np.abs(shift)))):
+            raise Singular("vanishing rank-one denominator in the window inverse")
+        U[:, t:, t] = col
+        W[:, t] = (self.add / d)[:, None] * row
+        self.last = self.last - col[:, -1:] * W[:, t]
+        self.p += 1
+        if t + 1 == _CHAIN_BLOCK:
+            b = _CHAIN_BLOCK
+            self.inv = G[..., b:, :] - U[:, b:] @ W
+            self.base += b
+            self.U = np.zeros((U.shape[0], U.shape[1] - b, b), dtype=complex)
+            W[:] = 0.0
+        return self.last
+
+
+def _last_rows(gen: Generator, lo: int, hi: int, kv: np.ndarray,
+               nested: Optional[_NestedKilling] = None) -> np.ndarray:
+    """Last rows of the inverses of diag(kv[:, j]) - G[lo..hi], one per
+    node: (k, m).
+
+    One dispatch on the window's structure.  An interior lattice window
+    (1 <= lo, hi <= n-2) has a Toeplitz block, and takes:
+
+    * rank-one steps when it is one of the nested killing patterns of
+      ``nested`` that its chain starts or carries up to;
+    * the Levinson recursion (``_toeplitz_solves``) when one node vector
+      kills every row.
+
+    Any other window (another killing, one that reaches an absorbing
+    state, a dense generator) is reduced once and costs one banded LU per
+    node (``_node_solves``).
+    """
+    m = hi - lo + 1
+    interior = gen.structure == TOEPLITZ_LEVY and lo >= 1 and hi <= gen.n - 2
+    if interior and nested is not None and nested.steps_to(lo, m):
+        return nested.rows(gen, lo, hi)
+    e = np.zeros(m)
     e[-1] = 1.0
-    return _node_solves(blk, kv, e, trans=True)
+    if interior and np.all(kv == kv[0]):
+        return _toeplitz_solves(gen, lo, hi, kv[0], e, trans=True)
+    return _node_solves(gen.window_block(lo, hi), kv, e, trans=True)
 
 
 class _WindowSolver:
-    """Last-row window solves for a batch of nodes: cached by the window's
-    killing pattern on lattices, built otherwise for every window; each
-    is one reduction of the window plus one banded LU per node
-    (``_node_solves``)."""
+    """Last-row window solves for a batch of nodes (``_last_rows``).
 
-    def __init__(self, gen: Generator):
+    On a lattice the rows are cached by the window's killing pattern.  A
+    killing over the states that classifies as nested
+    (``_NestedKilling.of``, once per solver) keys a window by (width,
+    reaches state 0, killed rows) in O(1), and its chain serves the
+    partly killed patterns, each once per sweep and so left uncached.
+    Any other killing is keyed by its bytes.  The rows are kept
+    conjugated in the right-hand sides' (m, k) orientation, so that one
+    ``np.vecdot`` applies them.
+    """
+
+    def __init__(self, gen: Generator, killing):
         self.gen = gen
         self.cache = {}
+        self.nested = None
+        if gen.structure == TOEPLITZ_LEVY and isinstance(killing, np.ndarray):
+            self.nested = _NestedKilling.of(killing)
 
     def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Last entries of the solutions of (diag(kv[:, j]) - G[lo..i]) x = rhs[:, j]
         for the (m, k) killing and right-hand sides: one value per node."""
-        # interior lattice window blocks depend only on the width and on
-        # whether the window reaches state 0: cache their inverses' last rows
-        lattice = self.gen.structure == TOEPLITZ_LEVY
-        key = (kv.shape[0], lo == 0, kv.tobytes()) if lattice else None
+        key, keep = None, True
+        if self.gen.structure == TOEPLITZ_LEVY:
+            m = i - lo + 1
+            if self.nested is None:
+                key = (m, lo == 0, kv.tobytes())
+            else:
+                p = self.nested.pattern(lo, m)
+                key, keep = (m, lo == 0, p), p in (0, m)
         w = self.cache.get(key)
         if w is None:
-            w = _last_rows(self.gen.window_block(lo, i), kv)
-            if key is not None:
+            w = np.conjugate(_last_rows(self.gen, lo, i, kv, self.nested).T, order="C")
+            if key is not None and keep:
                 self.cache[key] = w
-        return np.einsum("jm,mj->j", w, rhs)
+        return np.vecdot(w, rhs, axis=0)
 
 
-def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
-                          f_arr: np.ndarray, stop: int, *,
-                          solver: "_WindowSolver" = None) -> np.ndarray:
+def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarray,
+                          stop: int, *, solver: "_WindowSolver" = None) -> np.ndarray:
     """Backward recursion over window tops for k nodes at once; returns the
     (n, k) values, one column per node.  It serves lattices and dense
     generators; birth-death chains take the fundamental-solution pairs.
 
-    killing_fn(i, lo) must return the (m, k) complex killing rates on the
-    window rows [lo..i].  f_arr is the payoff collected at down-exit over
-    the states, shared by the nodes ((n,)) or one column per node ((n, k)).
+    ``killing`` holds the (n, k) complex killing rates over the states,
+    or is a function (i, lo) giving them, (m, k), on the window rows
+    [lo..i] (C's killing moves with the top).  f_arr is the payoff
+    collected at down-exit over the states, shared by the nodes ((n,)) or
+    one column per node ((n, k)).
     values[j] is filled for stop <= j <= N-1; the two absorbing ends stay
-    0.  A shared ``solver`` carries the cached lattice window solves across
-    repeated sweeps with the same killing (event-count recursions).
+    0.  A shared ``solver``, made for the same killing, carries the cached
+    lattice window solves across repeated sweeps (event-count recursions).
 
     One running vector R holds, for the rows below the current block of
     tops [t0, t1], the payoff inflow of the columns z <= t1 - a and the
@@ -484,6 +662,7 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     """
     n, a = gen.n, a_steps
     top = n - 2
+    killing_fn = killing if callable(killing) else (lambda i, lo: killing[lo:i + 1])
     kv = killing_fn(top, max(0, top - a + 1))
     V = np.zeros((n, kv.shape[1]), dtype=complex)
     f = np.ascontiguousarray(f_arr, dtype=complex).reshape(n, -1)
@@ -494,7 +673,7 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing_fn: Callable,
     floor = max(1, stop - a + 1)
 
     if solver is None:
-        solver = _WindowSolver(gen)
+        solver = _WindowSolver(gen, killing)
     for t1 in range(top, stop - 1, -_SWEEP_BLOCK):
         t0 = max(stop, t1 - _SWEEP_BLOCK + 1)
         # R holds the payoff columns z <= t1 - a and the values above t1
@@ -635,7 +814,7 @@ def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None):
     if gen.structure == BIRTH_DEATH:
         V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, kill, a_steps, eta))
     else:
-        V = backward_window_sweep(gen, a_steps, lambda i, lo: kill[lo:i + 1], f_arr, eta)
+        V = backward_window_sweep(gen, a_steps, kill, f_arr, eta)
     return _per_node(V[eta], single)
 
 
@@ -968,9 +1147,9 @@ def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
         sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     else:
-        kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
-        solver = _WindowSolver(gen)
-        sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kfn, f_arr, 0, solver=solver)
+        kill = np.broadcast_to(nodes, (gen.n, nodes.size))
+        solver = _WindowSolver(gen, kill)
+        sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kill, f_arr, 0, solver=solver)
     while True:
         f_arr = sweep(f_arr)
         yield f_arr[eta]
@@ -1098,14 +1277,17 @@ def _levy_window_masses(gen: Generator, kv: np.ndarray, payoff_below=None):
     """Exit masses of the anchored lattice window (-a, 0] under the (m, k)
     killing kv of its rows (m = a / h): returns (down_mass, up_mass,
     down_weighted), one value per node each, where down_weighted applies
-    an optional (n, k) payoff over the states below the window."""
+    an optional (n, k) payoff over the states below the window.  The
+    window solve takes ``_last_rows``'s route: Levinson for the uniform
+    killing of Hsum and Jsum, with no dense block, and the reduction for
+    C's killed rows below the breakpoint."""
     eta = gen.grid.eta_x
     lo = _anchored_window(gen, kv.shape[0])
-    w = _last_rows(gen.window_block(lo, eta), kv)
+    w = _last_rows(gen, lo, eta, kv)
     below, above = gen.window_exit_masses(lo, eta)
     p_wt = None
     if payoff_below is not None:
-        p_wt = np.einsum("jm,mj->j", w, _toeplitz_D_init(gen, payoff_below, lo - 1)[lo:eta + 1])
+        p_wt = np.sum(w.T * _toeplitz_D_init(gen, payoff_below, lo - 1)[lo:eta + 1], axis=0)
     return w @ below, w @ above, p_wt
 
 
@@ -1288,11 +1470,12 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     """Translation-invariant insurance sum with recovery; a node vector q
     gives one value per node.
 
-    Needs one window solve on (-a, 0], one recovery solve on the window
-    between the lattice bottom and the anchor, and (for x < y) one more
-    recovery factor, each one reduction plus one banded LU per node
-    (``_node_solves``).  Like ``c_levy_closed_form``
-    it holds on the infinite lattice and ignores the chain's upper end.
+    Needs one window solve on (-a, 0] and one recovery solve on the
+    window between the lattice bottom and the anchor, whose values also
+    give the recovery factor of a start x < y.  Both windows are interior
+    and killed alike on every row, so each costs one Levinson recursion
+    per node (``_toeplitz_solves``).  Like ``c_levy_closed_form`` it holds
+    on the infinite lattice and ignores the chain's upper end.
     """
     if gen.structure != TOEPLITZ_LEVY:
         raise NotLevy("closed form needs a translation-invariant lattice generator")
@@ -1307,8 +1490,7 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     # recovery weights u(z) = E_z[e^{-qT} ; reach >= anchor before the bottom]
     _, rhs = gen.window_exit_masses(1, eta - 1)
     u = np.zeros((nn, nodes.size), dtype=complex)
-    u[1:eta] = _node_solves(gen.window_block(1, eta - 1),
-                            np.broadcast_to(nodes, (eta - 1, nodes.size)), rhs).T
+    u[1:eta] = _toeplitz_solves(gen, 1, eta - 1, nodes, rhs).T
     p_dn, p_up, p_mix = _levy_window_masses(
         gen, np.broadcast_to(nodes, (a_steps, nodes.size)), payoff_below=u)
     den = 1.0 - p_up - p_mix

@@ -193,6 +193,24 @@ class TestLevyGenerator:
             assert np.allclose(blk, dense[1:n - 1, 1:n - 1], atol=1e-14)
             blk = gen.window_block(0, n - 1)
             assert np.allclose(blk, dense, atol=1e-14)
+            # a mid-lattice window carries the same floats as the dense matrix
+            lo, hi = n // 3, n // 3 + 6
+            assert np.array_equal(gen.window_block(lo, hi), dense[lo:hi + 1, lo:hi + 1])
+
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    def test_window_symbol_spans_the_interior_block(self, model):
+        from scipy.linalg import toeplitz
+
+        gen = build_levy_generator(model, 0.05, -0.6, 0.6)
+        n = gen.n
+        for lo, hi in ((1, 1), (1, 6), (n // 3, n // 3 + 6), (3, n - 2), (1, n - 2)):
+            blk = gen.window_block(lo, hi)
+            sym = toeplitz(*gen.window_symbol(lo, hi))
+            off = ~np.eye(hi - lo + 1, dtype=bool)
+            assert np.array_equal(sym[off], blk[off])
+            assert np.allclose(np.diag(sym), np.diag(blk), rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            gen.window_symbol(0, 4)
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
     def test_diagonal_matches_per_state_stencil_sums(self, model):

@@ -768,30 +768,70 @@ class TestNodeAxis:
             ref = q_drawdown(gen, q, 0.1)
             assert abs(V[gen.grid.eta_x, j] - ref) <= 1e-12 * abs(ref)
 
+    # the window-solve routes each lattice case takes from the anchor: the
+    # Levinson recursion on uniformly killed interior windows, B's rank-one
+    # chain between its nested patterns (a = 4 steps, xi = -0.05: patterns
+    # 0 and 1 only), and the reduction for C's fixed pattern and for the
+    # windows of the Hn sweep that reach state 0
+    WINDOW_ROUTES = {"Q": {"levinson"}, "B": {"chain"}, "C": {"reduction"},
+                     "Hn": {"levinson", "reduction"}, "Hsum": {"levinson"}, "Jsum": {"levinson"}}
+
     @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
     def test_in_place_node_solves_match_the_stack(self, chains, req, monkeypatch):
-        # every window solve a lattice route makes, in both orientations,
-        # against one dense complex solve per node: the route's own killing
-        # (all rows, or a row subset for B and C), one real node, and two
+        # every window solve a lattice route makes, whichever of the three
+        # routes serves it, against one dense complex solve per node; each
+        # reduction also in both orientations on the route's own killing
+        # (all rows, or a row subset for C), one real node, and two
         # killings that must take the per-node LU (a complex offset on a
         # row shared by the nodes, and a state-dependent killing)
         import drawdown_ctmc.quantities as qmod
 
+        gen = chains["DEJD"]
+        dense = gen.to_dense()
         solve, shifted = qmod._node_solves, qmod._shifted_solves
-        calls, reduced = [], []
+        last_rows, toeplitz = qmod._last_rows, qmod._toeplitz_solves
+        chain = qmod._NestedKilling.rows
+        calls, reduced, windows, routes = [], [], [], set()
 
         def recorded(blk, kv, rhs, **kwargs):
+            routes.add("reduction")
             calls.append((blk, np.array(kv), rhs))
             return solve(blk, kv, rhs, **kwargs)
+
+        def rows_recorded(gen, lo, hi, kv, nested=None):
+            out = last_rows(gen, lo, hi, kv, nested)
+            windows.append((lo, hi, np.array(kv), np.eye(hi - lo + 1)[-1], True, out))
+            return out
+
+        def toeplitz_recorded(gen, lo, hi, nodes, rhs, *, trans=False):
+            routes.add("levinson")
+            out = toeplitz(gen, lo, hi, nodes, rhs, trans=trans)
+            kv = np.broadcast_to(nodes, (hi - lo + 1, nodes.size))
+            windows.append((lo, hi, kv, rhs, trans, out))
+            return out
+
+        def chain_recorded(self, *args):
+            routes.add("chain")
+            return chain(self, *args)
 
         def counted(*args):
             reduced.append(args)
             return shifted(*args)
 
         monkeypatch.setattr(qmod, "_node_solves", recorded)
-        evaluate(chains["DEJD"], replace(req, q=self.NODES))
+        monkeypatch.setattr(qmod, "_last_rows", rows_recorded)
+        monkeypatch.setattr(qmod, "_toeplitz_solves", toeplitz_recorded)
+        monkeypatch.setattr(qmod._NestedKilling, "rows", chain_recorded)
+        evaluate(gen, replace(req, q=self.NODES))
         monkeypatch.setattr(qmod, "_shifted_solves", counted)
-        assert calls
+        assert routes == self.WINDOW_ROUTES[req.kind]
+        assert windows
+        for lo, hi, kv, rhs, trans, got in windows:
+            blk = dense[lo:hi + 1, lo:hi + 1]
+            for j in range(kv.shape[1]):
+                mat = np.diag(kv[:, j]) - blk
+                ref = np.linalg.solve(mat.T if trans else mat, rhs.astype(complex))
+                assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref)), (lo, hi)
         for blk, kv, rhs in calls:
             m = kv.shape[0]
             offset = kv.copy()
@@ -807,7 +847,8 @@ class TestNodeAxis:
                         mat = np.diag(kill[:, j]) - blk
                         ref = np.linalg.solve(mat.T if trans else mat, rhs.astype(complex))
                         assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert reduced   # the route's own killings took the Hessenberg solves
+        # the route's own killings took the Hessenberg solves
+        assert bool(reduced) == bool(calls)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")   # lu_factor's zero pivot
     @pytest.mark.parametrize("kv", [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]]],
@@ -820,6 +861,169 @@ class TestNodeAxis:
 
         with pytest.raises(Singular):
             qmod._node_solves(np.zeros((2, 2)), np.array(kv, dtype=complex), np.ones(2))
+
+
+class TestWindowRoutes:
+    """The three window-solve routes of ``_last_rows`` on lattices: the
+    Levinson recursion, B's rank-one chain and the reduction."""
+
+    NODES = np.append(inversion_nodes_weights(0.1)[0], 1.0 + 800.0j)
+
+    @pytest.fixture(scope="class",
+                    params=[("DEJD", 0.025), ("DEJD", 0.005), ("VG", 0.025), ("VG", 0.005)],
+                    ids=["DEJD81", "DEJD401", "VG81", "VG401"])
+    def lattice(self, request):
+        model, h = request.param
+        return build_levy_generator(ModelSpec.dejd() if model == "DEJD" else ModelSpec.vg(),
+                                    h, -1.0, 1.0)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_every_b_pattern_matches_the_reduction(self, lattice, block, monkeypatch):
+        # B's killing with its breakpoint inside the lattice: pattern 0
+        # starts the chain, 1..m-1 are rank-one steps, m is Levinson's;
+        # the steps applied every step, every three, or every 16 (m = 20
+        # on the 401-state lattices)
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import killing_values
+
+        monkeypatch.setattr(qmod, "_CHAIN_BLOCK", block)
+        gen = lattice
+        m = gen.grid.steps_of(0.1)
+        kill = killing_values(occupation_below_killing(self.NODES, 0.3, 0.05), gen.states)
+        nested = qmod._NestedKilling.of(kill)
+        assert nested is not None and nested.free == 0.05
+        e = np.eye(m)[-1]
+        for p in range(m + 1):
+            lo = nested.cut - p
+            kv = kill[lo:lo + m]
+            assert nested.pattern(lo, m) == p and nested.steps_to(lo, m) == (p < m)
+            got = qmod._last_rows(gen, lo, lo + m - 1, kv, nested)
+            ref = qmod._node_solves(gen.window_block(lo, lo + m - 1), kv, e, trans=True)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), p
+
+    PIN_CASES = [
+        QuantityRequest("Q", a=0.1),
+        QuantityRequest("B", a=0.1, xi=0.3, shift=0.05),   # every pattern 0..m
+        QuantityRequest("Hn", a=0.1, n=2),
+        QuantityRequest("Hsum", a=0.1),
+        QuantityRequest("Jsum", a=0.1),
+        QuantityRequest("Jsum", a=0.1, x=-0.05, y=0.0),
+    ]
+
+    @pytest.mark.parametrize("req", PIN_CASES,
+                             ids=[f"{r.kind}{i}" for i, r in enumerate(PIN_CASES)])
+    def test_node_values_match_the_reduction(self, lattice, req, monkeypatch):
+        # the same quantity with every window reduced (``_node_solves``).
+        # Hn's second event has node values down to 3e-7, where the
+        # reduction itself differs from a pivoted dense LU per window by
+        # 2.4e-12 (DEJD, 401 states): it is compared on the scale of its
+        # largest node value
+        import drawdown_ctmc.quantities as qmod
+
+        req = replace(req, q=self.NODES)
+        got = evaluate(lattice, req)
+
+        def reduced_rows(gen, lo, hi, kv, nested=None):
+            return qmod._node_solves(gen.window_block(lo, hi), kv, np.eye(hi - lo + 1)[-1],
+                                     trans=True)
+
+        def reduced_toeplitz(gen, lo, hi, nodes, rhs, *, trans=False):
+            kv = np.broadcast_to(nodes, (hi - lo + 1, nodes.size))
+            return qmod._node_solves(gen.window_block(lo, hi), kv, rhs, trans=trans)
+
+        monkeypatch.setattr(qmod, "_last_rows", reduced_rows)
+        monkeypatch.setattr(qmod, "_toeplitz_solves", reduced_toeplitz)
+        ref = evaluate(lattice, req)
+        scale = np.max(np.abs(ref)) if req.kind == "Hn" else np.abs(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_route_counts(self, monkeypatch):
+        # Hessenberg reductions (``dgehrd``, looked up at call time) and
+        # dense window blocks per route on the 81-state DEJD lattice
+        import scipy.linalg.lapack as lapack
+        from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
+
+        gen = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
+        a_steps = gen.grid.steps_of(0.1)
+        dgehrd, window_block = lapack.dgehrd, ToeplitzLevyGenerator.window_block
+        counts = {"dgehrd": 0, "window_block": 0}
+
+        def counted_dgehrd(*args, **kwargs):
+            counts["dgehrd"] += 1
+            return dgehrd(*args, **kwargs)
+
+        def counted_block(self, lo, hi):
+            counts["window_block"] += 1
+            return window_block(self, lo, hi)
+
+        monkeypatch.setattr(lapack, "dgehrd", counted_dgehrd)
+        monkeypatch.setattr(ToeplitzLevyGenerator, "window_block", counted_block)
+
+        def run(req):
+            counts.update(dgehrd=0, window_block=0)
+            evaluate(gen, replace(req, q=self.NODES))
+            return dict(counts)
+
+        none = {"dgehrd": 0, "window_block": 0}
+        assert run(QuantityRequest("Hsum", a=0.1)) == none
+        assert run(QuantityRequest("Jsum", a=0.1, x=-0.05, y=0.0)) == none
+        assert run(QuantityRequest("Q", a=0.1)) == none
+        # B from the anchor through every pattern: one block, for pattern 0
+        assert run(QuantityRequest("B", a=0.1, xi=0.3, shift=0.05)) == {**none, "window_block": 1}
+        # the Hn sweep reduces the a windows that reach state 0, once for
+        # both events
+        assert run(QuantityRequest("Hn", a=0.1, n=2))["dgehrd"] == a_steps
+        assert run(QuantityRequest("C", a=0.1, xi=0.05, shift=0.05)) == {"dgehrd": 1,
+                                                                         "window_block": 1}
+
+    @pytest.mark.parametrize("model", ["DEJD", "VG"])
+    @pytest.mark.parametrize("shape", ["state-dependent", "suffix"])
+    def test_unnested_killings_match_the_dense_chain(self, model, shape):
+        # killings that do not classify as nested keep one cache entry per
+        # killing value: a state-dependent one, whose windows all have
+        # every row killed, and one killing the states above xi (a suffix
+        # of each window crossing it)
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import killing_values
+
+        spec = ModelSpec.dejd() if model == "DEJD" else ModelSpec.vg()
+        gen = build_levy_generator(spec, 0.025, -1.0, 1.0)
+        nodes = self.NODES
+        if shape == "state-dependent":
+            k = lambda x: (1.0 + x ** 2)[:, None] * nodes
+        else:
+            k = lambda x: np.where((x > 0.05)[:, None], nodes, 0.0) + 0.05
+        assert qmod._NestedKilling.of(killing_values(k, gen.states)) is None
+        fast = occupation_until_drawdown(gen, k, 0.1)
+        slow = occupation_until_drawdown(dense_copy(gen), k, 0.1)
+        assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow))
+
+    @pytest.fixture
+    def zero_lattice(self):
+        # five states, no rates: the interior windows of a 0.2 drawdown
+        # are 2 x 2 zero blocks
+        from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
+
+        grid = build_grid(0.0, 0.2, 2, -0.25, 0.25)
+        n = grid.n
+        return ToeplitzLevyGenerator(grid, 0.0, 0.0, np.zeros(2 * n - 1), np.zeros(n), np.zeros(n))
+
+    def test_zero_levinson_pivot_raises(self, zero_lattice):
+        from drawdown_ctmc.linsolve import Singular
+
+        with pytest.raises(Singular, match="singular leading block"):
+            q_drawdown(zero_lattice, np.zeros(2), 0.2)
+
+    def test_vanishing_rank_one_denominator_raises(self, zero_lattice):
+        # killing 1 from the anchor up and 0 below it: the top window is
+        # the free pattern 0 (the identity), and killing its lower row with
+        # add = -1 leaves the zero matrix of the next window
+        from drawdown_ctmc.linsolve import Singular
+
+        k = occupation_below_killing(-np.ones(2), -0.05, 1.0)
+        with pytest.raises(Singular, match="rank-one denominator"):
+            occupation_until_drawdown(zero_lattice, k, 0.2)
 
 
 class TestToeplitzInflow:
