@@ -24,14 +24,14 @@ for model in (ModelSpec.bs(), ModelSpec.cev(), ModelSpec.dejd(), ModelSpec.vg())
 
 print("\n== jump measure of the Kou model ==")
 dejd = ModelSpec.dejd()
-print("mass of an upward bin [0.1, 0.2]:   ", levy_bin_mass(dejd, 0.0, 0.1, 0.2))
-print("mass of the whole upward tail:      ", levy_bin_mass(dejd, 0.0, 1e-12, np.inf))
+print("mass of an upward bin [0.1, 0.2]:   ", float(levy_bin_mass(dejd, 0.1, 0.2)))
+print("mass of the whole upward tail:      ", float(levy_bin_mass(dejd, 1e-12, np.inf)))
 print("  (= lam * p_plus =", dejd.lam * dejd.p_plus, ")")
 
 print("\n== small jumps folded into local drift/variance (VG) ==")
 vg = ModelSpec.vg()
 h = 0.01
-b_bar, s2_bar = small_jump_compensators(vg, 0.0, -h / 2, h / 2)
+b_bar, s2_bar = small_jump_compensators(vg, -h / 2, h / 2)
 print(f"window [-h/2, h/2] with h={h}: b_bar={b_bar:+.4f}  sigma2_bar={s2_bar:.6f}")
 print(f"compensated drift fed to the generator: {truncated_drift(vg) - b_bar:+.4f}")
 

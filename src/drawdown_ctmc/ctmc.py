@@ -12,8 +12,8 @@ Three storage regimes, matching how the rates are consumed:
 * ``birth_death``   -- tridiagonal (diffusions): three diagonals.
 * ``toeplitz_levy`` -- spatially homogeneous models on an h-lattice:
                        one stencil row plus boundary-tail vectors.
-* ``general``       -- dense matrix (state-dependent jump models, small
-                       hand-built test chains).
+* ``general``       -- dense matrix (jump models on an arbitrary grid,
+                       dense copies of any chain, hand-built test chains).
 
 Grids and generators are immutable after assembly.
 """
@@ -29,7 +29,6 @@ from .models import (
     ModelSpec,
     diffusion_var,
     levy_bin_mass,
-    levy_bin_mass_array,
     small_jump_compensators,
     truncated_drift,
 )
@@ -94,11 +93,6 @@ class Grid:
     def n(self) -> int:
         """Number of states (N + 1)."""
         return self.states.size
-
-    @property
-    def top(self) -> int:
-        """Index N of the upper absorbing state."""
-        return self.states.size - 1
 
     def steps_of(self, level: float) -> int:
         """Number of lattice steps in a level that is a multiple of h."""
@@ -273,8 +267,7 @@ class ToeplitzLevyGenerator(Generator):
     structure = TOEPLITZ_LEVY
 
     def __init__(self, grid: Grid, local_up: float, local_down: float,
-                 stencil: np.ndarray, tail_bot: np.ndarray, tail_top: np.ndarray,
-                 model: ModelSpec | None = None):
+                 stencil: np.ndarray, tail_bot: np.ndarray, tail_top: np.ndarray):
         self.grid = grid
         n = grid.n
         self.local_up = float(local_up)
@@ -283,7 +276,6 @@ class ToeplitzLevyGenerator(Generator):
         self.center = n - 1
         self.tail_bot = np.asarray(tail_bot, dtype=float)  # row m -> mass of (-inf, (0-m)h + h/2]
         self.tail_top = np.asarray(tail_top, dtype=float)  # row m -> mass of [(n-1-m)h - h/2, inf)
-        self.model = model
         up_rate = self.local_up + self.stencil[self.center + 1]
         dn_rate = self.local_down + self.stencil[self.center - 1]
         if up_rate < 0.0:
@@ -402,7 +394,9 @@ class ToeplitzLevyGenerator(Generator):
 
 
 class DenseGenerator(Generator):
-    """Dense storage; used for state-dependent jump models and test chains."""
+    """Dense storage: the jump chains of ``build_generator`` and dense
+    copies of any chain, which are the reference routes, plus hand-built
+    test chains."""
 
     structure = GENERAL
 
@@ -457,7 +451,7 @@ def _local_rates(model: ModelSpec, x, d_minus, d_plus,
     b_eff = truncated_drift(model, x)
     s2_eff = diffusion_var(model, x)
     if model.has_jumps:
-        b_bar, s2_bar = small_jump_compensators(model, x, -0.5 * d_minus, 0.5 * d_plus)
+        b_bar, s2_bar = small_jump_compensators(model, -0.5 * d_minus, 0.5 * d_plus)
         b_eff = b_eff - b_bar
         s2_eff = s2_eff + 2.0 * s2_bar
     d_avg = 0.5 * (d_plus + d_minus)
@@ -497,37 +491,34 @@ def build_generator(model: ModelSpec, grid: Grid, *, drift_scheme: str = "auto")
             raise NegativeRate(states[i], states[i - 1], down[i])
         return BirthDeathGenerator(grid, up, down)
 
+    spacing = np.diff(states)
+    d_minus = np.concatenate([spacing[:1], spacing])
+    d_plus = np.concatenate([spacing, spacing[-1:]])
+    edge_lo = states - 0.5 * d_minus
+    edge_hi = states + 0.5 * d_plus
+    x = states[1:-1]
+    # every interior row's bins around the other states, the end bins
+    # extended to +/-infinity so that jumps past the lattice are absorbed
+    lo = np.concatenate([[-np.inf], edge_lo[1:]]) - x[:, None]
+    hi = np.concatenate([edge_hi[:-1], [np.inf]]) - x[:, None]
+    off = np.arange(n) != np.arange(1, n - 1)[:, None]
     rates = np.zeros((n, n))
-    d_minus_all = np.empty(n)
-    d_plus_all = np.empty(n)
-    d_minus_all[1:] = np.diff(states)
-    d_plus_all[:-1] = np.diff(states)
-    d_minus_all[0] = d_plus_all[0]
-    d_plus_all[-1] = d_minus_all[-1]
+    rates[1:-1][off] = levy_bin_mass(model, lo[off], hi[off])
+    # the scheme decision uses the plain neighbor bins (no end-bin
+    # extension) so that it cannot differ between boundary-adjacent
+    # rows here and the translation-invariant builder
+    nu_up, nu_dn = levy_bin_mass(model, np.stack([edge_lo[2:], edge_lo[:-2]]) - x,
+                                 np.stack([edge_hi[2:], edge_hi[:-2]]) - x)
     for i in range(1, n - 1):
-        x = states[i]
-        for j in range(n):
-            if j == i:
-                continue
-            lo = -math.inf if j == 0 else states[j] - 0.5 * d_minus_all[j] - x
-            hi = math.inf if j == n - 1 else states[j] + 0.5 * d_plus_all[j] - x
-            rates[i, j] = levy_bin_mass(model, x, lo, hi)
-        # the scheme decision uses the plain neighbor bins (no end-bin
-        # extension) so that it cannot differ between boundary-adjacent
-        # rows here and the translation-invariant builder
-        nu_up = levy_bin_mass(model, x, states[i + 1] - 0.5 * d_minus_all[i + 1] - x,
-                              states[i + 1] + 0.5 * d_plus_all[i + 1] - x)
-        nu_dn = levy_bin_mass(model, x, states[i - 1] - 0.5 * d_minus_all[i - 1] - x,
-                              states[i - 1] + 0.5 * d_plus_all[i - 1] - x)
-        u, dn = _local_rates(model, x, d_minus_all[i], d_plus_all[i],
-                             nu_up=nu_up, nu_dn=nu_dn, scheme=drift_scheme)
+        u, dn = _local_rates(model, states[i], d_minus[i], d_plus[i],
+                             nu_up=nu_up[i - 1], nu_dn=nu_dn[i - 1], scheme=drift_scheme)
         rates[i, i + 1] += u
         rates[i, i - 1] += dn
         if rates[i, i + 1] < 0.0:
-            raise NegativeRate(x, states[i + 1], rates[i, i + 1])
+            raise NegativeRate(states[i], states[i + 1], rates[i, i + 1])
         if rates[i, i - 1] < 0.0:
-            raise NegativeRate(x, states[i - 1], rates[i, i - 1])
-        rates[i, i] = -rates[i].sum() + rates[i, i]
+            raise NegativeRate(states[i], states[i - 1], rates[i, i - 1])
+        rates[i, i] = -rates[i].sum()
     return DenseGenerator(grid, rates)
 
 
@@ -543,11 +534,8 @@ def choose_drift_scheme(model: ModelSpec, h: float, states) -> str:
     state for step h, else "upwind".  Extrapolated tables need one scheme
     across all their resolutions, probed at the finest step."""
     states = np.asarray(states, dtype=float)
+    nu_up, nu_dn = levy_bin_mass(model, [0.5 * h, -1.5 * h], [1.5 * h, -0.5 * h])
     for x in states:
-        nu_up = nu_dn = 0.0
-        if model.has_jumps:
-            nu_up = levy_bin_mass(model, x, 0.5 * h, 1.5 * h)
-            nu_dn = levy_bin_mass(model, x, -1.5 * h, -0.5 * h)
         up_c, dn_c = _local_rates(model, x, h, h, scheme="central")
         if up_c + nu_up < 0.0 or dn_c + nu_dn < 0.0:
             return "upwind"
@@ -577,15 +565,14 @@ def build_levy_generator(model: ModelSpec, h: float, trunc_lo: float, trunc_hi: 
     if not model.has_jumps:
         lu, ld = _local_rates(model, x0, h, h, scheme=drift_scheme)
         stencil = np.zeros(2 * n - 1)
-        return ToeplitzLevyGenerator(grid, lu, ld, stencil, np.zeros(n), np.zeros(n),
-                                     model=model)
+        return ToeplitzLevyGenerator(grid, lu, ld, stencil, np.zeros(n), np.zeros(n))
 
     # One-sided tail masses nu[e_d, inf) and nu(-inf, -e_d] at the bin edges
     # e_d = (d - 1/2) h, d = 1..n: every stencil bin and every truncation
     # tail is one of them or the difference of two.
     edges = (np.arange(1, n + 1, dtype=float) - 0.5) * h
-    above = levy_bin_mass_array(model, x0, edges, np.full(n, np.inf))
-    below = levy_bin_mass_array(model, x0, np.full(n, -np.inf), -edges)
+    above = levy_bin_mass(model, edges, np.full(n, np.inf))
+    below = levy_bin_mass(model, np.full(n, -np.inf), -edges)
     stencil = np.zeros(2 * n - 1)
     stencil[n:] = above[:-1] - above[1:]
     stencil[:n - 1] = (below[:-1] - below[1:])[::-1]
@@ -596,4 +583,4 @@ def build_levy_generator(model: ModelSpec, h: float, trunc_lo: float, trunc_hi: 
     tail_top = np.zeros(n)
     tail_bot[1:n - 1] = below[:n - 2]
     tail_top[1:n - 1] = above[n - 3::-1]
-    return ToeplitzLevyGenerator(grid, lu, ld, stencil, tail_bot, tail_top, model=model)
+    return ToeplitzLevyGenerator(grid, lu, ld, stencil, tail_bot, tail_top)

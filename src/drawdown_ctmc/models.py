@@ -13,6 +13,7 @@ Four parametric models of the asset price S_t (log-price X_t = ln S_t):
 All jump-measure integrals (bin masses, first/second moments over an
 interval) have elementary antiderivatives (exponentials for DEJD, the
 exponential integral E1 for VG masses), so no numerical quadrature is used.
+Bin masses take arrays of bins, each on one side of 0.
 Every function here is pure; ModelSpec is immutable.
 """
 
@@ -40,7 +41,8 @@ KINDS = ("BS", "CEV", "DEJD", "VG")
 
 
 class UnboundedMass(ValueError):
-    """A jump-measure bin touches 0 for an infinite-activity model."""
+    """A jump-measure bin straddles 0: bin masses take one side of 0 at a
+    time, and VG puts infinite mass there."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def truncated_drift(model: ModelSpec, x: float | np.ndarray = 0.0) -> float | np
     jump measure.  Equals drift() for models without jumps."""
     if not model.has_jumps:
         return drift(model, x)
-    return drift(model, x) + levy_bin_mean(model, x, -1.0, 0.0) + levy_bin_mean(model, x, 0.0, 1.0)
+    return drift(model, x) + levy_bin_mean(model, -1.0, 0.0) + levy_bin_mean(model, 0.0, 1.0)
 
 
 def diffusion_var(model: ModelSpec, x: float | np.ndarray = 0.0) -> float | np.ndarray:
@@ -207,13 +209,6 @@ def levy_density(model: ModelSpec, y):
     return out
 
 
-def _check_bin(model: ModelSpec, lo: float, hi: float) -> None:
-    if not lo < hi:
-        raise ValueError(f"empty bin [{lo}, {hi}]")
-    if model.kind == "VG" and lo <= 0.0 <= hi:
-        raise UnboundedMass(f"bin [{lo}, {hi}] touches 0 for the infinite-activity VG model")
-
-
 def _exp_mass(rate: float, lo: float, hi: float) -> float:
     """integral of rate*e^{-rate*t} over [lo, hi] subset of [0, inf]."""
     hi_term = 0.0 if math.isinf(hi) else math.exp(-rate * hi)
@@ -236,15 +231,12 @@ def _exp_second(rate: float, lo: float, hi: float) -> float:
     return anti(lo) - (0.0 if math.isinf(hi) else anti(hi))
 
 
-def _e1(z):
-    """Exponential integral E1 of a scalar or an array, with E1(inf) = 0
-    taken as such: infinite points of an array are not evaluated.  Only VG
-    bin masses need it, so scipy.special is imported here: BS, CEV and
-    DEJD runs never load it."""
+def _e1(z: np.ndarray) -> np.ndarray:
+    """Exponential integral E1 of an array, with E1(inf) = 0 taken as such:
+    infinite points are not evaluated.  Only VG bin masses need it, so
+    scipy.special is imported here: BS, CEV and DEJD runs never load it."""
     from scipy.special import exp1
 
-    if np.ndim(z) == 0:
-        return exp1(z)
     out = np.zeros(np.shape(z))
     finite = np.isfinite(z)
     out[finite] = exp1(z[finite])
@@ -261,39 +253,13 @@ def _split_at_zero(fn_neg, fn_pos, lo: float, hi: float) -> float:
     return total
 
 
-def levy_bin_mass(model: ModelSpec, x: float, lo: float, hi: float) -> float:
-    """Jump-measure mass nubar over [lo, hi]; lo may be -inf, hi may be +inf.
+def levy_bin_mass(model: ModelSpec, lo, hi) -> np.ndarray:
+    """Jump-measure mass nubar over the bins [lo, hi] (arrays of the same
+    shape, or scalars for a 0-d result); lo may be -inf, hi may be +inf.
 
-    Raises UnboundedMass when the bin touches 0 for an infinite-activity
-    model (VG); finite-activity bins may straddle 0.
+    Every bin lies on one side of 0, else UnboundedMass; no generator bin
+    straddles it.  A VG bin with an end at 0 has infinite mass.
     """
-    if not model.has_jumps:
-        if not lo < hi:
-            raise ValueError(f"empty bin [{lo}, {hi}]")
-        return 0.0
-    _check_bin(model, lo, hi)
-    if model.kind == "DEJD":
-        lam = model.lam
-
-        def neg(a, b):
-            return lam * model.p_minus * _exp_mass(model.eta_minus, -b, -a)
-
-        def pos(a, b):
-            return lam * model.p_plus * _exp_mass(model.eta_plus, a, b)
-
-        return _split_at_zero(neg, pos, lo, hi)
-    # VG
-    nv = model.nu_vg
-    if hi <= 0.0:
-        lm = model.vg_decay_neg
-        return (_e1(lm * (-hi)) - _e1(lm * (-lo))) / nv
-    lp = model.vg_decay_pos
-    return (_e1(lp * lo) - _e1(lp * hi)) / nv
-
-
-def levy_bin_mass_array(model: ModelSpec, x: float, lo, hi) -> np.ndarray:
-    """Vectorized levy_bin_mass for arrays of bins; each bin must lie on one
-    side of 0 (used by the lattice stencil construction)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = np.zeros(lo.shape)
@@ -302,7 +268,7 @@ def levy_bin_mass_array(model: ModelSpec, x: float, lo, hi) -> np.ndarray:
     pos = lo >= 0.0
     neg = hi <= 0.0
     if not np.all(pos | neg):
-        raise UnboundedMass("vectorized bins must not straddle 0")
+        raise UnboundedMass("jump bins must not straddle 0")
     if model.kind == "DEJD":
         lp, lm = model.eta_plus, model.eta_minus
         wp, wm = model.lam * model.p_plus, model.lam * model.p_minus
@@ -321,7 +287,7 @@ def levy_bin_mass_array(model: ModelSpec, x: float, lo, hi) -> np.ndarray:
     return out
 
 
-def levy_bin_mean(model: ModelSpec, x: float, lo: float, hi: float) -> float:
+def levy_bin_mean(model: ModelSpec, lo: float, hi: float) -> float:
     """integral of y nu(dy) over [lo, hi] (bins may straddle 0; the integrand
     y*nu(y) is bounded near 0 even for VG)."""
     if not model.has_jumps:
@@ -348,7 +314,7 @@ def levy_bin_mean(model: ModelSpec, x: float, lo: float, hi: float) -> float:
     return _split_at_zero(neg, pos, lo, hi)
 
 
-def levy_bin_second_moment(model: ModelSpec, x: float, lo: float, hi: float) -> float:
+def levy_bin_second_moment(model: ModelSpec, lo: float, hi: float) -> float:
     """integral of y^2 nu(dy) over [lo, hi]."""
     if not model.has_jumps:
         return 0.0
@@ -374,7 +340,7 @@ def levy_bin_second_moment(model: ModelSpec, x: float, lo: float, hi: float) -> 
     return _split_at_zero(neg, pos, lo, hi)
 
 
-def small_jump_compensators(model: ModelSpec, x: float, lo: float, hi: float):
+def small_jump_compensators(model: ModelSpec, lo: float, hi: float):
     """Small-jump corrections for the window [lo, hi] around 0.
 
     Returns (b_bar, sigma2_bar) with
@@ -388,8 +354,8 @@ def small_jump_compensators(model: ModelSpec, x: float, lo: float, hi: float):
         return 0.0, 0.0
     b_bar = 0.0
     if lo > -1.0:
-        b_bar += levy_bin_mean(model, x, -1.0, lo)
+        b_bar += levy_bin_mean(model, -1.0, lo)
     if hi < 1.0:
-        b_bar += levy_bin_mean(model, x, hi, 1.0)
-    sigma2_bar = 0.5 * levy_bin_second_moment(model, x, lo, hi)
+        b_bar += levy_bin_mean(model, hi, 1.0)
+    sigma2_bar = 0.5 * levy_bin_second_moment(model, lo, hi)
     return b_bar, sigma2_bar

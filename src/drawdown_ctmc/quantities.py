@@ -1485,8 +1485,6 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     nodes, single = _nodes(q)
     eta_x, eta_y = _start_pair(gen, x, y)
     nn = gen.n
-    if eta - 1 > 3000:
-        raise TooLarge("recovery window too large for the dense closed form")
     # recovery weights u(z) = E_z[e^{-qT} ; reach >= anchor before the bottom]
     _, rhs = gen.window_exit_masses(1, eta - 1)
     u = np.zeros((nn, nodes.size), dtype=complex)

@@ -147,6 +147,76 @@ class TestBirthDeathAssembly:
         assert err.value.rate == pytest.approx(rate, rel=1e-14)
 
 
+class TestDenseJumpAssembly:
+    """build_generator's jump branch takes all its bin masses from array
+    calls; the reference is each bin's closed form, written out entry by
+    entry."""
+
+    GRIDS = [(0.13, 0.35, 7, -2.0, 1.0), (0.0, 0.2, 8, -0.8, 0.4)]
+
+    @staticmethod
+    def bin_mass(model, lo, hi):
+        """Jump mass of one bin [lo, hi] on one side of 0."""
+        if model.kind == "DEJD":
+            if lo >= 0.0:
+                eta, w = model.eta_plus, model.lam * model.p_plus
+            else:
+                eta, w, lo, hi = model.eta_minus, model.lam * model.p_minus, -hi, -lo
+            return w * (math.exp(-eta * lo) - math.exp(-eta * hi))
+        from scipy.special import exp1
+
+        if lo >= 0.0:
+            rate = model.vg_decay_pos
+        else:
+            rate, lo, hi = model.vg_decay_neg, -hi, -lo
+        return (exp1(rate * lo) - exp1(rate * hi)) / model.nu_vg
+
+    @staticmethod
+    def edges(grid):
+        """Bin edges around every state; the end bins reach +/-infinity."""
+        s = grid.states
+        return np.concatenate([[-np.inf], 0.5 * (s[1:] + s[:-1]), [np.inf]])
+
+    @pytest.mark.parametrize("grid_args", GRIDS, ids=["offset", "small"])
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    def test_far_entries_match_closed_forms(self, model, grid_args):
+        grid = build_grid(*grid_args)
+        s, n, edges = grid.states, grid.n, self.edges(grid)
+        rates = build_generator(model, grid).to_dense()
+        # every entry two or more states off the diagonal; that takes in
+        # both end columns, whose bins reach +/-infinity
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2)
+        expect = np.array([self.bin_mass(model, edges[c] - s[r], edges[c + 1] - s[r])
+                           if 0 < r < n - 1 else 0.0 for r, c in zip(i, j)])
+        got = rates[i, j]
+        assert np.count_nonzero((j == 0) & (expect > 0.0)) == n - 3
+        assert np.count_nonzero((j == n - 1) & (expect > 0.0)) == n - 3
+        assert np.array_equal(got == 0.0, expect == 0.0)
+        nz = expect != 0.0
+        assert np.all(np.abs(got[nz] - expect[nz]) <= 1e-13 * np.abs(expect[nz]))
+
+    @pytest.mark.parametrize("grid_args", GRIDS, ids=["offset", "small"])
+    @pytest.mark.parametrize("model", [
+        ModelSpec.dejd(sigma=0.05, r_f=0.5, d=0.0),     # down rate
+        ModelSpec.dejd(sigma=0.05, r_f=0.0, d=0.5),     # up rate
+    ], ids=["down", "up"])
+    def test_central_failure_names_the_first_state(self, model, grid_args):
+        grid = build_grid(*grid_args)
+        s, edges = grid.states, self.edges(grid)
+        first = None
+        for i in range(1, grid.n - 1):
+            u, dn = _local_rates(model, s[i], s[i] - s[i - 1], s[i + 1] - s[i], scheme="central")
+            up = u + self.bin_mass(model, edges[i + 1] - s[i], edges[i + 2] - s[i])
+            down = dn + self.bin_mass(model, edges[i - 1] - s[i], edges[i] - s[i])
+            if up < 0.0 or down < 0.0:
+                first = (s[i], s[i + 1]) if up < 0.0 else (s[i], s[i - 1])
+                break
+        assert first is not None
+        with pytest.raises(NegativeRate) as err:
+            build_generator(model, grid, drift_scheme="central")
+        assert (err.value.state, err.value.neighbor) == first
+
+
 class TestLevyGenerator:
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()])
     def test_matches_general_builder_row_wise(self, model):

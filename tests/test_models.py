@@ -9,7 +9,6 @@ from drawdown_ctmc.models import (
     diffusion_var,
     drift,
     levy_bin_mass,
-    levy_bin_mass_array,
     levy_bin_mean,
     levy_density,
     small_jump_compensators,
@@ -53,7 +52,7 @@ class TestDrift:
 
     def test_truncated_drift_adds_unit_jump_mean(self):
         m = ModelSpec.vg()
-        extra = levy_bin_mean(m, 0.0, -1.0, 0.0) + levy_bin_mean(m, 0.0, 0.0, 1.0)
+        extra = levy_bin_mean(m, -1.0, 0.0) + levy_bin_mean(m, 0.0, 1.0)
         assert truncated_drift(m) == pytest.approx(drift(m) + extra, rel=1e-12)
         # diffusions: no change
         assert truncated_drift(ModelSpec.bs()) == drift(ModelSpec.bs())
@@ -74,37 +73,39 @@ class TestLevyBinMass:
     def test_dejd_closed_form(self):
         m = ModelSpec.dejd(lam=3.0, p_plus=0.5, eta_plus=10.0)
         expect = 1.5 * (math.exp(-1.0) - math.exp(-2.0))
-        assert levy_bin_mass(m, 0.0, 0.1, 0.2) == pytest.approx(expect, rel=1e-14)
+        val = levy_bin_mass(m, 0.1, 0.2)
+        assert np.ndim(val) == 0
+        assert val == pytest.approx(expect, rel=1e-14)
 
     def test_bs_has_no_jumps(self):
-        assert levy_bin_mass(ModelSpec.bs(), 0.0, -3.0, 5.0) == 0.0
+        assert levy_bin_mass(ModelSpec.bs(), -3.0, 5.0) == 0.0
 
     def test_vg_bin_vs_riemann(self):
         m = ModelSpec.vg()
         h = 0.02
-        exact = levy_bin_mass(m, 0.0, h / 2, 4 * h)
+        exact = levy_bin_mass(m, h / 2, 4 * h)
         approx = riemann_mass(m, h / 2, 4 * h)
         assert exact == pytest.approx(approx, rel=1e-9)
 
     def test_vg_infinite_tail_bin(self):
         m = ModelSpec.vg()
-        total = levy_bin_mass(m, 0.0, 0.005, math.inf)
-        split = levy_bin_mass(m, 0.0, 0.005, 0.4) + levy_bin_mass(m, 0.0, 0.4, math.inf)
+        total = levy_bin_mass(m, 0.005, math.inf)
+        split = levy_bin_mass(m, 0.005, 0.4) + levy_bin_mass(m, 0.4, math.inf)
         assert total == pytest.approx(split, rel=1e-13)
 
     def test_unbounded_mass_guard(self):
         with pytest.raises(UnboundedMass):
-            levy_bin_mass(ModelSpec.vg(), 0.0, -0.01, 0.01)
-        # finite activity may straddle zero
-        val = levy_bin_mass(ModelSpec.dejd(), 0.0, -0.1, 0.1)
-        assert val > 0.0
+            levy_bin_mass(ModelSpec.vg(), -0.01, 0.01)
+        # every bin lies on one side of 0, finite activity included
+        with pytest.raises(UnboundedMass):
+            levy_bin_mass(ModelSpec.dejd(), -0.1, 0.1)
 
     def test_tail_mass_additivity(self):
         m = ModelSpec.dejd()
         c = 0.05
         edges = np.linspace(c, 3.0, 41)
-        total = sum(levy_bin_mass(m, 0.0, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
-        total += levy_bin_mass(m, 0.0, 3.0, math.inf)
+        total = sum(levy_bin_mass(m, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+        total += levy_bin_mass(m, 3.0, math.inf)
         expect = m.lam * m.p_plus * math.exp(-m.eta_plus * c)
         assert total == pytest.approx(expect, rel=1e-12)
 
@@ -118,31 +119,36 @@ class TestLevyBinMass:
                 lo, hi = min(lo, hi), max(lo, hi)
                 if m.kind == "VG" and lo <= 0.0 <= hi:
                     continue
-                assert levy_bin_mass(m, 0.0, lo, hi) >= 0.0
+                assert levy_bin_mass(m, lo, hi) >= 0.0
 
-    def test_array_variant_matches_scalar(self):
+    def test_vg_bins_vs_riemann(self):
+        # negative-side bins and bins with an infinite end, in one array
+        # call; the sums cut the infinite ends at |y| = 2, where the
+        # remaining tail is below 1e-20 of any bin here
         m = ModelSpec.vg()
-        lo = np.array([0.01, 0.05, -0.4, -np.inf])
-        hi = np.array([0.03, np.inf, -0.02, -0.2])
-        arr = levy_bin_mass_array(m, 0.0, lo, hi)
+        lo = np.array([-0.4, -0.06, -np.inf, 0.05])
+        hi = np.array([-0.02, -0.01, -0.2, np.inf])
+        exact = levy_bin_mass(m, lo, hi)
+        assert exact.shape == lo.shape
         for k in range(lo.size):
-            assert arr[k] == pytest.approx(levy_bin_mass(m, 0.0, lo[k], hi[k]), rel=1e-12)
+            approx = riemann_mass(m, max(lo[k], -2.0), min(hi[k], 2.0))
+            assert exact[k] == pytest.approx(approx, rel=1e-9)
 
 
 class TestCompensators:
     def test_bs_zero(self):
-        assert small_jump_compensators(ModelSpec.bs(), 0.0, -0.01, 0.01) == (0.0, 0.0)
+        assert small_jump_compensators(ModelSpec.bs(), -0.01, 0.01) == (0.0, 0.0)
 
     def test_dejd_symmetric_mean_vanishes(self):
         m = ModelSpec.dejd(p_plus=0.5, p_minus=0.5, eta_plus=10.0, eta_minus=10.0)
-        b_bar, s2 = small_jump_compensators(m, 0.0, -0.02, 0.02)
+        b_bar, s2 = small_jump_compensators(m, -0.02, 0.02)
         assert b_bar == pytest.approx(0.0, abs=1e-15)
         assert s2 > 0.0
 
     def test_vg_window_variance_vs_riemann(self):
         m = ModelSpec.vg()
         h = 0.01
-        _, s2 = small_jump_compensators(m, 0.0, -h / 2, h / 2)
+        _, s2 = small_jump_compensators(m, -h / 2, h / 2)
         y = np.linspace(-h / 2, h / 2, 2_000_001)
         mid = 0.5 * (y[1:] + y[:-1])
         ref = 0.5 * float(np.sum(mid**2 * levy_density(m, mid)) * h / 2_000_000)
@@ -151,13 +157,13 @@ class TestCompensators:
     def test_unit_truncation_is_exact(self):
         # mass in b_bar only comes from |y| <= 1
         m = ModelSpec.dejd(p_plus=0.7, p_minus=0.3)
-        b_bar, _ = small_jump_compensators(m, 0.0, -0.05, 0.05)
-        expect = (levy_bin_mean(m, 0.0, -1.0, -0.05) + levy_bin_mean(m, 0.0, 0.05, 1.0))
+        b_bar, _ = small_jump_compensators(m, -0.05, 0.05)
+        expect = (levy_bin_mean(m, -1.0, -0.05) + levy_bin_mean(m, 0.05, 1.0))
         assert b_bar == pytest.approx(expect, rel=1e-13)
 
     def test_second_moment_nonnegative(self):
         for m in (ModelSpec.dejd(), ModelSpec.vg()):
-            _, s2 = small_jump_compensators(m, 0.0, -0.03, 0.03)
+            _, s2 = small_jump_compensators(m, -0.03, 0.03)
             assert s2 >= 0.0
 
 

@@ -479,6 +479,18 @@ class TestNthDrawdownWithRecovery:
         ref = insurance_with_recovery(dense_copy(gen), q, 0.1)
         assert abs(cf - ref) < 1e-8
 
+    @pytest.mark.parametrize("x", [0.0, -0.1], ids=["x=y", "x=y-0.1"])
+    def test_levy_closed_form_on_a_deep_lattice(self, x):
+        # a recovery window of 3,199 states below the anchor: one Levinson
+        # solve per node, no dense block; moving the bottom from -2.9 to
+        # -3.2 leaves the sum unchanged to 1e-8
+        nodes = np.array([1.0, 3.0 + 2.0j, 20.0 + 40.0j])
+        vals = []
+        for bottom in (-3.2, -2.9):
+            gen = build_levy_generator(ModelSpec.dejd(), 0.001, bottom, 0.5)
+            vals.append(j_levy_closed_form(gen, nodes, 0.1, x=x, y=0.0))
+        assert np.all(np.abs(vals[0] - vals[1]) <= 1e-8 * np.abs(vals[1]))
+
 
 class TestTranslationInvariance:
     def test_interior_values_constant_on_lattice(self):
