@@ -81,8 +81,7 @@ def _k_vec(gen: Generator, req: QuantityRequest) -> np.ndarray:
 
 def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
     states = gen.states
-    kf = drawdown_occupation_killing(req.q, req.xi, req.shift)
-    return np.stack([kf(states, y) for y in states], axis=1)
+    return drawdown_occupation_killing(req.q, req.xi, req.shift)(states[:, None], states[None, :])
 
 
 def _f2_mat(gen: Generator, f2) -> np.ndarray:
@@ -110,12 +109,16 @@ def _start_indices(gen: Generator, req: QuantityRequest):
 # dense product-chain solves
 # ---------------------------------------------------------------------------
 #
-# Each augmented chain is assembled one base state i at a time: row i's
-# off-diagonal nonzeros are read once and broadcast against every augmented
-# state whose position is i, masks sort the jumps into new max, fired event
-# or stay, and targets are numbered by arithmetic on int32 offset arrays.
-# No two jumps of one augmented state share a target, so the sparse matrix
-# does not depend on the order in which the blocks are collected.
+# The augmented states are numbered max by max, and each chain is assembled
+# over slices of that numbering: every state's base row is gathered from
+# one padded table of the chain's off-diagonal nonzeros, masks sort the
+# jumps into new max, fired event or stay, and targets are numbered by
+# arithmetic on int32 offset arrays.  No two jumps of one augmented state
+# share a target, so the sparse matrix does not depend on the order in
+# which the blocks are collected.
+
+_BLOCK = 1 << 15    # (augmented state, base jump) entries per assembly block
+
 
 def _check_cap(size: int, cap: int) -> None:
     if size > cap:
@@ -124,58 +127,69 @@ def _check_cap(size: int, cap: int) -> None:
 
 def _pair_numbering(n: int, a_steps: int, cap: int):
     """Live (position, max) pairs, max by max: max - a_steps < position
-    <= max.  Pair (i, m) is number base[m] + i; returns (base, count)."""
-    m = np.arange(n)
+    <= max.  Pair (i, m) is number base[m] + i; returns base and the
+    position and max of every pair."""
+    m = np.arange(n, dtype=np.int32)
     width = np.minimum(m + 1, a_steps)
-    size = int(width.sum())
-    _check_cap(size, cap)
-    return (np.cumsum(width) - width - (m + 1 - width)).astype(np.int32), size
+    _check_cap(int(width.sum()), cap)
+    base = (np.cumsum(width) - width - (m + 1 - width)).astype(np.int32)
+    m = np.repeat(m, width)
+    return base, np.arange(m.size, dtype=np.int32) - base[m], m
 
 
 def _triple_numbering(n: int, a_steps: int, b_steps: int, cap: int):
     """(position, max, min) states of A: each live pair (i, m), in pair
     order, with a running min i - b_steps < l <= i.  State (i, m, l) is
-    number tbase[base[m] + i] + l; returns (base, tbase, count)."""
+    number tbase[base[m] + i] + l; returns base, tbase and the position,
+    max and min of every state."""
     m = np.arange(n)
     lo = np.maximum(m + 1 - a_steps, 0)
     # mins[i]: (position, min) pairs over the positions below i
     mins = np.concatenate([[0], np.cumsum(np.minimum(m + 1, b_steps))])
-    size = int((mins[m + 1] - mins[lo]).sum())
-    _check_cap(size, cap)
-    base, pairs = _pair_numbering(n, a_steps, cap)
-    pos = np.arange(pairs) - np.repeat(base, m + 1 - lo)
+    _check_cap(int((mins[m + 1] - mins[lo]).sum()), cap)
+    base, pos, mx = _pair_numbering(n, a_steps, cap)
     width = np.minimum(pos + 1, b_steps)
-    return base, (np.cumsum(width) - width - (pos + 1 - width)).astype(np.int32), size
+    tbase = (np.cumsum(width) - width - (pos + 1 - width)).astype(np.int32)
+    pair = np.repeat(np.arange(pos.size), width)
+    return base, tbase, pos[pair], mx[pair], np.arange(pair.size, dtype=np.int32) - tbase[pair]
 
 
 def _flag_numbering(n: int, a_steps: int, cap: int):
     """(position, reference max, armed) states of the recovery variants,
     max by max.  Armed states (i, m, 1) obey m - i < a_steps (otherwise
     they fire at once) and are number arm[m] + i; disarmed states (i, m, 0)
-    allow any position i <= m and are number dis[m] + i.  Returns
-    (arm, dis, count)."""
-    m = np.arange(n)
+    allow any position i <= m and are number dis[m] + i.  Returns arm, dis
+    and the position, max and armed flag of every state."""
+    m = np.arange(n, dtype=np.int32)
     width = np.minimum(m + 1, a_steps)
     block = width + m + 1
-    size = int(block.sum())
-    _check_cap(size, cap)
+    _check_cap(int(block.sum()), cap)
     start = np.cumsum(block) - block
-    return (start - (m + 1 - width)).astype(np.int32), (start + width).astype(np.int32), size
+    arm, dis = (start - (m + 1 - width)).astype(np.int32), (start + width).astype(np.int32)
+    m = np.repeat(m, block)
+    s = np.arange(m.size, dtype=np.int32)
+    armed = s < dis[m]
+    return arm, dis, s - np.where(armed, arm[m], dis[m]), m, armed
 
 
-def _base_rows(gen: Generator):
-    """(i, out rate, targets, rates) for every base state i: the off-diagonal
-    nonzeros of row i, targets ascending (none where the out rate is 0)."""
+def _row_table(gen: Generator):
+    """Out rates and the off-diagonal nonzeros of every row, read once, as
+    padded (n, w) tables: targets ascending, rates, and a mask of the real
+    entries, which come first (none where the out rate is 0).  Birth-death
+    rows come from up and down."""
+    n = gen.n
     out = -gen.diagonal()
-    none = np.zeros(0, dtype=np.int32)
-    for i in range(gen.n):
-        if out[i] == 0.0:
-            yield i, float(out[i]), none, np.zeros(0)
-            continue
-        row = gen.row(i)
-        j = np.flatnonzero(row).astype(np.int32)
-        j = j[j != i]
-        yield i, float(out[i]), j, row[j]
+    if gen.structure == BIRTH_DEATH:
+        j = np.clip(np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 1], dtype=np.int32),
+                    0, n - 1)
+        rate = np.stack([gen.down, gen.up], axis=1)
+    else:
+        rows = np.stack([gen.row(i) for i in range(n)])
+        np.fill_diagonal(rows, 0.0)
+        width = max(int(np.count_nonzero(rows, axis=1).max()), 1)
+        j = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :width].astype(np.int32)
+        rate = np.take_along_axis(rows, j, axis=1)
+    return out, j, rate, (rate != 0.0) & (out != 0.0)[:, None]
 
 
 class _Chain:
@@ -183,26 +197,38 @@ class _Chain:
     plus out rate), the jumps between live states, and the fired jumps,
     whose payoffs make the right-hand side."""
 
-    def __init__(self, size: int):
+    def __init__(self, gen: Generator, size: int):
         self.diag = np.empty(size, dtype=complex)
+        self._table = _row_table(gen)
         self._rows, self._cols, self._rates, self._fired = [], [], [], []
         self._mat = None
 
-    def jumps(self, src, tgt, rate, keep=True):
-        """Jumps from the states src (k, 1) to tgt (k, nnz) at the rates
-        (nnz,), where keep holds."""
-        keep = np.broadcast_to(keep, tgt.shape)
+    def blocks(self, pos, *coords):
+        """Slices of the augmented states, numbers src (k, 1), with the out
+        rate (k, 1) and the targets, rates and mask (k, w) of their base
+        rows, then the positions pos and each of coords, all (k, 1)."""
+        out, j, rate, real = self._table
+        step = max(1, _BLOCK // j.shape[1])
+        for lo in range(0, pos.size, step):
+            i = pos[lo:lo + step]
+            yield (np.arange(lo, lo + i.size, dtype=np.int32)[:, None], out[i, None],
+                   j[i], rate[i], real[i], i[:, None], *(c[lo:lo + step, None] for c in coords))
+
+    def jumps(self, src, tgt, rate, keep):
+        """Jumps from the states src (k, 1) to tgt (k, w) at the rates
+        (k, w), where keep holds."""
         self._rows.append(np.broadcast_to(src, keep.shape)[keep])
         self._cols.append(tgt[keep])
-        self._rates.append(np.broadcast_to(-rate, keep.shape)[keep])
+        self._rates.append(-rate[keep])
 
-    def fired(self, src, m, fired, j, rate):
-        """Fired jumps from the states src (k, 1) with max m (k, 1) where
-        fired (k, nnz) holds: in each row a prefix of the ascending j."""
+    def fired(self, src, i, m, fired):
+        """Fired jumps from the states src (k, 1) at positions i (k, 1)
+        with max m (k, 1) where fired (k, w) holds: in each row a prefix of
+        the base row's ascending targets, kept as its length."""
         counts = fired.sum(axis=1)
-        nev = int(counts.max(initial=0))
-        if nev:
-            self._fired.append((src[:, 0], m, counts, j[:nev], rate[:nev]))
+        at = counts > 0
+        if at.any():
+            self._fired.append((src[at, 0], i[at, 0], m[at], counts[at]))
 
     def solve(self, pay):
         """Solution when a fired jump from max m landing at j pays
@@ -212,10 +238,12 @@ class _Chain:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
+        _, targets, rates, _ = self._table
         rhs = np.zeros(self.diag.size, dtype=complex)
-        for src, m, counts, j, rate in self._fired:
-            acc = np.zeros((counts.size, j.size + 1), dtype=complex)
-            acc[:, 1:] = rate * pay(j, m)
+        for src, i, m, counts in self._fired:
+            nev = int(counts.max())
+            acc = np.zeros((counts.size, nev + 1), dtype=complex)
+            acc[:, 1:] = rates[i, :nev] * pay(targets[i, :nev], m)
             rhs[src] = np.cumsum(acc, axis=1)[np.arange(counts.size), counts]
         if self._mat is None:
             nn = self.diag.size
@@ -233,17 +261,15 @@ def _pair_chain(gen: Generator, a_steps: int, kappa, cap: int, restart: bool = F
     (m - j >= a_steps) or stays at (j, m).  A fired jump ends the path, or
     with ``restart`` goes on from (j, j): the reference max resets to the
     landing state.  Returns (pair numbering base, chain)."""
-    n = gen.n
-    base, size = _pair_numbering(n, a_steps, cap)
-    chain = _Chain(size)
-    for i, out, j, rate in _base_rows(gen):
-        m = np.arange(i, min(i + a_steps, n), dtype=np.int32)[:, None]
-        src = base[m] + i
+    base, pos, mx = _pair_numbering(gen.n, a_steps, cap)
+    chain = _Chain(gen, pos.size)
+    for src, out, j, rate, real, i, m in chain.blocks(pos, mx):
         chain.diag[src] = kappa(i, m) + out
-        fired = m - j >= a_steps
-        chain.fired(src, m, fired, j, rate)
+        fired = real & (m - j >= a_steps)
+        chain.fired(src, i, m, fired)
         new = (j > m) | fired if restart else j > m
-        chain.jumps(src, np.where(new, base[j], base[m]) + j, rate, True if restart else ~fired)
+        chain.jumps(src, np.where(new, base[j], base[m]) + j, rate,
+                    real if restart else real & ~fired)
     return base, chain
 
 
@@ -253,21 +279,15 @@ def _flag_chain(gen: Generator, a_steps: int, q: complex, cap: int, rearm_after:
     stays at (j, m, 1); a fired jump ends the path, or with ``rearm_after``
     goes on disarmed from (j, m, 0).  Disarmed: a jump to j >= m re-arms at
     (j, j, 1), any other stays at (j, m, 0).  Returns (arm, dis, chain)."""
-    n = gen.n
-    arm, dis, size = _flag_numbering(n, a_steps, cap)
-    chain = _Chain(size)
-    for i, out, j, rate in _base_rows(gen):
-        m = np.arange(i, min(i + a_steps, n), dtype=np.int32)[:, None]
-        src = arm[m] + i
+    arm, dis, pos, mx, flag = _flag_numbering(gen.n, a_steps, cap)
+    chain = _Chain(gen, pos.size)
+    for src, out, j, rate, real, i, m, armed in chain.blocks(pos, mx, flag):
         chain.diag[src] = q + out
-        fired = m - j >= a_steps
-        chain.fired(src, m, fired, j, rate)
-        tgt = np.where(j > m, arm[j], np.where(fired, dis[m], arm[m])) + j
-        chain.jumps(src, tgt, rate, True if rearm_after else ~fired)
-        m = np.arange(i, n, dtype=np.int32)[:, None]
-        src = dis[m] + i
-        chain.diag[src] = q + out
-        chain.jumps(src, np.where(j >= m, arm[j], dis[m]) + j, rate)
+        fired = armed & real & (m - j >= a_steps)
+        chain.fired(src, i, m, fired)
+        tgt = np.where(armed, np.where(j > m, arm[j], np.where(fired, dis[m], arm[m])),
+                       np.where(j >= m, arm[j], dis[m])) + j
+        chain.jumps(src, tgt, rate, real if rearm_after else real & ~fired)
     return arm, dis, chain
 
 
@@ -315,26 +335,20 @@ def _triple_solve_a(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     grid = gen.grid
     a_steps = grid.steps_of(req.a)
     b_steps = grid.steps_at_least(req.b)
-    n = gen.n
-    base, tbase, size = _triple_numbering(n, a_steps, b_steps, cap)
+    base, tbase, pos, mx, mn = _triple_numbering(gen.n, a_steps, b_steps, cap)
     ix, iy = _start_indices(gen, req)
     if ix - iy >= b_steps:
         return 0.0 + 0.0j
     if iy > ix:
         raise ValueError("running minimum cannot exceed the position")
     q = complex(req.q)
-    chain = _Chain(size)
-    for i, out, j, rate in _base_rows(gen):
-        lows = np.arange(max(0, i - b_steps + 1), i + 1, dtype=np.int32)
-        maxes = np.arange(i, min(i + a_steps, n), dtype=np.int32)
-        m = np.repeat(maxes, lows.size)[:, None]
-        low = np.tile(lows, maxes.size)[:, None]
-        src = tbase[base[m] + i] + low
+    chain = _Chain(gen, pos.size)
+    for src, out, j, rate, real, i, m, low in chain.blocks(pos, mx, mn):
         chain.diag[src] = q + out
         up = j > i
-        fired = ~up & (m - j >= a_steps)           # drawdown fires
-        keep = np.where(up, j - low < b_steps, ~fired)  # else the drawup fires first: value 0
-        chain.fired(src, m, fired, j, rate)
+        fired = real & ~up & (m - j >= a_steps)           # drawdown fires
+        keep = real & np.where(up, j - low < b_steps, ~fired)  # else the drawup fires first: value 0
+        chain.fired(src, i, m, fired)
         pair = np.where(keep, np.where(up, base[np.maximum(m, j)], base[m]) + j, 0)
         chain.jumps(src, tbase[pair] + np.where(up, low, np.minimum(low, j)), rate, keep)
     f = _payoff_vec(gen, req.f)
@@ -455,7 +469,10 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
 def _jump_tables(gen: Generator):
     """Out rates, the CDF rows of the jump chain, and on a birth-death
     chain the down-step probabilities p_down[i - 1] = cdf[i, i - 1]
-    (None otherwise)."""
+    (None otherwise).  Each active row reads at least 1.0 from its last
+    positive-probability column on, so that every uniform u < 1 lands on a
+    state where the row's sum rounds below 1; a row that rounds above 1
+    keeps its value, and every row stays non-decreasing."""
     n = gen.n
     out_rates = -gen.diagonal()
     dense = gen.to_dense(max_states=n)
@@ -465,6 +482,9 @@ def _jump_tables(gen: Generator):
     np.fill_diagonal(probs, 0.0)
     probs[active] /= probs[active].sum(axis=1, keepdims=True)
     cdf = np.cumsum(probs, axis=1)
+    last = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    tail = active[:, None] & (np.arange(n) >= last[:, None])
+    cdf[tail] = np.maximum(cdf[tail], 1.0)
     return out_rates, cdf, np.diag(cdf, -1) if gen.structure == BIRTH_DEATH else None
 
 
@@ -490,109 +510,77 @@ def _next_state(cdf, p_down, pos, u):
 
 def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps,
                     f, k_vec, k_mat, f2, n_events, ix, iy, horizon):
+    """Contributions of ``size`` paths and the count truncated at the
+    horizon.  Only the live paths are kept, in ascending path order with
+    their numbers ``path``, so every step draws for the live paths in the
+    order the batch numbers them."""
+    contrib = np.zeros(size)
+    if out_rates[ix] <= 0.0:
+        return contrib, 0
+    path = np.arange(size)
     pos = np.full(size, ix, dtype=np.int64)
+    rates = np.full(size, out_rates[ix])
     t = np.zeros(size)
     acc = np.zeros(size)              # accumulated discount/occupation exponent
-    contrib = np.zeros(size)
-    alive = np.ones(size, dtype=bool)
-
-    ref = np.full(size, ix, dtype=np.int64)     # running/reference max index
-    low = np.full(size, iy, dtype=np.int64)     # running min index (A)
+    recovery = kind in ("Jn", "Jsum")
+    ref = np.full(size, iy if recovery else ix, dtype=np.int64)  # running/reference max
+    low = np.full(size, iy, dtype=np.int64)                       # running min (A)
     events = np.zeros(size, dtype=np.int64)
-    armed = np.ones(size, dtype=bool)
-    if kind in ("Jn", "Jsum"):
-        ref[:] = iy
-        armed[:] = ix == iy
+    armed = np.full(size, ix == iy or not recovery)
     truncated = 0
 
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        rates = out_rates[pos[idx]]
-        absorbed = rates <= 0.0
-        if np.any(absorbed):
-            alive[idx[absorbed]] = False
-            idx = idx[~absorbed]
-            if idx.size == 0:
-                break
-            rates = out_rates[pos[idx]]
-        dt = rng.exponential(1.0, size=idx.size) / rates
+    while path.size:
+        dt = rng.exponential(1.0, size=path.size) / rates
         if kind == "B":
-            acc[idx] += k_vec[pos[idx]] * dt
+            acc += k_vec[pos] * dt
         elif kind == "C":
-            acc[idx] += k_mat[pos[idx], ref[idx]] * dt
+            acc += k_mat[pos, ref] * dt
         else:
-            acc[idx] += q * dt
-        t[idx] += dt
-        over = t[idx] > horizon
-        if np.any(over):
+            acc += q * dt
+        t += dt
+        over = t > horizon
+        keep = ~over & (acc <= _ACC_CUTOFF)   # past the cutoff, payments are below roundoff
+        if not keep.all():
             truncated += int(over.sum())
-            alive[idx[over]] = False
-            idx = idx[~over]
-            if idx.size == 0:
-                continue
-        spent = acc[idx] > _ACC_CUTOFF
-        if np.any(spent):
-            alive[idx[spent]] = False   # future payments below roundoff
-            idx = idx[~spent]
-            if idx.size == 0:
-                continue
-        u = rng.random(idx.size)
-        nxt = _next_state(cdf, p_down, pos[idx], u)
+            path, pos, t, acc, ref, low, events, armed = (
+                v[keep] for v in (path, pos, t, acc, ref, low, events, armed))
+            if not path.size:
+                break
+        nxt = _next_state(cdf, p_down, pos, rng.random(path.size))
         if kind in ("Q", "B", "C"):
-            up = nxt > ref[idx]
-            ref[idx[up]] = nxt[up]
-            fired = (ref[idx] - nxt) >= a_steps
-            hit = idx[fired]
-            contrib[hit] = np.exp(-acc[hit]) * f[nxt[fired]]
-            alive[hit] = False
+            ref = np.maximum(ref, nxt)
+            done = ref - nxt >= a_steps
+            contrib[path[done]] = np.exp(-acc[done]) * f[nxt[done]]
         elif kind == "A":
-            up = nxt > pos[idx]
-            new_low = np.where(nxt < low[idx], nxt, low[idx])
-            new_ref = np.where(nxt > ref[idx], nxt, ref[idx])
-            drawup_fired = up & ((nxt - new_low) >= b_steps)
-            alive[idx[drawup_fired]] = False
-            dd_fired = (~up) & ((new_ref - nxt) >= a_steps)
-            hit = idx[dd_fired]
-            contrib[hit] = np.exp(-acc[hit]) * f[nxt[dd_fired]]
-            alive[hit] = False
-            ref[idx] = new_ref
-            low[idx] = new_low
-        elif kind in ("Hn", "Hsum"):
-            new_ref = np.where(nxt > ref[idx], nxt, ref[idx])
-            fired = (new_ref - nxt) >= a_steps
-            if kind == "Hn":
-                events[idx[fired]] += 1
-                done = fired & (events[idx] >= n_events)
-                hit = idx[done]
-                contrib[hit] = np.exp(-acc[hit]) * f[nxt[done]]
-                alive[hit] = False
-                restart = fired & ~done
+            up = nxt > pos
+            low = np.minimum(low, nxt)
+            ref = np.maximum(ref, nxt)
+            fired = ~up & (ref - nxt >= a_steps)
+            contrib[path[fired]] = np.exp(-acc[fired]) * f[nxt[fired]]
+            done = fired | (up & (nxt - low >= b_steps))   # or the drawup fires: value 0
+        else:
+            # Jn and Jsum: a disarmed path re-arms at the first return to its
+            # reference max (Hn and Hsum paths stay armed)
+            armed |= nxt >= ref
+            ref = np.where(armed, np.maximum(ref, nxt), ref)
+            fired = armed & (ref - nxt >= a_steps)
+            events += fired
+            if kind in ("Hsum", "Jsum"):
+                # pay 1 per event
+                done = np.zeros_like(fired)
+                contrib[path[fired]] += np.exp(-acc[fired])
             else:
-                # pay 1 per event; the reference max restarts at the landing state
-                hit = idx[fired]
-                contrib[hit] += np.exp(-acc[hit])
-                restart = fired
-            new_ref[restart] = nxt[restart]
-            ref[idx] = new_ref
-        else:  # Jn / Jsum
-            arm = armed[idx]
-            rearm = (~arm) & (nxt >= ref[idx])
-            armed[idx[rearm]] = True
-            ref[idx[rearm]] = nxt[rearm]
-            upd = arm & (nxt > ref[idx])
-            ref[idx[upd]] = nxt[upd]
-            fired = armed[idx] & ((ref[idx] - nxt) >= a_steps)
-            events[idx[fired]] += 1
-            if kind == "Jn":
-                done = fired & (events[idx] >= n_events)
-                hit = idx[done]
-                contrib[hit] = np.exp(-acc[hit]) * f2[nxt[done], ref[hit]]
-                alive[hit] = False
-                disarm = fired & ~done
+                done = fired & (events >= n_events)
+                pay = f[nxt[done]] if kind == "Hn" else f2[nxt[done], ref[done]]
+                contrib[path[done]] = np.exp(-acc[done]) * pay
+            if recovery:
+                armed &= ~fired
             else:
-                hit = idx[fired]
-                contrib[hit] += np.exp(-acc[hit])
-                disarm = fired
-            armed[idx[disarm]] = False
-        pos[idx] = nxt
+                ref = np.where(fired, nxt, ref)   # the reference max restarts at the landing state
+        pos = nxt
+        rates = out_rates[pos]
+        keep = ~done & (rates > 0.0)
+        if not keep.all():
+            path, pos, rates, t, acc, ref, low, events, armed = (
+                v[keep] for v in (path, pos, rates, t, acc, ref, low, events, armed))
     return contrib, truncated

@@ -18,6 +18,7 @@ from drawdown_ctmc.oracle import HorizonCapHit, McConfig, dense_product_solve, m
 from drawdown_ctmc.quantities import (
     QuantityRequest,
     TooLarge,
+    drawdown_occupation_killing,
     nth_drawdown_no_recovery,
     q_drawdown,
 )
@@ -177,32 +178,44 @@ class TestDenseProduct:
     def test_edge_loop_reference_bit_for_bit(self):
         # the same systems assembled one jump at a time, states numbered in
         # the oracle's order and payoffs summed by a running +=, must give the
-        # oracle's values exactly, on a lattice whose rows reach every state
-        gen = build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.45)
-        n, a, b, x0 = gen.n, 4, 5, gen.grid.eta_x
-        f = 1.0 + 0.3 * np.sin(5.0 * gen.states)
-        f2 = 1.0 + 0.2 * gen.states[:, None] - 0.1 * gen.states[None, :]
-        q = 0.8 + 0.5j
-        kill = lambda s: q
-        req = lambda kind, **kw: QuantityRequest(kind, a=a * gen.grid.h, q=q, **kw)
+        # oracle's values exactly: on a lattice whose rows reach every state,
+        # and on a birth-death chain, whose rows the oracle reads from up and
+        # down.  C's killing depends on the (state, max) pair; its reference
+        # matrix is built one max at a time.
+        bd = build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -0.6, 0.45))
+        assert isinstance(bd, BirthDeathGenerator)
+        for gen in (build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.45), bd):
+            n, a, b, x0 = gen.n, 4, 5, gen.grid.eta_x
+            f = 1.0 + 0.3 * np.sin(5.0 * gen.states)
+            f2 = 1.0 + 0.2 * gen.states[:, None] - 0.1 * gen.states[None, :]
+            q = 0.8 + 0.5j
+            kill = lambda s: q
+            req = lambda kind, **kw: QuantityRequest(kind, a=a * gen.grid.h, q=q, **kw)
 
-        ref = edge_loop_solve(gen, pair_states(n, a), kill,
-                              pair_jumps(gen, a, lambda j, m: (None, f[j])))
-        assert dense_product_solve(gen, req("Q", f=f)) == ref[(x0, x0)]
-        ref = edge_loop_solve(gen, pair_states(n, a), kill,
-                              pair_jumps(gen, a, lambda j, m: ((j, j), 1.0)))
-        assert dense_product_solve(gen, req("Hsum")) == ref[(x0, x0)]
-        ref = edge_loop_solve(gen, triple_states(n, a, b), kill, triple_jumps(gen, a, b, f))
-        assert dense_product_solve(gen, req("A", b=b * gen.grid.h, f=f)) == ref[(x0, x0, x0)]
-        ref = edge_loop_solve(gen, flag_states(n, a), kill,
-                              flag_jumps(gen, a, lambda j, m: ((j, m, 0), 1.0)))
-        y = gen.states[x0 + 2]
-        assert dense_product_solve(gen, req("Jsum", y=y)) == ref[(x0, x0 + 2, 0)]
-        stage1 = edge_loop_solve(gen, flag_states(n, a), kill,
-                                 flag_jumps(gen, a, lambda j, m: (None, f2[j, m])))
-        ref = edge_loop_solve(gen, flag_states(n, a), kill,
-                              flag_jumps(gen, a, lambda j, m: (None, stage1[(j, m, 0)])))
-        assert dense_product_solve(gen, req("Jn", n=2, y=y, f2=f2)) == ref[(x0, x0 + 2, 0)]
+            ref = edge_loop_solve(gen, pair_states(n, a), kill,
+                                  pair_jumps(gen, a, lambda j, m: (None, f[j])))
+            assert dense_product_solve(gen, req("Q", f=f)) == ref[(x0, x0)]
+            xi = 1.5 * gen.grid.h
+            kf = drawdown_occupation_killing(q, xi, 0.05)
+            k2 = np.stack([kf(gen.states, y) for y in gen.states], axis=1)
+            ref = edge_loop_solve(gen, pair_states(n, a), lambda s: k2[s],
+                                  pair_jumps(gen, a, lambda j, m: (None, f[j])))
+            val = dense_product_solve(gen, req("C", xi=xi, shift=0.05, f=f, x=gen.states[x0 + 1]))
+            assert val == ref[(x0 + 1, x0 + 1)]
+            ref = edge_loop_solve(gen, pair_states(n, a), kill,
+                                  pair_jumps(gen, a, lambda j, m: ((j, j), 1.0)))
+            assert dense_product_solve(gen, req("Hsum")) == ref[(x0, x0)]
+            ref = edge_loop_solve(gen, triple_states(n, a, b), kill, triple_jumps(gen, a, b, f))
+            assert dense_product_solve(gen, req("A", b=b * gen.grid.h, f=f)) == ref[(x0, x0, x0)]
+            ref = edge_loop_solve(gen, flag_states(n, a), kill,
+                                  flag_jumps(gen, a, lambda j, m: ((j, m, 0), 1.0)))
+            y = gen.states[x0 + 2]
+            assert dense_product_solve(gen, req("Jsum", y=y)) == ref[(x0, x0 + 2, 0)]
+            stage1 = edge_loop_solve(gen, flag_states(n, a), kill,
+                                     flag_jumps(gen, a, lambda j, m: (None, f2[j, m])))
+            ref = edge_loop_solve(gen, flag_states(n, a), kill,
+                                  flag_jumps(gen, a, lambda j, m: (None, stage1[(j, m, 0)])))
+            assert dense_product_solve(gen, req("Jn", n=2, y=y, f2=f2)) == ref[(x0, x0 + 2, 0)]
 
     def test_unreachable_drawup_reduces_to_plain(self):
         gen = tiny_chain()
@@ -233,9 +246,8 @@ class TestDenseProduct:
 
         def no_assembly(gen):
             raise AssertionError("assembled a product chain above the cap")
-            yield
 
-        monkeypatch.setattr(oracle, "_base_rows", no_assembly)
+        monkeypatch.setattr(oracle, "_row_table", no_assembly)
         g = build_grid(0.0, 0.2, 40, -0.6, 0.4)
         gen = build_generator(ModelSpec.bs(), g)
         with pytest.raises(TooLarge):
@@ -345,6 +357,21 @@ class TestMonteCarlo:
             ref = (cdf[pos] < u[:, None]).sum(axis=1)
             assert np.array_equal(_next_state(cdf, None, pos, u), ref)
 
+    def test_lattice_draw_lands_on_a_state_for_every_uniform(self):
+        # on this lattice 191 of the 319 active rows of jump probabilities
+        # sum to less than 1 - 2^-53: the largest uniform below 1 must still
+        # land on a state the row can reach
+        from drawdown_ctmc.oracle import _jump_tables, _next_state
+
+        gen = build_levy_generator(ModelSpec.dejd(), 0.0125, -2.0, 2.0)
+        rates = gen.to_dense()
+        np.fill_diagonal(rates, 0.0)
+        out_rates, cdf, _ = _jump_tables(gen)
+        rows = np.flatnonzero(out_rates > 0.0)
+        nxt = _next_state(cdf, None, rows, np.full(rows.size, np.nextafter(1.0, 0.0)))
+        assert nxt.max() < gen.n
+        assert np.all(rates[rows, nxt] > 0.0)
+
     def test_batch_size_validated(self):
         for bad in (0, -5):
             with pytest.raises(ValueError, match="batch"):
@@ -368,3 +395,61 @@ def test_event_sum_mc_matches_product_chain(kind):
     (row,) = run_oracle(cfg, McConfig(n_paths=4000, seed=cfg.mc.seed))
     assert row["dense"] == pytest.approx(row["analytic"], abs=1e-9)
     assert abs(row["mc"] - row["dense"]) < 3.0 * row["stderr"]
+
+
+# (mean, stderr) of 3,000 paths in three batches of 1,024, pinned bit for
+# bit: every kind on a birth-death chain (O(1) draws) at q = 6, where Hsum,
+# Jn and Jsum keep paths alive up to the e^-36 discount cutoff, and four
+# kinds on a lattice (binary-searched draws) at q = 1.
+MC_PINS = {
+    ("BS", "Q"): (0.1633106304636279, 0.003429448885200236),
+    ("BS", "A"): (0.15046409920388837, 0.003567183585443029),
+    ("BS", "B"): (0.3046794696141449, 0.004178998676958178),
+    ("BS", "C"): (0.724333263491545, 0.0037459990422865877),
+    ("BS", "Hn"): (0.026140093415085434, 0.0009929737871243397),
+    ("BS", "Hsum"): (0.1951304554817488, 0.0041858048534763725),
+    ("BS", "Jn"): (0.0013008245676672226, 0.00011398331024537932),
+    ("BS", "Jsum"): (0.09347034507835918, 0.0025247649182122654),
+    ("DEJD", "A"): (0.24596630527163665, 0.006847511456669091),
+    ("DEJD", "B"): (0.6760045334209239, 0.006017259001256645),
+    ("DEJD", "C"): (0.7728935962700185, 0.006574937715631398),
+    ("DEJD", "Hn"): (0.24719211808454364, 0.004399287068226734),
+}
+
+
+def pinned_request(kind, q):
+    return {
+        "Q": QuantityRequest("Q", a=0.2, q=q),
+        "A": QuantityRequest("A", a=0.2, b=0.3, q=q, y=-0.1),
+        "B": QuantityRequest("B", a=0.2, q=q, xi=0.1, shift=0.05),
+        "C": QuantityRequest("C", a=0.2, q=q, xi=0.1, shift=0.05),
+        "Hn": QuantityRequest("Hn", a=0.2, q=q, n=2),
+        "Hsum": QuantityRequest("Hsum", a=0.2, q=q),
+        "Jn": QuantityRequest("Jn", a=0.2, q=q, n=2, x=-0.05, y=0.0),
+        "Jsum": QuantityRequest("Jsum", a=0.2, q=q, x=-0.05, y=0.0),
+    }[kind]
+
+
+def pinned_chain(model):
+    if model == "BS":
+        return build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -1.0, 1.0)), 6.0
+    return build_levy_generator(ModelSpec.dejd(), 0.05, -1.0, 1.0), 1.0
+
+
+PIN_CFG = McConfig(n_paths=3000, seed=5, batch_size=1024)
+
+
+@pytest.mark.parametrize("model, kind", list(MC_PINS), ids=lambda v: v)
+def test_mc_pinned_bit_for_bit(model, kind):
+    gen, q = pinned_chain(model)
+    assert mc_estimate(gen, pinned_request(kind, q), PIN_CFG) == MC_PINS[model, kind]
+
+
+def test_mc_pins_reach_the_discount_cutoff(monkeypatch):
+    # without the cutoff the pinned event sum changes: its run retires
+    # paths there
+    import drawdown_ctmc.oracle as oracle
+
+    gen, q = pinned_chain("BS")
+    monkeypatch.setattr(oracle, "_ACC_CUTOFF", np.inf)
+    assert mc_estimate(gen, pinned_request("Hsum", q), PIN_CFG) != MC_PINS["BS", "Hsum"]
