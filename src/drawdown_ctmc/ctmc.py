@@ -183,7 +183,7 @@ class Generator:
     def to_dense(self, max_states: int = 4000) -> np.ndarray:
         if self.n > max_states:
             raise ValueError(f"refusing to densify a {self.n}-state generator")
-        return np.column_stack([self.column(j) for j in range(self.n)])
+        return self.window_block(0, self.n - 1)
 
     def row_sums(self) -> np.ndarray:
         return self.to_dense().sum(axis=1)
@@ -248,12 +248,9 @@ class BirthDeathGenerator(Generator):
         interior = (idx > 0) & (idx < self.n - 1)
         rows = np.arange(m)[interior]
         blk[rows, rows] = self._diag[idx[interior]]
-        for r in rows:
-            i = lo + r
-            if r > 0:
-                blk[r, r - 1] = self.down[i]
-            if r < m - 1:
-                blk[r, r + 1] = self.up[i]
+        below, above = rows[rows > 0], rows[rows < m - 1]
+        blk[below, below - 1] = self.down[lo + below]
+        blk[above, above + 1] = self.up[lo + above]
         return blk
 
 

@@ -184,7 +184,7 @@ def _row_table(gen: Generator):
                     0, n - 1)
         rate = np.stack([gen.down, gen.up], axis=1)
     else:
-        rows = np.stack([gen.row(i) for i in range(n)])
+        rows = gen.to_dense(max_states=n)
         np.fill_diagonal(rows, 0.0)
         width = max(int(np.count_nonzero(rows, axis=1).max()), 1)
         j = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :width].astype(np.int32)
@@ -408,6 +408,7 @@ def dense_product_solve(gen: Generator, req: QuantityRequest, *, cap: int = 20_0
 # ---------------------------------------------------------------------------
 
 _ACC_CUTOFF = 36.0   # e^-36 ~ 2e-16: future contributions are below roundoff
+_GUIDE = 1024        # guide buckets per CDF row, a power of two
 
 
 def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
@@ -421,7 +422,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     if abs(q.imag) > 0:
         raise ValueError("MC oracle requires a real Laplace argument")
 
-    out_rates, cdf, p_down = _jump_tables(gen)
+    out_rates, *draw = _jump_tables(gen)
     kind = req.kind
     k_vec = k_mat = f2 = None
     if kind == "B":
@@ -452,7 +453,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
         size = min(cfg.batch_size, cfg.n_paths - b * cfg.batch_size)
         rng = np.random.Generator(np.random.Philox(streams[b]))
         contrib, trunc = _simulate_batch(
-            rng, size, cdf, p_down, out_rates, kind, q.real, a_steps, b_steps,
+            rng, size, draw, out_rates, kind, q.real, a_steps, b_steps,
             f, k_vec, k_mat, f2, req.n, ix, iy, cfg.horizon_cap)
         total += contrib.sum()
         total_sq += (contrib ** 2).sum()
@@ -467,53 +468,69 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
 
 
 def _jump_tables(gen: Generator):
-    """Out rates, the CDF rows of the jump chain, and on a birth-death
-    chain the down-step probabilities p_down[i - 1] = cdf[i, i - 1]
-    (None otherwise).  Each active row reads at least 1.0 from its last
-    positive-probability column on, so that every uniform u < 1 lands on a
-    state where the row's sum rounds below 1; a row that rounds above 1
-    keeps its value, and every row stays non-decreasing."""
+    """Out rates and the draw tables (cdf, guide, p_down) of the jump
+    chain.  A birth-death chain needs only p_down[i] = down[i] /
+    out_rates[i], the CDF entry cdf[i, i - 1] of its dense copy.  Other
+    chains get CDF rows, where each active row reads at least 1.0 from its
+    last positive-probability column on, so that every uniform u < 1 lands
+    on a state where the row's sum rounds below 1 (a row that rounds above
+    1 keeps its value, and every row stays non-decreasing), and their guide
+    table: guide[r, j] counts the entries of row r below j / K (K =
+    _GUIDE, j <= K + 1), that is those c with floor(c K) + 1 <= j."""
     n = gen.n
     out_rates = -gen.diagonal()
-    dense = gen.to_dense(max_states=n)
-    probs = np.zeros((n, n))
     active = out_rates > 0.0
-    probs[active] = np.clip(dense[active], 0.0, None)
+    if gen.structure == BIRTH_DEATH:
+        return out_rates, None, None, np.divide(gen.down, out_rates, out=np.zeros(n), where=active)
+    probs = np.maximum(gen.to_dense(max_states=n), 0.0)
     np.fill_diagonal(probs, 0.0)
-    probs[active] /= probs[active].sum(axis=1, keepdims=True)
+    probs[~active] = 0.0
+    np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs, where=active[:, None])
     cdf = np.cumsum(probs, axis=1)
     last = n - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
     tail = active[:, None] & (np.arange(n) >= last[:, None])
     cdf[tail] = np.maximum(cdf[tail], 1.0)
-    return out_rates, cdf, np.diag(cdf, -1) if gen.structure == BIRTH_DEATH else None
+    width = _GUIDE + 3                  # slots 1..K + 2, 0 unused
+    slot = np.minimum(cdf * _GUIDE, _GUIDE + 1).astype(np.int64) + 1
+    slot += np.arange(0, n * width, width)[:, None]
+    guide = np.bincount(slot.ravel(), minlength=n * width).reshape(n, width)
+    return out_rates, cdf, np.cumsum(guide, axis=1, out=guide), None
 
 
-def _next_state(cdf, p_down, pos, u):
+def _next_state(cdf, guide, p_down, pos, u):
     """States the paths at ``pos`` jump to for the uniforms u: the count of
     CDF entries below u.  A birth-death row steps only to pos - 1 or
     pos + 1, so one entry, p_down, gives the same count in O(1).  Other
-    rows are non-decreasing, so a binary search with power-of-two strides
-    finds the exact count in about log2(n) gathers."""
+    rows take indexed search (H.-C. Chen and Y. Asau, AIIE Trans. 6(2),
+    1974): for j = int(u K), exact as K is a power of two, the count lies
+    in [guide[pos, j], guide[pos, j + 1]], and where these bounds differ a
+    binary search with power-of-two strides between them finds it."""
     if p_down is not None:
-        return pos - 1 + 2 * (p_down[pos - 1] < u)
-    n = cdf.shape[1]
-    flat = cdf.ravel()
-    row_end = pos * n - 1           # flat[row_end + c] = cdf[pos, c - 1]
-    count = np.zeros(pos.size, dtype=np.int64)
-    stride = 1 << (n.bit_length() - 1)
-    while stride:
-        probe = np.minimum(count + stride, n)
-        count = np.where(flat[row_end + probe] < u, probe, count)
-        stride >>= 1
+        return pos - 1 + 2 * (p_down[pos] < u)
+    flat = guide.ravel()
+    at = pos * guide.shape[1]
+    at += (u * _GUIDE).astype(at.dtype)
+    count = flat[at]
+    hi = flat[at + 1]
+    wide = np.flatnonzero(count != hi)
+    if wide.size:
+        row = pos[wide] * cdf.shape[1] - 1   # cdf.flat[row + c] = cdf[pos, c - 1]
+        lo, hi, u, flat = row + count[wide], row + hi[wide], u[wide], cdf.ravel()
+        stride = 1 << (int((hi - lo).max()).bit_length() - 1)
+        while stride:
+            probe = np.minimum(lo + stride, hi)
+            lo = np.where(flat[probe] < u, probe, lo)
+            stride >>= 1
+        count[wide] = lo - row
     return count
 
 
-def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps,
+def _simulate_batch(rng, size, draw, out_rates, kind, q, a_steps, b_steps,
                     f, k_vec, k_mat, f2, n_events, ix, iy, horizon):
     """Contributions of ``size`` paths and the count truncated at the
-    horizon.  Only the live paths are kept, in ascending path order with
-    their numbers ``path``, so every step draws for the live paths in the
-    order the batch numbers them."""
+    horizon.  Only the live paths are kept, with only the state their kind
+    reads, in ascending path order with their numbers ``path``, so every
+    step draws for the live paths in the order the batch numbers them."""
     contrib = np.zeros(size)
     if out_rates[ix] <= 0.0:
         return contrib, 0
@@ -524,13 +541,17 @@ def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps
     acc = np.zeros(size)              # accumulated discount/occupation exponent
     recovery = kind in ("Jn", "Jsum")
     ref = np.full(size, iy if recovery else ix, dtype=np.int64)  # running/reference max
-    low = np.full(size, iy, dtype=np.int64)                       # running min (A)
-    events = np.zeros(size, dtype=np.int64)
-    armed = np.full(size, ix == iy or not recovery)
+    low = events = armed = None
+    if kind == "A":
+        low = np.full(size, iy, dtype=np.int64)                   # running min
+    elif kind not in ("Q", "B", "C"):
+        events = np.zeros(size, dtype=np.int64)
+        armed = np.full(size, ix == iy or not recovery)
     truncated = 0
 
     while path.size:
-        dt = rng.exponential(1.0, size=path.size) / rates
+        dt = rng.standard_exponential(path.size)
+        dt /= rates
         if kind == "B":
             acc += k_vec[pos] * dt
         elif kind == "C":
@@ -538,49 +559,57 @@ def _simulate_batch(rng, size, cdf, p_down, out_rates, kind, q, a_steps, b_steps
         else:
             acc += q * dt
         t += dt
-        over = t > horizon
-        keep = ~over & (acc <= _ACC_CUTOFF)   # past the cutoff, payments are below roundoff
-        if not keep.all():
+        # past the cutoff, payments are below roundoff
+        if t.max() > horizon or acc.max() > _ACC_CUTOFF:
+            over = t > horizon
+            keep = ~over & (acc <= _ACC_CUTOFF)
             truncated += int(over.sum())
             path, pos, t, acc, ref, low, events, armed = (
-                v[keep] for v in (path, pos, t, acc, ref, low, events, armed))
+                v if v is None else v[keep] for v in (path, pos, t, acc, ref, low, events, armed))
             if not path.size:
                 break
-        nxt = _next_state(cdf, p_down, pos, rng.random(path.size))
+        nxt = _next_state(*draw, pos, rng.random(path.size))
         if kind in ("Q", "B", "C"):
-            ref = np.maximum(ref, nxt)
-            done = ref - nxt >= a_steps
-            contrib[path[done]] = np.exp(-acc[done]) * f[nxt[done]]
+            np.maximum(ref, nxt, out=ref)
+            done = np.flatnonzero(ref - nxt >= a_steps)
+            if done.size:
+                contrib[path[done]] = np.exp(-acc[done]) * f[nxt[done]]
         elif kind == "A":
             up = nxt > pos
-            low = np.minimum(low, nxt)
-            ref = np.maximum(ref, nxt)
+            np.minimum(low, nxt, out=low)
+            np.maximum(ref, nxt, out=ref)
             fired = ~up & (ref - nxt >= a_steps)
-            contrib[path[fired]] = np.exp(-acc[fired]) * f[nxt[fired]]
-            done = fired | (up & (nxt - low >= b_steps))   # or the drawup fires: value 0
+            hit = np.flatnonzero(fired)
+            if hit.size:
+                contrib[path[hit]] = np.exp(-acc[hit]) * f[nxt[hit]]
+            # or the drawup fires: value 0
+            done = np.flatnonzero(fired | (up & (nxt - low >= b_steps)))
         else:
             # Jn and Jsum: a disarmed path re-arms at the first return to its
             # reference max (Hn and Hsum paths stay armed)
             armed |= nxt >= ref
-            ref = np.where(armed, np.maximum(ref, nxt), ref)
+            np.maximum(ref, nxt, out=ref, where=armed)
             fired = armed & (ref - nxt >= a_steps)
             events += fired
             if kind in ("Hsum", "Jsum"):
                 # pay 1 per event
-                done = np.zeros_like(fired)
-                contrib[path[fired]] += np.exp(-acc[fired])
+                hit = np.flatnonzero(fired)
+                contrib[path[hit]] += np.exp(-acc[hit])
+                done = hit[:0]   # paths end at the horizon, the cutoff or absorption
             else:
-                done = fired & (events >= n_events)
+                done = np.flatnonzero(fired & (events >= n_events))
                 pay = f[nxt[done]] if kind == "Hn" else f2[nxt[done], ref[done]]
                 contrib[path[done]] = np.exp(-acc[done]) * pay
             if recovery:
                 armed &= ~fired
             else:
-                ref = np.where(fired, nxt, ref)   # the reference max restarts at the landing state
+                np.copyto(ref, nxt, where=fired)   # the reference max restarts at the landing state
         pos = nxt
         rates = out_rates[pos]
-        keep = ~done & (rates > 0.0)
-        if not keep.all():
+        if done.size or rates.min() <= 0.0:
+            keep = rates > 0.0
+            keep[done] = False
             path, pos, rates, t, acc, ref, low, events, armed = (
-                v[keep] for v in (path, pos, rates, t, acc, ref, low, events, armed))
+                v if v is None else v[keep]
+                for v in (path, pos, rates, t, acc, ref, low, events, armed))
     return contrib, truncated

@@ -267,6 +267,24 @@ class TestLevyGenerator:
             lo, hi = n // 3, n // 3 + 6
             assert np.array_equal(gen.window_block(lo, hi), dense[lo:hi + 1, lo:hi + 1])
 
+    @pytest.mark.parametrize("chain", ["DEJD", "VG", "BS"])
+    def test_to_dense_equals_its_columns_bit_for_bit(self, chain):
+        # the one-fill matrix against the column-by-column reference, down
+        # to the sign of every zero: both tail columns and the local rates
+        # next to the diagonal
+        if chain == "BS":
+            gen = build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -0.6, 0.4))
+        else:
+            model = ModelSpec.dejd() if chain == "DEJD" else ModelSpec.vg()
+            gen = build_levy_generator(model, 0.05, -0.6, 0.6)
+            assert np.all(gen.to_dense()[1:-1, [0, -1]] > 0.0)
+        n = gen.n
+        ref = np.column_stack([gen.column(j) for j in range(n)])
+        dense = gen.to_dense()
+        assert np.array_equal(dense.view(np.int64), ref.view(np.int64))
+        i = np.arange(1, n - 1)
+        assert np.all(dense[i, i - 1] > 0.0) and np.all(dense[i, i + 1] > 0.0)
+
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
     def test_window_symbol_spans_the_interior_block(self, model):
         from scipy.linalg import toeplitz

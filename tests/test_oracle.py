@@ -319,17 +319,24 @@ class TestMonteCarlo:
 
     def test_birth_death_draw_matches_the_cdf_count(self):
         # random rates, one row that only steps up and one that only steps down
+        from drawdown_ctmc.ctmc import DenseGenerator
         from drawdown_ctmc.oracle import _jump_tables, _next_state
 
         rng = np.random.default_rng(11)
         g = build_grid(0.0, 0.1, 4, -1.0, 1.0)
         up, down = rng.uniform(0.0, 5.0, g.n), rng.uniform(0.0, 5.0, g.n)
         up[3] = down[7] = 0.0
-        _, cdf, p_down = _jump_tables(BirthDeathGenerator(g, up, down))
+        chain = BirthDeathGenerator(g, up, down)
+        out_rates, cdf, guide, p_down = _jump_tables(chain)
+        assert cdf is None and guide is None and p_down is not None
+        # the general tables of the chain's dense copy
+        _, cdf, guide, _ = _jump_tables(DenseGenerator(g, chain.to_dense()))
+        rows = np.flatnonzero(out_rates > 0.0)
+        assert np.array_equal(p_down[rows], cdf[rows, rows - 1])
         pos = rng.integers(1, g.n - 1, 200_000)
         u = rng.random(pos.size)
-        assert p_down is not None
-        assert np.array_equal(_next_state(cdf, p_down, pos, u), _next_state(cdf, None, pos, u))
+        assert np.array_equal(_next_state(None, None, p_down, pos, u),
+                              _next_state(cdf, guide, None, pos, u))
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
     def test_lattice_draw_matches_the_cdf_count(self, model):
@@ -343,7 +350,7 @@ class TestMonteCarlo:
         np.fill_diagonal(rates, -rates.sum(axis=1))
         rng = np.random.default_rng(17)
         for chain in (gen, DenseGenerator(gen.grid, rates)):
-            _, cdf, p_down = _jump_tables(chain)
+            _, cdf, guide, p_down = _jump_tables(chain)
             assert p_down is None
             n = chain.n
             pos = rng.integers(1, n - 1, 200_000)
@@ -355,7 +362,32 @@ class TestMonteCarlo:
             pos[-1000:] = 5
             u[-1000:] = cdf[5, rng.integers(7, 31, 1000)]
             ref = (cdf[pos] < u[:, None]).sum(axis=1)
-            assert np.array_equal(_next_state(cdf, None, pos, u), ref)
+            assert np.array_equal(_next_state(cdf, guide, None, pos, u), ref)
+
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    def test_lattice_draw_on_bucket_edges_and_in_wide_buckets(self, model):
+        # on this lattice each row's far tail states share one guide bucket
+        from drawdown_ctmc.oracle import _GUIDE as k, _jump_tables, _next_state
+
+        gen = build_levy_generator(model, 0.0125, -2.0, 2.0)
+        _, cdf, guide, _ = _jump_tables(gen)
+        rows = np.arange(1, gen.n - 1)
+        span = np.diff(guide[rows, :k + 1], axis=1)
+        assert span.max() > 100
+        # u on every bucket edge j / K of every row
+        pos = np.repeat(rows, k)
+        u = np.tile(np.arange(k) / k, rows.size)
+        # u on every CDF entry inside a wide bucket, and uniforms inside those buckets
+        r, j = np.nonzero(span)
+        at = np.repeat(np.arange(r.size), span[r, j])
+        entry = np.arange(at.size) - np.repeat(np.cumsum(span[r, j]) - span[r, j], span[r, j])
+        rng = np.random.default_rng(23)
+        pos = np.concatenate([pos, rows[r[at]], rows[r]])
+        u = np.concatenate([u, cdf[rows[r[at]], guide[rows[r[at]], j[at]] + entry],
+                            (j + rng.random(j.size)) / k])
+        ref = np.concatenate([np.searchsorted(cdf[i], u[pos == i]) for i in rows])
+        order = np.argsort(pos, kind="stable")
+        assert np.array_equal(_next_state(cdf, guide, None, pos, u)[order], ref)
 
     def test_lattice_draw_lands_on_a_state_for_every_uniform(self):
         # on this lattice 191 of the 319 active rows of jump probabilities
@@ -366,9 +398,9 @@ class TestMonteCarlo:
         gen = build_levy_generator(ModelSpec.dejd(), 0.0125, -2.0, 2.0)
         rates = gen.to_dense()
         np.fill_diagonal(rates, 0.0)
-        out_rates, cdf, _ = _jump_tables(gen)
+        out_rates, cdf, guide, _ = _jump_tables(gen)
         rows = np.flatnonzero(out_rates > 0.0)
-        nxt = _next_state(cdf, None, rows, np.full(rows.size, np.nextafter(1.0, 0.0)))
+        nxt = _next_state(cdf, guide, None, rows, np.full(rows.size, np.nextafter(1.0, 0.0)))
         assert nxt.max() < gen.n
         assert np.all(rates[rows, nxt] > 0.0)
 
@@ -399,8 +431,8 @@ def test_event_sum_mc_matches_product_chain(kind):
 
 # (mean, stderr) of 3,000 paths in three batches of 1,024, pinned bit for
 # bit: every kind on a birth-death chain (O(1) draws) at q = 6, where Hsum,
-# Jn and Jsum keep paths alive up to the e^-36 discount cutoff, and four
-# kinds on a lattice (binary-searched draws) at q = 1.
+# Jn and Jsum keep paths alive up to the e^-36 discount cutoff, four kinds
+# on a DEJD lattice and two on a VG lattice (indexed-search draws) at q = 1.
 MC_PINS = {
     ("BS", "Q"): (0.1633106304636279, 0.003429448885200236),
     ("BS", "A"): (0.15046409920388837, 0.003567183585443029),
@@ -414,6 +446,8 @@ MC_PINS = {
     ("DEJD", "B"): (0.6760045334209239, 0.006017259001256645),
     ("DEJD", "C"): (0.7728935962700185, 0.006574937715631398),
     ("DEJD", "Hn"): (0.24719211808454364, 0.004399287068226734),
+    ("VG", "B"): (0.9645726014373425, 0.001885367426460193),
+    ("VG", "C"): (0.9821633094838637, 0.0018945588491177947),
 }
 
 
@@ -433,7 +467,8 @@ def pinned_request(kind, q):
 def pinned_chain(model):
     if model == "BS":
         return build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -1.0, 1.0)), 6.0
-    return build_levy_generator(ModelSpec.dejd(), 0.05, -1.0, 1.0), 1.0
+    model = ModelSpec.dejd() if model == "DEJD" else ModelSpec.vg()
+    return build_levy_generator(model, 0.05, -1.0, 1.0), 1.0
 
 
 PIN_CFG = McConfig(n_paths=3000, seed=5, batch_size=1024)
