@@ -180,9 +180,7 @@ class Generator:
 
     # -- shared helpers ------------------------------------------------------
 
-    def to_dense(self, max_states: int = 4000) -> np.ndarray:
-        if self.n > max_states:
-            raise ValueError(f"refusing to densify a {self.n}-state generator")
+    def to_dense(self) -> np.ndarray:
         return self.window_block(0, self.n - 1)
 
     def row_sums(self) -> np.ndarray:
@@ -190,7 +188,9 @@ class Generator:
 
     def dump_csv(self, path: str) -> None:
         """Write nonzero entries as (i, j, rate), row-major ascending."""
-        dense = self.to_dense(max_states=20000)
+        if self.n > 20000:
+            raise ValueError(f"refusing to densify a {self.n}-state generator")
+        dense = self.to_dense()
         with open(path, "w") as fh:
             fh.write("i,j,rate\n")
             for i in range(self.n):
@@ -414,9 +414,6 @@ class DenseGenerator(Generator):
 
     def window_block(self, lo: int, hi: int) -> np.ndarray:
         return self.rates[lo:hi + 1, lo:hi + 1].copy()
-
-    def to_dense(self, max_states: int = 4000) -> np.ndarray:
-        return self.rates.copy()
 
 
 # ---------------------------------------------------------------------------

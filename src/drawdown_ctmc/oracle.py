@@ -184,7 +184,7 @@ def _row_table(gen: Generator):
                     0, n - 1)
         rate = np.stack([gen.down, gen.up], axis=1)
     else:
-        rows = gen.to_dense(max_states=n)
+        rows = gen.to_dense()
         np.fill_diagonal(rows, 0.0)
         width = max(int(np.count_nonzero(rows, axis=1).max()), 1)
         j = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :width].astype(np.int32)
@@ -434,7 +434,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
         km = _k2_mat(gen, req)
         if np.abs(km.imag).max() > 0:
             raise ValueError("MC oracle requires real killing rates")
-        k_mat = km.real
+        k_mat = np.ascontiguousarray(km.real)
     elif kind in ("Jn", "Jsum"):
         f2 = _f2_mat(gen, req.f2)
     f = _payoff_vec(gen, req.f)
@@ -482,7 +482,7 @@ def _jump_tables(gen: Generator):
     active = out_rates > 0.0
     if gen.structure == BIRTH_DEATH:
         return out_rates, None, None, np.divide(gen.down, out_rates, out=np.zeros(n), where=active)
-    probs = np.maximum(gen.to_dense(max_states=n), 0.0)
+    probs = np.maximum(gen.to_dense(), 0.0)
     np.fill_diagonal(probs, 0.0)
     probs[~active] = 0.0
     np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs, where=active[:, None])

@@ -65,9 +65,9 @@ O(m^2) banded LU per node (``_node_solves``).
 
 The birth-death Hsum fixed point builds its weights for all nodes at
 once, then solves (I - P) for all nodes in one block elimination
-(``_hsum_birth_death``).  The dense generic recursions (A and Jn off
-birth-death chains, the generic Hsum and Jsum fixed points) solve one
-node at a time; their public functions loop over the vector.
+(``_hsum_birth_death``).  Off birth-death chains A, Jn, and Hsum and Jsum
+where no lattice closed form applies go one node at a time: A by a dense
+recursion, the others by one event core each (``_EventCore``).
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ class _OffDiagonal:
             self.panel = np.ascontiguousarray(starts[2 * n - 3:2 * n - 3 + rows][::-1])
             self.col0 = gen.column(0)
         else:
-            self.dense = gen.to_dense(max_states=n)
+            self.dense = gen.to_dense()
             np.fill_diagonal(self.dense, 0.0)
             self.col0 = self.dense[:, 0]
 
@@ -700,7 +700,8 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarr
 def _killed_solve(dense: np.ndarray, q: complex, lo: int, hi: int, rhs: np.ndarray, *,
                   trans: bool = False) -> np.ndarray:
     """Solution of (q I - G[lo..hi]) x = rhs on the dense generator matrix,
-    or of the transposed system: the step of the dense generic recursions."""
+    or of the transposed system: the window solve of the event core's exit
+    matrix (``_EventCore``) and of A's dense recursion."""
     mat = q * np.eye(hi - lo + 1, dtype=complex) - dense[lo:hi + 1, lo:hi + 1]
     try:
         return np.linalg.solve(mat.T if trans else mat, rhs)
@@ -708,20 +709,93 @@ def _killed_solve(dense: np.ndarray, q: complex, lo: int, hi: int, rhs: np.ndarr
         raise Singular(str(exc)) from exc
 
 
-def _dense_exit_rows(dense: np.ndarray, q: complex, a_steps: int) -> np.ndarray:
-    """Exit weights P[i, z] of the drawdown window (y_i - a, y_i] started at
-    its top i onto each state z outside it, from the dense generator matrix
-    (rows of the two absorbing ends stay 0)."""
-    n = dense.shape[0]
-    P = np.zeros((n, n), dtype=complex)
-    for i in range(1, n - 1):
-        lo = max(0, i - a_steps + 1)
-        e = np.zeros(i - lo + 1, dtype=complex)
-        e[-1] = 1.0
-        w = _killed_solve(dense, q, lo, i, e, trans=True)
-        outside = np.concatenate([np.arange(0, lo), np.arange(i + 1, n)])
-        P[i, outside] = w @ dense[np.ix_(np.arange(lo, i + 1), outside)]
-    return P
+class _EventCore:
+    """One node's event core off birth-death chains, read by Hsum, Jn and
+    Jsum, for a start at state eta_x under the running max eta_y.
+
+    The exit matrix P weighs the exit of the window topped at i, from its
+    top, onto every state outside it: ``below`` is its part below the
+    window (z <= i - a), with row sums ``c``, and ``above`` its part above
+    the top.  With values D over the running max (position at the max):
+
+    * Hsum solves (I - P) H = c;
+    * Jsum solves (I - above - X) D = c, an upper triangular system;
+    * Jn steps D_1 = (I - above)^{-1} c_f2, c weighted by the payoff
+      f2(z, y_i), and D_n = (I - above)^{-1} X D_{n-1};
+
+    and each reads its value as ``start`` @ D.  With ``recovery``, the mix
+    X[i, w] weighs an event from top i followed by the recovery from its
+    landing state to the first state w >= i, which re-arms the next event
+    at the running max w, and ``start`` weighs the recovery from eta_x to
+    eta_y or above (e_{eta_y} when they meet).
+
+    Each recovery R_t = (qI - G[0..t-1])^{-1} G[0..t-1, t:] reads a leading
+    block of qI - G.  For q != 0 with Re q >= 0 that matrix is strictly
+    row diagonally dominant, so partial pivoting of its transpose swaps no
+    rows (Golub and Van Loan, Matrix Computations, sec. 3.4): one LU,
+    (qI - G)^T = L U, factors every leading block.  Forward substitution
+    reads only the leading block, so z = L^{-1} w serves every t, and
+    U^{-T} is lower triangular, so the first t rows of K = U^{-T} G need
+    only its leading block: w @ R_t = z[:t] @ K[:t, t:].  A row swap or a
+    zero pivot raises ``Singular``.  Each node holds a few dense (n, n)
+    complex matrices, so a chain above 1,500 states raises ``TooLarge``.
+    """
+
+    def __init__(self, gen: Generator, q: complex, a_steps: int, eta_x: int, eta_y: int,
+                 recovery: bool):
+        import scipy.linalg as sla
+
+        n = gen.n
+        if n > 1500:
+            raise TooLarge("the event core caps at 1500 states")
+        dense = gen.to_dense()
+        P = np.zeros((n, n), dtype=complex)   # the absorbing ends' rows stay 0
+        for i in range(1, n - 1):
+            lo = max(0, i - a_steps + 1)
+            last = np.eye(i - lo + 1)[-1]
+            P[i] = _killed_solve(dense, q, lo, i, last, trans=True) @ dense[lo:i + 1]
+            P[i, lo:i + 1] = 0.0
+        self.below, self.above = np.tril(P, -a_steps), np.triu(P, 1)
+        self.c = self.below.sum(axis=1)
+        self.X, self.start = None, np.eye(1, n, eta_y)[0]
+        if recovery:
+            lu, piv = sla.lu_factor((q * np.eye(n) - dense).T, overwrite_a=True)
+            if np.any(piv != np.arange(n)) or np.any(np.diag(lu) == 0.0):
+                raise Singular("recovery windows are singular or need pivoting")
+            # rows w @ R_t: the events from every top t, then the start's recovery
+            tops, states = np.append(np.arange(n), eta_y), np.arange(n)
+            w = np.vstack([self.below, np.eye(1, n, eta_x)])
+            z = sla.solve_triangular(lu, w.T, lower=True, unit_diagonal=True)
+            z[states[:, None] >= tops] = 0.0
+            mixed = z.T @ sla.solve_triangular(lu, dense, trans="T")
+            mixed[states < tops[:, None]] = 0.0
+            self.X = mixed[:n]
+            if eta_x < eta_y:
+                self.start = mixed[n]
+
+    def event_sum(self) -> complex:
+        """Hsum's fixed point (no recovery) or Jsum's."""
+        import scipy.linalg as sla
+
+        general = self.X is None   # with X the system is upper triangular
+        mat = np.eye(self.c.size) - self.above - (self.below if general else self.X)
+        try:
+            D = (np.linalg.solve if general else sla.solve_triangular)(mat, self.c)
+        except np.linalg.LinAlgError as exc:
+            raise FixedPointSingular(str(exc)) from exc
+        return complex(self.start @ D)
+
+    def jn(self, pay: np.ndarray, count: int) -> np.ndarray:
+        """Values of the events 1..count, for the (n, n) payoff pay[i, z] =
+        f2(z, y_i) of an event from top i landing at z."""
+        import scipy.linalg as sla
+
+        free = np.eye(self.c.size) - self.above
+        d, out = np.sum(self.below * pay, axis=1), np.empty(count, dtype=complex)
+        for m in range(count):
+            d = sla.solve_triangular(free, self.X @ d if m else d, unit_diagonal=True)
+            out[m] = self.start @ d
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1165,7 @@ def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
     if n > 2000:
         raise TooLarge("generic drawdown-before-drawup path caps at 2000 states")
     A = np.zeros((n, n), dtype=complex)   # A[i, l]: top/position i, min l
-    dense = gen.to_dense(max_states=n).astype(complex)
+    dense = gen.to_dense().astype(complex)
     for i in range(n - 2, eta - 1, -1):
         lo = max(0, i - a_steps + 1)
         lob = max(0, i - b_steps + 1)
@@ -1165,7 +1239,8 @@ def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
     a_steps = gen.grid.steps_of(a)
     nodes, single = _nodes(q)
     if recovery:
-        terms = _jn_terms(gen, nodes, a_steps, _bipayoff(gen, None), *_start_pair(gen, x, y))
+        terms = _jn_terms(gen, nodes, a_steps, _bipayoff(gen, None), *_start_pair(gen, x, y),
+                          n_max)
     else:
         terms = _hn_terms(gen, nodes, a_steps, _payoff_array(gen, None), _anchor_index(gen, x))
     sums = []
@@ -1192,7 +1267,8 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None):
         return _per_node(_hsum_birth_death(up, down, a_steps, eta), single)
     if gen.structure == TOEPLITZ_LEVY and eta == grid.eta_x:
         return h_levy_closed_form(gen, q, a)
-    return _per_node(np.array([_hsum_generic(gen, q, a_steps, eta) for q in nodes]), single)
+    return _per_node(np.array([_EventCore(gen, q, a_steps, eta, eta, False).event_sum()
+                               for q in nodes]), single)
 
 
 def _hsum_birth_death(up: np.ndarray, down: np.ndarray, a_steps: int, eta: int) -> np.ndarray:
@@ -1254,23 +1330,6 @@ def _hsum_birth_death(up: np.ndarray, down: np.ndarray, a_steps: int, eta: int) 
     if not np.all(np.isfinite(val)):
         raise FixedPointSingular("non-finite insurance fixed point")
     return val
-
-
-def _hsum_generic(gen: Generator, q: complex, a_steps: int, eta: int) -> complex:
-    """Fixed point over the full exit-weight matrix, from dense window solves."""
-    n = gen.n
-    if n > 1500:
-        raise TooLarge("generic insurance fixed point caps at 1500 states")
-    P = _dense_exit_rows(gen.to_dense(max_states=n).astype(complex), q, a_steps)
-    below_mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        below_mask[i, :max(0, i - a_steps + 1)] = True
-    P_below_sum = (P * below_mask).sum(axis=1)
-    try:
-        sol = np.linalg.solve(np.eye(n, dtype=complex) - P, P_below_sum)
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointSingular(str(exc)) from exc
-    return complex(sol[eta])
 
 
 def _levy_window_masses(gen: Generator, kv: np.ndarray, payoff_below=None):
@@ -1339,18 +1398,22 @@ def nth_drawdown_with_recovery(gen: Generator, q, a: float, f2=None,
         raise ValueError("n must be >= 1")
     nodes, single = _nodes(q)
     terms = _jn_terms(gen, nodes, gen.grid.steps_of(a), _bipayoff(gen, f2),
-                      *_start_pair(gen, x, y))
+                      *_start_pair(gen, x, y), n)
     return _per_node(next(islice(terms, n - 1, None)), single)
 
 
 def _jn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f2_fn: Callable,
-              eta_x: int, eta_y: int) -> Iterator[np.ndarray]:
-    """Values of the n-th with-recovery event, n = 1, 2, ..., one (k,) node
-    vector each; every count carries the previous one forward."""
+              eta_x: int, eta_y: int, count: int) -> Iterator[np.ndarray]:
+    """Values of the n-th with-recovery event, n = 1, 2, ... (up to at
+    least ``count``), one (k,) node vector each; every count carries the
+    previous one forward, on one node's event core at a time."""
     if gen.structure == BIRTH_DEATH:
         return _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y)
-    return map(np.array, zip(*[_jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y)
-                               for q in nodes]))
+    tops, z = np.tril_indices(gen.n, -a_steps)
+    pay = np.zeros((gen.n, gen.n), dtype=complex)
+    pay[tops, z] = f2_fn(z, tops)
+    return iter(np.stack([_EventCore(gen, q, a_steps, eta_x, eta_y, True).jn(pay, count)
+                          for q in nodes], axis=1))
 
 
 def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[np.ndarray]:
@@ -1370,36 +1433,6 @@ def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[np.ndarray]:
         pay = rec * diag[idx]
 
 
-def _jn_generic(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[complex]:
-    nn = gen.n
-    if nn > 600:
-        raise TooLarge("generic recovery recursion caps at 600 states")
-    dense = gen.to_dense(max_states=nn).astype(complex)
-    # initial condition: the zeroth "event value" is the terminal payoff
-    J_prev = np.zeros((nn, nn), dtype=complex)   # J_{k-1}[x, y]
-    for yy in range(nn):
-        J_prev[:yy + 1, yy] = f2_fn(np.arange(yy + 1), yy)
-    while True:
-        J_cur = np.zeros((nn, nn), dtype=complex)
-        for i in range(nn - 2, -1, -1):
-            lo = max(0, i - a_steps + 1)
-            rows = np.arange(lo, i + 1)
-            rhs = np.zeros(rows.size, dtype=complex)
-            if lo > 0:
-                rhs += dense[np.ix_(rows, np.arange(lo))] @ J_prev[:lo, i]
-            above = np.arange(i + 1, nn)
-            diag_above = J_cur[above, above]
-            rhs += dense[np.ix_(rows, above)] @ diag_above
-            J_cur[i, i] = _killed_solve(dense, q, lo, i, rhs)[-1]
-            # recovery fill below the diagonal: first passage to >= y_i
-            if i >= 1:
-                targets = np.arange(i, nn)
-                rhs_b = dense[np.ix_(np.arange(0, i), targets)] @ J_cur[targets, targets]
-                J_cur[:i, i] = _killed_solve(dense, q, 0, i - 1, rhs_b)
-        J_prev = J_cur
-        yield complex(J_prev[eta_x, eta_y])
-
-
 def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
     """Sum over all with-recovery drawdown events of e^{-q tau_{a,k}}.  A
     node vector q gives one value per node."""
@@ -1412,7 +1445,8 @@ def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
     elif gen.structure == TOEPLITZ_LEVY and eta_y == grid.eta_x:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
     else:
-        out = np.array([_jsum_generic(gen, q, a_steps, eta_x, eta_y) for q in nodes])
+        out = np.array([_EventCore(gen, q, a_steps, eta_x, eta_y, True).event_sum()
+                        for q in nodes])
     return _per_node(out, single)
 
 
@@ -1431,39 +1465,6 @@ def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
     if eta_x == eta_y:
         return diag[eta_y]
     return psi.ratio_plus(eta_x, eta_y) * diag[eta_y]
-
-
-def _jsum_generic(gen, q, a_steps, eta_x, eta_y) -> complex:
-    """Fixed point over the diagonal values, with dense recovery solves."""
-    nn = gen.n
-    if nn > 500:
-        raise TooLarge("generic recovery fixed point caps at 500 states")
-    dense = gen.to_dense(max_states=nn).astype(complex)
-    P = _dense_exit_rows(dense, q, a_steps)
-    M = np.zeros((nn, nn), dtype=complex)
-    c = np.zeros(nn, dtype=complex)
-    for i in range(1, nn - 1):
-        lo = max(0, i - a_steps + 1)
-        p = P[i]
-        above = np.arange(i + 1, nn)
-        M[i, above] += p[above]
-        if lo > 0:
-            below = np.arange(0, lo)
-            c[i] = p[below].sum()
-            targets = np.arange(i, nn)
-            REC = _killed_solve(dense, q, 0, i - 1, dense[np.ix_(np.arange(0, i), targets)])
-            M[i, targets] += p[below] @ REC[below, :]
-    try:
-        diag = np.linalg.solve(np.eye(nn, dtype=complex) - M, c)
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointSingular(str(exc)) from exc
-    if eta_x == eta_y:
-        return complex(diag[eta_y])
-    if eta_y == 0:
-        return complex(diag[0])
-    targets = np.arange(eta_y, nn)
-    rhs_b = dense[np.ix_(np.arange(0, eta_y), targets)] @ diag[targets]
-    return complex(_killed_solve(dense, q, 0, eta_y - 1, rhs_b)[eta_x])
 
 
 def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):

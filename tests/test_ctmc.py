@@ -7,6 +7,7 @@ import pytest
 from drawdown_ctmc.ctmc import (
     BadBounds,
     BirthDeathGenerator,
+    Grid,
     NegativeRate,
     ToeplitzLevyGenerator,
     build_generator,
@@ -358,3 +359,18 @@ class TestDump:
         for (i, j), rate in seen.items():
             assert rate == pytest.approx(dense[i, j], rel=1e-15)
         assert len(seen) == int(np.count_nonzero(dense))
+
+    def test_dump_csv_refuses_a_large_chain_before_densifying(self, tmp_path, monkeypatch):
+        n = 20_001
+        states = np.arange(n) * 0.01
+        gen = BirthDeathGenerator(Grid(states=states, h=0.01, eta_x=n // 2, x0=0.0),
+                                  np.ones(n), np.ones(n))
+
+        def refuse():
+            raise AssertionError("densified before the size check")
+
+        monkeypatch.setattr(gen, "to_dense", refuse)
+        path = os.path.join(tmp_path, "gen.csv")
+        with pytest.raises(ValueError, match="20001-state"):
+            gen.dump_csv(path)
+        assert not os.path.exists(path)

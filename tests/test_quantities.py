@@ -5,19 +5,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drawdown_ctmc.ctmc import build_generator, build_grid, build_levy_generator
+from drawdown_ctmc.ctmc import (
+    DenseGenerator,
+    Grid,
+    build_generator,
+    build_grid,
+    build_levy_generator,
+)
 from drawdown_ctmc.laplace import inversion_nodes_weights
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import dense_product_solve
 from drawdown_ctmc.quantities import (
     QuantityRequest,
+    TooLarge,
     UnsupportedRegime,
+    _EventCore,
     c_levy_closed_form,
     drawdown_before_drawup,
     drawdown_occupation,
     evaluate,
     h_levy_closed_form,
     insurance_no_recovery,
+    insurance_partial_sums,
     insurance_with_recovery,
     j_levy_closed_form,
     nth_drawdown_no_recovery,
@@ -1090,3 +1099,105 @@ class TestToeplitzInflow:
             got = rates.times(m0, m1, z0, z1, x)
             ref = off[m0:m1, z0:z1] @ x[z0:z1]
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), (m0, m1, z0)
+
+
+def random_jump_chain(n, seed=3):
+    """A dense chain with random jumps of every size, absorbing at both ends."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 30.0, (n, n))
+    rates[rng.random((n, n)) < 0.6] = 0.0
+    rates[[0, n - 1]] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    states = np.arange(n) * 0.04
+    return DenseGenerator(Grid(states=states, h=0.04, eta_x=n // 2, x0=float(states[n // 2])),
+                          rates)
+
+
+class TestEventCore:
+    NODES = np.array([2.0, 18.4 + 30.0j, 5.0 + 800.0j])
+
+    @pytest.fixture(scope="class", params=["DEJD", "dense"])
+    def chain(self, request):
+        if request.param == "DEJD":
+            return build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)   # 81 states
+        return random_jump_chain(30)
+
+    @staticmethod
+    def recovery(dense, q, t):
+        """First-passage weights from the states below t to t or above,
+        from one solve on the window [0, t - 1]."""
+        return np.linalg.solve(q * np.eye(t) - dense[:t, :t], dense[:t, t:])
+
+    @pytest.mark.parametrize("a_steps", [1, 4])
+    @pytest.mark.parametrize("q", NODES)
+    def test_recovery_mix_matches_window_solves(self, chain, a_steps, q):
+        # the leading blocks of one LU against a solve per recovery window
+        n, eta = chain.n, chain.grid.eta_x
+        dense = chain.to_dense()
+        mix = None
+        for eta_x, eta_y in ((eta - 3, eta + 2), (0, 1), (0, 0), (eta, eta)):
+            core = _EventCore(chain, q, a_steps, eta_x, eta_y, True)
+            if mix is None:
+                mix = np.zeros((n, n), dtype=complex)
+                for t in range(1, n):
+                    mix[t, t:] = core.below[t, :t] @ self.recovery(dense, q, t)
+            assert np.max(np.abs(core.X - mix)) <= 1e-12 * max(1.0, np.max(np.abs(mix)))
+            start = np.zeros(n, dtype=complex)
+            if eta_x < eta_y:
+                start[eta_y:] = self.recovery(dense, q, eta_y)[eta_x]
+            else:
+                start[eta_y] = 1.0
+            assert np.max(np.abs(core.start - start)) <= 1e-12, (eta_x, eta_y)
+
+    def test_started_at_the_absorbing_bottom_is_zero(self, chain):
+        bottom, a = chain.states[0], 4 * chain.grid.h
+        assert np.all(insurance_with_recovery(chain, self.NODES, a, x=bottom, y=bottom) == 0.0)
+        assert np.all(nth_drawdown_with_recovery(chain, self.NODES, a, x=bottom, y=bottom,
+                                                 n=2) == 0.0)
+
+    @pytest.mark.parametrize("kind, n", [("Jn", 1), ("Jn", 3), ("Jsum", 1), ("Hsum", 1)])
+    def test_one_step_window_matches_the_product_chain(self, kind, n):
+        gen = random_jump_chain(20)
+        h, eta = gen.grid.h, gen.grid.eta_x
+        x, y = (None, None) if kind == "Hsum" else (gen.states[eta - 2], gen.states[eta + 1])
+        req = QuantityRequest(kind, a=h, q=2.0, n=n, x=x, y=y)
+        ref = dense_product_solve(gen, req, cap=60_000)
+        assert abs(evaluate(gen, req) - ref) < 1e-9
+
+    def test_one_window_solve_per_top_whatever_the_count(self, chain, monkeypatch):
+        import drawdown_ctmc.quantities as qmod
+
+        calls = []
+
+        def counted(*args, _fn=qmod._killed_solve, **kwargs):
+            calls.append(args[2:4])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(qmod, "_killed_solve", counted)
+        eta, a = chain.grid.eta_x, 4 * chain.grid.h
+        x, y = chain.states[eta - 3], chain.states[eta + 2]
+        for n in (1, 3):
+            nth_drawdown_with_recovery(chain, self.NODES, a, x=x, y=y, n=n)
+        insurance_with_recovery(chain, self.NODES, a, x=x, y=y)
+        assert len(calls) == 3 * self.NODES.size * (chain.n - 2)
+
+    def test_recovery_prices_a_557_state_lattice_off_the_anchor(self):
+        a = 0.28768
+        gen = build_levy_generator(ModelSpec.dejd(), a / 40, -2.0, 2.0)
+        assert gen.n == 557
+        eta = gen.grid.eta_x
+        x, y = gen.states[eta - 10], gen.states[eta + 3]
+        jsum = insurance_with_recovery(gen, self.NODES, a, x=x, y=y)
+        second = nth_drawdown_with_recovery(gen, self.NODES, a, x=x, y=y, n=2)
+        assert np.all(np.isfinite(jsum)) and np.all(np.isfinite(second))
+        # the partial sums step the Jn recursion, not the Jsum fixed point
+        sums = insurance_partial_sums(gen, self.NODES, a, x=x, y=y, recovery=True)
+        assert np.all(np.abs(sums[-1] - jsum) <= 1e-10 * np.maximum(1.0, np.abs(jsum)))
+
+    @pytest.mark.parametrize("fn", [insurance_no_recovery, insurance_with_recovery])
+    def test_one_state_cap(self, fn):
+        gen = build_levy_generator(ModelSpec.dejd(), 0.0025, -2.0, 2.0)
+        assert gen.n > 1500
+        with pytest.raises(TooLarge):
+            fn(gen, self.NODES, 0.1, x=gen.states[gen.grid.eta_x + 1])
