@@ -197,28 +197,35 @@ class PsiPair:
         # downward from psi-_{n-1} = 0, psi-_{n-2} = 1 (row j is state j + 1),
         # both in one loop: step j holds r_j and s_{n-3-j}.
         c = killing[1:n - 1] - gen.diagonal()[1:n - 1, None]
-        coef = np.stack([c / up[:, None], (c / down[:, None])[::-1]], axis=1)
-        back = np.stack([down / up, (up / down)[::-1]], axis=1)[:, :, None]
+        k = killing.shape[1]
+        coef = np.empty((n - 2, 2, k), dtype=complex)
+        np.divide(c, up[:, None], out=coef[:, 0])
+        np.divide(c, down[:, None], out=coef[::-1, 1])
+        # The loop allocates nothing per step: it divides into one buffer and
+        # subtracts into rs, and ``back`` is complex already, so nothing is cast.
+        back = np.stack([down / up, (up / down)[::-1]], axis=1).astype(complex)[:, :, None]
         rs = np.empty_like(coef)
         rs[0] = x = coef[0]
+        tmp = np.empty_like(x)
         for j in range(1, n - 2):
-            rs[j] = x = coef[j] - back[j] / x
+            np.divide(back[j], x, out=tmp)
+            x = np.subtract(coef[j], tmp, out=rs[j])
         r, s = rs[:, 0], rs[::-1, 1]
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))
                 and np.all(r != 0.0) and np.all(s != 0.0)):
             raise Singular("fundamental solution vanishes inside the chain or at its far end")
 
-        k = killing.shape[1]
+        abs_r, abs_s = np.abs(r), np.abs(s)
         um = np.zeros((n, k), dtype=complex)
         uL = np.zeros((n, k))
         um[1] = 1.0
-        um[2:] = np.cumprod(r / np.abs(r), axis=0)
-        uL[2:] = np.cumsum(np.log(np.abs(r)), axis=0)
+        um[2:] = np.cumprod(r / abs_r, axis=0)
+        uL[2:] = np.cumsum(np.log(abs_r), axis=0)
         dm = np.zeros((n, k), dtype=complex)
         dL = np.zeros((n, k))
         dm[n - 2] = 1.0
-        dm[:n - 2] = np.cumprod((s / np.abs(s))[::-1], axis=0)[::-1]
-        dL[:n - 2] = np.cumsum(np.log(np.abs(s))[::-1], axis=0)[::-1]
+        dm[:n - 2] = np.cumprod((s / abs_s)[::-1], axis=0)[::-1]
+        dL[:n - 2] = np.cumsum(np.log(abs_s)[::-1], axis=0)[::-1]
         # normalize psi_plus(top) = 1, psi_minus(bottom) = 1
         uL -= uL[n - 1]
         um /= um[n - 1]
@@ -237,6 +244,18 @@ class PsiPair:
 
     def _out(self, arr):
         return arr[..., 0] if self.single else arr
+
+    def _columns(self, cols: slice) -> "PsiPair":
+        """The pairs of the killing columns ``cols``, as views of this
+        pair's arrays.  Each column's recursion is its own, so the slice
+        equals, bit for bit, a pair built from those columns alone, except
+        a pair of one complex column, whose ``np.abs`` of the reversed
+        ratios takes another loop and can differ in the last bits."""
+        part = object.__new__(PsiPair)
+        part.gen, part.single = self.gen, False
+        for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):
+            setattr(part, name, getattr(self, name)[:, cols])
+        return part
 
     # -- raw values (may overflow for long chains; meant for tests) ---------
 

@@ -34,8 +34,17 @@ with translation-invariant closed forms (`*_levy_closed_form`, at the
 lattice anchor) and birth-death fast paths selected automatically from the
 structure tag.  Every birth-death exit weight comes from the chain's
 three-term recurrence: through fundamental-solution pairs (one through
-``PsiPair.exit_weights``, two spliced for C), and for A as tables stepped
-over blocks of window tops (``_a_weights``).
+``PsiPair.exit_weights``; two spliced for C, read as column slices of one
+pair over the nodes and the shift), and for A as tables stepped over
+blocks of window tops (``_a_weights``).
+
+The birth-death and dense routes visit only the tops their answers read.
+A stops at a drawup of b from the running minimum, so its sweep runs on
+the reachable strip of tops min(N-2, eta + b + 1) .. eta, and its cost
+per node depends on a and b, not on N (``_a_diffusion``, ``_a_generic``).
+Jn and Jsum read their values at the start max eta_y and run down from
+the top, so they stop at eta_y.  Hsum keeps every top: its fixed point
+couples each top to the one a below it.
 
 Node batching: every quantity takes one Laplace node or a vector of
 them, and a vector gives one value per node.  Most routes carry the nodes
@@ -67,7 +76,9 @@ The birth-death Hsum fixed point builds its weights for all nodes at
 once, then solves (I - P) for all nodes in one block elimination
 (``_hsum_birth_death``).  Off birth-death chains A, Jn, and Hsum and Jsum
 where no lattice closed form applies go one node at a time: A by a dense
-recursion, the others by one event core each (``_EventCore``).
+recursion on its strip, the others by one event core each
+(``_EventCore``).  Each call builds the generator matrix once and shares
+it across its nodes.
 """
 
 from __future__ import annotations
@@ -697,6 +708,16 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarr
     return V
 
 
+def _core_dense(gen: Generator) -> np.ndarray:
+    """The generator matrix read by the event cores (``_EventCore``),
+    built once per call and shared by its nodes.  Each core holds a few
+    dense (n, n) complex matrices, so a chain above 1,500 states raises
+    ``TooLarge`` before the matrix is built."""
+    if gen.n > 1500:
+        raise TooLarge("the event core caps at 1500 states")
+    return gen.to_dense()
+
+
 def _killed_solve(dense: np.ndarray, q: complex, lo: int, hi: int, rhs: np.ndarray, *,
                   trans: bool = False) -> np.ndarray:
     """Solution of (q I - G[lo..hi]) x = rhs on the dense generator matrix,
@@ -737,18 +758,19 @@ class _EventCore:
     reads only the leading block, so z = L^{-1} w serves every t, and
     U^{-T} is lower triangular, so the first t rows of K = U^{-T} G need
     only its leading block: w @ R_t = z[:t] @ K[:t, t:].  A row swap or a
-    zero pivot raises ``Singular``.  Each node holds a few dense (n, n)
-    complex matrices, so a chain above 1,500 states raises ``TooLarge``.
+    zero pivot raises ``Singular``.
+
+    ``dense`` is the generator matrix, built once per call and shared by
+    its nodes (``_core_dense``).  Each node holds a few dense (n, n)
+    complex matrices; P, the weights w and the LU are freed as soon as
+    their last reader is done.
     """
 
-    def __init__(self, gen: Generator, q: complex, a_steps: int, eta_x: int, eta_y: int,
+    def __init__(self, dense: np.ndarray, q: complex, a_steps: int, eta_x: int, eta_y: int,
                  recovery: bool):
         import scipy.linalg as sla
 
-        n = gen.n
-        if n > 1500:
-            raise TooLarge("the event core caps at 1500 states")
-        dense = gen.to_dense()
+        n = dense.shape[0]
         P = np.zeros((n, n), dtype=complex)   # the absorbing ends' rows stay 0
         for i in range(1, n - 1):
             lo = max(0, i - a_steps + 1)
@@ -756,6 +778,7 @@ class _EventCore:
             P[i] = _killed_solve(dense, q, lo, i, last, trans=True) @ dense[lo:i + 1]
             P[i, lo:i + 1] = 0.0
         self.below, self.above = np.tril(P, -a_steps), np.triu(P, 1)
+        del P
         self.c = self.below.sum(axis=1)
         self.X, self.start = None, np.eye(1, n, eta_y)[0]
         if recovery:
@@ -766,8 +789,11 @@ class _EventCore:
             tops, states = np.append(np.arange(n), eta_y), np.arange(n)
             w = np.vstack([self.below, np.eye(1, n, eta_x)])
             z = sla.solve_triangular(lu, w.T, lower=True, unit_diagonal=True)
+            del w
             z[states[:, None] >= tops] = 0.0
-            mixed = z.T @ sla.solve_triangular(lu, dense, trans="T")
+            K = sla.solve_triangular(lu, dense, trans="T")
+            del lu
+            mixed = z.T @ K
             mixed[states < tops[:, None]] = 0.0
             self.X = mixed[:n]
             if eta_x < eta_y:
@@ -936,10 +962,14 @@ def _spliced_sweep_coeffs(gen: Generator, nodes: np.ndarray, a_steps: int, xi: f
     the floor l = max(i - a, 0) follows B_L(., l) up to state c, then a B_H
     solution: X(r) = B_H(r, c-1) B_L(c, l) - B_H(r, c) B_L(c-1, l).  The
     weights are X(i) / X(i+1) onto the top and B_H(i+1, i) B_L(c, c-1) /
-    X(i+1) onto the floor; c clipped to l + 1 or i + 1 gives one pair's."""
+    X(i+1) onto the floor; c clipped to l + 1 or i + 1 gives one pair's.
+
+    Both come from one pair over the k + 1 killings (the nodes plus shift,
+    then shift alone): ``low`` is its first k columns and ``high`` its
+    last, node independent, column, so the per-state recursion runs once."""
     idx = np.arange(stop, gen.n - 1)
-    low = psi_pair(gen, nodes + shift)
-    high = psi_pair(gen, np.array([shift]))   # node independent: one column
+    pair = psi_pair(gen, np.append(nodes + shift, shift))
+    low, high = pair._columns(slice(None, -1)), pair._columns(slice(-1, None))
     floor = np.maximum(idx - a_steps, 0)
     tol = _IND_TOL * max(1.0, abs(xi))
     c = np.clip(np.searchsorted(gen.states, gen.states[idx] - xi - tol), floor + 1, idx + 1)
@@ -1027,7 +1057,11 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
     if gen.structure == BIRTH_DEATH:
         row = _a_diffusion(gen, nodes, a_steps, b_steps, f_arr, eta)
     else:
-        row = np.stack([_a_generic(gen, q, a_steps, b_steps, f_arr, eta) for q in nodes], axis=1)
+        if gen.n > 2000:
+            raise TooLarge("generic drawdown-before-drawup path caps at 2000 states")
+        dense = gen.to_dense().astype(complex)
+        row = np.stack([_a_generic(dense, q, a_steps, b_steps, f_arr, eta) for q in nodes],
+                       axis=1)
     # minima at or below y_eta - b: the drawup has already reached b
     row[:max(0, eta - b_steps + 1)] = 0.0
     if wgt < 1e-9:
@@ -1038,8 +1072,18 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
 def _a_diffusion(gen: Generator, q: np.ndarray, a_steps: int, b_steps: int,
                  f_arr: np.ndarray, eta: int) -> np.ndarray:
     """Birth-death path: the value rows V(i, .) over the minimum index at
-    the window tops i = N-2 .. eta, each from the row of the top above
-    only; returns the row at position eta, one column per node.
+    the window tops i = T .. eta, each from the row of the top above only;
+    returns the row at position eta, one column per node, exact at the
+    minima l <= eta + 1 that the caller reads.
+
+    The sweep runs on the reachable strip, T = min(N-2, eta + b + 1) with
+    b in steps.  V(i, l) = 0 once i - l >= b (the drawup has happened),
+    so every top above T holds 0 on the minima l <= eta + 1, and an entry
+    V(i, l) reads only entries of the top above at the same or a lower
+    minimum (the frozen columns, the cumsum splits).  So the tops above T
+    never reach the answer, and with the recurrence coefficients taken on
+    the strip's states only (eta - a + 1 .. T), A's cost per node depends
+    on a and b, not on N.
 
     Minima in (y_i - b, y_i - a] and the window bottom lo stay frozen
     until the window exits: V(i, l) = pay + up V(i+1, l), where up and dn
@@ -1076,13 +1120,14 @@ def _a_diffusion(gen: Generator, q: np.ndarray, a_steps: int, b_steps: int,
     so no exp or log scale is needed.
     """
     n, k = gen.n, q.size
-    coeffs = _a_recurrences(gen, q, a_steps)
+    top, first = min(n - 2, eta + b_steps + 1), eta - a_steps + 1
+    coeffs = _a_recurrences(gen, q, a_steps, first, top)
     row_next = np.zeros((n, k), dtype=complex)   # V(i+1, .) by min index
     row_cur = np.zeros((n, k), dtype=complex)
     block = 2 * a_steps
-    for t1 in range(n - 2, eta - 1, -block):
+    for t1 in range(top, eta - 1, -block):
         t0 = max(eta, t1 - block + 1)
-        up, omega, down = _a_weights(coeffs, a_steps, t0, t1)
+        up, omega, down = _a_weights(coeffs, a_steps, t0, t1, first)
         for i in range(t1, t0 - 1, -1):
             j = i - t0
             lo = max(0, i - a_steps + 1)
@@ -1102,36 +1147,44 @@ def _a_diffusion(gen: Generator, q: np.ndarray, a_steps: int, b_steps: int,
     return row_next
 
 
-def _a_recurrences(gen: Generator, q: np.ndarray, a_steps: int) -> np.ndarray:
+def _a_recurrences(gen: Generator, q: np.ndarray, a_steps: int, first: int,
+                   last: int) -> np.ndarray:
     """The recurrence coefficients c/up, down/up, c/down and up/down as one
-    (4, rows, k) array, state x at row x + a - 1.  The a rows of x <= 0
-    hold (1, 0): stepped down into them, a ratio reads 1 and the up/down
-    factor 0."""
-    n, w = gen.n, a_steps - 1
-    up, down = gen.up[1:n - 1, None], gen.down[1:n - 1, None]
-    if np.any(up <= 0.0) or np.any(down <= 0.0):
+    (4, rows, k) array over the states first .. last, state x at row
+    x - first; the tops t0 .. t1 read the states t0 - a + 1 .. t1.  The
+    rows of x <= 0 hold (1, 0): stepped down into them, a ratio reads 1
+    and the up/down factor 0.  A zero interior rate anywhere on the chain
+    raises ``DegenerateWindow``."""
+    n = gen.n
+    if np.any(gen.up[1:n - 1] <= 0.0) or np.any(gen.down[1:n - 1] <= 0.0):
         raise DegenerateWindow("birth-death chain has a zero interior rate")
-    c = q - gen.diagonal()[1:n - 1, None]
-    coeffs = np.zeros((4, w + n - 1, q.size), dtype=complex)
-    coeffs[[0, 2], :w + 1] = 1.0
+    pad = max(1 - first, 0)   # rows of the states <= 0
+    states = slice(first + pad, last + 1)
+    up, down = gen.up[states, None], gen.down[states, None]
+    c = q - gen.diagonal()[states, None]
+    coeffs = np.zeros((4, last - first + 1, q.size), dtype=complex)
+    coeffs[[0, 2], :pad] = 1.0
     for row, coeff in zip(coeffs, (c / up, down / up, c / down, up / down)):
-        row[w + 1:] = coeff
+        row[pad:] = coeff
     return coeffs
 
 
-def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int):
+def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int, first: int):
     """The weights of ``_a_diffusion`` for the tops i in [t0, t1] (row
-    i - t0): (up, omega, down).  Column a - d of up and omega holds the
-    split m = i - d, d = 1 .. a (omega at d < a only); up at d = min(i, a)
-    and down are the window's weights onto i + 1 and onto i - a (0 for
-    i < a).  A non-finite entry raises ``Singular``."""
+    i - t0): (up, omega, down), from ``_a_recurrences`` over the states
+    from ``first`` <= t0 - a + 1 to at least t1.  Column a - d of up and
+    omega holds the split m = i - d, d = 1 .. a (omega at d < a only); up
+    at d = min(i, a) and down are the window's weights onto i + 1 and onto
+    i - a (0 for i < a).  Each entry is stepped from its own top's
+    coefficients only, so it does not depend on t0 and t1.  A non-finite
+    entry raises ``Singular``."""
     c_up, d_up, c_dn, u_dn = coeffs
     w, rows = a - 1, t1 - t0 + 1
     up = np.zeros((rows, a, c_up.shape[1]), dtype=complex)
     omega = np.zeros(up.shape, dtype=complex)
     # 1/rho, stepped up over d for the states x0 .. t1 at once: each step
     # drops the lowest, so every entry starts from a split m = x - d >= 0
-    x0, end = max(1, t0 - w) + w, t1 + w + 1
+    x0, end = max(1, t0 - w) - first, t1 - first + 1
     inv = np.zeros((end - x0 + 1, up.shape[2]), dtype=complex)
     for d in range(1, a + 1):
         x = slice(x0 + d - 1, end)
@@ -1144,7 +1197,7 @@ def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int):
     inv = np.zeros((rows, up.shape[2]), dtype=complex)
     dn, ub = np.ones_like(inv), np.ones_like(inv)
     for e in range(a):
-        x = slice(t0 - e + w, t1 - e + w + 1)
+        x = slice(t0 - e - first, t1 - e - first + 1)
         np.multiply(u_dn[x], inv, out=inv)
         np.reciprocal(np.subtract(c_dn[x], inv, out=inv), out=inv)
         ub *= u_dn[x]
@@ -1158,15 +1211,17 @@ def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int):
     return up, omega, down
 
 
-def _a_generic(gen: Generator, q: complex, a_steps: int, b_steps: int,
+def _a_generic(dense: np.ndarray, q: complex, a_steps: int, b_steps: int,
                f_arr: np.ndarray, eta: int) -> np.ndarray:
-    """Dense double recursion over (window top, running minimum)."""
-    n = gen.n
-    if n > 2000:
-        raise TooLarge("generic drawdown-before-drawup path caps at 2000 states")
+    """Dense double recursion over (window top, running minimum) on the
+    complex generator matrix, for one node: the row at position eta.  It
+    runs on ``_a_diffusion``'s reachable strip, the tops min(N-2, eta + b
+    + 1) .. eta (an entry A[i, l] reads the tops above at the same minimum
+    l, or below it through the r_diag chain of the split minima), so the
+    chain's rows above the strip are never read."""
+    n = dense.shape[0]
     A = np.zeros((n, n), dtype=complex)   # A[i, l]: top/position i, min l
-    dense = gen.to_dense().astype(complex)
-    for i in range(n - 2, eta - 1, -1):
+    for i in range(min(n - 2, eta + b_steps + 1), eta - 1, -1):
         lo = max(0, i - a_steps + 1)
         lob = max(0, i - b_steps + 1)
         rows = np.arange(lo, i + 1)
@@ -1267,7 +1322,8 @@ def insurance_no_recovery(gen: Generator, q, a: float, x=None):
         return _per_node(_hsum_birth_death(up, down, a_steps, eta), single)
     if gen.structure == TOEPLITZ_LEVY and eta == grid.eta_x:
         return h_levy_closed_form(gen, q, a)
-    return _per_node(np.array([_EventCore(gen, q, a_steps, eta, eta, False).event_sum()
+    dense = _core_dense(gen)
+    return _per_node(np.array([_EventCore(dense, q, a_steps, eta, eta, False).event_sum()
                                for q in nodes]), single)
 
 
@@ -1409,17 +1465,23 @@ def _jn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f2_fn: Callable,
     previous one forward, on one node's event core at a time."""
     if gen.structure == BIRTH_DEATH:
         return _jn_diffusion(gen, nodes, a_steps, f2_fn, eta_x, eta_y)
+    dense = _core_dense(gen)
     tops, z = np.tril_indices(gen.n, -a_steps)
     pay = np.zeros((gen.n, gen.n), dtype=complex)
     pay[tops, z] = f2_fn(z, tops)
-    return iter(np.stack([_EventCore(gen, q, a_steps, eta_x, eta_y, True).jn(pay, count)
+    return iter(np.stack([_EventCore(dense, q, a_steps, eta_x, eta_y, True).jn(pay, count)
                           for q in nodes], axis=1))
 
 
 def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[np.ndarray]:
+    """Birth-death Jn: each count runs down the tops from N - 2 to the
+    start max eta_y, its payoff at top i the previous count's value at i
+    after the recovery from the floor.  The chain reads only the top
+    above, and every count reads only tops >= eta_y, so no top below
+    eta_y is visited."""
     nn = gen.n
     psi = psi_pair(gen, q)
-    idx = np.arange(1, nn - 1)
+    idx = np.arange(max(eta_y, 1), nn - 1)
     up, down = _window_weights(psi, idx, a_steps)
     rec = _recovery_weights(psi, idx, a_steps)
     hit = 1.0 if eta_x == eta_y else psi.ratio_plus(eta_x, eta_y)
@@ -1445,17 +1507,21 @@ def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
     elif gen.structure == TOEPLITZ_LEVY and eta_y == grid.eta_x:
         return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
     else:
-        out = np.array([_EventCore(gen, q, a_steps, eta_x, eta_y, True).event_sum()
+        dense = _core_dense(gen)
+        out = np.array([_EventCore(dense, q, a_steps, eta_x, eta_y, True).event_sum()
                         for q in nodes])
     return _per_node(out, single)
 
 
 def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
-    """O(N) backward recursion: each diagonal value couples to the one above
-    and to itself through the down-exit/recovery cycle."""
+    """Backward recursion over the tops N - 2 .. eta_y, O(N - eta_y) after
+    the pair: each diagonal value couples to the one above and to itself
+    through the down-exit/recovery cycle.  The answer reads the value at
+    eta_y, which depends only on the tops above it, so the tops below the
+    start max are never visited."""
     nn = gen.n
     psi = psi_pair(gen, q)
-    idx = np.arange(1, nn - 1)
+    idx = np.arange(max(eta_y, 1), nn - 1)
     up, dn = _window_weights(psi, idx, a_steps)
     # a window without a floor state has dn = 0: no cycle, denominator 1
     cycle = 1.0 - dn * _recovery_weights(psi, idx, a_steps)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from drawdown_ctmc.ctmc import (
+    BirthDeathGenerator,
     DenseGenerator,
     Grid,
     build_generator,
@@ -143,8 +144,9 @@ class TestDrawdownBeforeDrawup:
         gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
         nodes = np.array([1.3, 2.0 + 0.7j, 5.0 + 800j, 0.4 - 790j])
         t1 = gen.n - 2
-        coeffs = qmod._a_recurrences(gen, nodes, a_steps)
-        up, omega, down = qmod._a_weights(coeffs, a_steps, t0, t1)
+        first = 1 - a_steps   # every state a top can read, the padding rows included
+        coeffs = qmod._a_recurrences(gen, nodes, a_steps, first, t1)
+        up, omega, down = qmod._a_weights(coeffs, a_steps, t0, t1, first)
         psi = psi_pair(gen, nodes)
         # every (top i, split m = i - d) with m >= 0, d = 1 .. a
         i, d = (x.ravel() for x in np.meshgrid(np.arange(t0, t1 + 1), np.arange(1, a_steps + 1)))
@@ -1137,7 +1139,7 @@ class TestEventCore:
         dense = chain.to_dense()
         mix = None
         for eta_x, eta_y in ((eta - 3, eta + 2), (0, 1), (0, 0), (eta, eta)):
-            core = _EventCore(chain, q, a_steps, eta_x, eta_y, True)
+            core = _EventCore(dense, q, a_steps, eta_x, eta_y, True)
             if mix is None:
                 mix = np.zeros((n, n), dtype=complex)
                 for t in range(1, n):
@@ -1201,3 +1203,205 @@ class TestEventCore:
         assert gen.n > 1500
         with pytest.raises(TooLarge):
             fn(gen, self.NODES, 0.1, x=gen.states[gen.grid.eta_x + 1])
+
+
+# ---------------------------------------------------------------------------
+# the birth-death and dense routes visit only the states their answers read
+# ---------------------------------------------------------------------------
+
+STRIP_NODES = np.array([1.3, 2.0 + 0.7j, 18.4 + 30.0j, 5.0 + 800.0j])
+
+
+class TestReachableStrip:
+    """A sweeps the tops min(N-2, eta + b + 1) .. eta: a top above that
+    strip holds 0 on every minimum the answer reads, so the chain's rows
+    above it never reach the value, on either route."""
+
+    A, B = 0.2, 0.3
+
+    def strip_top(self, gen):
+        return gen.grid.eta_x + gen.grid.steps_at_least(self.B) + 1
+
+    def values(self, gen, nodes=STRIP_NODES):
+        h = gen.grid.h
+        return [drawdown_before_drawup(gen, nodes, self.A, self.B, y=y)
+                for y in (None, -2 * h, -3.5 * h)]
+
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    def test_birth_death_rates_above_the_strip_are_never_read(self, model):
+        gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.8))
+        top = self.strip_top(gen)
+        assert top < gen.n - 3
+        up, down = gen.up.copy(), gen.down.copy()
+        up[top + 1:] *= 3.0
+        down[top + 1:] *= 0.25
+        base = self.values(gen)
+        for v, w in zip(base, self.values(BirthDeathGenerator(gen.grid, up, down))):
+            assert np.array_equal(v, w)
+        # the rates of a top inside the strip do reach the value
+        up[top - 2] *= 1.5
+        assert not np.array_equal(base[0], self.values(BirthDeathGenerator(gen.grid, up, down))[0])
+
+    @pytest.mark.parametrize("chain", ["BS", "DEJD"])
+    def test_dense_rows_above_the_strip_are_never_read(self, chain):
+        if chain == "BS":
+            gen = dense_copy(build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 8, -0.8, 0.8)))
+        else:
+            gen = dense_copy(build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0))
+        top = self.strip_top(gen)
+        assert top < gen.n - 3
+        rates = gen.to_dense()
+        rates[top + 1:] = np.random.default_rng(7).uniform(0.0, 50.0, rates[top + 1:].shape)
+        nodes = STRIP_NODES[[0, 2]]
+        base = self.values(gen, nodes)
+        for v, w in zip(base, self.values(DenseGenerator(gen.grid, rates), nodes)):
+            assert np.array_equal(v, w)
+        rates[top - 2] *= 1.5
+        assert not np.array_equal(base[0], self.values(DenseGenerator(gen.grid, rates), nodes)[0])
+
+    def test_work_does_not_grow_with_the_chain(self, monkeypatch):
+        # chains that reach further up give A the same strip: the same
+        # weight-table tops and the same dense window solves
+        import drawdown_ctmc.quantities as qmod
+
+        tops, solves = [], []
+        weights, killed = qmod._a_weights, qmod._killed_solve
+
+        def counted_weights(coeffs, a, t0, t1, first):
+            tops.append(t1 - t0 + 1)
+            return weights(coeffs, a, t0, t1, first)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return killed(*args, **kwargs)
+
+        monkeypatch.setattr(qmod, "_a_weights", counted_weights)
+        monkeypatch.setattr(qmod, "_killed_solve", counted_solve)
+        counts = []
+        for y_max in (0.8, 3.0):
+            gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 8, -0.8, y_max))
+            tops.clear()
+            solves.clear()
+            drawdown_before_drawup(gen, STRIP_NODES, self.A, self.B, y=-0.05)
+            drawdown_before_drawup(dense_copy(gen), 1.3, self.A, self.B, y=-0.05)
+            counts.append((sum(tops), len(solves)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == self.strip_top(gen) - gen.grid.eta_x + 1
+
+
+def all_tops_recovery(gen, nodes, a_steps, eta_x, eta_y):
+    """Jsum and Jn's birth-death weights over every top 1 .. N-2."""
+    import drawdown_ctmc.quantities as qmod
+    from drawdown_ctmc.linsolve import psi_pair
+
+    psi = psi_pair(gen, nodes)
+    idx = np.arange(1, gen.n - 1)
+    up, down = qmod._window_weights(psi, idx, a_steps)
+    hit = 1.0 if eta_x == eta_y else psi.ratio_plus(eta_x, eta_y)
+    return idx, up, down, qmod._recovery_weights(psi, idx, a_steps), hit
+
+
+class TestRecoveryFromTheStart:
+    """Jsum and Jn run down the tops to the start max eta_y only: the
+    chain reads the top above, and no count reads a top below eta_y."""
+
+    NODES = np.array([1.0, 2.0 + 0.7j, 18.4 + 30.0j, 5.0 + 800.0j])
+
+    @pytest.fixture(params=["BS", "CEV"])
+    def gen(self, request):
+        model = ModelSpec.bs() if request.param == "BS" else ModelSpec.cev()
+        return build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+
+    def starts(self, gen):
+        eta, n = gen.grid.eta_x, gen.n
+        return ((eta - 3, eta + 2), (eta - 10, eta), (2, 5), (n - 4, n - 2))
+
+    @pytest.mark.parametrize("a_steps", [3, 8])
+    def test_jsum_matches_a_sweep_over_every_top(self, gen, a_steps):
+        import drawdown_ctmc.quantities as qmod
+
+        a = a_steps * gen.grid.h
+        for eta_x, eta_y in self.starts(gen):
+            idx, up, dn, rec, hit = all_tops_recovery(gen, self.NODES, a_steps, eta_x, eta_y)
+            cycle = 1.0 - dn * rec
+            ref = hit * qmod._chain_down(gen.n, idx, up / cycle, dn / cycle)[eta_y]
+            got = insurance_with_recovery(gen, self.NODES, a, x=gen.states[eta_x],
+                                          y=gen.states[eta_y])
+            assert np.array_equal(got, ref), (eta_x, eta_y)
+
+    @pytest.mark.parametrize("a_steps", [3, 8])
+    def test_jn_matches_a_sweep_over_every_top(self, gen, a_steps):
+        import drawdown_ctmc.quantities as qmod
+
+        a = a_steps * gen.grid.h
+        f2 = lambda z, m: np.exp(-z) + 0.1 * m
+        f2_fn = qmod._bipayoff(gen, f2)
+        for eta_x, eta_y in self.starts(gen):
+            idx, up, down, rec, hit = all_tops_recovery(gen, self.NODES, a_steps, eta_x, eta_y)
+            floor = idx >= a_steps
+            pay = np.where(floor, f2_fn(np.where(floor, idx - a_steps, 0), idx), 0.0)[:, None]
+            for n in (1, 2, 3):
+                diag = qmod._chain_down(gen.n, idx, up, down * pay)
+                got = nth_drawdown_with_recovery(gen, self.NODES, a, f2=f2, x=gen.states[eta_x],
+                                                 y=gen.states[eta_y], n=n)
+                assert np.array_equal(got, hit * diag[eta_y]), (eta_x, eta_y, n)
+                pay = rec * diag[idx]
+
+
+class TestOneSplicedPair:
+    """C's coefficients read its two killings, q + shift below the
+    breakpoint and shift above it, from one pair over k + 1 columns."""
+
+    @staticmethod
+    def two_pairs(gen, killing):
+        # the node columns and the shift column built as two pairs, joined
+        from drawdown_ctmc.linsolve import PsiPair, psi_pair
+
+        low, high = psi_pair(gen, killing[:-1]), psi_pair(gen, killing[-1:])
+        joined = object.__new__(PsiPair)
+        joined.gen, joined.single = gen, False
+        for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):
+            setattr(joined, name, np.hstack([getattr(low, name), getattr(high, name)]))
+        return joined
+
+    # A single complex node is left out: a one-column pair takes another
+    # loop of np.abs on its reversed ratios, so its bits can differ from
+    # the same node's column in a wider pair.
+    @pytest.mark.parametrize("nodes", [np.array([1.0]), STRIP_NODES, STRIP_NODES[1:3]],
+                             ids=["one real node", "four nodes", "two complex nodes"])
+    @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
+    def test_coefficients_match_two_separate_pairs(self, monkeypatch, model, nodes):
+        import drawdown_ctmc.quantities as qmod
+
+        gen = build_generator(model, build_grid(0.0, 0.2, 8, -0.8, 0.4))
+        a_steps = gen.grid.steps_of(0.2)
+        cases = [(xi, shift, stop) for xi in (0.05, 0.3, -0.1) for shift in (0.0, 0.05)
+                 for stop in (gen.grid.eta_x, 0)]
+        one = [qmod._spliced_sweep_coeffs(gen, nodes, a_steps, *case) for case in cases]
+        monkeypatch.setattr(qmod, "psi_pair", self.two_pairs)
+        for got, case in zip(one, cases):
+            ref = qmod._spliced_sweep_coeffs(gen, nodes, a_steps, *case)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref)), case
+
+
+class TestEventCoreMemory:
+    def test_one_jsum_node_of_a_557_state_lattice(self):
+        # P is freed once split, the weights w once z exists and the LU
+        # once K exists: the core used to peak at about 8.5 dense (n, n)
+        # complex arrays here, and now at about 5.5, with the same bits
+        import tracemalloc
+
+        a = 0.28768
+        gen = build_levy_generator(ModelSpec.dejd(), a / 40, -2.0, 2.0)
+        eta = gen.grid.eta_x
+        x, y = gen.states[eta - 10], gen.states[eta + 3]
+        insurance_with_recovery(gen, 2.0, a, x=x, y=y)   # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            value = insurance_with_recovery(gen, 18.4 + 30.0j, a, x=x, y=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * gen.n ** 2 * 16
+        assert (value.real.hex(), value.imag.hex()) == ("-0x1.3d631dc911a9dp-11",
+                                                        "-0x1.710940980c1dcp-12")
