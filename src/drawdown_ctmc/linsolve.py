@@ -215,7 +215,7 @@ class PsiPair:
                 and np.all(r != 0.0) and np.all(s != 0.0)):
             raise Singular("fundamental solution vanishes inside the chain or at its far end")
 
-        abs_r, abs_s = np.abs(r), np.abs(s)
+        abs_r, abs_s = np.abs(r), np.abs(rs[:, 1])[::-1]
         um = np.zeros((n, k), dtype=complex)
         uL = np.zeros((n, k))
         um[1] = 1.0
@@ -248,9 +248,7 @@ class PsiPair:
     def _columns(self, cols: slice) -> "PsiPair":
         """The pairs of the killing columns ``cols``, as views of this
         pair's arrays.  Each column's recursion is its own, so the slice
-        equals, bit for bit, a pair built from those columns alone, except
-        a pair of one complex column, whose ``np.abs`` of the reversed
-        ratios takes another loop and can differ in the last bits."""
+        equals, bit for bit, a pair built from those columns alone."""
         part = object.__new__(PsiPair)
         part.gen, part.single = self.gen, False
         for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):

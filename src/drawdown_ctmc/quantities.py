@@ -41,7 +41,7 @@ blocks of window tops (``_a_weights``).
 The birth-death and dense routes visit only the tops their answers read.
 A stops at a drawup of b from the running minimum, so its sweep runs on
 the reachable strip of tops min(N-2, eta + b + 1) .. eta, and its cost
-per node depends on a and b, not on N (``_a_diffusion``, ``_a_generic``).
+per node depends on a and b, not on N (``_a_diffusion``, ``_a_strip``).
 Jn and Jsum read their values at the start max eta_y and run down from
 the top, so they stop at eta_y.  Hsum keeps every top: its fixed point
 couples each top to the one a below it.
@@ -53,6 +53,8 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
 * the birth-death fast paths: Q and B (through the pair of the per-state
   killing), C (through the spliced pairs), A (through its weight tables),
   Hn, the Hsum partial sums, Jn and Jsum;
+* A off birth-death chains: every window and sub-window of its strip is
+  one stacked solve over the nodes (``_a_strip``);
 * the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
   and dense generators): the running vector R and the values are (n, k),
   so every block's inflow is one real GEMM over all nodes; lattice windows
@@ -61,24 +63,19 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
   masses are made once.
 
 Each window solve takes one route by the window's structure
-(``_last_rows``).  An interior lattice window killed by one node vector on
-every row (Q, Hn, the Hsum and Jsum closed forms, B's fully killed
-windows) takes one O(m^2) Levinson recursion per node on its Toeplitz
-symbol (``_toeplitz_solves``).  B's nested killing patterns step from one
-to the next by rank-one updates of each node's inverse, O(m^2 k) per
-pattern (``_NestedKilling``).  Every other window (C's fixed pattern,
-windows that reach state 0, dense generators) reduces the real window
-matrix once (the rows whose killing is the same for every node
-eliminated, the rest brought to Hessenberg form) and then costs one
-O(m^2) banded LU per node (``_node_solves``).
+(``_last_rows``): an interior lattice window killed alike on every row
+takes one O(m^2) Levinson recursion per node (``_toeplitz_solves``), B's
+nested killing patterns step by rank-one updates of each node's inverse
+(``_NestedKilling``), and every other window (C's fixed pattern, windows
+that reach state 0, dense generators) reduces the real window matrix
+once and then costs one O(m^2) banded LU per node (``_node_solves``).
 
 The birth-death Hsum fixed point builds its weights for all nodes at
 once, then solves (I - P) for all nodes in one block elimination
-(``_hsum_birth_death``).  Off birth-death chains A, Jn, and Hsum and Jsum
-where no lattice closed form applies go one node at a time: A by a dense
-recursion on its strip, the others by one event core each
-(``_EventCore``).  Each call builds the generator matrix once and shares
-it across its nodes.
+(``_hsum_birth_death``).  Off birth-death chains Jn, and Hsum and Jsum
+where no lattice closed form applies, go one node at a time, by one
+event core each (``_EventCore``).  Each call builds the generator matrix
+once and shares it across its nodes.
 """
 
 from __future__ import annotations
@@ -353,7 +350,7 @@ def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
     real Schur complement on the killed rows is reduced once to Hessenberg
     form, and each node costs one O(m^2) banded LU (``_shifted_solves``).
     A killing of another form (state dependent, or a complex offset)
-    takes one complex LU per node.
+    takes one stacked complex solve over the nodes (``_killed_solve``).
 
     Only these window solves (lattice and dense chains) need LAPACK, so
     scipy.linalg is imported here: birth-death runs never load scipy.
@@ -365,17 +362,7 @@ def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
     free, killed = np.flatnonzero(same), np.flatnonzero(~same)
     structured = np.all(kv[free, 0].imag == 0.0) and np.all(kv[killed] == kv[killed[:1]])
     if not structured:
-        diag = np.arange(m)
-        mat = np.empty((m, m), dtype=complex, order="F")
-        out = np.empty((k, m), dtype=complex)
-        for j in range(k):
-            np.negative(blk, out=mat)
-            mat[diag, diag] += kv[:, j]
-            lu = sla.lu_factor(mat, overwrite_a=True)
-            if np.any(lu[0][diag, diag] == 0.0):
-                raise Singular("window matrix is singular")
-            out[j] = sla.lu_solve(lu, rhs, trans=int(trans))
-        return out
+        return _killed_solve(blk.T if trans else blk, kv.T, rhs[:, None])[..., 0]
     mat = np.negative(blk.T if trans else blk, order="F")
     mat[free, free] += kv[free, 0].real
     out = np.empty((k, m), dtype=complex)
@@ -718,14 +705,17 @@ def _core_dense(gen: Generator) -> np.ndarray:
     return gen.to_dense()
 
 
-def _killed_solve(dense: np.ndarray, q: complex, lo: int, hi: int, rhs: np.ndarray, *,
-                  trans: bool = False) -> np.ndarray:
-    """Solution of (q I - G[lo..hi]) x = rhs on the dense generator matrix,
-    or of the transposed system: the window solve of the event core's exit
-    matrix (``_EventCore``) and of A's dense recursion."""
-    mat = q * np.eye(hi - lo + 1, dtype=complex) - dense[lo:hi + 1, lo:hi + 1]
+def _killed_solve(blk: np.ndarray, kill, rhs: np.ndarray) -> np.ndarray:
+    """Solution of (diag(kill) - blk) x = rhs for a real window block blk,
+    one system per leading index of a killing broadcasting to (..., m): one
+    node (``_EventCore``), a (k, 1) node column (``_a_strip``) or a (k, m)
+    killing per node (``_node_solves``), in one stacked solve."""
+    kill, diag = np.asarray(kill), np.arange(blk.shape[0])
+    mat = np.empty(kill.shape[:-1] + blk.shape, dtype=complex)
+    np.negative(blk, out=mat)
+    mat[..., diag, diag] += kill
     try:
-        return np.linalg.solve(mat.T if trans else mat, rhs)
+        return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise Singular(str(exc)) from exc
 
@@ -775,10 +765,11 @@ class _EventCore:
         for i in range(1, n - 1):
             lo = max(0, i - a_steps + 1)
             last = np.eye(i - lo + 1)[-1]
-            P[i] = _killed_solve(dense, q, lo, i, last, trans=True) @ dense[lo:i + 1]
+            P[i] = _killed_solve(dense[lo:i + 1, lo:i + 1].T, q, last) @ dense[lo:i + 1]
             P[i, lo:i + 1] = 0.0
-        self.below, self.above = np.tril(P, -a_steps), np.triu(P, 1)
-        del P
+        # the window's columns are 0: P less below is above, in P's storage
+        self.below = np.tril(P, -a_steps)
+        self.above = np.subtract(P, self.below, out=P)
         self.c = self.below.sum(axis=1)
         self.X, self.start = None, np.eye(1, n, eta_y)[0]
         if recovery:
@@ -804,7 +795,10 @@ class _EventCore:
         import scipy.linalg as sla
 
         general = self.X is None   # with X the system is upper triangular
-        mat = np.eye(self.c.size) - self.above - (self.below if general else self.X)
+        # I - above - other in above's storage: 0 - above keeps I - above's bits
+        mat, self.above = np.subtract(0.0, self.above, out=self.above), None
+        mat -= self.below if general else self.X
+        mat[np.diag_indices(self.c.size)] += 1.0
         try:
             D = (np.linalg.solve if general else sla.solve_triangular)(mat, self.c)
         except np.linalg.LinAlgError as exc:
@@ -816,7 +810,8 @@ class _EventCore:
         f2(z, y_i) of an event from top i landing at z."""
         import scipy.linalg as sla
 
-        free = np.eye(self.c.size) - self.above
+        # I - above in above's storage; solve_triangular supplies the diagonal
+        free, self.above = np.subtract(0.0, self.above, out=self.above), None
         d, out = np.sum(self.below * pay, axis=1), np.empty(count, dtype=complex)
         for m in range(count):
             d = sla.solve_triangular(free, self.X @ d if m else d, unit_diagonal=True)
@@ -1054,16 +1049,9 @@ def drawdown_before_drawup(gen: Generator, q, a: float, b: float,
     l0 = min(int(np.floor(y_pos + 1e-9)), eta)
     wgt = y_pos - l0
     nodes, single = _nodes(q)
-    if gen.structure == BIRTH_DEATH:
-        row = _a_diffusion(gen, nodes, a_steps, b_steps, f_arr, eta)
-    else:
-        if gen.n > 2000:
-            raise TooLarge("generic drawdown-before-drawup path caps at 2000 states")
-        dense = gen.to_dense().astype(complex)
-        row = np.stack([_a_generic(dense, q, a_steps, b_steps, f_arr, eta) for q in nodes],
-                       axis=1)
-    # minima at or below y_eta - b: the drawup has already reached b
-    row[:max(0, eta - b_steps + 1)] = 0.0
+    route = _a_diffusion if gen.structure == BIRTH_DEATH else _a_strip
+    # either row holds 0 at the minima where the drawup has reached b
+    row = route(gen, nodes, a_steps, b_steps, f_arr, eta)
     if wgt < 1e-9:
         return _per_node(row[l0], single)
     return _per_node((1.0 - wgt) * row[l0] + wgt * row[l0 + 1], single)
@@ -1211,42 +1199,54 @@ def _a_weights(coeffs: np.ndarray, a: int, t0: int, t1: int, first: int):
     return up, omega, down
 
 
-def _a_generic(dense: np.ndarray, q: complex, a_steps: int, b_steps: int,
-               f_arr: np.ndarray, eta: int) -> np.ndarray:
-    """Dense double recursion over (window top, running minimum) on the
-    complex generator matrix, for one node: the row at position eta.  It
-    runs on ``_a_diffusion``'s reachable strip, the tops min(N-2, eta + b
-    + 1) .. eta (an entry A[i, l] reads the tops above at the same minimum
-    l, or below it through the r_diag chain of the split minima), so the
-    chain's rows above the strip are never read."""
-    n = dense.shape[0]
-    A = np.zeros((n, n), dtype=complex)   # A[i, l]: top/position i, min l
-    for i in range(min(n - 2, eta + b_steps + 1), eta - 1, -1):
-        lo = max(0, i - a_steps + 1)
-        lob = max(0, i - b_steps + 1)
-        rows = np.arange(lo, i + 1)
-        rhs_f = dense[np.ix_(rows, np.arange(0, lo))] @ f_arr[:lo] if lo > 0 else np.zeros(rows.size, dtype=complex)
-        above = np.arange(i + 1, n)
-        up_block = dense[np.ix_(rows, above)]
-        # frozen-minimum columns l in [lob .. lo]
-        cols = np.arange(lob, lo + 1)
-        rhs_frozen = up_block @ A[np.ix_(above, cols)]
-        sol = _killed_solve(dense, q, lo, i, np.column_stack([rhs_f, rhs_frozen]))
-        pay = complex(sol[-1, 0])
-        A[i, lob:lo + 1] = pay + sol[-1, 1:]
-        r_diag = np.zeros(i, dtype=complex)       # R(q, y_t, y_t) indexed by t
-        if lo < i:
-            # single-state windows (a one step wide) have no interior minima
-            r_diag[lo] = complex(sol[0, 1 + (lo - lob)])
+def _a_strip(gen: Generator, nodes: np.ndarray, a_steps: int, b_steps: int,
+             f_arr: np.ndarray, eta: int) -> np.ndarray:
+    """Lattice and dense path: the double recursion over (window top,
+    running minimum) on ``_a_diffusion``'s reachable strip of tops T .. eta,
+    for all nodes at once: the row at position eta, one column per node.
+    It reads the block G[first..T], first = max(0, eta - a + 1), and the
+    payoff inflow from below first.  Its table V(node, top - low, min -
+    low) depends on a and b, not on N; the minima below low = max(0, eta -
+    b + 1) hold 0, the drawup having reached b.
+
+    Top i's window [lo..i] takes the payoff and the frozen minima l in
+    [lob..lo] as the columns of one solve: its top row gives pay and
+    V(i, l), its bottom row r_diag[lo], the value of the minimum lowered
+    to lo.  A minimum t in (lo, i] takes the sub-window [t..i], whose
+    states below t lower the minimum to themselves (r_diag[lo..t-1]).
+    Each window and sub-window is one stacked solve (``_killed_solve``).
+    """
+    n, k = gen.n, nodes.size
+    top = min(n - 2, eta + b_steps + 1)
+    first, low = max(0, eta - a_steps + 1), max(0, eta - b_steps + 1)
+    blk = gen.window_block(first, top)
+    rates = _OffDiagonal(gen, a_steps, _SWEEP_BLOCK)
+    inflow = rates.payoff_inflow(f_arr[:, None], first - 1)[first:, 0]
+    V = np.zeros((k, top - low + 1, top - low + 1), dtype=complex)
+    for i in range(top, eta - 1, -1):
+        lo, lob = max(0, i - a_steps + 1), max(0, i - b_steps + 1)
+        rows, above = slice(lo - first, i - first + 1), slice(i + 1 - first, None)
+        V_above = V[:, i + 1 - low:]   # (node, top above i, min)
+        # the payoff of the states below the window, and the frozen minima
+        rhs_f = inflow[rows] + blk[rows, :lo - first] @ f_arr[first:lo]
+        rhs = np.concatenate([np.broadcast_to(rhs_f[:, None], (k, i - lo + 1, 1)),
+                              blk[rows, above] @ V_above[..., lob - low:lo + 1 - low]], axis=2)
+        sol = _killed_solve(blk[rows, rows], nodes[:, None], rhs)
+        pay = sol[:, -1, 0]
+        V[:, i - low, lob - low:lo + 1 - low] = pay[:, None] + sol[:, -1, 1:]
+        # R(q, y_t, y_t) at column t - lo; the last column is never read
+        r_diag = np.empty((k, i - lo + 1), dtype=complex)
+        r_diag[:, 0] = sol[:, 0, 1 + (lo - lob)]
         for t in range(lo + 1, i + 1):
-            rows_t = np.arange(t, i + 1)
-            rhs_t = dense[np.ix_(rows_t, np.arange(lo, t))] @ r_diag[lo:t]
-            rhs_t += dense[np.ix_(rows_t, above)] @ A[above, t]
-            sol_t = _killed_solve(dense, q, t, i, rhs_t)
-            if t <= i - 1:
-                r_diag[t] = complex(sol_t[0])
-            A[i, t] = pay + complex(sol_t[-1])
-    return A[eta]
+            sub = slice(t - first, i - first + 1)
+            rhs_t = (blk[sub, lo - first:t - first] @ r_diag[:, :t - lo, None]
+                     + blk[sub, above] @ V_above[..., t - low, None])
+            sol_t = _killed_solve(blk[sub, sub], nodes[:, None], rhs_t)[..., 0]
+            r_diag[:, t - lo] = sol_t[:, 0]
+            V[:, i - low, t - low] = pay + sol_t[:, -1]
+    row = np.zeros((n, k), dtype=complex)
+    row[low:top + 1] = V[:, eta - low].T
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -1382,7 +1382,9 @@ def _hsum_birth_death(up: np.ndarray, down: np.ndarray, a_steps: int, eta: int) 
         if not (np.all(np.isfinite(piv)) and np.all(piv != 0.0)):
             raise FixedPointSingular("zero or non-finite pivot in the insurance fixed point")
         tail = np.cumprod(g[eta:n - 2], axis=0)
-        val = c[eta] + np.sum(c[eta + 1:n - 1] * tail, axis=0)
+        # in order: np.sum pairs a lone column's terms, so bits would follow the batch
+        terms = np.concatenate([np.zeros((1, k)), c[eta + 1:n - 1] * tail])
+        val = c[eta] + np.cumsum(terms, axis=0)[-1]
     if not np.all(np.isfinite(val)):
         raise FixedPointSingular("non-finite insurance fixed point")
     return val

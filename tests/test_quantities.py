@@ -8,6 +8,7 @@ import pytest
 from drawdown_ctmc.ctmc import (
     BirthDeathGenerator,
     DenseGenerator,
+    Generator,
     Grid,
     build_generator,
     build_grid,
@@ -608,10 +609,10 @@ def off_anchor(req):
 
 # The route each kind takes on each structure, all started at the anchor:
 # the fundamental-solution pairs, A's recurrence tables, the window sweep,
-# one of the lattice closed forms, or (an empty set) the dense generic
-# recursions.
+# one of the lattice closed forms, A's node-batched strip, or the event
+# core of Hsum, Jn and Jsum.
 ROUTE_NAMES = ("psi_pair", "_a_weights", "backward_window_sweep", "c_levy_closed_form",
-               "h_levy_closed_form", "j_levy_closed_form")
+               "h_levy_closed_form", "j_levy_closed_form", "_a_strip", "_EventCore")
 DISPATCH_CASES = [
     QuantityRequest("Q", a=0.1, q=2.0),
     QuantityRequest("A", a=0.1, b=0.15, q=2.0, y=-0.05),
@@ -622,14 +623,14 @@ DISPATCH_CASES = [
     QuantityRequest("Jn", a=0.1, q=2.0, n=2),
     QuantityRequest("Jsum", a=0.1, q=2.0),
 ]
-SWEEP = {"backward_window_sweep"}
+SWEEP, STRIP, CORE = {"backward_window_sweep"}, {"_a_strip"}, {"_EventCore"}
 EXPECTED_ROUTE = {
     "birth-death": {r.kind: {"_a_weights" if r.kind == "A" else "psi_pair"}
                     for r in DISPATCH_CASES},
-    "DEJD": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": {"c_levy_closed_form"}, "Hn": SWEEP,
-             "Hsum": {"h_levy_closed_form"}, "Jn": set(), "Jsum": {"j_levy_closed_form"}},
-    "dense": {"Q": SWEEP, "A": set(), "B": SWEEP, "C": SWEEP, "Hn": SWEEP,
-              "Hsum": set(), "Jn": set(), "Jsum": set()},
+    "DEJD": {"Q": SWEEP, "A": STRIP, "B": SWEEP, "C": {"c_levy_closed_form"}, "Hn": SWEEP,
+             "Hsum": {"h_levy_closed_form"}, "Jn": CORE, "Jsum": {"j_levy_closed_form"}},
+    "dense": {"Q": SWEEP, "A": STRIP, "B": SWEEP, "C": SWEEP, "Hn": SWEEP,
+              "Hsum": CORE, "Jn": CORE, "Jsum": CORE},
 }
 DISPATCH = [(s, r) for s in EXPECTED_ROUTE for r in DISPATCH_CASES]
 
@@ -805,8 +806,9 @@ class TestNodeAxis:
         # routes serves it, against one dense complex solve per node; each
         # reduction also in both orientations on the route's own killing
         # (all rows, or a row subset for C), one real node, and two
-        # killings that must take the per-node LU (a complex offset on a
-        # row shared by the nodes, and a state-dependent killing)
+        # killings that must skip the reduction for one stacked solve (a
+        # complex offset on a row shared by the nodes, and a state-dependent
+        # killing)
         import drawdown_ctmc.quantities as qmod
 
         gen = chains["DEJD"]
@@ -861,11 +863,11 @@ class TestNodeAxis:
             offset[0] = 0.5 + 0.5j
             state = np.linspace(1.0, 2.0, m)[:, None] * self.NODES
             for trans in (False, True):
-                for kill, per_node_lu in ((kv, False), (kv[:, :1].real + 0j, False),
-                                          (offset, True), (state, m > 1)):
+                for kill, stacked in ((kv, False), (kv[:, :1].real + 0j, False),
+                                      (offset, True), (state, m > 1)):
                     before = len(reduced)
                     got = solve(blk, kill, rhs, trans=trans)
-                    assert not (per_node_lu and len(reduced) > before)
+                    assert not (stacked and len(reduced) > before)
                     for j in range(kill.shape[1]):
                         mat = np.diag(kill[:, j]) - blk
                         ref = np.linalg.solve(mat.T if trans else mat, rhs.astype(complex))
@@ -1364,11 +1366,10 @@ class TestOneSplicedPair:
             setattr(joined, name, np.hstack([getattr(low, name), getattr(high, name)]))
         return joined
 
-    # A single complex node is left out: a one-column pair takes another
-    # loop of np.abs on its reversed ratios, so its bits can differ from
-    # the same node's column in a wider pair.
-    @pytest.mark.parametrize("nodes", [np.array([1.0]), STRIP_NODES, STRIP_NODES[1:3]],
-                             ids=["one real node", "four nodes", "two complex nodes"])
+    @pytest.mark.parametrize("nodes", [np.array([1.0]), STRIP_NODES, STRIP_NODES[1:3],
+                                       STRIP_NODES[2:3]],
+                             ids=["one real node", "four nodes", "two complex nodes",
+                                  "one complex node"])
     @pytest.mark.parametrize("model", [ModelSpec.bs(), ModelSpec.cev()], ids=["BS", "CEV"])
     def test_coefficients_match_two_separate_pairs(self, monkeypatch, model, nodes):
         import drawdown_ctmc.quantities as qmod
@@ -1386,9 +1387,10 @@ class TestOneSplicedPair:
 
 class TestEventCoreMemory:
     def test_one_jsum_node_of_a_557_state_lattice(self):
-        # P is freed once split, the weights w once z exists and the LU
-        # once K exists: the core used to peak at about 8.5 dense (n, n)
-        # complex arrays here, and now at about 5.5, with the same bits
+        # P becomes its part above the top, the weights w are freed once z
+        # exists and the LU once K exists: the core used to peak at about
+        # 8.5 dense (n, n) complex arrays here, and now at about 5.5, with
+        # the same bits
         import tracemalloc
 
         a = 0.28768
@@ -1405,3 +1407,93 @@ class TestEventCoreMemory:
         assert peak < 6.0 * gen.n ** 2 * 16
         assert (value.real.hex(), value.imag.hex()) == ("-0x1.3d631dc911a9dp-11",
                                                         "-0x1.710940980c1dcp-12")
+
+    def test_one_hsum_node_of_a_557_state_lattice(self):
+        # I - above - below is built in above's storage, and above in P's:
+        # one Hsum node off the anchor used to peak at about 4.0 dense (n, n)
+        # complex arrays here, and now at about 2.6.  Its bits are those of
+        # I - above - below built from two temporaries and solved in the same
+        # process: a recorded value would pin the BLAS thread count, since
+        # the blocked LU of the 557-state system moves its last bits with it
+        import tracemalloc
+
+        a, q = 0.28768, 18.4 + 30.0j
+        gen = build_levy_generator(ModelSpec.dejd(), a / 40, -2.0, 2.0)
+        eta = gen.grid.eta_x - 10
+        insurance_no_recovery(gen, 2.0, a, x=gen.states[eta])   # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            value = insurance_no_recovery(gen, q, a, x=gen.states[eta])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * gen.n ** 2 * 16
+        core = _EventCore(gen.to_dense(), q, 40, eta, eta, False)
+        mat = np.eye(gen.n) - core.above - core.below
+        assert value == complex(core.start @ np.linalg.solve(mat, core.c))
+
+
+class TestBatchIndependence:
+    """A node's value does not depend on its batch: one node alone gives
+    the bits of its column in the vector of all 27 inversion nodes."""
+
+    NODES, _ = inversion_nodes_weights(0.5)
+
+    @pytest.fixture(scope="class", params=["BS", "CEV"])
+    def chain(self, request):
+        model = ModelSpec.bs() if request.param == "BS" else ModelSpec.cev()
+        return build_generator(model, build_grid(0.0, 0.2, 40, -2.0, 2.0))   # 801 states
+
+    @pytest.mark.parametrize("req", TestNodeAxis.CASES, ids=[r.kind for r in TestNodeAxis.CASES])
+    def test_single_node_is_bitwise_its_column(self, chain, req):
+        batched = evaluate(chain, replace(req, q=self.NODES))
+        single = np.array([evaluate(chain, replace(req, q=q)) for q in self.NODES])
+        assert np.array_equal(batched, single)
+
+
+class TestAStrip:
+    """A off birth-death chains: one route over the strip's window block
+    for all nodes, pinned to the product chain, with no dense generator
+    matrix and work that does not grow with the chain."""
+
+    @pytest.fixture(scope="class", params=["DEJD", "VG"])
+    def lattice(self, request):
+        model = ModelSpec.dejd() if request.param == "DEJD" else ModelSpec.vg()
+        return build_levy_generator(model, 0.025, -1.0, 1.0)   # 81 states
+
+    @pytest.mark.parametrize("q", [2.0, 18.4 + 30.0j])
+    @pytest.mark.parametrize("steps_below", [0, 2])
+    def test_matches_the_product_chain(self, lattice, q, steps_below):
+        y = lattice.grid.x0 - steps_below * lattice.grid.h
+        req = QuantityRequest("A", a=0.2, b=0.3, q=q, y=y)
+        assert abs(evaluate(lattice, req) - dense_product_solve(lattice, req)) <= 1e-9
+
+    def test_never_builds_the_dense_matrix(self, lattice, monkeypatch):
+        def refuse(self):
+            raise AssertionError("A built the dense generator matrix")
+
+        monkeypatch.setattr(Generator, "to_dense", refuse)
+        y = lattice.grid.x0 - 0.05
+        assert np.all(np.isfinite(drawdown_before_drawup(lattice, STRIP_NODES, 0.2, 0.3, y=y)))
+
+    def test_solves_do_not_grow_with_the_truncation(self, monkeypatch):
+        # +-1, +-2 and +-4 at h = 0.01: the same window and sub-window
+        # solves, 32 tops of one window and 19 sub-windows each
+        import drawdown_ctmc.quantities as qmod
+
+        calls = []
+
+        def counted(blk, kill, rhs, _fn=qmod._killed_solve):
+            calls.append((blk.shape, np.shape(kill), rhs.shape))
+            return _fn(blk, kill, rhs)
+
+        monkeypatch.setattr(qmod, "_killed_solve", counted)
+        seen = {}
+        for width in (1.0, 2.0, 4.0):
+            gen = build_levy_generator(ModelSpec.dejd(), 0.01, -width, width)
+            calls.clear()
+            drawdown_before_drawup(gen, STRIP_NODES[:2], 0.2, 0.3, y=gen.grid.x0 - 0.05)
+            seen[gen.n] = list(calls)
+        assert list(seen) == [201, 401, 801]
+        assert len(seen[201]) == 640
+        assert seen[201] == seen[401] == seen[801]
