@@ -26,7 +26,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,12 +85,14 @@ class NoBenchmark(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (one quantity, one model, a grid study)."""
+    """Validated run configuration (one quantity, one model, a grid study).
+    Its defaults, and those of InversionConfig and McConfig, are the only
+    ones: the loader passes just the keys a configuration sets."""
 
     model: ModelSpec
-    kind: str
-    a: float
-    T: float
+    kind: str = "Q"
+    a: float = 0.2
+    T: float = 0.5
     b: float | None = None
     xi: float | None = None
     n: int = 1
@@ -145,15 +147,39 @@ class RunConfig:
             raise ConfigError(f"drift_scheme must be one of {ctmc.DRIFT_SCHEMES}")
 
 
-_KEYS = {
-    "model": {"kind", "r_f", "d", "sigma", "beta", "lam", "lambda", "p_plus", "p_minus",
-              "eta_plus", "eta_minus", "theta", "nu_vg", "s0"},
-    "quantity": {"kind", "a", "t", "b", "xi", "n", "x", "y", "payoff"},
-    "grid": {"n_x", "y_min", "y_max", "levy_truncation", "drift_scheme"},
-    "laplace": {"decay", "base_terms", "euler_terms"},
-    "output": {"csv", "benchmark", "precision", "timings"},
-    "mc": {"n_paths", "seed", "horizon_cap"},
+def _integer(value: str) -> int:
+    """Integer keys take float syntax too ("1e5", "18.0"); a fraction truncates."""
+    return int(float(value))
+
+
+def _n_x_list(value: str) -> tuple:
+    try:
+        return tuple(int(tok) for tok in value.replace(" ", "").split(",") if tok)
+    except ValueError as exc:
+        raise ConfigError(f"bad n_x list {value!r}") from exc
+
+
+# section -> key -> (field, parser).  [laplace] fills InversionConfig, [mc]
+# McConfig and the other sections RunConfig; [model] is _parse_model's.
+_FIELDS = {
+    "quantity": {"kind": ("kind", str), "a": ("a", float), "t": ("T", float),
+                 "b": ("b", float), "xi": ("xi", float), "n": ("n", _integer),
+                 "x": ("x", float), "y": ("y", float), "payoff": ("payoff", str)},
+    "grid": {"n_x": ("n_x", _n_x_list), "y_min": ("y_min", float), "y_max": ("y_max", float),
+             "levy_truncation": ("levy_truncation", float),
+             "drift_scheme": ("drift_scheme", str)},
+    "laplace": {"decay": ("decay_param", float), "base_terms": ("base_terms", _integer),
+                "euler_terms": ("euler_terms", _integer)},
+    "output": {"csv": ("csv_path", str),
+               "benchmark": ("benchmark", lambda v: v if v == "self" else float(v)),
+               "precision": ("precision", str),
+               "timings": ("timings", lambda v: v.lower() == "true")},
+    "mc": {"n_paths": ("n_paths", _integer), "seed": ("seed", _integer),
+           "horizon_cap": ("horizon_cap", float)},
 }
+
+_KEYS = {"model": {f.name for f in fields(ModelSpec)} | {"lambda", "s0"},
+         **{section: set(keys) for section, keys in _FIELDS.items()}}
 
 
 def _parse_model(sec) -> ModelSpec:
@@ -201,63 +227,21 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
         raise ConfigError("missing [model] section")
     if not parser.has_section("quantity"):
         raise ConfigError("missing [quantity] section")
-    model = _parse_model(parser["model"])
-    q = parser["quantity"]
-    g = parser["grid"] if parser.has_section("grid") else {}
-    lp = parser["laplace"] if parser.has_section("laplace") else {}
-    out = parser["output"] if parser.has_section("output") else {}
-    mc = parser["mc"] if parser.has_section("mc") else {}
-
-    def fget(sec, key, default=None):
-        if key in sec:
-            return float(sec[key])
-        return default
-
-    x = fget(q, "x", None)
-    if x is None:
-        x = float(np.log(fget(parser["model"], "s0", 1.0)))
-    n_x_raw = g.get("n_x", "20,40,80,160")
+    run, parts = {}, {"laplace": {}, "mc": {}}
     try:
-        n_x = tuple(int(tok) for tok in str(n_x_raw).replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ConfigError(f"bad n_x list {n_x_raw!r}") from exc
-    benchmark = out.get("benchmark")
-    if benchmark is not None and benchmark != "self":
-        benchmark = float(benchmark)
-    try:
-        laplace = InversionConfig(
-            decay_param=fget(lp, "decay", 18.4),
-            base_terms=int(fget(lp, "base_terms", 15)),
-            euler_terms=int(fget(lp, "euler_terms", 11)),
-        )
-        mc_cfg = McConfig(
-            n_paths=int(fget(mc, "n_paths", 100_000)),
-            seed=int(fget(mc, "seed", 0)),
-            horizon_cap=fget(mc, "horizon_cap", 200.0),
-        )
-        return RunConfig(
-            model=model,
-            kind=q.get("kind", "Q"),
-            a=fget(q, "a", 0.2),
-            T=fget(q, "t", 0.5),
-            b=fget(q, "b"),
-            xi=fget(q, "xi"),
-            n=int(fget(q, "n", 1)),
-            x=x,
-            y=fget(q, "y"),
-            payoff=q.get("payoff", "one"),
-            n_x=n_x,
-            y_min=fget(g, "y_min", -4.0),
-            y_max=fget(g, "y_max", 4.0),
-            levy_truncation=fget(g, "levy_truncation"),
-            drift_scheme=g.get("drift_scheme", "auto"),
-            laplace=laplace,
-            csv_path=out.get("csv"),
-            benchmark=benchmark,
-            precision=out.get("precision", "6"),
-            timings=str(out.get("timings", "false")).lower() == "true",
-            mc=mc_cfg,
-        )
+        model = _parse_model(parser["model"])
+        for section in parser.sections():
+            if section == "model":
+                continue
+            target = parts.get(section, run)
+            for key, value in parser[section].items():
+                name, parse = _FIELDS[section][key]
+                target[name] = parse(value)
+        if "x" not in run and "s0" in parser["model"]:
+            run["x"] = float(np.log(float(parser["model"]["s0"])))
+        laplace = InversionConfig(**parts["laplace"])
+        mc = McConfig(**parts["mc"])
+        return RunConfig(model=model, laplace=laplace, mc=mc, **run)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -358,14 +342,15 @@ def _node_request(cfg: RunConfig, q) -> tuple[QuantityRequest, complex]:
     return req, q
 
 
-def _snap_request(gen, req: QuantityRequest) -> QuantityRequest:
+def _snap_request(gen, req: QuantityRequest, *, exact_a: bool = True) -> QuantityRequest:
     """Snap start values onto the grid where the quantity requires it
-    (quantity A interpolates in y internally and keeps the exact value)."""
+    (quantity A interpolates in y internally and keeps the exact value,
+    unless ``exact_a`` is false)."""
     grid = gen.grid
     changes = {}
     if req.x is not None:
         changes["x"] = float(grid.states[grid.nearest_index(req.x)])
-    if req.y is not None and req.kind != "A":
+    if req.y is not None and not (exact_a and req.kind == "A"):
         changes["y"] = float(grid.states[grid.nearest_index(req.y)])
     return replace(req, **changes)
 
@@ -499,11 +484,8 @@ def run_oracle(cfg: RunConfig, mc_cfg: McConfig | None = None) -> list:
     for n_x in cfg.n_x:
         gen = _build_generator_for(cfg, n_x, scheme)
         req, _ = _node_request(cfg, q)
-        req = _snap_request(gen, req)
-        if req.y is not None:
-            # simulation tracks lattice states; snap even where the
-            # analytic path would interpolate
-            req = replace(req, y=float(gen.grid.states[gen.grid.nearest_index(req.y)]))
+        # simulation tracks lattice states, so A's minimum is snapped too
+        req = _snap_request(gen, req, exact_a=False)
         analytic = evaluate(gen, req).real
         est, stderr = mc_estimate(gen, req, mc_cfg)
         z = (est - analytic) / stderr if stderr > 0 else 0.0

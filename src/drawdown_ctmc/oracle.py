@@ -21,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import BIRTH_DEATH, Generator
-from .linsolve import killing_values
+from .linsolve import _payoff_array, killing_values
 from .quantities import (
     QuantityRequest,
     TooLarge,
+    _anchor_index,
+    _b_killing,
+    _bipayoff,
     drawdown_occupation_killing,
-    occupation_below_killing,
 )
 
 __all__ = [
@@ -64,20 +66,10 @@ class McConfig:
 # ---------------------------------------------------------------------------
 # request helpers shared by both oracles
 # ---------------------------------------------------------------------------
-
-def _payoff_vec(gen: Generator, f) -> np.ndarray:
-    if f is None:
-        return np.ones(gen.n)
-    if callable(f):
-        return np.asarray(f(gen.states), dtype=float)
-    return np.asarray(f, dtype=float)
-
-
-def _k_vec(gen: Generator, req: QuantityRequest) -> np.ndarray:
-    if req.xi is None:
-        return np.full(gen.n, complex(req.q) + complex(req.shift))
-    return killing_values(occupation_below_killing(req.q, req.xi, req.shift), gen.states)
-
+#
+# A request's payoffs, killings and start are read by the analytic side's
+# own readers, so that the oracles check the problem the routes solve; only
+# the algorithms that follow are independent.
 
 def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
     states = gen.states
@@ -85,12 +77,9 @@ def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
 
 
 def _f2_mat(gen: Generator, f2) -> np.ndarray:
-    states = gen.states
-    if f2 is None:
-        return np.ones((gen.n, gen.n))
-    if callable(f2):
-        return np.asarray(f2(states[:, None], states[None, :]), dtype=float)
-    return np.asarray(f2, dtype=float)
+    """The real bivariate payoff at every (position, max) pair of states."""
+    at = np.arange(gen.n)
+    return _bipayoff(gen, f2)(at[:, None], at[None, :]).real
 
 
 def _require_scalar_q(req: QuantityRequest) -> None:
@@ -99,10 +88,8 @@ def _require_scalar_q(req: QuantityRequest) -> None:
 
 
 def _start_indices(gen: Generator, req: QuantityRequest):
-    grid = gen.grid
-    ix = grid.eta_x if req.x is None else grid.index_of(req.x)
-    iy = ix if req.y is None else grid.index_of(req.y)
-    return ix, iy
+    ix = _anchor_index(gen, req.x)
+    return ix, ix if req.y is None else _anchor_index(gen, req.y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +280,13 @@ def _flag_chain(gen: Generator, a_steps: int, q: complex, cap: int, rearm_after:
 
 def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     a_steps = gen.grid.steps_of(req.a)
-    f = _payoff_vec(gen, req.f)
-    if req.kind == "Q":
-        kv = np.full(gen.n, complex(req.q))
-        kappa = lambda i, m: kv[i]
-    elif req.kind == "B":
-        kv = _k_vec(gen, req)
-        kappa = lambda i, m: kv[i]
-    else:
+    f = _payoff_array(gen, req.f).real
+    if req.kind == "C":
         k2 = _k2_mat(gen, req)
         kappa = lambda i, m: k2[i, m]
+    else:   # Q's killing is q, as q_drawdown takes it
+        kv = killing_values(req.q if req.kind == "Q" else _b_killing(req), gen.states)
+        kappa = lambda i, m: kv[i]
     base, chain = _pair_chain(gen, a_steps, kappa, cap)
     sol = chain.solve(lambda j, m: f[j])
     ix, _ = _start_indices(gen, req)
@@ -311,7 +295,7 @@ def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
 
 def _product_hn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     a_steps = gen.grid.steps_of(req.a)
-    level = _payoff_vec(gen, req.f).astype(complex)
+    level = _payoff_array(gen, req.f)
     q = complex(req.q)
     base, chain = _pair_chain(gen, a_steps, lambda i, m: q, cap)
     fresh = base + np.arange(gen.n)    # the pairs (j, j)
@@ -351,7 +335,7 @@ def _triple_solve_a(gen: Generator, req: QuantityRequest, cap: int) -> complex:
         chain.fired(src, i, m, fired)
         pair = np.where(keep, np.where(up, base[np.maximum(m, j)], base[m]) + j, 0)
         chain.jumps(src, tbase[pair] + np.where(up, low, np.minimum(low, j)), rate, keep)
-    f = _payoff_vec(gen, req.f)
+    f = _payoff_array(gen, req.f).real
     sol = chain.solve(lambda j, m: f[j])
     return complex(sol[tbase[base[ix] + ix] + iy])
 
@@ -426,7 +410,7 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     kind = req.kind
     k_vec = k_mat = f2 = None
     if kind == "B":
-        kv = _k_vec(gen, req)
+        kv = killing_values(_b_killing(req), gen.states)
         if np.abs(kv.imag).max() > 0:
             raise ValueError("MC oracle requires real killing rates")
         k_vec = kv.real
@@ -435,9 +419,9 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
         if np.abs(km.imag).max() > 0:
             raise ValueError("MC oracle requires real killing rates")
         k_mat = np.ascontiguousarray(km.real)
-    elif kind in ("Jn", "Jsum"):
+    elif kind == "Jn":
         f2 = _f2_mat(gen, req.f2)
-    f = _payoff_vec(gen, req.f)
+    f = _payoff_array(gen, req.f).real
     a_steps = gen.grid.steps_of(req.a)
     b_steps = gen.grid.steps_at_least(req.b) if req.b is not None else None
     ix, iy = _start_indices(gen, req)

@@ -213,6 +213,14 @@ def occupation_below_killing(q, xi: float, shift: complex = 0.0) -> Callable:
     return fn
 
 
+def _b_killing(req: QuantityRequest):
+    """B's killing, as ``occupation_until_drawdown`` takes it: q below the
+    threshold xi (everywhere without one) plus the shift."""
+    if req.xi is not None:
+        return occupation_below_killing(req.q, req.xi, req.shift)
+    return np.asarray(req.q) + complex(req.shift)
+
+
 def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> Callable:
     """k(x, max) = q 1_{max - x > xi} + shift as a function of (states,
     running max), roundoff-safe; a node vector q gives one column per node."""
@@ -1220,8 +1228,11 @@ def _a_strip(gen: Generator, nodes: np.ndarray, a_steps: int, b_steps: int,
     top = min(n - 2, eta + b_steps + 1)
     first, low = max(0, eta - a_steps + 1), max(0, eta - b_steps + 1)
     blk = gen.window_block(first, top)
-    rates = _OffDiagonal(gen, a_steps, _SWEEP_BLOCK)
-    inflow = rates.payoff_inflow(f_arr[:, None], first - 1)[first:, 0]
+    if gen.structure == TOEPLITZ_LEVY:
+        inflow = _toeplitz_D_init(gen, f_arr[:, None], first - 1)[first:, 0]
+    else:   # rows first..T only, into the states below first
+        below = np.array([gen.row(m)[:first] for m in range(first, top + 1)])
+        inflow = _real_times(below, f_arr[:first, None])[:, 0]
     V = np.zeros((k, top - low + 1, top - low + 1), dtype=complex)
     for i in range(top, eta - 1, -1):
         lo, lob = max(0, i - a_steps + 1), max(0, i - b_steps + 1)
@@ -1430,7 +1441,8 @@ def h_levy_closed_form(gen: Generator, q, a: float):
 def _bipayoff(gen: Generator, f2) -> Callable:
     states = gen.states
     if f2 is None:
-        return lambda z_idx, y_idx: np.ones(np.size(z_idx), dtype=complex)
+        return lambda z_idx, y_idx: np.ones(np.broadcast_shapes(np.shape(z_idx), np.shape(y_idx)),
+                                            dtype=complex)
     if callable(f2):
         return lambda z_idx, y_idx: np.asarray(
             f2(states[np.asarray(z_idx)], states[y_idx]), dtype=complex)
@@ -1493,8 +1505,9 @@ def _jn_diffusion(gen, q, a_steps, f2_fn, eta_x, eta_y) -> Iterator[np.ndarray]:
     while True:
         diag = _chain_down(nn, idx, up, down * pay)
         yield hit * diag[eta_y]
-        # this count's value at (floor, max = top): must recover to the top
-        pay = rec * diag[idx]
+        # this count's value at (floor, max = top): must recover to the top;
+        # the temporary goes first, so NumPy's in-place elision keeps the order
+        pay = diag[idx] * rec
 
 
 def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
@@ -1589,11 +1602,7 @@ def evaluate(gen: Generator, req: QuantityRequest):
     if kind == "A":
         return drawdown_before_drawup(gen, req.q, req.a, req.b, f=req.f, x=req.x, y=req.y)
     if kind == "B":
-        if req.xi is not None:
-            k = occupation_below_killing(req.q, req.xi, req.shift)
-        else:
-            k = np.asarray(req.q) + complex(req.shift)
-        return occupation_until_drawdown(gen, k, req.a, f=req.f, x=req.x)
+        return occupation_until_drawdown(gen, _b_killing(req), req.a, f=req.f, x=req.x)
     if kind == "C":
         return drawdown_occupation(gen, req.q, req.a, req.xi, f=req.f, x=req.x, shift=req.shift)
     if kind == "Hn":

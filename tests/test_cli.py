@@ -3,9 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from drawdown_ctmc import cli
 from drawdown_ctmc.cli import (
     ConfigError,
     NoBenchmark,
+    PriceTable,
+    RunConfig,
     load_config,
     main,
     run_convergence,
@@ -13,7 +16,8 @@ from drawdown_ctmc.cli import (
     run_price,
     run_table,
 )
-from drawdown_ctmc.laplace import NodeFailure, inversion_nodes_weights, richardson
+from drawdown_ctmc.laplace import InversionConfig, NodeFailure, inversion_nodes_weights, richardson
+from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import McConfig
 
 
@@ -38,6 +42,13 @@ class TestConfig:
         assert cfg.laplace.decay_param == 20.0
         assert cfg.kind == "B"
         assert cfg.model.kind == "BS"
+
+    def test_defaults_are_the_dataclasses_own(self):
+        # the loader passes only the keys a configuration sets
+        cfg = load_config(None, ["model.kind=BS", "quantity.kind=Q"])
+        assert cfg == RunConfig(model=ModelSpec(kind="BS"))
+        assert cfg.laplace == InversionConfig()
+        assert cfg.mc == McConfig()
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -151,6 +162,13 @@ class TestMain:
                      "quantity.a=-1", "quantity.t=0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["model.sigma=abc", "model.s0=abc", "quantity.x=abc",
+                                     "quantity.a=abc", "output.benchmark=abc"])
+    def test_non_numeric_value_exit_two(self, capsys, bad):
+        code = main(["price", "model.kind=BS", "quantity.kind=Q", "grid.n_x=8", bad])
+        assert code == 2
+        assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+
     def test_event_sum_payoff_exit_two(self, capsys):
         code = main(["price", "-c", os.path.join(CONFIG_DIR, "insurance_no_recovery_bs.ini"),
                      "grid.n_x=20", "quantity.payoff=zero"])
@@ -207,14 +225,42 @@ class TestMain:
         with open(out) as fh:
             assert fh.readline().strip() == "i,j,rate"
 
-    def test_aw_flag_aliases(self):
-        cfg = load_config(None, [
-            "model.kind=BS", "quantity.kind=Q", "quantity.a=0.2", "quantity.t=0.5",
+    def test_aw_flag_aliases(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_price", lambda cfg: seen.append(cfg) or PriceTable([], {}))
+        base = ["model.kind=BS", "quantity.kind=Q", "grid.n_x=8"]
+        code = main(["price", "--aw-decay", "20", "--aw-terms", "18", "--aw-euler", "12",
+                     "--precision", "full", "--timings", *base])
+        assert code == 0
+        (cfg,) = seen
+        assert cfg.laplace == InversionConfig(decay_param=20.0, base_terms=18, euler_terms=12)
+        assert cfg.precision == "full" and cfg.timings
+        assert cfg == load_config(None, base + [
             "laplace.decay=20", "laplace.base_terms=18", "laplace.euler_terms=12",
-        ])
-        assert cfg.laplace.decay_param == 20.0
-        assert cfg.laplace.base_terms == 18
-        assert cfg.laplace.euler_terms == 12
+            "output.precision=full", "output.timings=true"])
+
+    def test_price_prints_one_row(self, capsys):
+        code = main(["price", "-c", os.path.join(CONFIG_DIR, "occupation_digital_bs.ini"),
+                     "grid.n_x=8"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("n_x,value,abs_err,rel_err,extrapolated,rel_err_extrapolated")
+        (row,) = [line.split(",") for line in lines[header + 1:]]
+        assert len(row) == 6 and row[0] == "8"
+        assert 0.0 < float(row[1]) < 1.0 and row[4] == row[5] == ""
+
+    def test_oracle_prints_one_row(self, capsys):
+        code = main(["oracle", "-c", os.path.join(CONFIG_DIR, "occupation_digital_bs.ini"),
+                     "grid.n_x=8", "mc.n_paths=2000"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n_x,analytic,mc,stderr,z,dense"
+        (row,) = [line.split(",") for line in lines[1:]]
+        assert len(row) == 6 and row[0] == "8"
+        analytic, mc, stderr, z, dense = map(float, row[1:])
+        assert stderr > 0.0 and abs(z) < 4.0
+        # both printed to nine decimals: one unit of the last is rounding
+        assert abs(analytic - dense) <= 1.5e-9
 
 
 class TestNonFiniteNode:

@@ -19,6 +19,7 @@ from drawdown_ctmc.quantities import (
     QuantityRequest,
     TooLarge,
     drawdown_occupation_killing,
+    evaluate,
     nth_drawdown_no_recovery,
     q_drawdown,
 )
@@ -269,6 +270,22 @@ class TestDenseProduct:
             dense_product_solve(gen, QuantityRequest("A", a=0.2, b=0.2, q=1.0, y=0.3))
         with pytest.raises(ValueError, match="reference max"):
             dense_product_solve(gen, QuantityRequest("Jsum", a=0.2, q=1.0, y=0.1))
+
+    def test_request_read_as_the_routes_read_it(self):
+        # the oracles read payoffs through the analytic side's reader: a
+        # payoff array of the wrong length is rejected on both sides, and
+        # Hn's product chain keeps a complex payoff
+        gen = tiny_chain()
+        short = QuantityRequest("Q", a=0.2, q=1.0, f=np.ones(gen.n - 1))
+        for solve in (evaluate, dense_product_solve):
+            with pytest.raises(ValueError, match="one value per state"):
+                solve(gen, short)
+        with pytest.raises(ValueError, match="one value per state"):
+            mc_estimate(gen, short, McConfig(n_paths=10))
+        req = QuantityRequest("Hn", a=0.2, q=1.0, n=2, f=(1.0 + 2.0j) * gen.states)
+        value = evaluate(gen, req)
+        assert value.imag > 0.0
+        assert abs(dense_product_solve(gen, req) - value) <= 1e-12 * abs(value)
 
     def test_node_vector_rejected(self):
         gen = tiny_chain()

@@ -1347,7 +1347,7 @@ class TestRecoveryFromTheStart:
                 got = nth_drawdown_with_recovery(gen, self.NODES, a, f2=f2, x=gen.states[eta_x],
                                                  y=gen.states[eta_y], n=n)
                 assert np.array_equal(got, hit * diag[eta_y]), (eta_x, eta_y, n)
-                pay = rec * diag[idx]
+                pay = diag[idx] * rec
 
 
 class TestOneSplicedPair:
@@ -1450,6 +1450,20 @@ class TestBatchIndependence:
         single = np.array([evaluate(chain, replace(req, q=q)) for q in self.NODES])
         assert np.array_equal(batched, single)
 
+    @pytest.mark.parametrize("model", ["BS", "CEV"])
+    @pytest.mark.parametrize("req", [QuantityRequest("Jn", a=0.2, n=2),
+                                     QuantityRequest("Jn", a=0.2, n=3, x=-0.1, y=0.05)],
+                             ids=["anchor", "off-anchor"])
+    def test_jn_on_1601_states(self, model, req):
+        # from 256 KiB on, NumPy runs `array * temporary` in place as
+        # `temporary * array`, and complex products are not commutative bit
+        # for bit: Jn's recovery product keeps its operand order at any size
+        spec = ModelSpec.bs() if model == "BS" else ModelSpec.cev()
+        chain = build_generator(spec, build_grid(0.0, 0.2, 40, -4.0, 4.0))
+        batched = evaluate(chain, replace(req, q=self.NODES))
+        single = np.array([evaluate(chain, replace(req, q=q)) for q in self.NODES])
+        assert np.array_equal(batched, single)
+
 
 class TestAStrip:
     """A off birth-death chains: one route over the strip's window block
@@ -1475,6 +1489,23 @@ class TestAStrip:
         monkeypatch.setattr(Generator, "to_dense", refuse)
         y = lattice.grid.x0 - 0.05
         assert np.all(np.isfinite(drawdown_before_drawup(lattice, STRIP_NODES, 0.2, 0.3, y=y)))
+
+    def test_dense_chain_reads_only_the_strip_rows(self):
+        # the payoff inflow from below the strip reads rows first..T of a
+        # dense chain, not a copy of its n x n matrix
+        import tracemalloc
+
+        bd = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 40, -2.0, 2.0))   # 801 states
+        gen, nodes, y = dense_copy(bd), STRIP_NODES[:2], -0.05
+        drawdown_before_drawup(gen, nodes, 0.2, 0.3, y=y)   # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            value = drawdown_before_drawup(gen, nodes, 0.2, 0.3, y=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * gen.n ** 2 * 8
+        assert np.all(np.abs(value - drawdown_before_drawup(bd, nodes, 0.2, 0.3, y=y)) <= 1e-10)
 
     def test_solves_do_not_grow_with_the_truncation(self, monkeypatch):
         # +-1, +-2 and +-4 at h = 0.01: the same window and sub-window
