@@ -5,7 +5,8 @@ Two routes that never touch the windowed recursions:
 * ``dense_product_solve`` -- the pair (position, running max), the triple
   (position, max, min), and their recovery-flagged variants are themselves
   finite chains; each requested quantity is a first-passage functional of
-  that augmented chain and is solved in one shot as a sparse linear system.
+  that augmented chain and is solved in one shot as a sparse linear system
+  over the augmented states reachable from the request's start.
 
 * ``mc_estimate`` -- exact event-by-event simulation of the chain
   (exponential holding times, categorical jumps), tracking running
@@ -16,12 +17,13 @@ Two routes that never touch the windowed recursions:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ctmc import BIRTH_DEATH, Generator
-from .linsolve import _payoff_array, killing_values
+from .linsolve import Singular, _payoff_array, killing_values
 from .quantities import (
     QuantityRequest,
     TooLarge,
@@ -96,6 +98,15 @@ def _start_indices(gen: Generator, req: QuantityRequest):
 # dense product-chain solves
 # ---------------------------------------------------------------------------
 #
+# Only the augmented states reachable from the start are numbered: the max
+# never falls below the start max (Q, B, C: the start; Jn, Jsum: the
+# reference max), and A's max stays below the start min plus b_steps and
+# its min at or below the start min.  Hn's later stages and Hsum's restarts
+# start afresh at landing states below the start, so they keep every max.
+# The kept states are closed under the chain's jumps: the dropped ones form
+# a block that no kept row reads, and the cut is exact.  The cap counts the
+# kept states, from arithmetic on the start alone.
+#
 # The augmented states are numbered max by max, and each chain is assembled
 # over slices of that numbering: every state's base row is gathered from
 # one padded table of the chain's off-diagonal nonzeros, masks sort the
@@ -112,44 +123,51 @@ def _check_cap(size: int, cap: int) -> None:
         raise TooLarge(f"product space has {size} states (cap {cap})")
 
 
-def _pair_numbering(n: int, a_steps: int, cap: int):
-    """Live (position, max) pairs, max by max: max - a_steps < position
-    <= max.  Pair (i, m) is number base[m] + i; returns base and the
-    position and max of every pair."""
+def _pair_numbering(n: int, a_steps: int, cap: int, lo: int, hi: int):
+    """Live (position, max) pairs with a max from lo to hi, max by max:
+    max - a_steps < position <= max.  Pair (i, m) is number base[m] + i;
+    returns base, over every max (those outside lo..hi number nothing),
+    and the position and max of every pair."""
     m = np.arange(n, dtype=np.int32)
-    width = np.minimum(m + 1, a_steps)
+    width = np.where((m >= lo) & (m <= hi), np.minimum(m + 1, a_steps), 0)
     _check_cap(int(width.sum()), cap)
     base = (np.cumsum(width) - width - (m + 1 - width)).astype(np.int32)
     m = np.repeat(m, width)
     return base, np.arange(m.size, dtype=np.int32) - base[m], m
 
 
-def _triple_numbering(n: int, a_steps: int, b_steps: int, cap: int):
-    """(position, max, min) states of A: each live pair (i, m), in pair
-    order, with a running min i - b_steps < l <= i.  State (i, m, l) is
-    number tbase[base[m] + i] + l; returns base, tbase and the position,
-    max and min of every state."""
-    m = np.arange(n)
-    lo = np.maximum(m + 1 - a_steps, 0)
+def _triple_numbering(n: int, a_steps: int, b_steps: int, ix: int, iy: int, cap: int):
+    """(position, max, min) states of A reachable from max ix and min iy:
+    each live pair (i, m) with ix <= m <= iy + b_steps - 1, in pair order,
+    with a running min i - b_steps < l <= min(i, iy).  The min never
+    rises, and an up-jump to j fires the drawup once j - l >= b_steps, so
+    no max above iy + b_steps - 1 is reached.  State (i, m, l) is number
+    tbase[base[m] + i] + l; returns base, tbase and the position, max and
+    min of every state."""
+    hi = min(n - 1, iy + b_steps - 1)
+    i = np.arange(n)
     # mins[i]: (position, min) pairs over the positions below i
-    mins = np.concatenate([[0], np.cumsum(np.minimum(m + 1, b_steps))])
-    _check_cap(int((mins[m + 1] - mins[lo]).sum()), cap)
-    base, pos, mx = _pair_numbering(n, a_steps, cap)
-    width = np.minimum(pos + 1, b_steps)
-    tbase = (np.cumsum(width) - width - (pos + 1 - width)).astype(np.int32)
+    mins = np.concatenate([[0], np.cumsum(np.minimum(i, iy) - np.maximum(i + 1 - b_steps, 0) + 1)])
+    m = np.arange(ix, hi + 1)
+    _check_cap(int((mins[m + 1] - mins[np.maximum(m + 1 - a_steps, 0)]).sum()), cap)
+    base, pos, mx = _pair_numbering(n, a_steps, cap, ix, hi)
+    first = np.maximum(pos + 1 - b_steps, 0)
+    width = np.minimum(pos, iy) - first + 1
+    tbase = (np.cumsum(width) - width - first).astype(np.int32)
     pair = np.repeat(np.arange(pos.size), width)
     return base, tbase, pos[pair], mx[pair], np.arange(pair.size, dtype=np.int32) - tbase[pair]
 
 
-def _flag_numbering(n: int, a_steps: int, cap: int):
-    """(position, reference max, armed) states of the recovery variants,
-    max by max.  Armed states (i, m, 1) obey m - i < a_steps (otherwise
-    they fire at once) and are number arm[m] + i; disarmed states (i, m, 0)
-    allow any position i <= m and are number dis[m] + i.  Returns arm, dis
-    and the position, max and armed flag of every state."""
+def _flag_numbering(n: int, a_steps: int, cap: int, lo: int):
+    """(position, reference max, armed) states of the recovery variants
+    with a reference max of at least lo, max by max.  Armed states
+    (i, m, 1) obey m - i < a_steps (otherwise they fire at once) and are
+    number arm[m] + i; disarmed states (i, m, 0) allow any position
+    i <= m and are number dis[m] + i.  Returns arm, dis and the position,
+    max and armed flag of every state."""
     m = np.arange(n, dtype=np.int32)
     width = np.minimum(m + 1, a_steps)
-    block = width + m + 1
+    block = np.where(m >= lo, width + m + 1, 0)
     _check_cap(int(block.sum()), cap)
     start = np.cumsum(block) - block
     arm, dis = (start - (m + 1 - width)).astype(np.int32), (start + width).astype(np.int32)
@@ -201,6 +219,13 @@ class _Chain:
             yield (np.arange(lo, lo + i.size, dtype=np.int32)[:, None], out[i, None],
                    j[i], rate[i], real[i], i[:, None], *(c[lo:lo + step, None] for c in coords))
 
+    def killing(self, src, kill, out):
+        """Diagonals of the states src (k, 1): the killing kill plus the out
+        rate out.  A state that is neither killed nor left never pays: a
+        unit diagonal gives it the value 0."""
+        diag = kill + out
+        self.diag[src] = np.where((out == 0.0) & (diag == 0.0), 1.0, diag)
+
     def jumps(self, src, tgt, rate, keep):
         """Jumps from the states src (k, 1) to tgt (k, w) at the rates
         (k, w), where keep holds."""
@@ -220,8 +245,9 @@ class _Chain:
     def solve(self, pay):
         """Solution when a fired jump from max m landing at j pays
         pay(j, m) (broadcast over arrays).  Each state's payoffs are summed
-        from zero over ascending j.  scipy.sparse is imported here, at the
-        first product-chain solve: no price route needs it."""
+        from zero over ascending j.  A solution that is not finite raises
+        Singular.  scipy.sparse is imported here, at the first product-chain
+        solve: no price route needs it."""
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
@@ -239,43 +265,32 @@ class _Chain:
                 (np.concatenate([self.diag, *self._rates]),
                  (np.concatenate([at, *self._rows]), np.concatenate([at, *self._cols]))),
                 shape=(nn, nn))
-        return spla.spsolve(self._mat, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            sol = spla.spsolve(self._mat, rhs)
+        if not np.isfinite(sol).all():
+            raise Singular("the product chain's system is singular")
+        return sol
 
 
-def _pair_chain(gen: Generator, a_steps: int, kappa, cap: int, restart: bool = False):
-    """The (position, max) chain with killing kappa(i, m).  A jump from
-    (i, m) to j sets a new max (j > m), fires the drawdown
-    (m - j >= a_steps) or stays at (j, m).  A fired jump ends the path, or
-    with ``restart`` goes on from (j, j): the reference max resets to the
-    landing state.  Returns (pair numbering base, chain)."""
-    base, pos, mx = _pair_numbering(gen.n, a_steps, cap)
+def _pair_chain(gen: Generator, a_steps: int, kappa, cap: int, lo: int,
+                restart: bool = False):
+    """The (position, max) chain over the maxes from lo up, with killing
+    kappa(i, m).  A jump from (i, m) to j sets a new max (j > m), fires the
+    drawdown (m - j >= a_steps) or stays at (j, m).  A fired jump ends the
+    path, or with ``restart`` goes on from (j, j): the reference max resets
+    to the landing state, so lo must then be 0.  Returns (pair numbering
+    base, chain)."""
+    base, pos, mx = _pair_numbering(gen.n, a_steps, cap, lo, gen.n - 1)
     chain = _Chain(gen, pos.size)
     for src, out, j, rate, real, i, m in chain.blocks(pos, mx):
-        chain.diag[src] = kappa(i, m) + out
+        chain.killing(src, kappa(i, m), out)
         fired = real & (m - j >= a_steps)
         chain.fired(src, i, m, fired)
         new = (j > m) | fired if restart else j > m
         chain.jumps(src, np.where(new, base[j], base[m]) + j, rate,
                     real if restart else real & ~fired)
     return base, chain
-
-
-def _flag_chain(gen: Generator, a_steps: int, q: complex, cap: int, rearm_after: bool):
-    """The recovery-flagged chain with killing q.  Armed: a jump from
-    (i, m, 1) to j sets a new max (j > m), fires (m - j >= a_steps) or
-    stays at (j, m, 1); a fired jump ends the path, or with ``rearm_after``
-    goes on disarmed from (j, m, 0).  Disarmed: a jump to j >= m re-arms at
-    (j, j, 1), any other stays at (j, m, 0).  Returns (arm, dis, chain)."""
-    arm, dis, pos, mx, flag = _flag_numbering(gen.n, a_steps, cap)
-    chain = _Chain(gen, pos.size)
-    for src, out, j, rate, real, i, m, armed in chain.blocks(pos, mx, flag):
-        chain.diag[src] = q + out
-        fired = armed & real & (m - j >= a_steps)
-        chain.fired(src, i, m, fired)
-        tgt = np.where(armed, np.where(j > m, arm[j], np.where(fired, dis[m], arm[m])),
-                       np.where(j >= m, arm[j], dis[m])) + j
-        chain.jumps(src, tgt, rate, real if rearm_after else real & ~fired)
-    return arm, dis, chain
 
 
 def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
@@ -287,9 +302,9 @@ def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     else:   # Q's killing is q, as q_drawdown takes it
         kv = killing_values(req.q if req.kind == "Q" else _b_killing(req), gen.states)
         kappa = lambda i, m: kv[i]
-    base, chain = _pair_chain(gen, a_steps, kappa, cap)
-    sol = chain.solve(lambda j, m: f[j])
     ix, _ = _start_indices(gen, req)
+    base, chain = _pair_chain(gen, a_steps, kappa, cap, ix)
+    sol = chain.solve(lambda j, m: f[j])
     return complex(sol[base[ix] + ix])
 
 
@@ -297,7 +312,8 @@ def _product_hn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     a_steps = gen.grid.steps_of(req.a)
     level = _payoff_array(gen, req.f)
     q = complex(req.q)
-    base, chain = _pair_chain(gen, a_steps, lambda i, m: q, cap)
+    # each stage starts afresh at every landing state, below the start too
+    base, chain = _pair_chain(gen, a_steps, lambda i, m: q, cap, 0)
     fresh = base + np.arange(gen.n)    # the pairs (j, j)
     for _ in range(req.n):
         cur = level
@@ -308,8 +324,10 @@ def _product_hn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
 
 def _product_hsum(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     q = complex(req.q)
-    # event: pay 1, reference max resets to the landing point
-    base, chain = _pair_chain(gen, gen.grid.steps_of(req.a), lambda i, m: q, cap, restart=True)
+    # event: pay 1, reference max resets to the landing point, which may
+    # lie below the start: every max is kept
+    base, chain = _pair_chain(gen, gen.grid.steps_of(req.a), lambda i, m: q, cap, 0,
+                              restart=True)
     sol = chain.solve(lambda j, m: 1.0)
     ix, _ = _start_indices(gen, req)
     return complex(sol[base[ix] + ix])
@@ -319,16 +337,16 @@ def _triple_solve_a(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     grid = gen.grid
     a_steps = grid.steps_of(req.a)
     b_steps = grid.steps_at_least(req.b)
-    base, tbase, pos, mx, mn = _triple_numbering(gen.n, a_steps, b_steps, cap)
     ix, iy = _start_indices(gen, req)
     if ix - iy >= b_steps:
         return 0.0 + 0.0j
     if iy > ix:
         raise ValueError("running minimum cannot exceed the position")
+    base, tbase, pos, mx, mn = _triple_numbering(gen.n, a_steps, b_steps, ix, iy, cap)
     q = complex(req.q)
     chain = _Chain(gen, pos.size)
     for src, out, j, rate, real, i, m, low in chain.blocks(pos, mx, mn):
-        chain.diag[src] = q + out
+        chain.killing(src, q, out)
         up = j > i
         fired = real & ~up & (m - j >= a_steps)           # drawdown fires
         keep = real & np.where(up, j - low < b_steps, ~fired)  # else the drawup fires first: value 0
@@ -340,36 +358,52 @@ def _triple_solve_a(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     return complex(sol[tbase[base[ix] + ix] + iy])
 
 
-def _flag_start(gen: Generator, req: QuantityRequest, arm, dis) -> int:
+def _recovery_chain(gen: Generator, req: QuantityRequest, rearm_after: bool, cap: int):
+    """The recovery-flagged chain of a request, with killing q, over the
+    reference maxes from the start's up: no jump lowers the reference max.
+    Armed: a jump from (i, m, 1) to j sets a new max (j > m), fires
+    (m - j >= a_steps) or stays at (j, m, 1); a fired jump ends the path,
+    or with ``rearm_after`` goes on disarmed from (j, m, 0).  Disarmed: a
+    jump to j >= m re-arms at (j, j, 1), any other stays at (j, m, 0).
+    Returns (dis, chain, the start's number)."""
     ix, iy = _start_indices(gen, req)
     if ix > iy:
         raise ValueError("position cannot exceed the reference max")
-    return int(arm[iy] if ix == iy else dis[iy]) + ix
+    a_steps, q = gen.grid.steps_of(req.a), complex(req.q)
+    arm, dis, pos, mx, flag = _flag_numbering(gen.n, a_steps, cap, iy)
+    chain = _Chain(gen, pos.size)
+    for src, out, j, rate, real, i, m, armed in chain.blocks(pos, mx, flag):
+        chain.killing(src, q, out)
+        fired = armed & real & (m - j >= a_steps)
+        chain.fired(src, i, m, fired)
+        tgt = np.where(armed, np.where(j > m, arm[j], np.where(fired, dis[m], arm[m])),
+                       np.where(j >= m, arm[j], dis[m])) + j
+        chain.jumps(src, tgt, rate, real if rearm_after else real & ~fired)
+    return dis, chain, int(arm[iy] if ix == iy else dis[iy]) + ix
 
 
 def _product_jn(gen: Generator, req: QuantityRequest, cap: int) -> complex:
-    arm, dis, chain = _flag_chain(gen, gen.grid.steps_of(req.a), complex(req.q), cap,
-                                  rearm_after=False)
+    dis, chain, start = _recovery_chain(gen, req, False, cap)
     f2 = _f2_mat(gen, req.f2)
     pay = lambda j, m: f2[j, m]
     for _ in range(req.n):
         prev = chain.solve(pay)   # values of one fewer event over the augmented space
         pay = lambda j, m, prev=prev: prev[dis[m] + j]
-    return complex(prev[_flag_start(gen, req, arm, dis)])
+    return complex(prev[start])
 
 
 def _product_jsum(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     # unit payment at the event, then continue disarmed
-    arm, dis, chain = _flag_chain(gen, gen.grid.steps_of(req.a), complex(req.q), cap,
-                                  rearm_after=True)
-    sol = chain.solve(lambda j, m: 1.0)
-    return complex(sol[_flag_start(gen, req, arm, dis)])
+    _, chain, start = _recovery_chain(gen, req, True, cap)
+    return complex(chain.solve(lambda j, m: 1.0)[start])
 
 
 def dense_product_solve(gen: Generator, req: QuantityRequest, *, cap: int = 20_000) -> complex:
     """Reference value of any quantity at one scalar node q via one sparse
-    solve on the augmented chain.  Intended for small grids (raises
-    TooLarge above the cap, before assembling anything)."""
+    solve on the augmented chain, over the states reachable from the
+    request's start.  Intended for small grids: raises TooLarge when more
+    than ``cap`` augmented states are reachable, before reading any row,
+    and Singular when the system has no unique solution."""
     _require_scalar_q(req)
     kind = req.kind
     if kind in ("Q", "B", "C"):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from drawdown_ctmc.ctmc import (
     build_grid,
     build_levy_generator,
 )
+from drawdown_ctmc.linsolve import Singular
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import HorizonCapHit, McConfig, dense_product_solve, mc_estimate
 from drawdown_ctmc.quantities import (
@@ -46,16 +48,23 @@ def row_moves(gen, i):
     return [(j, row[j]) for j in np.nonzero(row)[0] if j != i]
 
 
-def pair_states(n, a):
-    return [(i, m) for m in range(n) for i in range(max(0, m - a + 1), m + 1)]
+def pair_states(n, a, lo=0, hi=None):
+    """Live pairs with a max from lo to hi (default n - 1)."""
+    hi = n - 1 if hi is None else hi
+    return [(i, m) for m in range(lo, hi + 1) for i in range(max(0, m - a + 1), m + 1)]
 
 
-def triple_states(n, a, b):
-    return [(i, m, l) for i, m in pair_states(n, a) for l in range(max(0, i - b + 1), i + 1)]
+def triple_states(n, a, b, ix=0, iy=None):
+    """A's states reachable from max ix and min iy (default every state):
+    maxes up to iy + b - 1, mins up to iy."""
+    iy = n - 1 if iy is None else iy
+    return [(i, m, l) for i, m in pair_states(n, a, ix, min(n - 1, iy + b - 1))
+            for l in range(max(0, i - b + 1), min(i, iy) + 1)]
 
 
-def flag_states(n, a):
-    return [s for m in range(n) for s in [(i, m, 1) for i in range(max(0, m - a + 1), m + 1)]
+def flag_states(n, a, lo=0):
+    """Flagged states with a reference max of at least lo."""
+    return [s for m in range(lo, n) for s in [(i, m, 1) for i in range(max(0, m - a + 1), m + 1)]
             + [(i, m, 0) for i in range(m + 1)]]
 
 
@@ -177,12 +186,13 @@ class TestDenseProduct:
             assert val == pytest.approx(ref[start], abs=1e-12)
 
     def test_edge_loop_reference_bit_for_bit(self):
-        # the same systems assembled one jump at a time, states numbered in
-        # the oracle's order and payoffs summed by a running +=, must give the
-        # oracle's values exactly: on a lattice whose rows reach every state,
-        # and on a birth-death chain, whose rows the oracle reads from up and
-        # down.  C's killing depends on the (state, max) pair; its reference
-        # matrix is built one max at a time.
+        # the same systems assembled one jump at a time, over the states
+        # reachable from the start, numbered in the oracle's order and with
+        # payoffs summed by a running +=, must give the oracle's values
+        # exactly: on a lattice whose rows reach every state, and on a
+        # birth-death chain, whose rows the oracle reads from up and down.
+        # C's killing depends on the (state, max) pair; its reference matrix
+        # is built one max at a time.
         bd = build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -0.6, 0.45))
         assert isinstance(bd, BirthDeathGenerator)
         for gen in (build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.45), bd):
@@ -193,30 +203,96 @@ class TestDenseProduct:
             kill = lambda s: q
             req = lambda kind, **kw: QuantityRequest(kind, a=a * gen.grid.h, q=q, **kw)
 
-            ref = edge_loop_solve(gen, pair_states(n, a), kill,
+            ref = edge_loop_solve(gen, pair_states(n, a, x0), kill,
                                   pair_jumps(gen, a, lambda j, m: (None, f[j])))
             assert dense_product_solve(gen, req("Q", f=f)) == ref[(x0, x0)]
             xi = 1.5 * gen.grid.h
             kf = drawdown_occupation_killing(q, xi, 0.05)
             k2 = np.stack([kf(gen.states, y) for y in gen.states], axis=1)
-            ref = edge_loop_solve(gen, pair_states(n, a), lambda s: k2[s],
+            ref = edge_loop_solve(gen, pair_states(n, a, x0 + 1), lambda s: k2[s],
                                   pair_jumps(gen, a, lambda j, m: (None, f[j])))
             val = dense_product_solve(gen, req("C", xi=xi, shift=0.05, f=f, x=gen.states[x0 + 1]))
             assert val == ref[(x0 + 1, x0 + 1)]
             ref = edge_loop_solve(gen, pair_states(n, a), kill,
                                   pair_jumps(gen, a, lambda j, m: ((j, j), 1.0)))
             assert dense_product_solve(gen, req("Hsum")) == ref[(x0, x0)]
-            ref = edge_loop_solve(gen, triple_states(n, a, b), kill, triple_jumps(gen, a, b, f))
+            ref = edge_loop_solve(gen, triple_states(n, a, b, x0, x0), kill,
+                                  triple_jumps(gen, a, b, f))
             assert dense_product_solve(gen, req("A", b=b * gen.grid.h, f=f)) == ref[(x0, x0, x0)]
-            ref = edge_loop_solve(gen, flag_states(n, a), kill,
+            ref = edge_loop_solve(gen, flag_states(n, a, x0 + 2), kill,
                                   flag_jumps(gen, a, lambda j, m: ((j, m, 0), 1.0)))
             y = gen.states[x0 + 2]
             assert dense_product_solve(gen, req("Jsum", y=y)) == ref[(x0, x0 + 2, 0)]
-            stage1 = edge_loop_solve(gen, flag_states(n, a), kill,
+            stage1 = edge_loop_solve(gen, flag_states(n, a, x0 + 2), kill,
                                      flag_jumps(gen, a, lambda j, m: (None, f2[j, m])))
-            ref = edge_loop_solve(gen, flag_states(n, a), kill,
+            ref = edge_loop_solve(gen, flag_states(n, a, x0 + 2), kill,
                                   flag_jumps(gen, a, lambda j, m: (None, stage1[(j, m, 0)])))
             assert dense_product_solve(gen, req("Jn", n=2, y=y, f2=f2)) == ref[(x0, x0 + 2, 0)]
+
+    def test_reachable_cut_is_exact(self):
+        # the oracle numbers only the states reachable from the start; the
+        # same systems over every state give the same start values, from the
+        # anchor and off it
+        bd = build_generator(ModelSpec.bs(r_f=0.05), build_grid(0.0, 0.2, 4, -0.6, 0.45))
+        for gen in (build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.45), bd):
+            n, a, b, x0, st = gen.n, 4, 5, gen.grid.eta_x, gen.states
+            f = 1.0 + 0.3 * np.sin(5.0 * st)
+            f2 = 1.0 + 0.2 * st[:, None] - 0.1 * st[None, :]
+            q = 0.8 + 0.5j
+            kill = lambda s: q
+            req = lambda kind, **kw: QuantityRequest(kind, a=a * gen.grid.h, q=q, **kw)
+            close = lambda val, ref: abs(val - ref) <= 1e-12
+
+            ref = edge_loop_solve(gen, pair_states(n, a), kill,
+                                  pair_jumps(gen, a, lambda j, m: (None, f[j])))
+            xi = 1.5 * gen.grid.h
+            kf = drawdown_occupation_killing(q, xi, 0.05)
+            k2 = np.stack([kf(st, y) for y in st], axis=1)
+            ref_c = edge_loop_solve(gen, pair_states(n, a), lambda s: k2[s],
+                                    pair_jumps(gen, a, lambda j, m: (None, f[j])))
+            for x in (x0, x0 - 3, x0 + 2):
+                assert close(dense_product_solve(gen, req("Q", f=f, x=st[x])), ref[(x, x)])
+                val = dense_product_solve(gen, req("C", xi=xi, shift=0.05, f=f, x=st[x]))
+                assert close(val, ref_c[(x, x)])
+
+            ref = edge_loop_solve(gen, triple_states(n, a, b), kill, triple_jumps(gen, a, b, f))
+            for x, y in ((x0, x0), (x0 - 2, x0 - 3), (x0 + 1, x0 - 2)):
+                val = dense_product_solve(gen, req("A", b=b * gen.grid.h, f=f, x=st[x], y=st[y]))
+                assert close(val, ref[(x, x, y)])
+
+            ref = edge_loop_solve(gen, flag_states(n, a), kill,
+                                  flag_jumps(gen, a, lambda j, m: ((j, m, 0), 1.0)))
+            stage1 = edge_loop_solve(gen, flag_states(n, a), kill,
+                                     flag_jumps(gen, a, lambda j, m: (None, f2[j, m])))
+            ref_jn = edge_loop_solve(gen, flag_states(n, a), kill,
+                                     flag_jumps(gen, a, lambda j, m: (None, stage1[(j, m, 0)])))
+            for x, y in ((x0, x0), (x0 - 2, x0 + 1), (x0 - 5, x0 - 3)):
+                start = (x, y, int(x == y))
+                assert close(dense_product_solve(gen, req("Jsum", x=st[x], y=st[y])), ref[start])
+                val = dense_product_solve(gen, req("Jn", n=2, x=st[x], y=st[y], f2=f2))
+                assert close(val, ref_jn[start])
+
+    def test_absorbing_state_without_killing_is_worth_zero(self):
+        # B above its threshold and C with no shift kill nothing at the
+        # chain's absorbing ends, so those pairs never leave and never fire:
+        # they are worth 0, not a zero row of a singular system
+        gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 6, -0.8, 0.5))
+        for req in (QuantityRequest("B", a=0.2, q=2.0, xi=-0.05),
+                    QuantityRequest("C", a=0.2, q=2.0, xi=0.1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val = dense_product_solve(gen, req)
+            assert abs(val - evaluate(gen, req)) <= 1e-12
+
+    def test_singular_chain_raises(self):
+        # states 1 and 2 jump only to each other, 1 step apart: with no
+        # killing and a 2-step drawdown the pair chain never stops, so its
+        # system is singular, and the oracle says so rather than return NaN
+        grid = Grid(states=np.array([0.0, 0.1, 0.2, 0.3]), h=0.1, eta_x=1, x0=0.1)
+        gen = BirthDeathGenerator(grid, np.array([0.0, 1.0, 0.0, 0.0]),
+                                  np.array([0.0, 0.0, 1.0, 0.0]))
+        with pytest.raises(Singular):
+            dense_product_solve(gen, QuantityRequest("Q", a=0.2, q=0.0))
 
     def test_unreachable_drawup_reduces_to_plain(self):
         gen = tiny_chain()
@@ -242,7 +318,8 @@ class TestDenseProduct:
         assert abs(two - rec) < 1e-9
 
     def test_cap_guard(self, monkeypatch):
-        # the cap is checked on the arithmetic size, before any row is read
+        # the cap is checked on the arithmetic size of the space reachable
+        # from the start, before any row is read
         import drawdown_ctmc.oracle as oracle
 
         def no_assembly(gen):
@@ -253,16 +330,21 @@ class TestDenseProduct:
         gen = build_generator(ModelSpec.bs(), g)
         with pytest.raises(TooLarge):
             dense_product_solve(gen, QuantityRequest("Q", a=0.2, q=1.0), cap=100)
-        # the 7,260 live pairs fit the default cap; the A and Jsum spaces do not
+        # from the anchor (state 120 of 201) the 3,240 live pairs fit the
+        # default cap, and so do Jsum's 16,281 flagged states (27,561 over
+        # every max); A's 109,340 triples and Jsum's 27,561 from the lowest
+        # state do not
         for req in (QuantityRequest("A", a=0.2, b=0.3, q=1.0),
-                    QuantityRequest("Jsum", a=0.2, q=1.0)):
+                    QuantityRequest("Jsum", a=0.2, q=1.0, x=-0.6, y=-0.6)):
             with pytest.raises(TooLarge):
                 dense_product_solve(gen, req)
-        # sizes right at the cap pass the check: 41 live pairs on a 41-state
-        # chain with a one-step drawdown
+        # sizes right at the cap pass the check: 21 live pairs from the
+        # anchor (state 20) of a 41-state chain with a one-step drawdown
         small = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 2, -2.0, 2.0))
         with pytest.raises(AssertionError):
-            dense_product_solve(small, QuantityRequest("Q", a=0.1, q=1.0), cap=small.n)
+            dense_product_solve(small, QuantityRequest("Q", a=0.1, q=1.0), cap=21)
+        with pytest.raises(TooLarge):
+            dense_product_solve(small, QuantityRequest("Q", a=0.1, q=1.0), cap=20)
 
     def test_start_outside_the_space_rejected(self):
         gen = tiny_chain()
@@ -444,6 +526,28 @@ def test_event_sum_mc_matches_product_chain(kind):
     (row,) = run_oracle(cfg, McConfig(n_paths=4000, seed=cfg.mc.seed))
     assert row["dense"] == pytest.approx(row["analytic"], abs=1e-9)
     assert abs(row["mc"] - row["dense"]) < 3.0 * row["stderr"]
+
+
+def test_drawdown_before_drawup_reference_under_the_default_cap(monkeypatch):
+    # the shipped A/BS study at n_x = 8: the triples reachable from the start
+    # fit the default cap (every triple would not), and the product chain
+    # matches the analytic value
+    import drawdown_ctmc.oracle as oracle
+
+    sizes = []
+    numbering = oracle._triple_numbering
+
+    def counted(*args):
+        out = numbering(*args)
+        sizes.append(out[2].size)
+        return out
+
+    monkeypatch.setattr(oracle, "_triple_numbering", counted)
+    path = Path(__file__).resolve().parents[1] / "configs" / "drawdown_before_drawup_bs.ini"
+    cfg = load_config(str(path), ["grid.n_x=8"])
+    (row,) = run_oracle(cfg, McConfig(n_paths=2000, seed=cfg.mc.seed))
+    assert row["dense"] == pytest.approx(row["analytic"], abs=1e-9)
+    assert len(sizes) == 1 and sizes[0] < 1000
 
 
 # (mean, stderr) of 3,000 paths in three batches of 1,024, pinned bit for
