@@ -44,7 +44,7 @@ lat = build_levy_generator(ModelSpec.dejd(), 0.01, -1.0, 1.0)
 print(f"DEJD via build_levy_generator: {lat.structure} ({lat.n} states)")
 
 print("\nrow sums vanish (conservative rates):",
-      float(np.abs(build_generator(ModelSpec.dejd(), grid).row_sums()).max()))
+      float(np.abs(build_generator(ModelSpec.dejd(), grid).to_dense().sum(axis=1)).max()))
 i = grid.eta_x
 gen = build_generator(ModelSpec.bs(sigma=0.3, r_f=0.5, d=0.02), grid)
 print(f"BS neighbor rates at the anchor: up {gen.up[i]:.2f}, down {gen.down[i]:.2f}")

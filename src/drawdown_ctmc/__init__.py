@@ -19,12 +19,9 @@ from .ctmc import (
 from .linsolve import (
     DegenerateWindow,
     NotBirthDeath,
-    PassageSolution,
     PsiPair,
     Singular,
-    hitting_coeffs_diffusion,
     psi_pair,
-    solve_passage,
 )
 from .quantities import (
     FixedPointSingular,

@@ -131,12 +131,20 @@ class RunConfig:
             raise ConfigError(f"quantity {self.kind} needs the running maximum y >= x")
         if self.kind in ("B", "C") and self.xi is None:
             raise ConfigError(f"quantity {self.kind} needs the occupation threshold xi")
+        if self.kind in ("Hn", "Jn") and self.n < 1:
+            raise ConfigError(f"quantity {self.kind} needs the event count n >= 1")
+        if self.precision != "full" and not self.precision.isdecimal():
+            raise ConfigError("precision must be 'full' or a non-negative number of digits")
         if self.payoff not in ("one", "zero"):
             raise ConfigError("payoff must be 'one' or 'zero'")
         if self.payoff == "zero" and self.kind in ("Hsum", "Jsum"):
             raise ConfigError(f"quantity {self.kind} sums event discounts and takes no payoff")
         if len(self.n_x) == 0:
             raise ConfigError("need at least one grid resolution")
+        if min(self.n_x) < 1:
+            raise ConfigError("each n_x must be positive")
+        if min(self.n_x) < 2 and not (self.model.is_levy and self.model.has_jumps):
+            raise ConfigError("a diffusion grid needs n_x >= 2")
         if any(b <= a for a, b in zip(self.n_x, self.n_x[1:])):
             raise ConfigError("n_x list must be strictly increasing")
         if any(b % a != 0 for a, b in zip(self.n_x, self.n_x[1:])):

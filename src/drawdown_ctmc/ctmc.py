@@ -41,6 +41,7 @@ __all__ = [
     "DenseGenerator",
     "BadBounds",
     "NegativeRate",
+    "TooLarge",
     "build_grid",
     "build_generator",
     "build_levy_generator",
@@ -68,6 +69,10 @@ class NegativeRate(ValueError):
             f"negative transition rate {rate:.6g} from state {state:.6g} to "
             f"{neighbor:.6g}; refine the grid step"
         )
+
+
+class TooLarge(ValueError):
+    """State space exceeds the cap of a dense path."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +121,6 @@ class Grid:
 
     def nearest_index(self, value: float) -> int:
         return int(np.argmin(np.abs(self.states - value)))
-
-    def floor_index(self, i: int, level_steps: int):
-        """Index of (y_i - level)^- = sup{y <= y_i - level}, or None if the
-        grid bottom lies above it."""
-        j = i - level_steps
-        return j if j >= 0 else None
 
 
 def build_grid(x0: float, a: float, n_x: int, y_min: float, y_max: float) -> Grid:
@@ -183,13 +182,10 @@ class Generator:
     def to_dense(self) -> np.ndarray:
         return self.window_block(0, self.n - 1)
 
-    def row_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=1)
-
     def dump_csv(self, path: str) -> None:
         """Write nonzero entries as (i, j, rate), row-major ascending."""
         if self.n > 20000:
-            raise ValueError(f"refusing to densify a {self.n}-state generator")
+            raise TooLarge(f"refusing to densify a {self.n}-state generator")
         dense = self.to_dense()
         with open(path, "w") as fh:
             fh.write("i,j,rate\n")

@@ -1,12 +1,13 @@
-"""First-passage linear systems on the chain.
+"""First-passage building blocks on the chain.
 
 Everything here works over the complex field (Laplace arguments are
-complex nodes).  The basic object is the windowed system
+complex nodes).  The quantities solve windowed systems
 
     (k(x) - G) P(x) = 0            for states x inside a window (l, r],
     P(x) = f(x)                    outside,
 
-whose solution is the killed exit functional with payoff f.  On top of it:
+whose solution is the killed exit functional with payoff f.  This module
+holds the killing fields and payoffs they read, and:
 
 * ``psi_pair``      -- the two fundamental solutions of a tridiagonal
                        (birth-death) chain, held in scaled mantissa/exponent
@@ -25,25 +26,18 @@ of magnitude above the discarded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ctmc import BIRTH_DEATH, Generator
 
 __all__ = [
-    "PassageSolution",
     "PsiPair",
     "Singular",
     "NotBirthDeath",
     "DegenerateWindow",
-    "solve_passage",
     "psi_pair",
-    "hitting_coeffs_diffusion",
     "killing_values",
 ]
-
-RESIDUAL_RTOL = 1e-10
 
 
 class Singular(np.linalg.LinAlgError):
@@ -55,7 +49,8 @@ class NotBirthDeath(TypeError):
 
 
 class DegenerateWindow(ValueError):
-    """A required window endpoint is missing from the grid."""
+    """The chain cannot hold a required window (too few states, a zero
+    interior rate, or an endpoint below the grid)."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +78,8 @@ def _check_nonneg_real(vals: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# window bookkeeping
+# payoffs
 # ---------------------------------------------------------------------------
-
-def window_rows(gen: Generator, window) -> np.ndarray:
-    """Indices of states inside the interval (l, r]."""
-    l, r = window
-    states = gen.states
-    tol = 1e-9 * max(1.0, abs(l), abs(r))
-    return np.nonzero((states > l + tol) & (states <= r + tol))[0]
-
 
 def _payoff_array(gen: Generator, f) -> np.ndarray:
     if f is None:
@@ -105,62 +92,6 @@ def _payoff_array(gen: Generator, f) -> np.ndarray:
     return arr
 
 
-def outside_matvec(gen: Generator, lo: int, hi: int, values: np.ndarray) -> np.ndarray:
-    """For each window row m in [lo, hi], sum_{z outside} G(m, z) values[z]."""
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    for m in range(max(lo, 1), min(hi, gen.n - 2) + 1):
-        row = gen.row(m)
-        row[lo:hi + 1] = 0.0
-        out[m - lo] = row @ values
-    return out
-
-
-@dataclass
-class PassageSolution:
-    """Solution of the windowed first-passage system on the full state set."""
-
-    values: np.ndarray          # complex, one entry per state
-    window: tuple               # the (l, r] interval it was solved on
-    rows: np.ndarray            # indices that were interior unknowns
-
-    def at(self, i: int) -> complex:
-        return complex(self.values[i])
-
-
-def solve_passage(gen: Generator, window, k, f) -> PassageSolution:
-    """Solve the killed exit system on the window (l, r].
-
-    ``k`` is a scalar or a function of the states (``killing_values``);
-    ``f`` a callable, an array over states, or None for f = 1.
-    """
-    rows = window_rows(gen, window)
-    if rows.size == 0:
-        raise DegenerateWindow(f"window {window} contains no grid states")
-    f_arr = _payoff_array(gen, f)
-    lo, hi = int(rows[0]), int(rows[-1])
-    if not np.array_equal(rows, np.arange(lo, hi + 1)):
-        raise DegenerateWindow("window rows must be contiguous")
-    kv = killing_values(k, gen.states[lo:hi + 1])
-
-    block = gen.window_block(lo, hi).astype(complex)
-    mat = np.diag(kv) - block
-    f_out = f_arr.copy()
-    f_out[lo:hi + 1] = 0.0
-    rhs = outside_matvec(gen, lo, hi, f_out)
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"window matrix is singular: {exc}") from exc
-    resid = np.abs(mat @ sol - rhs).max()
-    scale = np.abs(mat).sum(axis=1).max() * max(1.0, np.abs(sol).max()) + np.abs(rhs).max()
-    if not resid <= RESIDUAL_RTOL * max(1.0, scale):
-        raise Singular(f"window solve residual {resid:.3g} exceeds tolerance")
-
-    values = f_arr.copy()
-    values[lo:hi + 1] = sol
-    return PassageSolution(values=values, window=tuple(window), rows=rows)
-
-
 # ---------------------------------------------------------------------------
 # fundamental solutions of a birth-death chain (scaled representation)
 # ---------------------------------------------------------------------------
@@ -170,8 +101,8 @@ class PsiPair:
     one pair per column of the killing.
 
     ``killing`` is an (n, k) array whose column j is the per-state killing
-    of node j.  psi_plus vanishes at the bottom state and equals 1 at the
-    top; psi_minus mirrors it.  Both are stored as mantissa *
+    of node j.  psi+ vanishes at the bottom state and equals 1 at the
+    top; psi- mirrors it.  Both are stored as mantissa *
     exp(log_scale) in (n, k) arrays.  The index-array methods return
     arrays of shape ``index_shape + (k,)``; a pair built from a single
     node (``single``) drops the node axis.
@@ -226,7 +157,7 @@ class PsiPair:
         dm[n - 2] = 1.0
         dm[:n - 2] = np.cumprod((s / abs_s)[::-1], axis=0)[::-1]
         dL[:n - 2] = np.cumsum(np.log(abs_s)[::-1], axis=0)[::-1]
-        # normalize psi_plus(top) = 1, psi_minus(bottom) = 1
+        # normalize psi+(top) = 1, psi-(bottom) = 1
         uL -= uL[n - 1]
         um /= um[n - 1]
         dL -= dL[0]
@@ -254,14 +185,6 @@ class PsiPair:
         for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):
             setattr(part, name, getattr(self, name)[:, cols])
         return part
-
-    # -- raw values (may overflow for long chains; meant for tests) ---------
-
-    def psi_plus(self, i):
-        return self._out(self._um[i] * np.exp(np.minimum(self._uL[i], 700.0)))
-
-    def psi_minus(self, i):
-        return self._out(self._dm[i] * np.exp(np.minimum(self._dL[i], 700.0)))
 
     # -- scaled determinants over index arrays ---------------------------------
 
@@ -327,19 +250,3 @@ def psi_pair(gen: Generator, q) -> PsiPair:
     killing = q if q.ndim == 2 else np.broadcast_to(q.reshape(-1), (gen.n, q.size))
     return PsiPair(gen, killing, single=q.ndim == 0)
 
-
-def hitting_coeffs_diffusion(psi: PsiPair, q, x: float, a: float):
-    """Two-sided exit coefficients of the drawdown window (x-a, x].
-
-    Returns (up, down): the weights of exiting at the state just
-    above x and at (x-a) respectively, starting from x.
-    """
-    gen = psi.gen
-    grid = gen.grid
-    i = grid.index_of(x) if not isinstance(x, (int, np.integer)) else int(x)
-    steps = grid.steps_of(a)
-    floor = grid.floor_index(i, steps)
-    if floor is None or i + 1 >= gen.n:
-        raise DegenerateWindow("window endpoints (x-a) and x+ must exist on the grid")
-    up, down = psi.exit_weights(i, floor, i + 1)
-    return complex(up[0]), complex(down[0])

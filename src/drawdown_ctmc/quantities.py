@@ -86,7 +86,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator
+from .ctmc import BIRTH_DEATH, TOEPLITZ_LEVY, Generator, TooLarge
 from .linsolve import (
     DegenerateWindow,
     PsiPair,
@@ -132,10 +132,6 @@ class FixedPointSingular(np.linalg.LinAlgError):
 
 class NotLevy(TypeError):
     """Closed form requires a translation-invariant lattice generator."""
-
-
-class TooLarge(ValueError):
-    """State space exceeds the cap of a dense reference path."""
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             smoke_config(**{"grid.y_min": "0.0"})       # bounds exclude the window
 
+    def test_one_core_step_only_on_levy_lattices(self):
+        with pytest.raises(ConfigError, match="n_x >= 2"):
+            smoke_config(**{"grid.n_x": "1"})
+        assert load_config(None, ["model.kind=VG", "quantity.kind=Q", "grid.n_x=1"]).n_x == (1,)
+
     def test_quantity_a_requires_b(self):
         with pytest.raises(ConfigError):
             smoke_config(**{"quantity.kind": "A"})
@@ -168,6 +173,25 @@ class TestMain:
         code = main(["price", "model.kind=BS", "quantity.kind=Q", "grid.n_x=8", bad])
         assert code == 2
         assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code, prefix", [
+        (["price", "grid.n_x=0"], 2, "configuration error: "),
+        (["price", "grid.n_x=1"], 2, "configuration error: "),   # a diffusion grid
+        (["price", "quantity.kind=Hn", "quantity.n=0"], 2, "configuration error: "),
+        (["price", "quantity.kind=Jn", "quantity.n=0"], 2, "configuration error: "),
+        (["price", "output.precision=abc"], 2, "configuration error: "),
+        (["price", "--precision", "-3"], 2, "configuration error: "),
+        (["dump-generator", "grid.n_x=1024"], 3, "numerical failure (TooLarge): "),  # 40,961 states
+    ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "dump-cap"])
+    def test_bad_value_refused(self, capsys, tmp_path, args, code, prefix):
+        # refused before any price is computed or any file written
+        out = tmp_path / "gen.csv"
+        command, *rest = args
+        dump = ["--out", str(out)] if command == "dump-generator" else []
+        base = ["model.kind=BS", "quantity.kind=Q", "grid.n_x=8"]
+        assert main([command, *dump, *base, *rest]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
 
     def test_event_sum_payoff_exit_two(self, capsys):
         code = main(["price", "-c", os.path.join(CONFIG_DIR, "insurance_no_recovery_bs.ini"),

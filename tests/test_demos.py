@@ -5,9 +5,10 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
-# (script, a line fragment its last section prints)
+# (script, a line fragment it prints)
 NARRATIVES = [
     ("01_models_and_generators.py", "BS neighbor rates at the anchor"),
+    ("02_passage_and_fundamental_solutions.py", "matches the solve above"),
     ("03_drawdown_before_drawup.py", "start minimum -0.20000:"),
     ("04_occupation_digitals.py", "agreement"),
     ("05_drawdown_insurance.py", "\n  with recovery: "),
@@ -15,14 +16,9 @@ NARRATIVES = [
 ]
 
 
-def test_passage_demo_runs(capsys):
-    runpy.run_path(str(DEMOS / "02_passage_and_fundamental_solutions.py"), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "matches the solve above" in out
-    assert "np.float64" not in out
-
-
 @pytest.mark.parametrize("script, expected", NARRATIVES, ids=[s[:2] for s, _ in NARRATIVES])
 def test_demo_runs(script, expected, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
-    assert expected in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert expected in out
+    assert "np.float64" not in out

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from drawdown_ctmc.ctmc import BirthDeathGenerator, DenseGenerator, Grid, build_generator, build_grid
-from drawdown_ctmc.linsolve import (
-    DegenerateWindow,
-    NotBirthDeath,
-    Singular,
-    hitting_coeffs_diffusion,
-    psi_pair,
-    solve_passage,
-)
+from drawdown_ctmc.linsolve import NotBirthDeath, psi_pair
 from drawdown_ctmc.models import ModelSpec
 
 
@@ -50,88 +43,24 @@ def ambient_solve(gen, window, kvals, f):
     return np.linalg.solve(M, rhs)
 
 
-class TestSolvePassage:
-    def test_boundary_clause(self):
-        gen = random_birth_death(12, 0)
-        f = np.arange(12, dtype=complex)
-        w = (gen.states[3], gen.states[8])
-        sol = solve_passage(gen, w, 1.0 + 0.5j, f)
-        outside = np.setdiff1d(np.arange(12), np.arange(4, 9))
-        assert np.array_equal(sol.values[outside], f[outside])
-
-    def test_certain_exit_no_killing_gives_one(self):
-        gen = random_birth_death(12, 1)
-        w = (gen.states[3], gen.states[8])
-        sol = solve_passage(gen, w, 0.0, np.ones(12))
-        assert np.allclose(sol.values, 1.0, atol=1e-12)
-
-    def test_hand_chain_vs_dense_oracle(self):
-        gen = random_birth_death(5, 2)
-        f = np.zeros(5)
-        f[4] = 1.0   # indicator of exiting at the top
-        w = (gen.states[0], gen.states[3])
-        sol = solve_passage(gen, w, 1.0, f)
-        ref = ambient_solve(gen, w, np.full(5, 1.0 + 0j), f)
-        assert np.abs(sol.values - ref).max() < 1e-12
-
-    def test_linearity_in_payoff(self):
-        gen = random_jump_chain(14, 3)
-        w = (gen.states[2], gen.states[10])
-        rng = np.random.default_rng(5)
-        f1, f2 = rng.random(14), rng.random(14)
-        a, b = 0.7, -1.3
-        s1 = solve_passage(gen, w, 2.0, f1).values
-        s2 = solve_passage(gen, w, 2.0, f2).values
-        s12 = solve_passage(gen, w, 2.0, a * f1 + b * f2).values
-        assert np.abs(s12 - (a * s1 + b * s2)).max() < 1e-12
-
-    def test_probabilistic_bounds(self):
-        for seed in range(4):
-            gen = random_jump_chain(12, seed)
-            w = (gen.states[2], gen.states[9])
-            rng = np.random.default_rng(seed + 100)
-            f = rng.random(12)
-            k = rng.uniform(0.0, 3.0, 12)
-            kf = lambda s, k=k, grid=gen.states: np.interp(s, grid, k)
-            vals = solve_passage(gen, w, kf, f).values
-            assert np.all(vals.real >= -1e-12) and np.all(vals.real <= 1.0 + 1e-12)
-
-    def test_monotone_in_killing(self):
-        for seed in range(4):
-            gen = random_birth_death(10, seed + 20)
-            w = (gen.states[1], gen.states[7])
-            f = np.ones(10)
-            lo = solve_passage(gen, w, 0.5, f).values.real
-            hi = solve_passage(gen, w, 2.5, f).values.real
-            assert np.all(lo >= hi - 1e-12)
-
-    def test_residual_guard_flags_singular(self):
-        gen = random_birth_death(8, 4)
-        w = (gen.states[1], gen.states[6])
-        with pytest.raises(Singular):
-            # zero killing and a trapping window: interior cannot exit below
-            up = gen.up.copy()
-            down = gen.down.copy()
-            down[1:7] = 0.0
-            up[6] = 0.0
-            trapped = BirthDeathGenerator(gen.grid, up, down)
-            solve_passage(trapped, w, 0.0, np.ones(8))
+def raw_values(psi):
+    """psi+ and psi- of a one-node pair over the states, from its scaled
+    arrays (raw doubles: only for chains short enough not to overflow)."""
+    return ((psi._um * np.exp(psi._uL))[:, 0], (psi._dm * np.exp(psi._dL))[:, 0])
 
 
 class TestPsiPair:
     def test_boundary_conditions(self):
         gen = random_birth_death(9, 6)
-        psi = psi_pair(gen, 1.3 + 0.2j)
-        assert psi.psi_plus(0) == 0.0
-        assert psi.psi_plus(8) == pytest.approx(1.0)
-        assert psi.psi_minus(8) == 0.0
-        assert psi.psi_minus(0) == pytest.approx(1.0)
+        plus, minus = raw_values(psi_pair(gen, 1.3 + 0.2j))
+        assert plus[0] == 0.0
+        assert plus[8] == pytest.approx(1.0)
+        assert minus[8] == 0.0
+        assert minus[0] == pytest.approx(1.0)
 
     def test_monotone_for_real_killing(self):
         gen = random_birth_death(11, 7)
-        psi = psi_pair(gen, 2.0)
-        plus = [psi.psi_plus(i).real for i in range(11)]
-        minus = [psi.psi_minus(i).real for i in range(11)]
+        plus, minus = (vec.real.tolist() for vec in raw_values(psi_pair(gen, 2.0)))
         assert all(b >= a - 1e-13 for a, b in zip(plus, plus[1:]))
         assert all(b <= a + 1e-13 for a, b in zip(minus, minus[1:]))
         assert min(plus) >= 0.0 and min(minus) >= 0.0
@@ -139,10 +68,8 @@ class TestPsiPair:
     def test_interior_recurrence_residual(self):
         gen = random_birth_death(10, 8)
         q = 0.8 + 1.1j
-        psi = psi_pair(gen, q)
         G = gen.to_dense().astype(complex)
-        for vec in (np.array([psi.psi_plus(i) for i in range(10)]),
-                    np.array([psi.psi_minus(i) for i in range(10)])):
+        for vec in raw_values(psi_pair(gen, q)):
             resid = (q * vec - G @ vec)[1:-1]
             assert np.abs(resid).max() < 1e-10 * max(1.0, np.abs(vec).max() * np.abs(G).max())
 
@@ -155,16 +82,16 @@ class TestPsiPair:
         g = build_grid(0.0, 0.2, 10, -0.5, 0.3)
         gen = build_generator(bs, g)
         q = 1.0 + 0.0j
-        psi = psi_pair(gen, q)
-        up, down = hitting_coeffs_diffusion(psi, q, 0.0, 0.2)
         i = g.eta_x
+        up, down = psi_pair(gen, q).exit_weights(i, i - 10, i + 1)
         ind_up = np.zeros(gen.n)
         ind_up[i + 1] = 1.0
         ind_dn = np.zeros(gen.n)
         ind_dn[i - 10] = 1.0
-        assert up == pytest.approx(solve_passage(gen, (-0.2, 0.0), q, ind_up).at(i), abs=1e-10)
-        assert down == pytest.approx(solve_passage(gen, (-0.2, 0.0), q, ind_dn).at(i), abs=1e-10)
-        assert abs(up) + abs(down) <= 1.0 + 1e-12
+        window, kvals = (gen.states[i - 10], gen.states[i]), np.full(gen.n, q)
+        assert up[0] == pytest.approx(ambient_solve(gen, window, kvals, ind_up)[i], abs=1e-10)
+        assert down[0] == pytest.approx(ambient_solve(gen, window, kvals, ind_dn)[i], abs=1e-10)
+        assert abs(up[0]) + abs(down[0]) <= 1.0 + 1e-12
 
     def test_single_state_window_closed_form(self):
         # window of one interior state: both weights from one row of G
@@ -201,8 +128,8 @@ class TestPsiPair:
                 e_top[top[k]] = 1.0
                 e_bot = np.zeros(gen.n)
                 e_bot[bottom[k]] = 1.0
-                ref_up = solve_passage(gen, window, q, e_top).at(x[k])
-                ref_dn = solve_passage(gen, window, q, e_bot).at(x[k])
+                ref_up = ambient_solve(gen, window, np.full(gen.n, q), e_top)[x[k]]
+                ref_dn = ambient_solve(gen, window, np.full(gen.n, q), e_bot)[x[k]]
                 assert abs(up[k] - ref_up) < 1e-10
                 assert abs(down[k] - ref_dn) < 1e-10
             # a scalar top broadcasts against arrays of starts and bottoms
@@ -213,22 +140,29 @@ class TestPsiPair:
             assert up_b.shape == (xs.size,)
             assert np.array_equal(up_b, up_e) and np.array_equal(down_b, down_e)
 
+    def test_zero_killing_exit_weights_sum_to_one(self):
+        gen = random_birth_death(12, 1)
+        up, down = psi_pair(gen, 0.0).exit_weights(np.arange(4, 9), 3, 9)
+        assert np.allclose(up + down, 1.0, atol=1e-12)
+
+    def test_exit_weights_fall_as_killing_grows(self):
+        for seed in range(4):
+            gen = random_birth_death(10, seed + 20)
+            x = np.arange(2, 8)
+            lo = sum(psi_pair(gen, 0.5).exit_weights(x, 1, 8)).real
+            hi = sum(psi_pair(gen, 2.5).exit_weights(x, 1, 8)).real
+            assert np.all(lo >= hi - 1e-12)
+
     def test_coeffs_decrease_in_killing(self):
         gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 10, -0.5, 0.3))
+        i = gen.grid.eta_x
         prev = None
         for q in (1.0, 10.0, 100.0):
-            psi = psi_pair(gen, q)
-            up, down = hitting_coeffs_diffusion(psi, q, 0.0, 0.2)
-            tot = abs(up) + abs(down)
+            up, down = psi_pair(gen, q).exit_weights(i, i - 10, i + 1)
+            tot = abs(up[0]) + abs(down[0])
             if prev is not None:
                 assert tot < prev
             prev = tot
-
-    def test_missing_window_endpoint(self):
-        gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 10, -0.3, 0.3))
-        psi = psi_pair(gen, 1.0)
-        with pytest.raises(DegenerateWindow):
-            hitting_coeffs_diffusion(psi, 1.0, gen.states[2], 0.2)  # (x-a) off the grid
 
     def test_scaled_representation_handles_long_chains(self):
         # growth over a long chain overflows raw doubles but bridges stay finite
@@ -236,10 +170,10 @@ class TestPsiPair:
         g = build_grid(0.0, 0.2, 160, -4.0, 4.0)
         gen = build_generator(bs, g)
         q = 92.0 + 800.0j
-        psi = psi_pair(gen, q)
-        up, down = hitting_coeffs_diffusion(psi, q, 0.0, 0.2)
+        i = g.eta_x
+        up, down = psi_pair(gen, q).exit_weights(i, i - 160, i + 1)
         assert np.isfinite(up.real) and np.isfinite(down.real)
-        assert abs(up) <= 1.0 and abs(down) <= 1.0
+        assert abs(up[0]) <= 1.0 and abs(down[0]) <= 1.0
 
 
 class TestPsiPairNodeAxis:
@@ -275,15 +209,15 @@ class TestPsiPairNodeAxis:
         bottoms = tops - 20
         up, down = psi.exit_weights(tops, bottoms, tops + 1)
         for j, q in enumerate(self.NODES):
-            kf = lambda s, q=q: np.where(s < xi, q, 0.0) + shift
+            kvals = np.where(below, q, 0.0) + shift
             for pos, (bot, top) in enumerate(zip(bottoms, tops)):
                 window = (gen.states[bot], gen.states[top])
                 e_top = np.zeros(gen.n)
                 e_top[top + 1] = 1.0
                 e_bot = np.zeros(gen.n)
                 e_bot[bot] = 1.0
-                assert abs(up[pos, j] - solve_passage(gen, window, kf, e_top).at(top)) < 1e-10
-                assert abs(down[pos, j] - solve_passage(gen, window, kf, e_bot).at(top)) < 1e-10
+                assert abs(up[pos, j] - ambient_solve(gen, window, kvals, e_top)[top]) < 1e-10
+                assert abs(down[pos, j] - ambient_solve(gen, window, kvals, e_bot)[top]) < 1e-10
 
     def test_ratios_step_as_two_separate_loops(self):
         # the pair steps r upward and s downward in one loop; each ratio

@@ -220,6 +220,27 @@ class TestOccupationUntilDrawdown:
         v = occupation_until_drawdown(bs_small, k, 0.2).real
         assert 0.0 <= v <= 1.0
 
+    def test_linear_in_the_payoff_on_jump_chains(self):
+        gen = random_jump_chain(14)
+        rng = np.random.default_rng(5)
+        f1, f2 = rng.random(14), rng.random(14)
+        a, b = 0.7, -1.3
+        for x in range(1, 13):
+            v1, v2, v12 = (occupation_until_drawdown(gen, 2.0, 0.16, f=f, x=x)
+                           for f in (f1, f2, a * f1 + b * f2))
+            assert abs(v12 - (a * v1 + b * v2)) < 1e-12
+
+    def test_state_dependent_killing_bounds_on_jump_chains(self):
+        for seed in range(4):
+            gen = random_jump_chain(12, seed)
+            rng = np.random.default_rng(seed + 100)
+            f = rng.random(12)
+            rates = rng.uniform(0.0, 3.0, 12)
+            kill = lambda s: np.interp(s, gen.states, rates)
+            for x in range(1, 11):
+                v = occupation_until_drawdown(gen, kill, 0.16, f=f, x=x).real
+                assert -1e-12 <= v <= 1.0 + 1e-12
+
 
 class TestDrawdownOccupation:
     def test_max_independent_killing_collapses(self, bs_small):
@@ -886,6 +907,24 @@ class TestNodeAxis:
 
         with pytest.raises(Singular):
             qmod._node_solves(np.zeros((2, 2)), np.array(kv, dtype=complex), np.ones(2))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")   # lu_factor's zero pivot
+    def test_trapped_window_raises_singular(self):
+        # zero killing on a window nothing leaves: its rows only step up
+        # and its top row has no rate at all
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import Singular
+
+        states = np.arange(8) * 0.1
+        up, down = np.full(8, 5.0), np.zeros(8)
+        up[6] = 0.0
+        gen = BirthDeathGenerator(Grid(states=states, h=0.1, eta_x=4, x0=float(states[4])),
+                                  up, down)
+        blk = gen.window_block(2, 6)
+        with pytest.raises(Singular):
+            qmod._killed_solve(blk, np.zeros(5), np.ones(5))
+        with pytest.raises(Singular):
+            qmod._node_solves(blk, np.zeros((5, 2), dtype=complex), np.ones(5))
 
 
 class TestWindowRoutes:
