@@ -151,6 +151,8 @@ class RunConfig:
             raise ConfigError("each n_x must be a multiple of the previous one")
         if not self.y_min < self.x - self.a or not self.y_max > self.x:
             raise ConfigError("grid bounds must enclose (x - a, x]")
+        if self.levy_truncation is not None and not 0.0 < self.levy_truncation < np.inf:
+            raise ConfigError("levy_truncation must be positive and finite")
         if self.drift_scheme not in ctmc.DRIFT_SCHEMES:
             raise ConfigError(f"drift_scheme must be one of {ctmc.DRIFT_SCHEMES}")
 
@@ -411,7 +413,6 @@ def run_table(cfg: RunConfig, *, allow_single: bool = False) -> PriceTable:
     scheme = _resolve_scheme(cfg)
     nodes, _ = inversion_nodes_weights(cfg.T, cfg.laplace)
     rows = []
-    values = {}
     prev = None
     for n_x in cfg.n_x:
         gen = _build_generator_for(cfg, n_x, scheme)
@@ -422,7 +423,6 @@ def run_table(cfg: RunConfig, *, allow_single: bool = False) -> PriceTable:
         if prev is not None and n_x == 2 * prev[0]:
             extra = richardson(prev[1], value)
         rows.append((n_x, value, extra, runtime))
-        values[n_x] = value
         prev = (n_x, value)
 
     benchmark = cfg.benchmark

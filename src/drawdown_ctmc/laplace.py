@@ -16,7 +16,7 @@ one batch and fold deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp
+from math import comb, exp, inf
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class InversionConfig:
     def __post_init__(self):
         if self.base_terms < 1 or self.euler_terms < 1:
             raise ValueError("base_terms and euler_terms must be >= 1")
+        if not 0.0 < self.decay_param < inf:
+            raise ValueError("the inversion decay must be positive and finite")
 
 
 def inversion_nodes_weights(T: float, cfg: InversionConfig = InversionConfig()):

@@ -105,7 +105,6 @@ __all__ = [
     "TooLarge",
     "occupation_below_killing",
     "drawdown_occupation_killing",
-    "insurance_partial_sums",
     "q_drawdown",
     "drawdown_before_drawup",
     "occupation_until_drawdown",
@@ -987,37 +986,19 @@ def _spliced_sweep_coeffs(gen: Generator, nodes: np.ndarray, a_steps: int, xi: f
     return idx, up, np.where((idx >= a_steps)[:, None], down, 0.0)
 
 
-def _anchored_window(gen: Generator, a_steps: int) -> int:
-    """Bottom row of the lattice window (-a, 0] at the anchor."""
-    lo = gen.grid.eta_x - a_steps + 1
-    if lo < 1:
-        raise DegenerateWindow("lattice too narrow below the anchor")
-    return lo
-
-
 def c_levy_closed_form(gen: Generator, q, a: float, xi: float, *,
                        shift: complex = 0.0):
     """Translation-invariant solution of the drawdown-occupation transform
     with k(x, max) = q 1_{max - x > xi} + shift: one window solve for all
-    nodes (``_node_solves``); a node vector q gives one value per node.
+    nodes (``_last_rows``); a node vector q gives one value per node.
 
     The form holds on the infinite lattice: it ignores the upper end of a
     truncated one, so it differs from the sweep on the same chain by the
     mass that jumps over y_max (5e-7 for the shipped VG digital at n_x=8).
     """
-    if gen.structure != TOEPLITZ_LEVY:
-        raise NotLevy("closed form needs a translation-invariant lattice generator")
-    grid = gen.grid
     nodes, single = _nodes(q)
-    eta = grid.eta_x
-    lo = _anchored_window(gen, grid.steps_of(a))
-    states = gen.states
-    kv = drawdown_occupation_killing(nodes, xi, shift)(states[lo:eta + 1], states[eta])
-    p_dn, p_up, _ = _levy_window_masses(gen, kv)
-    den = 1.0 - p_up
-    if np.any(np.abs(den) < 1e-14):
-        raise FixedPointSingular("unit up-exit weight in the closed form")
-    return _per_node(p_dn / den, single)
+    killing = drawdown_occupation_killing(nodes, xi, shift)
+    return _per_node(_anchored_fixed_point(gen, a, killing), single)
 
 
 # ---------------------------------------------------------------------------
@@ -1291,31 +1272,6 @@ def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray
         yield f_arr[eta]
 
 
-def insurance_partial_sums(gen: Generator, q, a: float, x=None, y=None, *,
-                           recovery: bool = False, n_max: int = 50,
-                           tol: float = 1e-10) -> np.ndarray:
-    """Running partial sums of the per-event transforms, the convergence
-    diagnostic for the event-sum fixed points.  Stops early once every
-    node's increment drops below tol (default 50 events, 1e-10).  A node
-    vector q gives one column per node."""
-    a_steps = gen.grid.steps_of(a)
-    nodes, single = _nodes(q)
-    if recovery:
-        terms = _jn_terms(gen, nodes, a_steps, _bipayoff(gen, None), *_start_pair(gen, x, y),
-                          n_max)
-    else:
-        terms = _hn_terms(gen, nodes, a_steps, _payoff_array(gen, None), _anchor_index(gen, x))
-    sums = []
-    total = np.zeros(nodes.size, dtype=complex)
-    for term in islice(terms, n_max):
-        total = total + term
-        sums.append(total)
-        if np.all(np.abs(term) < tol):
-            break
-    sums = np.array(sums)
-    return sums[:, 0] if single else sums
-
-
 def insurance_no_recovery(gen: Generator, q, a: float, x=None):
     """Sum over all no-recovery drawdown events of e^{-q tautilde_{a,k}}:
     fixed point H = P (1 + H_below) + P H_above.  A node vector q gives
@@ -1397,37 +1353,12 @@ def _hsum_birth_death(up: np.ndarray, down: np.ndarray, a_steps: int, eta: int) 
     return val
 
 
-def _levy_window_masses(gen: Generator, kv: np.ndarray, payoff_below=None):
-    """Exit masses of the anchored lattice window (-a, 0] under the (m, k)
-    killing kv of its rows (m = a / h): returns (down_mass, up_mass,
-    down_weighted), one value per node each, where down_weighted applies
-    an optional (n, k) payoff over the states below the window.  The
-    window solve takes ``_last_rows``'s route: Levinson for the uniform
-    killing of Hsum and Jsum, with no dense block, and the reduction for
-    C's killed rows below the breakpoint."""
-    eta = gen.grid.eta_x
-    lo = _anchored_window(gen, kv.shape[0])
-    w = _last_rows(gen, lo, eta, kv)
-    below, above = gen.window_exit_masses(lo, eta)
-    p_wt = None
-    if payoff_below is not None:
-        p_wt = np.sum(w.T * _toeplitz_D_init(gen, payoff_below, lo - 1)[lo:eta + 1], axis=0)
-    return w @ below, w @ above, p_wt
-
-
 def h_levy_closed_form(gen: Generator, q, a: float):
     """Translation-invariant insurance sum without recovery; a node vector
     q gives one value per node.  Like ``c_levy_closed_form`` it holds on
     the infinite lattice and ignores the truncation of the chain's ends."""
-    if gen.structure != TOEPLITZ_LEVY:
-        raise NotLevy("closed form needs a translation-invariant lattice generator")
     nodes, single = _nodes(q)
-    a_steps = gen.grid.steps_of(a)
-    p_dn, p_up, _ = _levy_window_masses(gen, np.broadcast_to(nodes, (a_steps, nodes.size)))
-    den = 1.0 - p_dn - p_up
-    if np.any(np.abs(den) < 1e-14):
-        raise FixedPointSingular("degenerate fixed point in the closed form")
-    return _per_node(p_dn / den, single)
+    return _per_node(_anchored_fixed_point(gen, a, nodes, renewal="down"), single)
 
 
 # ---------------------------------------------------------------------------
@@ -1555,30 +1486,65 @@ def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):
     per node (``_toeplitz_solves``).  Like ``c_levy_closed_form`` it holds
     on the infinite lattice and ignores the chain's upper end.
     """
-    if gen.structure != TOEPLITZ_LEVY:
-        raise NotLevy("closed form needs a translation-invariant lattice generator")
-    grid = gen.grid
-    a_steps = grid.steps_of(a)
-    eta = grid.eta_x
     nodes, single = _nodes(q)
+    eta = gen.grid.eta_x
+    u = np.zeros((gen.n, nodes.size), dtype=complex)
+
+    def recovered_down_mass(w, lo):
+        # recovery weights u(z) = E_z[e^{-qT} ; reach >= anchor before the
+        # bottom], solved once the lattice guard has passed
+        _, rhs = gen.window_exit_masses(1, eta - 1)
+        u[1:eta] = _toeplitz_solves(gen, 1, eta - 1, nodes, rhs).T
+        return np.sum(w.T * _toeplitz_D_init(gen, u, lo - 1)[lo:eta + 1], axis=0)
+
+    j00 = _anchored_fixed_point(gen, a, nodes, renewal=recovered_down_mass)
     eta_x, eta_y = _start_pair(gen, x, y)
-    nn = gen.n
-    # recovery weights u(z) = E_z[e^{-qT} ; reach >= anchor before the bottom]
-    _, rhs = gen.window_exit_masses(1, eta - 1)
-    u = np.zeros((nn, nodes.size), dtype=complex)
-    u[1:eta] = _toeplitz_solves(gen, 1, eta - 1, nodes, rhs).T
-    p_dn, p_up, p_mix = _levy_window_masses(
-        gen, np.broadcast_to(nodes, (a_steps, nodes.size)), payoff_below=u)
-    den = 1.0 - p_up - p_mix
-    if np.any(np.abs(den) < 1e-14):
-        raise FixedPointSingular("degenerate recovery fixed point")
-    j00 = p_dn / den
     if eta_x != eta_y:
         # starting below the max: one recovery passage over the gap, which by
         # translation invariance is u evaluated at the matching relative state
         start = eta - (eta_y - eta_x)
         j00 = u[start] * j00 if start > 0 else np.zeros_like(j00)
     return _per_node(j00, single)
+
+
+def _anchored_fixed_point(gen: Generator, a: float, killing, renewal=None) -> np.ndarray:
+    """Value of a lattice closed form at the anchor, one per node:
+    V = p_dn / (1 - p_up - renewal), where the window (-a, 0] at the anchor
+    exits below with mass p_dn and above with mass p_up.  An up exit starts
+    the same window higher, worth V again by translation invariance; the
+    renewal is the mass with which a down exit starts it again: none for
+    C, p_dn for Hsum (``renewal="down"``: each event restarts at once), and
+    for Jsum ``renewal(w, lo)`` of the window's last rows w and bottom lo,
+    the down mass weighted by the recovery to the maximum.
+
+    ``killing`` is the (k,) node vector, killing every row alike, or C's
+    function (window states, anchor state) -> (m, k) rates.  The window
+    solve takes ``_last_rows``'s route: Levinson for a uniform killing,
+    the reduction for C's.  Each denominator keeps its order of
+    subtraction, which fixes its rounding.
+    """
+    if gen.structure != TOEPLITZ_LEVY:
+        raise NotLevy("closed form needs a translation-invariant lattice generator")
+    eta = gen.grid.eta_x
+    lo = eta - gen.grid.steps_of(a) + 1
+    if lo < 1:
+        raise DegenerateWindow("lattice too narrow below the anchor")
+    if callable(killing):
+        kv = killing(gen.states[lo:eta + 1], gen.states[eta])
+    else:
+        kv = np.broadcast_to(killing, (eta - lo + 1, killing.size))
+    w = _last_rows(gen, lo, eta, kv)
+    below, above = gen.window_exit_masses(lo, eta)
+    p_dn, p_up = w @ below, w @ above
+    if renewal is None:
+        den = 1.0 - p_up
+    elif renewal == "down":
+        den = 1.0 - p_dn - p_up
+    else:
+        den = 1.0 - p_up - renewal(w, lo)
+    if np.any(np.abs(den) < 1e-14):
+        raise FixedPointSingular("degenerate fixed point in the lattice closed form")
+    return p_dn / den
 
 
 # ---------------------------------------------------------------------------

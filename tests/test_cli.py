@@ -181,8 +181,17 @@ class TestMain:
         (["price", "quantity.kind=Jn", "quantity.n=0"], 2, "configuration error: "),
         (["price", "output.precision=abc"], 2, "configuration error: "),
         (["price", "--precision", "-3"], 2, "configuration error: "),
+        (["price", "laplace.decay=0"], 2, "configuration error: "),
+        (["price", "laplace.decay=-5"], 2, "configuration error: "),
+        (["price", "laplace.decay=nan"], 2, "configuration error: "),
+        (["price", "--aw-decay", "-5"], 2, "configuration error: "),
+        (["price", "grid.levy_truncation=0"], 2, "configuration error: "),
+        (["price", "grid.levy_truncation=-2"], 2, "configuration error: "),
+        (["price", "grid.levy_truncation=inf"], 2, "configuration error: "),
         (["dump-generator", "grid.n_x=1024"], 3, "numerical failure (TooLarge): "),  # 40,961 states
-    ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "dump-cap"])
+    ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "decay=0",
+            "decay=-5", "decay=nan", "aw-decay=-5", "levy_truncation=0", "levy_truncation=-2",
+            "levy_truncation=inf", "dump-cap"])
     def test_bad_value_refused(self, capsys, tmp_path, args, code, prefix):
         # refused before any price is computed or any file written
         out = tmp_path / "gen.csv"

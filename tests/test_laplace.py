@@ -45,6 +45,10 @@ class TestInvert:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InversionConfig(base_terms=0)
+        for decay in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="decay"):
+                InversionConfig(decay_param=decay)
+        assert InversionConfig(decay_param=1e-3).decay_param == 1e-3
         with pytest.raises(ValueError):
             inversion_nodes_weights(-1.0)
 

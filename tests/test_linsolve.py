@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from drawdown_ctmc.ctmc import BirthDeathGenerator, DenseGenerator, Grid, build_generator, build_grid
+from drawdown_ctmc.ctmc import BirthDeathGenerator, Grid, build_generator, build_grid
 from drawdown_ctmc.linsolve import NotBirthDeath, psi_pair
 from drawdown_ctmc.models import ModelSpec
+from helpers import random_jump_chain
 
 
 def random_birth_death(n, seed, lo=5.0, hi=60.0):
@@ -13,19 +14,6 @@ def random_birth_death(n, seed, lo=5.0, hi=60.0):
     down = rng.uniform(lo, hi, n)
     grid = Grid(states=states, h=float(np.diff(states).min()), eta_x=n // 2, x0=float(states[n // 2]))
     return BirthDeathGenerator(grid, up, down)
-
-
-def random_jump_chain(n, seed):
-    rng = np.random.default_rng(seed)
-    states = np.linspace(-1.0, 1.0, n)
-    rates = rng.uniform(0.0, 8.0, (n, n))
-    rates[rng.random((n, n)) < 0.5] = 0.0
-    np.fill_diagonal(rates, 0.0)
-    rates[0] = 0.0
-    rates[-1] = 0.0
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-    grid = Grid(states=states, h=float(np.diff(states).min()), eta_x=n // 2, x0=float(states[n // 2]))
-    return DenseGenerator(grid, rates)
 
 
 def ambient_solve(gen, window, kvals, f):

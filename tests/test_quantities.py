@@ -15,20 +15,26 @@ from drawdown_ctmc.ctmc import (
     build_levy_generator,
 )
 from drawdown_ctmc.laplace import inversion_nodes_weights
+from drawdown_ctmc.linsolve import DegenerateWindow
 from drawdown_ctmc.models import ModelSpec
 from drawdown_ctmc.oracle import dense_product_solve
 from drawdown_ctmc.quantities import (
+    NotLevy,
     QuantityRequest,
     TooLarge,
     UnsupportedRegime,
     _EventCore,
+    _bipayoff,
+    _hn_terms,
+    _jn_terms,
+    _last_rows,
+    _start_pair,
     c_levy_closed_form,
     drawdown_before_drawup,
     drawdown_occupation,
     evaluate,
     h_levy_closed_form,
     insurance_no_recovery,
-    insurance_partial_sums,
     insurance_with_recovery,
     j_levy_closed_form,
     nth_drawdown_no_recovery,
@@ -37,7 +43,12 @@ from drawdown_ctmc.quantities import (
     occupation_until_drawdown,
     q_drawdown,
 )
-from helpers import dense_copy
+from helpers import dense_copy, random_jump_chain
+
+
+def event_partial_sums(terms, n_max=50):
+    """Running sums of the first n_max per-event values: (n_max, k)."""
+    return np.cumsum(list(itertools.islice(terms, n_max)), axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -303,10 +314,31 @@ class TestDrawdownOccupation:
 
     def test_closed_form_denominator_modulus(self, dejd_lattice):
         # the up-exit weight has modulus < 1 under strict killing
-        from drawdown_ctmc.quantities import _levy_window_masses
-        kv = np.full((dejd_lattice.grid.steps_of(0.1), 1), 2.0 + 1.0j)
-        _, p_up, _ = _levy_window_masses(dejd_lattice, kv)
+        eta = dejd_lattice.grid.eta_x
+        lo = eta - dejd_lattice.grid.steps_of(0.1) + 1
+        kv = np.full((eta - lo + 1, 1), 2.0 + 1.0j)
+        _, above = dejd_lattice.window_exit_masses(lo, eta)
+        p_up = _last_rows(dejd_lattice, lo, eta, kv) @ above
         assert abs(p_up[0]) < 1.0
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda gen, a: c_levy_closed_form(gen, 2.0, a, 0.04, shift=0.05),
+    lambda gen, a: h_levy_closed_form(gen, 2.0, a),
+    lambda gen, a: j_levy_closed_form(gen, 2.0, a),
+], ids=["C", "Hsum", "Jsum"])
+def test_closed_form_guards(closed_form, bs_small):
+    # only a translation-invariant lattice qualifies, and its window
+    # (-a, 0] must end above the absorbing bottom
+    for gen in (bs_small, dense_copy(bs_small)):
+        with pytest.raises(NotLevy):
+            closed_form(gen, 0.2)
+    lattice = build_levy_generator(ModelSpec.dejd(), 0.02, -0.1, 0.4)
+    assert lattice.grid.eta_x == 5
+    assert np.isfinite(closed_form(lattice, 5 * 0.02))
+    for a in (6 * 0.02, 0.2):
+        with pytest.raises(DegenerateWindow, match="too narrow below the anchor"):
+            closed_form(lattice, a)
 
 
 @pytest.mark.parametrize("req", [
@@ -334,10 +366,11 @@ class TestNthDrawdownNoRecovery:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_partial_sums_converge_to_fixed_point(self, bs_small):
-        from drawdown_ctmc.quantities import insurance_partial_sums
         q = 1.0
         total = insurance_no_recovery(bs_small, q, 0.2).real
-        sums = insurance_partial_sums(bs_small, q, 0.2).real
+        terms = _hn_terms(bs_small, np.array([q]), bs_small.grid.steps_of(0.2),
+                          np.ones(bs_small.n), bs_small.grid.eta_x)
+        sums = event_partial_sums(terms)[:, 0].real
         assert np.all(np.diff(sums) > -1e-15)   # increasing in the event count
         assert abs(sums[-1] - total) < 1e-8
 
@@ -492,10 +525,12 @@ class TestNthDrawdownWithRecovery:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_partial_sums_converge_to_fixed_point(self, bs_small):
-        from drawdown_ctmc.quantities import insurance_partial_sums
         q = 1.0
         total = insurance_with_recovery(bs_small, q, 0.2).real
-        sums = insurance_partial_sums(bs_small, q, 0.2, recovery=True).real
+        eta = bs_small.grid.eta_x
+        terms = _jn_terms(bs_small, np.array([q]), bs_small.grid.steps_of(0.2),
+                          _bipayoff(bs_small, None), eta, eta, 50)
+        sums = event_partial_sums(terms)[:, 0].real
         assert abs(sums[-1] - total) < 1e-8
 
     def test_diffusion_recursion_vs_generic(self, bs_small):
@@ -1144,19 +1179,6 @@ class TestToeplitzInflow:
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), (m0, m1, z0)
 
 
-def random_jump_chain(n, seed=3):
-    """A dense chain with random jumps of every size, absorbing at both ends."""
-    rng = np.random.default_rng(seed)
-    rates = rng.uniform(0.0, 30.0, (n, n))
-    rates[rng.random((n, n)) < 0.6] = 0.0
-    rates[[0, n - 1]] = 0.0
-    np.fill_diagonal(rates, 0.0)
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-    states = np.arange(n) * 0.04
-    return DenseGenerator(Grid(states=states, h=0.04, eta_x=n // 2, x0=float(states[n // 2])),
-                          rates)
-
-
 class TestEventCore:
     NODES = np.array([2.0, 18.4 + 30.0j, 5.0 + 800.0j])
 
@@ -1235,7 +1257,9 @@ class TestEventCore:
         second = nth_drawdown_with_recovery(gen, self.NODES, a, x=x, y=y, n=2)
         assert np.all(np.isfinite(jsum)) and np.all(np.isfinite(second))
         # the partial sums step the Jn recursion, not the Jsum fixed point
-        sums = insurance_partial_sums(gen, self.NODES, a, x=x, y=y, recovery=True)
+        terms = _jn_terms(gen, self.NODES, gen.grid.steps_of(a), _bipayoff(gen, None),
+                          *_start_pair(gen, x, y), 50)
+        sums = event_partial_sums(terms)
         assert np.all(np.abs(sums[-1] - jsum) <= 1e-10 * np.maximum(1.0, np.abs(jsum)))
 
     @pytest.mark.parametrize("fn", [insurance_no_recovery, insurance_with_recovery])
