@@ -153,6 +153,8 @@ class RunConfig:
             raise ConfigError("grid bounds must enclose (x - a, x]")
         if self.levy_truncation is not None and not 0.0 < self.levy_truncation < np.inf:
             raise ConfigError("levy_truncation must be positive and finite")
+        if self.levy_truncation is not None and not (self.model.is_levy and self.model.has_jumps):
+            raise ConfigError("levy_truncation needs a Levy lattice (a model with jumps)")
         if self.drift_scheme not in ctmc.DRIFT_SCHEMES:
             raise ConfigError(f"drift_scheme must be one of {ctmc.DRIFT_SCHEMES}")
 

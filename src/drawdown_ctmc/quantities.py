@@ -8,16 +8,24 @@ carries both inflows, the diagonal left out:
 
     R[m] = sum_{z <= i-a} G(m, z) * payoff[z] + sum_{z > i} G(m, z) * value[z]
 
-The tops go in blocks (``_SWEEP_BLOCK``).  Inside a block a window's
-right-hand side is R plus the inflow of the tops already solved in the
-block, less the payoff columns that entered the window since the block
-began: two small products with slices of the off-diagonal rates.  After
-the block one product folds it into the rows below.  Every sweep is O(N)
-window solves plus O(N^2) work in BLAS products; a lattice reads its
-rates from one panel of the stencil, with no generator column per top
-(``_OffDiagonal``).  On translation-invariant lattices every interior
-window block is the same Toeplitz matrix, so window solves are cached by
-the window's killing pattern; dense generators solve every window.
+The tops go in blocks of b (``_SWEEP_BLOCK``), and Python runs per block,
+not per top.  A top's value is its window's last inverse row w_i applied
+to the right-hand side, and inside a block that side reads the values of
+the block's higher tops, so the block's values solve one unit upper
+triangular system (I - C) V = g per node: g_i = w_i . (R - P_i) over the
+window, P_i the payoff columns R still holds inside it, and C[i, z] =
+w_i . G[window, z] for the higher tops z.  The rows come first (their
+solves do not read V), then one batch of products builds g and C, and
+all nodes' systems are solved together as one banded triangular system
+(``_unit_upper_solves``).  After the block one product folds it into
+the rows below.  Every sweep is O(N) window solves plus O(N^2) work in
+BLAS products; a lattice reads its rates from the stencil, with no
+generator column per top (``_OffDiagonal``).  On translation-invariant
+lattices every interior window block is the same Toeplitz matrix, so
+window solves, and their products with the rates, are cached by the
+window's killing pattern: a block of tops sharing one cached row costs
+O(a k) per top for its right-hand sides plus O(k b) per top for the
+triangular system.  Dense generators solve and multiply every window.
 
 Quantities:
 
@@ -57,8 +65,9 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
   one stacked solve over the nodes (``_a_strip``);
 * the windowed sweep (Q, B, C, Hn and the Hsum partial sums on lattices
   and dense generators): the running vector R and the values are (n, k),
-  so every block's inflow is one real GEMM over all nodes; lattice windows
-  cache the last rows of every node's inverse per killing pattern;
+  so every block's inflow is one real GEMM over all nodes and every
+  block's values one banded triangular solve; lattice windows cache the
+  last rows of every node's inverse per killing pattern;
 * the lattice closed forms (C, Hsum, Jsum): the window solve and its exit
   masses are made once.
 
@@ -282,20 +291,23 @@ def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _OffDiagonal:
-    """The generator's rates G(m, z), m != z, read by blocks of interior
-    rows (1 <= m <= N-1) and of at most ``width`` columns z <= N-1.
+    """The generator's rates G(m, z), m != z, as the windowed sweep reads
+    them for windows of a steps: blocks of interior rows (1 <= m <= N-1)
+    and of at most ``width`` columns z <= N-1 (``add_times``), and the
+    rates from each window's rows to the columns around it
+    (``window_products``).
 
-    A lattice keeps one (n - 2 + a, width) panel of its stencil, with the
-    centre set to 0 and the local rates added at offsets +-1: every
-    interior block is a row slice of it, so no N x N array is built.
-    Column 0, whose rates are the tail bins, is the one boundary column
-    the sweep reads (``column(0)``, once).  A dense generator keeps its
-    rates with the diagonal zeroed.
+    A lattice keeps its stencil line, with the centre set to 0 and the
+    local rates added at offsets +-1, and one (n - 2 + a, width) panel of
+    it: every interior block is a row slice of the panel, so no N x N
+    array is built.  Column 0, whose rates are the tail bins, is the one
+    boundary column the sweep reads (``column(0)``, once).  A dense
+    generator keeps its rates with the diagonal zeroed.
     """
 
     def __init__(self, gen: Generator, a_steps: int, width: int):
         n = self.n = gen.n
-        self.gen = gen
+        self.gen, self.a = gen, a_steps
         if gen.structure == TOEPLITZ_LEVY:
             line = gen.stencil.copy()   # offset z - m at line[z - m + n - 1]
             line[n - 1] = 0.0
@@ -308,26 +320,33 @@ class _OffDiagonal:
             ext = np.concatenate([np.zeros(rows), line, np.zeros(width)])
             starts = np.lib.stride_tricks.sliding_window_view(ext, width)
             self.panel = np.ascontiguousarray(starts[2 * n - 3:2 * n - 3 + rows][::-1])
+            self.line = line
             self.col0 = gen.column(0)
+            self.correlators = {}
         else:
             self.dense = gen.to_dense()
             np.fill_diagonal(self.dense, 0.0)
             self.col0 = self.dense[:, 0]
 
-    def times(self, m0: int, m1: int, z0: int, z1: int, x: np.ndarray) -> np.ndarray:
-        """G[m0:m1, z0:z1] @ x[z0:z1] without the diagonal, for the rows of
-        an (n, k) complex array; the rows end at most a above the first
-        column (m1 <= z0 + a)."""
+    def add_times(self, m0: int, m1: int, z0: int, z1: int, x: np.ndarray, out: np.ndarray,
+                  alpha: float):
+        """out[m0:m1] += alpha G[m0:m1, z0:z1] @ x[z0:z1] without the
+        diagonal, for C-order complex (n, k) arrays x and out; the rows end
+        at most a above the first column (m1 <= z0 + a).  One real GEMM
+        accumulates into out in place."""
+        from scipy.linalg import blas
+
         lo = max(z0, 1)
         if self.gen.structure == TOEPLITZ_LEVY:
             p0 = self.n - 3 + m0 - lo
             blk = self.panel[p0:p0 + m1 - m0, :z1 - lo]
         else:
             blk = self.dense[m0:m1, lo:z1]
-        out = _real_times(blk, x[lo:z1])
+        # the transposed product on the Fortran-order views of the C-order arrays
+        blas.dgemm(alpha, x[lo:z1].view(float).T, blk.T, beta=1.0,
+                   c=out[m0:m1].view(float).T, overwrite_c=1)
         if z0 == 0:
-            out += self.col0[m0:m1, None] * x[0]
-        return out
+            out[m0:m1] += alpha * self.col0[m0:m1, None] * x[0]
 
     def payoff_inflow(self, f: np.ndarray, cut: int) -> np.ndarray:
         """sum_{z <= cut, z != m} G(m, z) f[z] over the states, one column
@@ -339,6 +358,52 @@ class _OffDiagonal:
         D = np.zeros(f.shape, dtype=complex)
         D[1:self.n - 1] = _real_times(self.dense[1:self.n - 1, :cut + 1], f[:cut + 1])
         return D
+
+    def window_products(self, rows: np.ndarray, tops: np.ndarray, width: int) -> np.ndarray:
+        """sum_c rows[u, c] G(i - a + 1 + c, z) for each window row u and its
+        top i = tops[u], at the ``width`` columns z = i - a + 1 + e from the
+        window's bottom up, then the ``width`` columns z = i + 1 + e above
+        its top: a (u, 2 width, k) array.
+
+        rows is a (u, a, k) stack of window rows over the states i - a + 1
+        .. i, 0 on the states below 1.  Entries at columns outside 0 .. N-2
+        are not meaningful (the sweep reads none).  On a lattice G(r, z)
+        depends on z - r only, so a row serves every interior window that
+        shares it: one real GEMM correlates the stack with the stencil, and
+        column 0, the tail bins, is set from ``col0`` for the windows that
+        reach state 0 (each the only one with its row).  A dense generator
+        caches no rows, so each row has its own top: one batched product
+        over the gathered rates.
+        """
+        a = self.a
+        span = np.arange(a)
+        if self.gen.structure == TOEPLITZ_LEVY:
+            out = (self._correlator(width).T @ rows.view(float)).view(complex)
+            at0 = np.flatnonzero((tops < a) & (tops + width >= a))
+            if at0.size:
+                i = tops[at0]
+                src = self.col0[np.maximum(i[:, None] - a + 1 + span, 0)]
+                out[at0, a - 1 - i] = np.einsum("uck,uc->uk", rows[at0], src)
+            return out
+        cols = np.concatenate([np.arange(width) - a + 1, np.arange(width) + 1])
+        r = np.maximum(tops[:, None] - a + 1 + span, 0)
+        z = np.clip(tops[:, None] + cols, 0, self.n - 1)
+        blk = self.dense[r[:, :, None], z[:, None, :]]
+        return (blk.transpose(0, 2, 1) @ rows.view(float)).view(complex)
+
+    def _correlator(self, width: int) -> np.ndarray:
+        """The lattice rates from the rows c < a of a window to its bottom
+        columns (offsets e - c) and to the columns above it (e + a - c),
+        e < width: (a, 2 width), kept per width."""
+        corr = self.correlators.get(width)
+        if corr is None:
+            n, a = self.n, self.a
+            pad = a + width
+            ext = np.concatenate([np.zeros(pad), self.line, np.zeros(pad)])
+            offsets = np.concatenate([np.arange(width), np.arange(width) + a])
+            corr = ext[n - 1 + pad + offsets - np.arange(a)[:, None]]
+            self.correlators[width] = corr
+        return corr
 
 
 def _node_solves(blk: np.ndarray, kv: np.ndarray, rhs: np.ndarray, *,
@@ -514,9 +579,10 @@ class _NestedKilling:
             return None
         return cls(cut, free.real, kill[0])
 
-    def pattern(self, lo: int, m: int) -> int:
-        """Killed rows of the interior window [lo..lo+m-1]."""
-        return min(max(self.cut - lo, 0), m)
+    def pattern(self, lo, m):
+        """Killed rows of the interior window [lo..lo+m-1], for integers or
+        arrays of them."""
+        return np.minimum(np.maximum(self.cut - lo, 0), m)
 
     def steps_to(self, lo: int, m: int) -> bool:
         """Whether the chain gives the window's pattern: pattern 0 starts
@@ -600,42 +666,126 @@ def _last_rows(gen: Generator, lo: int, hi: int, kv: np.ndarray,
 
 
 class _WindowSolver:
-    """Last-row window solves for a batch of nodes (``_last_rows``).
+    """Last-row window solves for a batch of nodes (``_last_rows``), for
+    the windows of a steps topped at i, [max(0, i - a + 1)..i], with the
+    generator's rates between their rows and the tops above
+    (``_OffDiagonal``, as ``rates``).
 
     On a lattice the rows are cached by the window's killing pattern.  A
     killing over the states that classifies as nested
     (``_NestedKilling.of``, once per solver) keys a window by (width,
     reaches state 0, killed rows) in O(1), and its chain serves the
     partly killed patterns, each once per sweep and so left uncached.
-    Any other killing is keyed by its bytes.  The rows are kept
-    conjugated in the right-hand sides' (m, k) orientation, so that one
-    ``np.vecdot`` applies them.
+    Any other killing is keyed by its bytes.  Each row is kept over the a
+    states i - a + 1 .. i, 0 below the window and at the absorbing state
+    0 (whose right-hand side is 0), in the right-hand sides' (a, k)
+    orientation and conjugated node-major (k, a), with its products with
+    the rates per block width: a cached interior row serves every window
+    of its pattern, and a row that reaches state 0 only its own top.
     """
 
-    def __init__(self, gen: Generator, killing):
-        self.gen = gen
+    def __init__(self, gen: Generator, killing, a_steps: int):
+        self.gen, self.a = gen, a_steps
+        self.rates = _OffDiagonal(gen, a_steps, _SWEEP_BLOCK)
         self.cache = {}
         self.nested = None
         if gen.structure == TOEPLITZ_LEVY and isinstance(killing, np.ndarray):
             self.nested = _NestedKilling.of(killing)
 
-    def last_row_solve(self, lo: int, i: int, kv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Last entries of the solutions of (diag(kv[:, j]) - G[lo..i]) x = rhs[:, j]
-        for the (m, k) killing and right-hand sides: one value per node."""
-        key, keep = None, True
-        if self.gen.structure == TOEPLITZ_LEVY:
+    def _patterns(self, t0: int, t1: int, killing_fn: Callable):
+        """The tops t1 .. t0 in runs that share a cache key: (the run's
+        highest top, its length, the key or None for no cache, whether
+        the row is kept, the killing on the highest top's window or None).
+        A nested killing keys its windows without reading the killing, so
+        that its runs come from array arithmetic; any other killing runs
+        top by top."""
+        a, nested = self.a, self.nested
+        if nested is not None:
+            i = np.arange(t1, t0 - 1, -1)
+            lo = np.maximum(i - a + 1, 0)
             m = i - lo + 1
-            if self.nested is None:
-                key = (m, lo == 0, kv.tobytes())
+            p = nested.pattern(lo, m)
+            starts = np.ones(i.size, dtype=bool)
+            starts[1:] = (m[1:] != m[:-1]) | (p[1:] != p[:-1]) | (lo[1:] == 0)
+            first = np.flatnonzero(starts)
+            for s, e in zip(first.tolist(), first[1:].tolist() + [i.size]):
+                key = (int(m[s]), bool(lo[s] == 0), int(p[s]))
+                yield t1 - s, e - s, key, key[2] in (0, key[0]), None
+            return
+        lattice = self.gen.structure == TOEPLITZ_LEVY
+        for i in range(t1, t0 - 1, -1):
+            lo = max(0, i - a + 1)
+            kv = killing_fn(i, lo)
+            yield i, 1, (i - lo, lo == 0, kv.tobytes()) if lattice else None, lattice, kv
+
+    def block(self, t0: int, t1: int, killing_fn: Callable):
+        """The windows topped at t0 .. t1, solved from t1 down (the chain's
+        order), as runs (j0, j1, row) of the tops t0 + j0 .. t0 + j1 - 1
+        that share a last row, from t0 up.  A row is a triple: the row
+        conjugated (k, a), and its products with the rates at width b =
+        t1 - t0 + 1 (``_OffDiagonal.window_products``) on the window's
+        bottom b columns and, negated, on the top's column and the b - 1
+        above it, each (k, b)."""
+        a, b = self.a, t1 - t0 + 1
+        entries, tops, runs, seen = [], [], [], {}
+        for i, count, key, keep, kv in self._patterns(t0, t1, killing_fn):
+            u = seen.get(key)
+            if u is None:
+                entry = self.cache.get(key)
+                if entry is None:
+                    lo = max(0, i - a + 1)
+                    if kv is None:
+                        kv = killing_fn(i, lo)
+                    row = np.zeros((a, kv.shape[1]), dtype=complex)
+                    row[a - (i - lo + 1):] = _last_rows(self.gen, lo, i, kv, self.nested).T
+                    if lo == 0:
+                        row[a - 1 - i] = 0.0
+                    entry = row, np.conjugate(row.T, order="C"), {}
+                    if keep:
+                        self.cache[key] = entry
+                u = len(entries)
+                entries.append(entry)
+                tops.append(i)
+                if key is not None:
+                    seen[key] = u
+            if runs and runs[-1][2] == u:
+                runs[-1][0] -= count
             else:
-                p = self.nested.pattern(lo, m)
-                key, keep = (m, lo == 0, p), p in (0, m)
-        w = self.cache.get(key)
-        if w is None:
-            w = np.conjugate(_last_rows(self.gen, lo, i, kv, self.nested).T, order="C")
-            if key is not None and keep:
-                self.cache[key] = w
-        return np.vecdot(w, rhs, axis=0)
+                runs.append([i - t0 - count + 1, i - t0 + 1, u])
+        # one batch of products for the rows without them at this width
+        new = [u for u, entry in enumerate(entries) if b not in entry[2]]
+        if new:
+            prod = self.rates.window_products(np.stack([entries[u][0] for u in new]),
+                                              np.array(tops)[new], b).transpose(0, 2, 1)
+            for u, pu in zip(new, prod):
+                entries[u][2][b] = (np.ascontiguousarray(pu[:, :b]),
+                                    np.negative(pu[:, b - 1:2 * b - 1], order="C"))
+        return [(j0, j1, (entries[u][1], *entries[u][2][b])) for j0, j1, u in reversed(runs)]
+
+
+def _hankel(x: np.ndarray, m: int) -> np.ndarray:
+    """The read-only (r, L - m + 1, m) view v[:, j, c] = x[:, j + c] of an
+    (r, L) array."""
+    r, s = x.strides
+    return np.lib.stride_tricks.as_strided(x, (x.shape[0], x.shape[1] - m + 1, m), (r, s, s),
+                                           writeable=False)
+
+
+def _unit_upper_solves(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions x_j of U_j x_j = rhs[j] for the (k, b) right-hand sides and
+    the unit upper triangular (b, b) matrices U_j with U_j[i, i + d] =
+    band[j, i, d], 0 < d < b - i; band[j, i, d] must be 0 for i + d >= b.
+
+    The nodes' systems are the diagonal blocks of one banded system of k b
+    unknowns with b - 1 superdiagonals, and the C-order band is the
+    lower-band storage of its transpose: one BLAS banded triangular solve
+    (``ztbsv``) serves every node.
+    """
+    from scipy.linalg import blas
+
+    k, b = rhs.shape
+    x = blas.ztbsv(b - 1, band.reshape(k * b, b).T, rhs.reshape(-1), lower=1, trans=1, diag=1)
+    return x.reshape(k, b)
 
 
 def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarray,
@@ -653,48 +803,91 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarr
     0.  A shared ``solver``, made for the same killing, carries the cached
     lattice window solves across repeated sweeps (event-count recursions).
 
-    One running vector R holds, for the rows below the current block of
+    One running vector R holds, for the rows below the current block of b
     tops [t0, t1], the payoff inflow of the columns z <= t1 - a and the
-    continuation inflow of the values above t1.  Top i's window rows add
-    the values of the tops i + 1 .. t1 and drop the payoff columns
-    i - a + 1 .. t1 - a; a finished block is folded into the rows below
-    t0 by one product for its values and one for its payoff columns.  The
-    boundary column 0 (tail bins) enters only where a cut reaches it.
+    continuation inflow of the values above t1 (two arrays: the values'
+    part, one column per node, and the payoff's, one per payoff column).
+    Top i's window [lo..i], with last inverse row w_i, has the value
+
+        V[i] = w_i . (R[lo..i] - P_i) + sum_{i < z <= t1} w_i . G[lo..i, z] V[z],
+
+    P_i the inflow of the payoff columns lo .. t1 - a that R holds but the
+    window covers.  So the block's values solve (I - C) V = g, C strictly
+    upper triangular, g_i = w_i . (R[lo..i] - P_i) and C[i, z] = w_i .
+    G[lo..i, z].  Per block:
+
+    * the solver gives the rows in descending order (its rank-one chain
+      needs them so), in runs of tops that share a cached row, with each
+      row's products with the rates at the window's bottom b columns and
+      at the b columns from its top up (``_WindowSolver.block``);
+    * per run, one product of the row with R over the tops' windows and
+      one with the payoff columns give g; the products above the tops
+      fill the band of C;
+    * one banded triangular solve gives every node's values
+      (``_unit_upper_solves``);
+    * one product for the values and one for the payoff columns fold the
+      block into the rows below t0 (``_OffDiagonal.add_times``).
+
+    Python runs per block and per distinct row; only a killing that must
+    be read to key its windows (a function, or any killing on a dense
+    generator, which caches nothing) is read top by top.  A top costs
+    O(a k) for its right-hand side and O(b k) in the triangular system; a
+    distinct row adds O(a b k) for its products, which on a lattice its
+    cache entry keeps.  The boundary column 0 (tail bins) enters only
+    where a cut reaches it.
     """
     n, a = gen.n, a_steps
     top = n - 2
     killing_fn = killing if callable(killing) else (lambda i, lo: killing[lo:i + 1])
-    kv = killing_fn(top, max(0, top - a + 1))
-    V = np.zeros((n, kv.shape[1]), dtype=complex)
+    k = killing_fn(top, max(0, top - a + 1)).shape[1]
+    V = np.zeros((n, k), dtype=complex)
     f = np.ascontiguousarray(f_arr, dtype=complex).reshape(n, -1)
-    rates = _OffDiagonal(gen, a, _SWEEP_BLOCK)
-    R = np.broadcast_to(rates.payoff_inflow(f, top - a), V.shape).copy()
+    if solver is None:
+        solver = _WindowSolver(gen, killing, a)
+    rates = solver.rates
+    R, Rf = np.zeros(V.shape, dtype=complex), rates.payoff_inflow(f, top - a)
     # rows below the lowest window bottom are never read, and the
     # absorbing row 0 keeps no inflow
     floor = max(1, stop - a + 1)
-
-    if solver is None:
-        solver = _WindowSolver(gen, killing)
+    # the payoff conjugated node-major after a zero columns: state z at
+    # column z + a
+    fpad = np.zeros((f.shape[1], n + a), dtype=complex)
+    fpad[:, a:] = np.conjugate(f.T)
+    bands = {}   # per block width: the entries written, and the band
     for t1 in range(top, stop - 1, -_SWEEP_BLOCK):
         t0 = max(stop, t1 - _SWEEP_BLOCK + 1)
-        # R holds the payoff columns z <= t1 - a and the values above t1
-        for i in range(t1, t0 - 1, -1):
-            lo = max(0, i - a + 1)
-            if i < top:
-                kv = killing_fn(i, lo)
-            rhs = R[lo:i + 1].copy()
-            if i < t1:
-                m0 = max(lo, 1)
-                inflow = rates.times(m0, i + 1, i + 1, t1 + 1, V)
-                if t1 - a >= lo:   # payoff columns that entered the window
-                    inflow -= rates.times(m0, i + 1, lo, t1 - a + 1, f)
-                rhs[m0 - lo:] += inflow
-            V[i] = solver.last_row_solve(lo, i, kv, rhs)
+        b = t1 - t0 + 1
+        runs = solver.block(t0, t1, killing_fn)
+        # R on the block's window rows t0 - a + 1 .. t1 (0 below state 0):
+        # top t0 + j reads the columns j .. j + a - 1
+        low = max(0, t0 - a + 1)
+        seg = np.empty((k, b + a - 1), dtype=complex)
+        seg[:, :low - t0 + a - 1] = 0.0
+        np.add(R[low:t1 + 1].T, Rf[low:t1 + 1].T, out=seg[:, low - t0 + a - 1:])
+        window = _hankel(seg, a)
+        # of its products on the window's bottom columns z = i - a + 1 + e,
+        # top i = t0 + j reads those at the payoff columns that R holds,
+        # 0 <= z <= t1 - a (P_i; held, 0 elsewhere), and of those above it,
+        # z = i + 1 + e, the tops of the block (C), kept as
+        # band[:, j, d] = -C[j, j + d] for 0 < d < b - j and 0 elsewhere
+        held = np.zeros((f.shape[1], 2 * b - 1), dtype=complex)
+        held[:, :b - 1] = fpad[:, t0 + 1:t1 + 1]
+        pay = _hankel(held, b)
+        if b not in bands:
+            e = np.arange(b)
+            bands[b] = (e > 0) & (e < (b - e)[:, None]), np.zeros((k, b, b), dtype=complex)
+        upper, band = bands[b]
+        g = np.empty((k, b), dtype=complex)
+        for j0, j1, (conj, below, above) in runs:
+            g[:, j0:j1] = (np.vecdot(conj[:, None], window[:, j0:j1])
+                           - np.vecdot(pay[:, j0:j1], below[:, None]))
+            np.copyto(band[:, j0:j1], above[:, None], where=upper[j0:j1])
+        V[t0:t1 + 1] = _unit_upper_solves(band, g).T
         if t0 > max(floor, stop):
-            R[floor:t0] += rates.times(floor, t0, t0, t1 + 1, V)
+            rates.add_times(floor, t0, t0, t1 + 1, V, R, 1.0)
             cut = max(t0 - a, 0)
             if t1 - a >= cut:
-                R[floor:t0] -= rates.times(floor, t0, cut, t1 - a + 1, f)
+                rates.add_times(floor, t0, cut, t1 - a + 1, f, Rf, -1.0)
     return V
 
 
@@ -1265,7 +1458,7 @@ def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray
         sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     else:
         kill = np.broadcast_to(nodes, (gen.n, nodes.size))
-        solver = _WindowSolver(gen, kill)
+        solver = _WindowSolver(gen, kill, a_steps)
         sweep = lambda f_arr: backward_window_sweep(gen, a_steps, kill, f_arr, 0, solver=solver)
     while True:
         f_arr = sweep(f_arr)

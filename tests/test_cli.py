@@ -65,6 +65,31 @@ class TestConfig:
             smoke_config(**{"grid.n_x": "1"})
         assert load_config(None, ["model.kind=VG", "quantity.kind=Q", "grid.n_x=1"]).n_x == (1,)
 
+    @pytest.mark.parametrize("model", ["model.kind=BS", "model.kind=CEV",
+                                       "model.kind=DEJD,model.lambda=0"])
+    def test_levy_truncation_only_on_jump_lattices(self, model):
+        # a chain without jumps is a diffusion grid, which never reads the key
+        model_keys = model.split(",")
+        with pytest.raises(ConfigError, match="levy_truncation"):
+            load_config(None, [*model_keys, "quantity.kind=Q", "grid.levy_truncation=6"])
+        load_config(None, [*model_keys, "quantity.kind=Q"])
+
+    def test_levy_truncation_widens_the_lattice_only_past_the_grid(self):
+        # a Levy lattice spans [min(y_min, -t), max(y_max, t)], so a
+        # truncation inside the grid bounds (+-4 here) changes nothing
+        path = os.path.join(CONFIG_DIR, "occupation_digital_dejd.ini")
+
+        def lattice(*extra):
+            cfg = load_config(path, ["grid.n_x=20", *extra])
+            gen = cli._build_generator_for(cfg, 20, cli._resolve_scheme(cfg))
+            return gen.n, gen.grid.states[0], gen.grid.states[-1]
+
+        n, lo, hi = lattice()
+        assert lattice("grid.levy_truncation=0.5") == (n, lo, hi)
+        wide, wide_lo, wide_hi = lattice("grid.levy_truncation=6")
+        assert wide > n
+        assert wide_lo <= -6.0 < lo and hi < 6.0 <= wide_hi
+
     def test_quantity_a_requires_b(self):
         with pytest.raises(ConfigError):
             smoke_config(**{"quantity.kind": "A"})
@@ -188,10 +213,11 @@ class TestMain:
         (["price", "grid.levy_truncation=0"], 2, "configuration error: "),
         (["price", "grid.levy_truncation=-2"], 2, "configuration error: "),
         (["price", "grid.levy_truncation=inf"], 2, "configuration error: "),
+        (["price", "grid.levy_truncation=4"], 2, "configuration error: "),   # BS has no jumps
         (["dump-generator", "grid.n_x=1024"], 3, "numerical failure (TooLarge): "),  # 40,961 states
     ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "decay=0",
             "decay=-5", "decay=nan", "aw-decay=-5", "levy_truncation=0", "levy_truncation=-2",
-            "levy_truncation=inf", "dump-cap"])
+            "levy_truncation=inf", "levy_truncation-no-jumps", "dump-cap"])
     def test_bad_value_refused(self, capsys, tmp_path, args, code, prefix):
         # refused before any price is computed or any file written
         out = tmp_path / "gen.csv"

@@ -769,23 +769,57 @@ class TestNodeAxis:
     @pytest.mark.parametrize("structure", ["DEJD", "VG", "dense"])
     def test_blocked_sweep_matches_the_per_top_order(self, chains, structure, monkeypatch):
         # one top per block folds every value into the rows below before
-        # the next solve, the order of a per-top sweep; blocks of 2 and one
-        # block over the whole chain carry the inflow of the solved tops
-        # and the payoff cuts inside the block.  Hn sweeps down to state 0,
-        # whose payoff column is the boundary tail bins.
+        # the next solve, the order of a per-top sweep; blocks of 2 and 5
+        # and one block over the whole chain carry the inflow of the solved
+        # tops and the payoff cuts inside the block.  Hn sweeps down to
+        # state 0, whose payoff column is the boundary tail bins; Q, B and
+        # C started off the anchor stop inside a block of 5 (36 tops).
         import drawdown_ctmc.quantities as qmod
 
         gen = chains[structure]
-        reqs = [replace(r, q=self.NODES, f=np.ones(gen.n)) for r in LATTICE_CASES[:4]]
+        cases = LATTICE_CASES[:4] + [off_anchor(r) for r in LATTICE_CASES[:3]]
+        reqs = [replace(r, q=self.NODES, f=np.ones(gen.n)) for r in cases]
 
         def values(block):
             monkeypatch.setattr(qmod, "_SWEEP_BLOCK", block)
             return [evaluate(gen, req) for req in reqs]
 
         per_top = values(1)
-        for block in (2, gen.n + 1):
+        for block in (2, 5, gen.n + 1):
             for req, got, ref in zip(reqs, values(block), per_top):
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (block, req.kind)
+
+    @pytest.mark.parametrize("block", [5, 32])
+    @pytest.mark.parametrize("structure", ["DEJD", "dense"])
+    def test_sweep_loop_runs_per_block(self, chains, structure, block, monkeypatch):
+        # one triangular solve per block of tops, the last block partial;
+        # the lattice solves one window per cached killing pattern (the
+        # interior one and the four that reach state 0, a = 4), and a second
+        # sweep on the same solver reads them all from the cache; the dense
+        # chain caches none and solves each top's window once per sweep
+        import drawdown_ctmc.quantities as qmod
+
+        gen, nodes = chains[structure], self.NODES
+        counts = {"_unit_upper_solves": 0, "_last_rows": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(qmod, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qmod, name, counted)
+        monkeypatch.setattr(qmod, "_SWEEP_BLOCK", block)
+        kill = np.broadcast_to(nodes, (gen.n, nodes.size))
+        for stop in (gen.grid.eta_x, 0):
+            counts.update(dict.fromkeys(counts, 0))
+            solver = qmod._WindowSolver(gen, kill, 4)
+            for _ in range(2):
+                qmod.backward_window_sweep(gen, 4, kill, np.ones(gen.n), stop, solver=solver)
+            tops = gen.n - 2 - stop + 1
+            assert counts["_unit_upper_solves"] == 2 * -(-tops // block)
+            if structure == "dense":
+                assert counts["_last_rows"] == 2 * tops
+            else:
+                assert counts["_last_rows"] == (1 if stop > 3 else 5)
 
     def test_lattice_sweep_reads_only_boundary_columns(self, chains, monkeypatch):
         # the inflow comes from the stencil panel: however many window tops
@@ -1160,9 +1194,10 @@ class TestToeplitzInflow:
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_off_diagonal_blocks_match_the_dense_rates(self, lattice, width):
-        # the blocks the windowed sweep multiplies: the columns of solved
-        # tops above the rows, and payoff columns reaching up to a steps
-        # into them (the diagonal among them), down to the boundary column 0
+        # the blocks the windowed sweep folds into its running vector: the
+        # columns of solved tops above the rows, and payoff columns reaching
+        # up to a steps into them (the diagonal among them), down to the
+        # boundary column 0; accumulated in place, the other rows untouched
         from drawdown_ctmc.quantities import _OffDiagonal
 
         gen, dense = lattice
@@ -1174,9 +1209,40 @@ class TestToeplitzInflow:
                            (n - 2, n - 1, n - 2 - a + 1), (3, 7, 3), (1, a, 0), (2, a, 0),
                            (10, 14, 10), (20, 23, 19)]:
             z1 = min(z0 + width, n - 1)
-            got = rates.times(m0, m1, z0, z1, x)
-            ref = off[m0:m1, z0:z1] @ x[z0:z1]
+            start = np.ones((n, x.shape[1]), dtype=complex)
+            got = start.copy()
+            rates.add_times(m0, m1, z0, z1, x, got, -1.0)
+            ref = start.copy()
+            ref[m0:m1] -= off[m0:m1, z0:z1] @ x[z0:z1]
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), (m0, m1, z0)
+
+    @pytest.mark.parametrize("a", [4, 12])
+    def test_window_products_match_the_dense_rates(self, lattice, a):
+        # each window row times the rates of its rows at the window's bottom
+        # columns and at the columns from its top up, on the lattice (one
+        # stencil correlation, column 0 from the tail bins) and through a
+        # dense copy (gathered rates), for interior windows and windows
+        # that reach state 0; columns outside 0 .. n - 2 are never read
+        from drawdown_ctmc.quantities import _OffDiagonal
+
+        gen, dense = lattice
+        n, width = gen.n, 8
+        off = dense - np.diag(np.diag(dense))
+        tops = np.array([0, 2, a - 1, a, a + 3, n // 2, n - 2 - width, n - 2])
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(tops.size, a, 2)) + 1j * rng.normal(size=(tops.size, a, 2))
+        states = tops[:, None] - a + 1 + np.arange(a)
+        rows[states < 1] = 0.0
+        ref = np.zeros((tops.size, 2 * width, 2), dtype=complex)
+        for u, i in enumerate(tops):
+            cols = np.concatenate([np.arange(width) + i - a + 1, np.arange(width) + i + 1])
+            keep = (cols >= 0) & (cols <= n - 2)
+            ref[u, keep] = off[np.ix_(states[u].clip(0), cols[keep])].T @ rows[u]
+            ref[u, ~keep] = np.nan
+        for copy in (gen, dense_copy(gen)):
+            got = _OffDiagonal(copy, a, width).window_products(rows, tops, width)
+            read = ~np.isnan(ref)
+            assert np.max(np.abs(got[read] - ref[read])) <= 1e-13 * np.max(np.abs(ref[read]))
 
 
 class TestEventCore:
