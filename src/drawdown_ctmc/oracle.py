@@ -8,11 +8,17 @@ Two routes that never touch the windowed recursions:
   that augmented chain and is solved in one shot as a sparse linear system
   over the augmented states reachable from the request's start.
 
-* ``mc_estimate`` -- exact event-by-event simulation of the chain
-  (exponential holding times, categorical jumps), tracking running
-  extremes, occupation clocks and event counters with no time-
-  discretization bias.  Counter-based RNG streams split per path batch
-  keep runs bitwise reproducible per seed.
+* ``mc_estimate`` -- simulation of the chain's jump chain, one uniform
+  per jump, tracking running extremes and event counters with no time-
+  discretization bias.  The holding times are integrated out (the
+  discrete-time conversion of A. Hordijk, D. Iglehart and R.
+  Schassberger, Adv. Appl. Prob. 8(4), 1976, and B. Fox and P. Glynn,
+  Oper. Res. Letters 5(4), 1986): a path leaving state s with killing k
+  multiplies its discount by r_s / (r_s + k), the conditional mean of
+  exp(-k tau) over its Exp(r_s) holding time tau, so the estimate stays
+  unbiased and its variance cannot rise.  PCG64 streams spawned per
+  path batch from one ``SeedSequence`` keep runs bitwise reproducible
+  per seed.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ __all__ = [
 
 
 class HorizonCapHit(RuntimeError):
-    """More than 0.1% of paths were truncated at the horizon cap."""
+    """More than 0.1% of paths were truncated at the horizon cap, that is
+    their summed mean holding times passed ``McConfig.horizon_cap``."""
 
     def __init__(self, fraction: float):
         self.fraction = fraction
@@ -51,6 +58,12 @@ class HorizonCapHit(RuntimeError):
 
 @dataclass(frozen=True)
 class McConfig:
+    """Path count, seed, horizon guard and batch size of ``mc_estimate``.
+
+    Batch b draws from PCG64 seeded with stream b of
+    ``SeedSequence(seed).spawn``.  ``horizon_cap`` bounds a path's expected
+    elapsed time given its jumps, the sum of the mean holding times 1 / r
+    of the states it has left; a path past it is truncated and counts 0."""
     n_paths: int = 100_000
     seed: int = 0
     horizon_cap: float = 200.0
@@ -61,7 +74,9 @@ class McConfig:
             raise ValueError("need at least one path")
         if self.batch_size < 1:
             raise ValueError("need at least one path per batch")
-        if self.horizon_cap <= 0.0:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.horizon_cap > 0.0:
             raise ValueError("horizon cap must be positive")
 
 
@@ -79,9 +94,9 @@ def _k2_mat(gen: Generator, req: QuantityRequest) -> np.ndarray:
 
 
 def _f2_mat(gen: Generator, f2) -> np.ndarray:
-    """The real bivariate payoff at every (position, max) pair of states."""
+    """The bivariate payoff at every (position, max) pair of states."""
     at = np.arange(gen.n)
-    return _bipayoff(gen, f2)(at[:, None], at[None, :]).real
+    return _bipayoff(gen, f2)(at[:, None], at[None, :])
 
 
 def _require_scalar_q(req: QuantityRequest) -> None:
@@ -295,7 +310,7 @@ def _pair_chain(gen: Generator, a_steps: int, kappa, cap: int, lo: int,
 
 def _product_qbc(gen: Generator, req: QuantityRequest, cap: int) -> complex:
     a_steps = gen.grid.steps_of(req.a)
-    f = _payoff_array(gen, req.f).real
+    f = _payoff_array(gen, req.f)
     if req.kind == "C":
         k2 = _k2_mat(gen, req)
         kappa = lambda i, m: k2[i, m]
@@ -431,7 +446,8 @@ _GUIDE = 1024        # guide buckets per CDF row, a power of two
 
 def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     """Unbiased path-simulation estimate (mean, stderr) of a real-argument
-    quantity.  Bitwise deterministic for a fixed seed."""
+    quantity with real killings and payoffs.  Bitwise deterministic for a
+    fixed seed."""
     n = gen.n
     if n > 3000:
         raise TooLarge("MC oracle caps at 3000 states")
@@ -440,22 +456,33 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     if abs(q.imag) > 0:
         raise ValueError("MC oracle requires a real Laplace argument")
 
-    out_rates, *draw = _jump_tables(gen)
     kind = req.kind
-    k_vec = k_mat = f2 = None
     if kind == "B":
-        kv = killing_values(_b_killing(req), gen.states)
-        if np.abs(kv.imag).max() > 0:
-            raise ValueError("MC oracle requires real killing rates")
-        k_vec = kv.real
+        kill = killing_values(_b_killing(req), gen.states)
     elif kind == "C":
-        km = _k2_mat(gen, req)
-        if np.abs(km.imag).max() > 0:
-            raise ValueError("MC oracle requires real killing rates")
-        k_mat = np.ascontiguousarray(km.real)
-    elif kind == "Jn":
-        f2 = _f2_mat(gen, req.f2)
-    f = _payoff_array(gen, req.f).real
+        kill = _k2_mat(gen, req)
+    else:
+        kill = np.full(n, q)
+    if np.abs(kill.imag).max() > 0:
+        raise ValueError("MC oracle requires real killing rates")
+    kill = kill.real
+    f = _payoff_array(gen, req.f)
+    f2 = _f2_mat(gen, req.f2) if kind == "Jn" else None
+    if any(np.abs(v.imag).max() > 0 for v in (f, f2) if v is not None):
+        raise ValueError("MC oracle requires a real payoff")
+    f = f.real
+    f2 = None if f2 is None else f2.real
+
+    out_rates, *draw = _jump_tables(gen)
+    # per visit of state s (running max m for C): the mean holding time
+    # 1 / r_s and the discount exponent log1p(k / r_s), k the killing the
+    # kind reads there; hold 0 marks an absorbing state
+    hold = np.divide(1.0, out_rates, out=np.zeros(n), where=out_rates > 0.0)
+    rate = out_rates[:, None] if kill.ndim == 2 else out_rates
+    if np.any((kill <= -rate) & (rate > 0.0)):
+        # the mean discount r_s / (r_s + k) of a holding time needs r_s + k > 0
+        raise ValueError("MC oracle requires killing rates above minus the out rates")
+    grow = np.log1p(np.divide(kill, rate, out=np.zeros(kill.shape), where=rate > 0.0))
     a_steps = gen.grid.steps_of(req.a)
     b_steps = gen.grid.steps_at_least(req.b) if req.b is not None else None
     ix, iy = _start_indices(gen, req)
@@ -469,10 +496,9 @@ def mc_estimate(gen: Generator, req: QuantityRequest, cfg: McConfig):
     truncated = 0
     for b in range(n_batches):
         size = min(cfg.batch_size, cfg.n_paths - b * cfg.batch_size)
-        rng = np.random.Generator(np.random.Philox(streams[b]))
         contrib, trunc = _simulate_batch(
-            rng, size, draw, out_rates, kind, q.real, a_steps, b_steps,
-            f, k_vec, k_mat, f2, req.n, ix, iy, cfg.horizon_cap)
+            np.random.default_rng(streams[b]), size, draw, hold, grow, kind,
+            a_steps, b_steps, f, f2, req.n, ix, iy, cfg.horizon_cap)
         total += contrib.sum()
         total_sq += (contrib ** 2).sum()
         truncated += trunc
@@ -543,18 +569,20 @@ def _next_state(cdf, guide, p_down, pos, u):
     return count
 
 
-def _simulate_batch(rng, size, draw, out_rates, kind, q, a_steps, b_steps,
-                    f, k_vec, k_mat, f2, n_events, ix, iy, horizon):
+def _simulate_batch(rng, size, draw, hold, grow, kind, a_steps, b_steps,
+                    f, f2, n_events, ix, iy, horizon):
     """Contributions of ``size`` paths and the count truncated at the
     horizon.  Only the live paths are kept, with only the state their kind
     reads, in ascending path order with their numbers ``path``, so every
-    step draws for the live paths in the order the batch numbers them."""
+    step draws one uniform per live path in the order the batch numbers
+    them.  Each visit adds grow[pos] (C: grow[pos, max]) to the discount
+    exponent and hold[pos] to the clock; a state with hold 0 absorbs."""
     contrib = np.zeros(size)
-    if out_rates[ix] <= 0.0:
+    if hold[ix] <= 0.0:
         return contrib, 0
     path = np.arange(size)
     pos = np.full(size, ix, dtype=np.int64)
-    rates = np.full(size, out_rates[ix])
+    step = np.full(size, hold[ix])    # mean holding time of each path's state
     t = np.zeros(size)
     acc = np.zeros(size)              # accumulated discount/occupation exponent
     recovery = kind in ("Jn", "Jsum")
@@ -568,15 +596,8 @@ def _simulate_batch(rng, size, draw, out_rates, kind, q, a_steps, b_steps,
     truncated = 0
 
     while path.size:
-        dt = rng.standard_exponential(path.size)
-        dt /= rates
-        if kind == "B":
-            acc += k_vec[pos] * dt
-        elif kind == "C":
-            acc += k_mat[pos, ref] * dt
-        else:
-            acc += q * dt
-        t += dt
+        acc += grow[pos, ref] if kind == "C" else grow[pos]
+        t += step
         # past the cutoff, payments are below roundoff
         if t.max() > horizon or acc.max() > _ACC_CUTOFF:
             over = t > horizon
@@ -623,11 +644,11 @@ def _simulate_batch(rng, size, draw, out_rates, kind, q, a_steps, b_steps,
             else:
                 np.copyto(ref, nxt, where=fired)   # the reference max restarts at the landing state
         pos = nxt
-        rates = out_rates[pos]
-        if done.size or rates.min() <= 0.0:
-            keep = rates > 0.0
+        step = hold[pos]
+        if done.size or step.min() <= 0.0:
+            keep = step > 0.0
             keep[done] = False
-            path, pos, rates, t, acc, ref, low, events, armed = (
+            path, pos, step, t, acc, ref, low, events, armed = (
                 v if v is None else v[keep]
-                for v in (path, pos, rates, t, acc, ref, low, events, armed))
+                for v in (path, pos, step, t, acc, ref, low, events, armed))
     return contrib, truncated

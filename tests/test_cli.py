@@ -214,10 +214,13 @@ class TestMain:
         (["price", "grid.levy_truncation=-2"], 2, "configuration error: "),
         (["price", "grid.levy_truncation=inf"], 2, "configuration error: "),
         (["price", "grid.levy_truncation=4"], 2, "configuration error: "),   # BS has no jumps
+        (["oracle", "mc.seed=-1"], 2, "configuration error: "),
+        (["oracle", "mc.horizon_cap=nan"], 2, "configuration error: "),
         (["dump-generator", "grid.n_x=1024"], 3, "numerical failure (TooLarge): "),  # 40,961 states
     ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "decay=0",
             "decay=-5", "decay=nan", "aw-decay=-5", "levy_truncation=0", "levy_truncation=-2",
-            "levy_truncation=inf", "levy_truncation-no-jumps", "dump-cap"])
+            "levy_truncation=inf", "levy_truncation-no-jumps", "seed=-1", "horizon_cap=nan",
+            "dump-cap"])
     def test_bad_value_refused(self, capsys, tmp_path, args, code, prefix):
         # refused before any price is computed or any file written
         out = tmp_path / "gen.csv"

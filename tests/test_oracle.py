@@ -364,10 +364,36 @@ class TestDenseProduct:
                 solve(gen, short)
         with pytest.raises(ValueError, match="one value per state"):
             mc_estimate(gen, short, McConfig(n_paths=10))
-        req = QuantityRequest("Hn", a=0.2, q=1.0, n=2, f=(1.0 + 2.0j) * gen.states)
-        value = evaluate(gen, req)
-        assert value.imag > 0.0
-        assert abs(dense_product_solve(gen, req) - value) <= 1e-12 * abs(value)
+        cplx = (1.0 + 2.0j) * gen.states
+        for req in (QuantityRequest("Hn", a=0.2, q=1.0, n=2, f=cplx),
+                    QuantityRequest("Q", a=0.2, q=1.0, f=cplx),
+                    QuantityRequest("Jn", a=0.2, q=1.0, n=1, f2=lambda z, y: (1.0 + 2.0j) * (y - z))):
+            value = evaluate(gen, req)
+            assert value.imag > 0.0
+            assert abs(dense_product_solve(gen, req) - value) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("kind", ["Q", "Hn", "Jn"])
+    def test_mc_refuses_a_complex_payoff(self, kind):
+        # as it refuses complex killings: the simulation would keep only
+        # the real part
+        gen, _ = pinned_chain("BS")
+        one = np.ones(gen.n)
+        req = {"Q": QuantityRequest("Q", a=0.2, q=1.0, f=(1.0 + 2.0j) * one),
+               "Hn": QuantityRequest("Hn", a=0.2, q=1.0, n=2, f=(1.0 + 2.0j) * one),
+               "Jn": QuantityRequest("Jn", a=0.2, q=1.0, n=2,
+                                     f2=lambda z, y: (1.0 + 2.0j) * np.ones(np.broadcast(z, y).shape))}[kind]
+        with pytest.raises(ValueError, match="MC oracle requires a real payoff"):
+            mc_estimate(gen, req, McConfig(n_paths=10))
+
+    def test_killing_at_or_below_minus_the_out_rate_refused(self):
+        # a holding time's mean discount r / (r + k) is finite only for
+        # r + k > 0; a negative killing above -r still runs
+        gen, _ = pinned_chain("BS")
+        r = -gen.diagonal()[gen.n // 2]
+        with pytest.raises(ValueError, match="above minus the out rates"):
+            mc_estimate(gen, QuantityRequest("Q", a=0.2, q=-r), McConfig(n_paths=10))
+        mean, _ = mc_estimate(gen, QuantityRequest("Q", a=0.2, q=-0.5), McConfig(n_paths=100))
+        assert np.isfinite(mean)
 
     def test_node_vector_rejected(self):
         gen = tiny_chain()
@@ -508,6 +534,13 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="batch"):
                 McConfig(batch_size=bad)
 
+    def test_seed_and_horizon_validated(self):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=-1)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="horizon"):
+                McConfig(horizon_cap=bad)
+
     def test_horizon_cap_guard(self):
         # strong mean reversion keeps paths alive: a tiny cap must trip
         g = build_grid(0.0, 0.2, 4, -2.0, 2.0)
@@ -554,21 +587,23 @@ def test_drawdown_before_drawup_reference_under_the_default_cap(monkeypatch):
 # bit: every kind on a birth-death chain (O(1) draws) at q = 6, where Hsum,
 # Jn and Jsum keep paths alive up to the e^-36 discount cutoff, four kinds
 # on a DEJD lattice and two on a VG lattice (indexed-search draws) at q = 1.
+# Regenerate them only for a change meant to move the draws, with
+# ``PYTHONPATH=src python tests/test_oracle.py``.
 MC_PINS = {
-    ("BS", "Q"): (0.1633106304636279, 0.003429448885200236),
-    ("BS", "A"): (0.15046409920388837, 0.003567183585443029),
-    ("BS", "B"): (0.3046794696141449, 0.004178998676958178),
-    ("BS", "C"): (0.724333263491545, 0.0037459990422865877),
-    ("BS", "Hn"): (0.026140093415085434, 0.0009929737871243397),
-    ("BS", "Hsum"): (0.1951304554817488, 0.0041858048534763725),
-    ("BS", "Jn"): (0.0013008245676672226, 0.00011398331024537932),
-    ("BS", "Jsum"): (0.09347034507835918, 0.0025247649182122654),
-    ("DEJD", "A"): (0.24596630527163665, 0.006847511456669091),
-    ("DEJD", "B"): (0.6760045334209239, 0.006017259001256645),
-    ("DEJD", "C"): (0.7728935962700185, 0.006574937715631398),
-    ("DEJD", "Hn"): (0.24719211808454364, 0.004399287068226734),
-    ("VG", "B"): (0.9645726014373425, 0.001885367426460193),
-    ("VG", "C"): (0.9821633094838637, 0.0018945588491177947),
+    ("BS", "Q"): (0.16334038388404043, 0.0029990247182672086),
+    ("BS", "A"): (0.144583362645333, 0.0031445118218949774),
+    ("BS", "B"): (0.30671978450472526, 0.0035501460271366208),
+    ("BS", "C"): (0.7276744991480348, 0.00285079737279906),
+    ("BS", "Hn"): (0.026762895800486273, 0.0008495913830105662),
+    ("BS", "Hsum"): (0.19207075116241798, 0.00368825843824229),
+    ("BS", "Jn"): (0.0014953230293769859, 0.00010763040646801395),
+    ("BS", "Jsum"): (0.09144667861067877, 0.0022451965408278192),
+    ("DEJD", "A"): (0.23225375705286208, 0.006714918568674921),
+    ("DEJD", "B"): (0.6724181122691542, 0.006032442451401737),
+    ("DEJD", "C"): (0.7661223913557182, 0.006636127890911227),
+    ("DEJD", "Hn"): (0.24845545174388897, 0.004328078925917247),
+    ("VG", "B"): (0.9643962581674841, 0.0019594447292994636),
+    ("VG", "C"): (0.9813534744696721, 0.0019765096052194293),
 }
 
 
@@ -601,6 +636,49 @@ def test_mc_pinned_bit_for_bit(model, kind):
     assert mc_estimate(gen, pinned_request(kind, q), PIN_CFG) == MC_PINS[model, kind]
 
 
+@pytest.mark.parametrize("model, kind", list(MC_PINS), ids=lambda v: v)
+def test_mc_pins_agree_with_the_product_chain(model, kind):
+    # a regenerated pin cannot freeze a biased estimator
+    gen, q = pinned_chain(model)
+    req = pinned_request(kind, q)
+    mean, stderr = MC_PINS[model, kind]
+    assert abs(mean - dense_product_solve(gen, req).real) < 3.0 * stderr
+
+
+class CountingDraws:
+    """The batch generator's ``random``, recording each call's size; any
+    other draw raises AttributeError."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def random(self, size):
+        self._sizes.append(size)
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("model, kind", [("BS", "A"), ("BS", "Jsum"), ("DEJD", "C"),
+                                         ("VG", "B")], ids=lambda v: v)
+def test_one_uniform_per_live_path_per_jump(monkeypatch, model, kind):
+    import drawdown_ctmc.oracle as oracle
+
+    draws, jumps = [], []
+    batch, next_state = oracle._simulate_batch, oracle._next_state
+
+    def counted_batch(rng, *args):
+        return batch(CountingDraws(rng, draws), *args)
+
+    def counted_next(*args):
+        jumps.append(args[-2].size)   # the live paths' positions
+        return next_state(*args)
+
+    monkeypatch.setattr(oracle, "_simulate_batch", counted_batch)
+    monkeypatch.setattr(oracle, "_next_state", counted_next)
+    gen, q = pinned_chain(model)
+    assert mc_estimate(gen, pinned_request(kind, q), PIN_CFG) == MC_PINS[model, kind]
+    assert draws == jumps and sum(jumps) > PIN_CFG.n_paths
+
+
 def test_mc_pins_reach_the_discount_cutoff(monkeypatch):
     # without the cutoff the pinned event sum changes: its run retires
     # paths there
@@ -609,3 +687,13 @@ def test_mc_pins_reach_the_discount_cutoff(monkeypatch):
     gen, q = pinned_chain("BS")
     monkeypatch.setattr(oracle, "_ACC_CUTOFF", np.inf)
     assert mc_estimate(gen, pinned_request("Hsum", q), PIN_CFG) != MC_PINS["BS", "Hsum"]
+
+
+if __name__ == "__main__":
+    # print the pin table from the current code, for a change meant to move
+    # the draws: PYTHONPATH=src python tests/test_oracle.py
+    print("MC_PINS = {")
+    for model, kind in MC_PINS:
+        gen, q = pinned_chain(model)
+        print(f'    ("{model}", "{kind}"): {mc_estimate(gen, pinned_request(kind, q), PIN_CFG)!r},')
+    print("}")
