@@ -129,6 +129,8 @@ class RunConfig:
                 raise ConfigError("grid bounds must enclose the running minimum y")
         if self.kind in ("Jn", "Jsum") and self.y is not None and self.y < self.x:
             raise ConfigError(f"quantity {self.kind} needs the running maximum y >= x")
+        if self.kind in ("Jn", "Jsum") and self.y is not None and self.y >= self.y_max:
+            raise ConfigError("grid bounds must enclose the running maximum y")
         if self.kind in ("B", "C") and self.xi is None:
             raise ConfigError(f"quantity {self.kind} needs the occupation threshold xi")
         if self.kind in ("Hn", "Jn") and self.n < 1:

@@ -7,7 +7,7 @@ bin masses; small jumps inside (-h/2, h/2) are folded into the local drift
 and variance.  The end-state bins are extended to +/-infinity so the total
 jump mass is conserved (jumps beyond the lattice are absorbed at the ends).
 
-Three storage regimes, matching how the rates are consumed:
+Three storage regimes, each read through one method, ``block``:
 
 * ``birth_death``   -- tridiagonal (diffusions): three diagonals.
 * ``toeplitz_levy`` -- spatially homogeneous models on an h-lattice:
@@ -147,8 +147,9 @@ class Generator:
     """Common interface over the three storage regimes.
 
     Rows are indexed by state; row 0 and row N are identically zero
-    (absorbing).  ``column(j)`` returns the dense column of rates into
-    state j (including the diagonal entry at position j).
+    (absorbing).  Each storage reads its rates through one method,
+    ``block(r0, r1, c0, c1)``, the dense G[r0..r1, c0..c1] (inclusive
+    bounds): rows, columns, windows and the whole matrix are blocks.
     """
 
     structure: str = GENERAL
@@ -164,35 +165,48 @@ class Generator:
 
     # -- required structure-specific methods --------------------------------
 
-    def row(self, i: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def column(self, j: int) -> np.ndarray:
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Dense G[r0..r1, c0..c1] (inclusive bounds)."""
         raise NotImplementedError
 
     def diagonal(self) -> np.ndarray:
         raise NotImplementedError
 
-    def window_block(self, lo: int, hi: int) -> np.ndarray:
-        """Dense G[lo..hi, lo..hi] (inclusive bounds)."""
-        raise NotImplementedError
-
     # -- shared helpers ------------------------------------------------------
 
+    def _check_block(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Refuse a block that is empty or reaches outside the states."""
+        if not (0 <= r0 <= r1 < self.n and 0 <= c0 <= c1 < self.n):
+            raise ValueError(f"block G[{r0}..{r1}, {c0}..{c1}] is not inside 0..{self.n - 1}")
+
+    def window_block(self, lo: int, hi: int) -> np.ndarray:
+        """Dense G[lo..hi, lo..hi] (inclusive bounds)."""
+        return self.block(lo, hi, lo, hi)
+
     def to_dense(self) -> np.ndarray:
-        return self.window_block(0, self.n - 1)
+        return self.block(0, self.n - 1, 0, self.n - 1)
 
     def dump_csv(self, path: str) -> None:
-        """Write nonzero entries as (i, j, rate), row-major ascending."""
-        if self.n > 20000:
-            raise TooLarge(f"refusing to densify a {self.n}-state generator")
-        dense = self.to_dense()
+        """Write nonzero entries as (i, j, rate), row-major ascending,
+        reading blocks of 64 rows (at most 10 MB at the 20,000-state cap)."""
+        n = self.n
+        if n > 20000:
+            raise TooLarge(f"refusing to dump a {n}-state generator")
         with open(path, "w") as fh:
             fh.write("i,j,rate\n")
-            for i in range(self.n):
-                row = dense[i]
-                for j in np.nonzero(row)[0]:
-                    fh.write(f"{i},{j},{row[j]:.17g}\n")
+            for r0 in range(0, n, 64):
+                for i, row in enumerate(self.block(r0, min(r0 + 64, n) - 1, 0, n - 1), start=r0):
+                    for j in np.nonzero(row)[0]:
+                        fh.write(f"{i},{j},{row[j]:.17g}\n")
+
+
+def _band(blk: np.ndarray, r0: int, c0: int, d: int):
+    """The entries G[i, i + d] of a C-order block blk = G[r0.., c0..], as
+    a strided view, and the slice of their states i."""
+    rows, cols = blk.shape
+    lo, hi = max(r0, c0 - d), min(r0 + rows, c0 + cols - d)
+    start = (lo - r0) * cols + lo + d - c0
+    return blk.reshape(-1)[start:start + max(hi - lo, 0) * (cols + 1):cols + 1], slice(lo, hi)
 
 
 class BirthDeathGenerator(Generator):
@@ -213,41 +227,18 @@ class BirthDeathGenerator(Generator):
             bad_up = self.up[i] < self.down[i]
             raise NegativeRate(grid.states[i], grid.states[i + 1 if bad_up else i - 1],
                                float(min(self.up[i], self.down[i])))
-        self._diag = -(self.up + self.down)
+        self._diag = 0.0 - (self.up + self.down)   # +0.0, not -0.0, on the absorbing rows
 
-    def row(self, i: int) -> np.ndarray:
-        out = np.zeros(self.n)
-        if 0 < i < self.n - 1:
-            out[i - 1] = self.down[i]
-            out[i] = self._diag[i]
-            out[i + 1] = self.up[i]
-        return out
-
-    def column(self, j: int) -> np.ndarray:
-        out = np.zeros(self.n)
-        if j - 1 >= 1:
-            out[j - 1] = self.up[j - 1]
-        if j + 1 <= self.n - 2:
-            out[j + 1] = self.down[j + 1]
-        out[j] = self._diag[j] if 0 < j < self.n - 1 else 0.0
-        return out
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        self._check_block(r0, r1, c0, c1)
+        blk = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
+        for d, rates in ((-1, self.down), (0, self._diag), (1, self.up)):
+            band, i = _band(blk, r0, c0, d)
+            band[:] = rates[i]
+        return blk
 
     def diagonal(self) -> np.ndarray:
-        d = self._diag.copy()
-        d[0] = d[-1] = 0.0
-        return d
-
-    def window_block(self, lo: int, hi: int) -> np.ndarray:
-        m = hi - lo + 1
-        blk = np.zeros((m, m))
-        idx = np.arange(lo, hi + 1)
-        interior = (idx > 0) & (idx < self.n - 1)
-        rows = np.arange(m)[interior]
-        blk[rows, rows] = self._diag[idx[interior]]
-        below, above = rows[rows > 0], rows[rows < m - 1]
-        blk[below, below - 1] = self.down[lo + below]
-        blk[above, above + 1] = self.up[lo + above]
-        return blk
+        return self._diag.copy()
 
 
 class ToeplitzLevyGenerator(Generator):
@@ -307,83 +298,27 @@ class ToeplitzLevyGenerator(Generator):
         above[-1] += self.local_up
         return below, above
 
-    def row(self, i: int) -> np.ndarray:
-        n = self.n
-        out = np.zeros(n)
-        if not 0 < i < n - 1:
-            return out
-        offs = np.arange(1 - i, n - 1 - i)          # columns 1..n-2
-        out[1:n - 1] = self.stencil[offs + self.center]
-        out[0] = self.tail_bot[i]
-        out[n - 1] = self.tail_top[i]
-        out[i + 1] += self.local_up
-        out[i - 1] += self.local_down
-        out[i] = self._diag[i]
-        return out
-
-    def column(self, j: int) -> np.ndarray:
-        n = self.n
-        out = np.zeros(n)
-        if j == 0:
-            out[1:n - 1] = self.tail_bot[1:n - 1]
-            out[1] += self.local_down
-        elif j == n - 1:
-            out[1:n - 1] = self.tail_top[1:n - 1]
-            out[n - 2] += self.local_up
-        else:
-            rows = np.arange(1, n - 1)
-            out[1:n - 1] = self.stencil[j - rows + self.center]
-            if j - 1 >= 1:
-                out[j - 1] += self.local_up
-            if j + 1 <= n - 2:
-                out[j + 1] += self.local_down
-            out[j] = self._diag[j]
-        out[0] = out[n - 1] = 0.0   # absorbing rows
-        return out
-
     def diagonal(self) -> np.ndarray:
         return self._diag.copy()
 
-    def window_block(self, lo: int, hi: int) -> np.ndarray:
-        m = hi - lo + 1
-        idx = np.arange(lo, hi + 1)
-        # row r holds the offsets -r .. m-1-r: a strided view of the stencil
-        # starting at the centre and stepping down by one per row
-        c = self.center
-        starts = np.lib.stride_tricks.sliding_window_view(self.stencil, m)
-        blk = starts[c - m + 1:c + 1][::-1].copy()
-        r = np.arange(m)
-        blk[r[:-1], r[:-1] + 1] += self.local_up
-        blk[r[1:], r[1:] - 1] += self.local_down
-        # boundary columns inside the window carry the extended-tail bins
-        if lo == 0:
-            blk[1:, 0] = self.tail_bot[idx[1:]]
-            if m > 1:
-                blk[1, 0] += self.local_down
-        if hi == self.n - 1:
-            blk[:-1, -1] = self.tail_top[idx[:-1]]
-            if m > 1:
-                blk[-2, -1] += self.local_up
-        interior = (idx > 0) & (idx < self.n - 1)
-        blk[r, r] = np.where(interior, self._diag[idx], 0.0)
-        blk[~interior, :] = 0.0
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        self._check_block(r0, r1, c0, c1)
+        n, c = self.n, self.center
+        # row i holds the stencil at the offsets c0 - i .. c1 - i (a strided view)
+        starts = np.lib.stride_tricks.sliding_window_view(self.stencil, c1 - c0 + 1)
+        blk = starts[c + c0 - r1:c + c0 - r0 + 1][::-1].copy()
+        # the end columns carry the extended-tail bins
+        if c0 == 0:
+            blk[:, 0] = self.tail_bot[r0:r1 + 1]
+        if c1 == n - 1:
+            blk[:, -1] = self.tail_top[r0:r1 + 1]
+        for d, rate in ((1, self.local_up), (-1, self.local_down)):
+            band, _ = _band(blk, r0, c0, d)
+            band += rate
+        band, i = _band(blk, r0, c0, 0)
+        band[:] = self._diag[i]
+        blk[[r - r0 for r in (0, n - 1) if r0 <= r <= r1]] = 0.0   # the absorbing rows
         return blk
-
-    def window_symbol(self, lo: int, hi: int):
-        """First column and first row of an interior window block G[lo..hi]
-        (1 <= lo <= hi <= n-2), which is Toeplitz: the stencil and the
-        local rates off the diagonal, and on it the diagonal of row lo (the
-        interior diagonal varies by roundoff only)."""
-        if not 1 <= lo <= hi <= self.n - 2:
-            raise ValueError("a window symbol needs interior rows")
-        m, c = hi - lo + 1, self.center
-        col = self.stencil[c - m + 1:c + 1][::-1].copy()   # offsets 0, -1, .., 1-m
-        row = self.stencil[c:c + m].copy()                 # offsets 0, 1, .., m-1
-        col[0] = row[0] = self._diag[lo]
-        if m > 1:
-            col[1] += self.local_down
-            row[1] += self.local_up
-        return col, row
 
 
 class DenseGenerator(Generator):
@@ -399,17 +334,12 @@ class DenseGenerator(Generator):
         if self.rates.shape != (grid.n, grid.n):
             raise ValueError("rate matrix shape does not match the grid")
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rates[i].copy()
-
-    def column(self, j: int) -> np.ndarray:
-        return self.rates[:, j].copy()
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        self._check_block(r0, r1, c0, c1)
+        return self.rates[r0:r1 + 1, c0:c1 + 1].copy()
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.rates).copy()
-
-    def window_block(self, lo: int, hi: int) -> np.ndarray:
-        return self.rates[lo:hi + 1, lo:hi + 1].copy()
 
 
 # ---------------------------------------------------------------------------

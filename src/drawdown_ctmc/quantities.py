@@ -273,9 +273,9 @@ def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
         D[0:hi] += gen.local_up * seg
         D[2:hi + 2] += gen.local_down * seg
     # the boundary columns carry the extended tail bins
-    D += gen.column(0)[:, None] * f_arr[0]
+    D += gen.block(0, n - 1, 0, 0) * f_arr[0]
     if cut == n - 1:
-        D += gen.column(n - 1)[:, None] * f_arr[n - 1]
+        D += gen.block(0, n - 1, n - 1, n - 1) * f_arr[n - 1]
     D[0] = D[n - 1] = 0.0
     return D
 
@@ -301,13 +301,14 @@ class _OffDiagonal:
     local rates added at offsets +-1, and one (n - 2 + a, width) panel of
     it: every interior block is a row slice of the panel, so no N x N
     array is built.  Column 0, whose rates are the tail bins, is the one
-    boundary column the sweep reads (``column(0)``, once).  A dense
+    boundary column the sweep reads (``block(0, N, 0, 0)``, once).  A dense
     generator keeps its rates with the diagonal zeroed.
     """
 
     def __init__(self, gen: Generator, a_steps: int, width: int):
         n = self.n = gen.n
         self.gen, self.a = gen, a_steps
+        self.col0 = gen.block(0, n - 1, 0, 0)[:, 0]
         if gen.structure == TOEPLITZ_LEVY:
             line = gen.stencil.copy()   # offset z - m at line[z - m + n - 1]
             line[n - 1] = 0.0
@@ -321,12 +322,10 @@ class _OffDiagonal:
             starts = np.lib.stride_tricks.sliding_window_view(ext, width)
             self.panel = np.ascontiguousarray(starts[2 * n - 3:2 * n - 3 + rows][::-1])
             self.line = line
-            self.col0 = gen.column(0)
             self.correlators = {}
         else:
             self.dense = gen.to_dense()
             np.fill_diagonal(self.dense, 0.0)
-            self.col0 = self.dense[:, 0]
 
     def add_times(self, m0: int, m1: int, z0: int, z1: int, x: np.ndarray, out: np.ndarray,
                   alpha: float):
@@ -507,14 +506,15 @@ def _toeplitz_solves(gen: Generator, lo: int, hi: int, nodes: np.ndarray, rhs: n
     transposed systems, for an interior lattice window and a real (m,)
     right-hand side: a (k, m) array.
 
-    The window block is Toeplitz (``window_symbol``), so each node costs
-    one O(m^2) Levinson recursion (N. Levinson, J. Math. Phys. 25, 1947,
-    as ``scipy.linalg.solve_toeplitz``) and no dense block is built.  A
-    zero pivot or a non-finite solution raises ``Singular``.
+    The window block is Toeplitz, read as its first column and row (two
+    ``block`` reads), so each node costs one O(m^2) Levinson recursion (N.
+    Levinson, J. Math. Phys. 25, 1947, as ``scipy.linalg.solve_toeplitz``)
+    and no dense block is built.  A zero pivot or a non-finite solution
+    raises ``Singular``.
     """
     from scipy.linalg import solve_toeplitz
 
-    col, row = gen.window_symbol(lo, hi)
+    col, row = gen.block(lo, hi, lo, lo)[:, 0], gen.block(lo, lo, lo, hi)[0]
     if trans:
         col, row = row, col
     col, row = -col.astype(complex), -row.astype(complex)
@@ -1398,11 +1398,9 @@ def _a_strip(gen: Generator, nodes: np.ndarray, a_steps: int, b_steps: int,
     top = min(n - 2, eta + b_steps + 1)
     first, low = max(0, eta - a_steps + 1), max(0, eta - b_steps + 1)
     blk = gen.window_block(first, top)
-    if gen.structure == TOEPLITZ_LEVY:
-        inflow = _toeplitz_D_init(gen, f_arr[:, None], first - 1)[first:, 0]
-    else:   # rows first..T only, into the states below first
-        below = np.array([gen.row(m)[:first] for m in range(first, top + 1)])
-        inflow = _real_times(below, f_arr[:first, None])[:, 0]
+    inflow = np.zeros(top - first + 1, dtype=complex)
+    if first > 0:   # rows first..T only, into the states below first
+        inflow = _real_times(gen.block(first, top, 0, first - 1), f_arr[:first, None])[:, 0]
     V = np.zeros((k, top - low + 1, top - low + 1), dtype=complex)
     for i in range(top, eta - 1, -1):
         lo, lob = max(0, i - a_steps + 1), max(0, i - b_steps + 1)

@@ -217,10 +217,15 @@ class TestMain:
         (["oracle", "mc.seed=-1"], 2, "configuration error: "),
         (["oracle", "mc.horizon_cap=nan"], 2, "configuration error: "),
         (["dump-generator", "grid.n_x=1024"], 3, "numerical failure (TooLarge): "),  # 40,961 states
+        # a running maximum on or above the absorbing top state (y_max = 4)
+        (["price", "quantity.kind=Jn", "quantity.y=5"], 2,
+         "configuration error: grid bounds must enclose the running maximum y"),
+        (["price", "quantity.kind=Jsum", "quantity.y=4"], 2,
+         "configuration error: grid bounds must enclose the running maximum y"),
     ], ids=["n_x=0", "n_x=1", "Hn-n=0", "Jn-n=0", "precision=abc", "precision=-3", "decay=0",
             "decay=-5", "decay=nan", "aw-decay=-5", "levy_truncation=0", "levy_truncation=-2",
             "levy_truncation=inf", "levy_truncation-no-jumps", "seed=-1", "horizon_cap=nan",
-            "dump-cap"])
+            "dump-cap", "Jn-y-above-grid", "Jsum-y-at-grid-top"])
     def test_bad_value_refused(self, capsys, tmp_path, args, code, prefix):
         # refused before any price is computed or any file written
         out = tmp_path / "gen.csv"

@@ -72,8 +72,9 @@ class TestBuildGenerator:
 
     def test_absorbing_rows_zero(self):
         gen = build_generator(ModelSpec.dejd(), build_grid(0.0, 0.2, 4, -0.6, 0.6))
-        assert np.all(gen.row(0) == 0.0)
-        assert np.all(gen.row(gen.n - 1) == 0.0)
+        n = gen.n
+        assert np.all(gen.block(0, 0, 0, n - 1) == 0.0)
+        assert np.all(gen.block(n - 1, n - 1, 0, n - 1) == 0.0)
 
     def test_row_sums_vanish(self):
         for model in (ModelSpec.bs(), ModelSpec.cev(), ModelSpec.dejd(), ModelSpec.vg()):
@@ -228,7 +229,7 @@ class TestLevyGenerator:
     def test_bs_lattice_is_toeplitz(self):
         gen = build_levy_generator(ModelSpec.bs(), 0.01, -0.3, 0.3)
         assert isinstance(gen, ToeplitzLevyGenerator)
-        rows = [gen.row(i) for i in range(2, gen.n - 2)]
+        rows = list(gen.block(2, gen.n - 3, 0, gen.n - 1))
         for k in range(1, len(rows)):
             assert np.array_equal(np.roll(rows[k], -k), np.roll(rows[0], 0))
 
@@ -239,11 +240,12 @@ class TestLevyGenerator:
         i = gen.grid.eta_x
         # rate for a 10-step jump equals the measure of the half-open bin around it
         expect = m.lam * m.p_plus * (math.exp(-m.eta_plus * 9.5 * h) - math.exp(-m.eta_plus * 10.5 * h))
-        assert gen.row(i)[i + 10] == pytest.approx(expect, rel=1e-12)
+        assert gen.block(i, i, i + 10, i + 10)[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_vg_rates_nonnegative(self):
         gen = build_levy_generator(ModelSpec.vg(), 0.005, -1.0, 1.0)
-        row = gen.row(gen.grid.eta_x)
+        i = gen.grid.eta_x
+        row = gen.block(i, i, 0, gen.n - 1)[0]
         off = np.delete(row, gen.grid.eta_x)
         assert np.all(off >= 0.0)
 
@@ -256,8 +258,8 @@ class TestLevyGenerator:
             dense = gen.to_dense()
             n = gen.n
             for j in (0, 1, n // 2, n - 2, n - 1):
-                assert np.allclose(gen.column(j), dense[:, j], atol=1e-14)
-                assert np.allclose(gen.row(j), dense[j], atol=1e-14)
+                assert np.allclose(gen.block(0, n - 1, j, j)[:, 0], dense[:, j], atol=1e-14)
+                assert np.allclose(gen.block(j, j, 0, n - 1)[0], dense[j], atol=1e-14)
             blk = gen.window_block(1, n - 2)
             assert np.allclose(blk, dense[1:n - 1, 1:n - 1], atol=1e-14)
             blk = gen.window_block(0, n - 1)
@@ -278,7 +280,7 @@ class TestLevyGenerator:
             gen = build_levy_generator(model, 0.05, -0.6, 0.6)
             assert np.all(gen.to_dense()[1:-1, [0, -1]] > 0.0)
         n = gen.n
-        ref = np.column_stack([gen.column(j) for j in range(n)])
+        ref = np.hstack([gen.block(0, n - 1, j, j) for j in range(n)])
         dense = gen.to_dense()
         assert np.array_equal(dense.view(np.int64), ref.view(np.int64))
         i = np.arange(1, n - 1)
@@ -286,18 +288,20 @@ class TestLevyGenerator:
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
     def test_window_symbol_spans_the_interior_block(self, model):
+        # an interior window is Toeplitz: its first column and first row
+        # (the symbol the Levinson route reads) give every entry
         from scipy.linalg import toeplitz
 
         gen = build_levy_generator(model, 0.05, -0.6, 0.6)
         n = gen.n
         for lo, hi in ((1, 1), (1, 6), (n // 3, n // 3 + 6), (3, n - 2), (1, n - 2)):
             blk = gen.window_block(lo, hi)
-            sym = toeplitz(*gen.window_symbol(lo, hi))
+            sym = toeplitz(gen.block(lo, hi, lo, lo)[:, 0], gen.block(lo, lo, lo, hi)[0])
             off = ~np.eye(hi - lo + 1, dtype=bool)
             assert np.array_equal(sym[off], blk[off])
             assert np.allclose(np.diag(sym), np.diag(blk), rtol=1e-14, atol=0.0)
         with pytest.raises(ValueError):
-            gen.window_symbol(0, 4)
+            gen.block(1, 4, 5, 4)
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
     def test_diagonal_matches_per_state_stencil_sums(self, model):
@@ -319,13 +323,83 @@ class TestLevyGenerator:
         n = gen.n
         for lo, hi in ((1, 1), (1, 6), (20, 60), (n // 2, n - 2), (1, n - 2), (n - 2, n - 2)):
             below, above = gen.window_exit_masses(lo, hi)
-            rows = [gen.row(m) for m in range(lo, hi + 1)]
+            rows = gen.block(lo, hi, 0, n - 1)
             ref_below = np.array([row[:lo].sum() for row in rows])
             ref_above = np.array([row[hi + 1:].sum() for row in rows])
             assert np.all(np.abs(below - ref_below) <= 1e-14 * np.abs(ref_below)), (lo, hi)
             assert np.all(np.abs(above - ref_above) <= 1e-14 * np.abs(ref_above)), (lo, hi)
         with pytest.raises(ValueError):
             gen.window_exit_masses(0, 5)
+
+
+def _storages():
+    """One chain per storage: lattices with and without jumps, a
+    birth-death chain and a dense jump chain."""
+    return {
+        "DEJD-lattice": build_levy_generator(ModelSpec.dejd(), 0.05, -0.6, 0.6),
+        "VG-lattice": build_levy_generator(ModelSpec.vg(), 0.02, -0.5, 0.5),
+        "BS-lattice": build_levy_generator(ModelSpec.bs(r_f=0.05), 0.05, -0.6, 0.6),
+        "CEV-birth-death": build_generator(ModelSpec.cev(), build_grid(0.0, 0.2, 4, -0.6, 0.4)),
+        "DEJD-dense": build_generator(ModelSpec.dejd(), build_grid(0.0, 0.1, 3, -0.4, 0.4)),
+    }
+
+
+def _entrywise(gen):
+    """The dense matrix of a lattice or birth-death chain, one entry at a
+    time from its stored rates; the absorbing rows hold 0."""
+    n, diag = gen.n, gen.diagonal()
+    ref = np.zeros((n, n))
+    for i in range(1, n - 1):
+        if isinstance(gen, BirthDeathGenerator):
+            ref[i, i - 1], ref[i, i + 1] = gen.down[i], gen.up[i]
+            ref[i, i] = diag[i]
+            continue
+        for j in range(n):
+            ref[i, j] = gen.tail_bot[i] if j == 0 else gen.tail_top[i] if j == n - 1 \
+                else gen.stencil[j - i + gen.center]
+            if j == i + 1:
+                ref[i, j] += gen.local_up
+            elif j == i - 1:
+                ref[i, j] += gen.local_down
+        ref[i, i] = diag[i]
+    return ref
+
+
+class TestBlock:
+    @pytest.mark.parametrize("name", list(_storages()))
+    def test_rectangles_are_slices_of_the_dense_matrix(self, name):
+        gen = _storages()[name]
+        n, dense = gen.n, gen.to_dense()
+        if not name.endswith("dense"):
+            assert np.array_equal(dense.view(np.int64), _entrywise(gen).view(np.int64))
+        rects = [(0, n - 1, 0, 0), (0, n - 1, n - 1, n - 1), (0, n - 1, 0, n - 1),
+                 (0, 0, 0, n - 1), (n - 1, n - 1, 0, n - 1), (0, 0, 0, 0),
+                 (n - 1, n - 1, n - 1, n - 1), (1, 1, 0, 2), (n - 2, n - 2, n - 3, n - 1)]
+        # the strips of quantity A: rows first..T into the states below first
+        rects += [(first, min(n - 2, first + 7), 0, first - 1) for first in (1, 2, n // 2, n - 2)]
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            r0, r1 = np.sort(rng.integers(0, n, 2))
+            c0, c1 = np.sort(rng.integers(0, n, 2))
+            rects.append((int(r0), int(r1), int(c0), int(c1)))
+        for r0, r1, c0, c1 in rects:
+            blk = gen.block(r0, r1, c0, c1)
+            ref = dense[r0:r1 + 1, c0:c1 + 1]
+            assert blk.shape == ref.shape, (r0, r1, c0, c1)
+            assert np.array_equal(blk.view(np.int64), ref.view(np.int64)), (r0, r1, c0, c1)
+
+    @pytest.mark.parametrize("name", list(_storages()))
+    def test_bounds_outside_the_states_refused(self, name):
+        gen = _storages()[name]
+        n = gen.n
+        for r0, r1, c0, c1 in ((-1, 2, -1, 2), (n - 3, n, n - 3, n), (0, 2, -1, 1),
+                               (0, 2, 0, n), (3, 2, 0, 1), (0, 1, 3, 2)):
+            with pytest.raises(ValueError, match="not inside"):
+                gen.block(r0, r1, c0, c1)
+        with pytest.raises(ValueError):
+            gen.window_block(-1, 2)
+        with pytest.raises(ValueError):
+            gen.window_block(n - 3, n + 1)
 
 
 class TestSchemeChoice:
@@ -358,16 +432,49 @@ class TestDump:
             assert rate == pytest.approx(dense[i, j], rel=1e-15)
         assert len(seen) == int(np.count_nonzero(dense))
 
+    @pytest.mark.parametrize("chain", ["DEJD-lattice", "CEV-birth-death", "DEJD-dense"])
+    def test_dump_csv_matches_the_dense_rows(self, tmp_path, chain):
+        # byte for byte the text of the dense matrix, over several row blocks
+        grid = build_grid(0.0, 0.1, 10, -0.4, 0.4)   # 81 states
+        gen = {"DEJD-lattice": lambda: build_levy_generator(ModelSpec.dejd(), 0.01, -0.6, 0.6),
+               "CEV-birth-death": lambda: build_generator(ModelSpec.cev(), grid),
+               "DEJD-dense": lambda: build_generator(ModelSpec.dejd(), grid)}[chain]()
+        dense = gen.to_dense()
+        expect = "i,j,rate\n" + "".join(f"{i},{j},{dense[i, j]:.17g}\n"
+                                          for i in range(gen.n) for j in np.nonzero(dense[i])[0])
+        path = os.path.join(tmp_path, "gen.csv")
+        gen.dump_csv(path)
+        with open(path) as fh:
+            assert fh.read() == expect
+
+    def test_dump_csv_reads_rows_in_blocks(self, tmp_path):
+        # a 3,201-state chain is dumped without its 82 MB dense matrix
+        import tracemalloc
+
+        gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 100, -3.2, 3.2))
+        assert gen.n == 3201
+        path = os.path.join(tmp_path, "gen.csv")
+        tracemalloc.start()
+        try:
+            gen.dump_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * gen.n ** 2 * 8
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == 1 + 3 * (gen.n - 2)
+
     def test_dump_csv_refuses_a_large_chain_before_densifying(self, tmp_path, monkeypatch):
         n = 20_001
         states = np.arange(n) * 0.01
         gen = BirthDeathGenerator(Grid(states=states, h=0.01, eta_x=n // 2, x0=0.0),
                                   np.ones(n), np.ones(n))
 
-        def refuse():
-            raise AssertionError("densified before the size check")
+        def refuse(*args):
+            raise AssertionError("read rates before the size check")
 
         monkeypatch.setattr(gen, "to_dense", refuse)
+        monkeypatch.setattr(gen, "block", refuse)
         path = os.path.join(tmp_path, "gen.csv")
         with pytest.raises(TooLarge, match="20001-state"):
             gen.dump_csv(path)

@@ -42,7 +42,7 @@ def tiny_chain():
 def row_moves(gen, i):
     """Off-diagonal nonzeros (j, rate) of row i, ascending j; none where
     the out rate is 0."""
-    row = gen.row(i)
+    row = gen.block(i, i, 0, gen.n - 1)[0]
     if row[i] == 0.0:
         return []
     return [(j, row[j]) for j in np.nonzero(row)[0] if j != i]

@@ -824,24 +824,26 @@ class TestNodeAxis:
     def test_lattice_sweep_reads_only_boundary_columns(self, chains, monkeypatch):
         # the inflow comes from the stencil panel: however many window tops
         # a lattice sweep runs, the only generator columns it builds are
-        # the boundary ones
+        # the boundary ones (full-height blocks; window blocks are not
+        # columns)
         from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
         from drawdown_ctmc.quantities import backward_window_sweep
 
         gen, nodes = chains["VG"], self.NODES
-        column, read = ToeplitzLevyGenerator.column, []
+        n, block, read = gen.n, ToeplitzLevyGenerator.block, []
 
-        def recorded(self, j):
-            read.append(j)
-            return column(self, j)
+        def recorded(self, r0, r1, c0, c1):
+            if (r0, r1) == (0, n - 1):
+                read.append((c0, c1))
+            return block(self, r0, r1, c0, c1)
 
-        monkeypatch.setattr(ToeplitzLevyGenerator, "column", recorded)
+        monkeypatch.setattr(ToeplitzLevyGenerator, "block", recorded)
         kfn = lambda i, lo: np.broadcast_to(nodes, (i - lo + 1, nodes.size))
         counts = []
         for stop in (gen.n - 2, gen.grid.eta_x, 0):
             read.clear()
             backward_window_sweep(gen, 4, kfn, np.ones(gen.n), stop)
-            assert set(read) <= {0, gen.n - 1}
+            assert set(read) <= {(0, 0), (n - 1, n - 1)}
             counts.append(len(read))
         assert counts == [counts[0]] * 3
 
