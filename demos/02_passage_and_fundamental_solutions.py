@@ -19,7 +19,7 @@ i = gen.grid.eta_x
 lo = i - gen.grid.steps_of(0.2) + 1       # the window's states are lo..i
 rhs = np.zeros(i - lo + 1)
 rhs[-1] = gen.up[i]                        # pay 1 when exiting one step above
-value = np.linalg.solve(q * np.eye(i - lo + 1) - gen.window_block(lo, i), rhs)[-1]
+value = np.linalg.solve(q * np.eye(i - lo + 1) - gen.block(lo, i, lo, i), rhs)[-1]
 print(f"value at the window top: {value:.6f}")
 
 print("\n== the same number from the fundamental-solution pair ==")

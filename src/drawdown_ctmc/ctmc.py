@@ -179,23 +179,27 @@ class Generator:
         if not (0 <= r0 <= r1 < self.n and 0 <= c0 <= c1 < self.n):
             raise ValueError(f"block G[{r0}..{r1}, {c0}..{c1}] is not inside 0..{self.n - 1}")
 
-    def window_block(self, lo: int, hi: int) -> np.ndarray:
-        """Dense G[lo..hi, lo..hi] (inclusive bounds)."""
-        return self.block(lo, hi, lo, hi)
-
     def to_dense(self) -> np.ndarray:
         return self.block(0, self.n - 1, 0, self.n - 1)
 
     def dump_csv(self, path: str) -> None:
         """Write nonzero entries as (i, j, rate), row-major ascending,
-        reading blocks of 64 rows (at most 10 MB at the 20,000-state cap)."""
+        reading blocks of 64 rows.  A chain above 20,000 states, or one
+        with more than a million nonzero rates (a lattice with jumps has
+        about n^2), raises ``TooLarge`` before the file is opened."""
         n = self.n
         if n > 20000:
             raise TooLarge(f"refusing to dump a {n}-state generator")
+        blocks = [(r0, min(r0 + 64, n) - 1) for r0 in range(0, n, 64)]
+        lines = 0
+        for r0, r1 in blocks:
+            lines += np.count_nonzero(self.block(r0, r1, 0, n - 1))
+            if lines > 1_000_000:
+                raise TooLarge(f"refusing to dump over a million rates of a {n}-state generator")
         with open(path, "w") as fh:
             fh.write("i,j,rate\n")
-            for r0 in range(0, n, 64):
-                for i, row in enumerate(self.block(r0, min(r0 + 64, n) - 1, 0, n - 1), start=r0):
+            for r0, r1 in blocks:
+                for i, row in enumerate(self.block(r0, r1, 0, n - 1), start=r0):
                     for j in np.nonzero(row)[0]:
                         fh.write(f"{i},{j},{row[j]:.17g}\n")
 

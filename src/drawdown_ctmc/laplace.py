@@ -16,6 +16,7 @@ one batch and fold deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, exp, inf
 
 import numpy as np
@@ -67,12 +68,13 @@ def inversion_nodes_weights(T: float, cfg: InversionConfig = InversionConfig()):
     n, m = cfg.base_terms, cfg.euler_terms
     ks = np.arange(0, n + m + 1)
     nodes = (0.5 * A + 1j * np.pi * ks) / T
-    # weight of term k inside the Euler average of partial sums s_n..s_{n+m}
+    # weight of term k = n + ell inside the Euler average of partial sums
+    # s_n..s_{n+m}: (C(m, ell) + ... + C(m, m)) / 2^m, one running sum from
+    # ell = m down
     tail = np.ones(n + m + 1)
     two_m = 2.0 ** m
-    for k in range(n + 1, n + m + 1):
-        ell = k - n
-        tail[k] = sum(comb(m, j) for j in range(ell, m + 1)) / two_m
+    sums = accumulate(comb(m, j) for j in range(m, 0, -1))
+    tail[n + 1:] = [s / two_m for s in sums][::-1]
     base = exp(0.5 * A) / (2.0 * T)
     w = base * 2.0 * (-1.0) ** ks * tail
     w[0] = base * tail[0]

@@ -74,10 +74,11 @@ as a trailing array axis, so each rung evaluates all nodes in one pass:
 Each window solve takes one route by the window's structure
 (``_last_rows``): an interior lattice window killed alike on every row
 takes one O(m^2) Levinson recursion per node (``_toeplitz_solves``), B's
-nested killing patterns step by rank-one updates of each node's inverse
-(``_NestedKilling``), and every other window (C's fixed pattern, windows
-that reach state 0, dense generators) reduces the real window matrix
-once and then costs one O(m^2) banded LU per node (``_node_solves``).
+nested killing patterns with a free row read a table made once per
+window width from one LU per node (``_NestedKilling``), and every other
+window (C's fixed pattern, windows that reach state 0, dense generators)
+reduces the real window matrix once and then costs one O(m^2) banded LU
+per node (``_node_solves``).
 
 The birth-death Hsum fixed point builds its weights for all nodes at
 once, then solves (I - P) for all nodes in one block elimination
@@ -531,38 +532,35 @@ def _toeplitz_solves(gen: Generator, lo: int, hi: int, nodes: np.ndarray, rhs: n
     return out
 
 
-_CHAIN_BLOCK = 16
-# Rank-one steps of a killing-pattern chain applied together by one
-# batched product (``_NestedKilling``).
-
-
 class _NestedKilling:
     """A killing over the states that holds one node vector on the states
     below ``cut`` and one real value, shared by the nodes, on the rest:
     B's q 1{x < xi} + shift (``cut`` = n: the node vector everywhere).
 
     An interior lattice window [lo..lo+m-1] kills its first
-    p = clip(cut - lo, 0, m) rows; down a sweep lo falls by one per top,
-    so p grows by one row per top.  Pattern 0, the free window, is
-    inverted once in real arithmetic.  Pattern p + 1 adds add_j = q_j at
-    (p, p) of the window matrix, so each node's inverse takes one
-    Sherman-Morrison step (W. W. Hager, SIAM Review 31(2), 1989):
+    p = clip(cut - lo, 0, m) rows, so its matrix is A + d_j E_p E_p^T: the
+    free window A = free I - G[lo..lo+m-1], the same for every interior
+    window of width m, d_j = q_j - free, and E_p the first p columns of I.
+    With B = A^{-1}, u its last row and I + d_j B = L U, the leading p x p
+    blocks of L and U factor I + d_j B[:p, :p], so the Woodbury identity
+    (W. W. Hager, SIAM Review 31(2), 1989) gives the last row of pattern
+    p's inverse as
 
-        G' = G - G[:, p] (add_j / d_j) G[p, :],   d_j = 1 + add_j G[p, p].
+        u - d_j sum_{r < p} y_r K_r,   y = u U^{-1},  K = L^{-1} B.
 
-    Later steps read only rows > p, so the chain carries rows >= p of
-    every node's inverse (at most m^2 k complex).  The steps go in blocks
-    of ``_CHAIN_BLOCK``: inside a block, row p and column p are the rows
-    held at the block start less the block's earlier steps, and the last
-    row is carried on its own; at the block end one batched product
-    applies the block's steps to the rows below it.  A denominator that
-    is not finite, or under 1e-10 (1 + |add_j G[p, p]|), raises
-    ``Singular``.
+    Per width, A is inverted once in real arithmetic (pattern 0), and at
+    the first partly killed pattern each node takes one LU and two
+    triangular solves; one cumulative sum then gives every pattern
+    0 < p < m.  The fully killed pattern m is uniform and left to the
+    Levinson recursion.  By the matrix determinant lemma the LU pivots
+    are the ratios of consecutive patterns' determinants, so a pattern is
+    singular where a pivot vanishes: a row exchange, a zero pivot or a
+    non-finite row raises ``Singular``.
     """
 
     def __init__(self, cut: int, free: float, nodes: np.ndarray):
         self.cut, self.free, self.add = cut, free, nodes - free
-        self.width = self.p = None   # the pattern the chain carries
+        self.inverses, self.tables = {}, {}   # per width: B, and the rows of patterns 1 .. m - 1
 
     @classmethod
     def of(cls, kill: np.ndarray) -> Optional["_NestedKilling"]:
@@ -584,57 +582,46 @@ class _NestedKilling:
         arrays of them."""
         return np.minimum(np.maximum(self.cut - lo, 0), m)
 
-    def steps_to(self, lo: int, m: int) -> bool:
-        """Whether the chain gives the window's pattern: pattern 0 starts
-        it, and a pattern 0 < p < m follows the one it carries when that
-        is p - 1 at the same width.  The fully killed pattern m is
-        uniform and left to the Levinson recursion."""
-        p = self.pattern(lo, m)
-        return p < m and (p == 0 or (self.width == m and self.p == p - 1))
-
     def rows(self, gen: Generator, lo: int, hi: int) -> np.ndarray:
-        """Last rows of the inverses of the window's pattern, one per
+        """Last rows of the inverses of the window's pattern p < m, one per
         node: (k, m)."""
-        if self.pattern(lo, hi - lo + 1) == 0:
-            return self._start(gen, lo, hi)
-        return self._step()
+        m = hi - lo + 1
+        p, inv = self.pattern(lo, m), self.inverses.get(m)
+        if inv is None:
+            try:
+                inv = np.linalg.inv(self.free * np.eye(m) - gen.block(lo, hi, lo, hi))
+            except np.linalg.LinAlgError as exc:
+                raise Singular("free window matrix is singular") from exc
+            if not np.all(np.isfinite(inv)):
+                raise Singular("non-finite inverse of the free window")
+            self.inverses[m] = inv
+        if p == 0:
+            return np.tile(inv[-1].astype(complex), (self.add.size, 1))
+        if m not in self.tables:
+            self.tables[m] = self._patterns(inv)
+        return self.tables[m][:, p - 1]
 
-    def _start(self, gen: Generator, lo: int, hi: int) -> np.ndarray:
-        m, k = hi - lo + 1, self.add.size
-        try:
-            inv = np.linalg.inv(self.free * np.eye(m) - gen.window_block(lo, hi))
-        except np.linalg.LinAlgError as exc:
-            raise Singular("free window matrix is singular") from exc
-        if not np.all(np.isfinite(inv)):
-            raise Singular("non-finite inverse of the free window")
-        self.width, self.p, self.base = m, 0, 0
-        self.inv = inv   # rows >= base at pattern base: real, shared by the nodes at base 0
-        self.U = np.zeros((k, m, _CHAIN_BLOCK), dtype=complex)   # the block's columns G[:, p]
-        self.W = np.zeros((k, _CHAIN_BLOCK, m), dtype=complex)   # and its scaled rows G[p, :]
-        self.last = np.tile(inv[-1].astype(complex), (k, 1))
-        return self.last
+    def _patterns(self, inv: np.ndarray) -> np.ndarray:
+        """The last rows of patterns 1 .. m - 1 from the free inverse B:
+        (k, m - 1, m).  Only the leading (m - 1) x (m - 1) block of
+        I + d_j B is factored; pattern m is the Levinson recursion's."""
+        from scipy.linalg import blas, lapack
 
-    def _step(self) -> np.ndarray:
-        p = self.p
-        t = p - self.base   # steps held in the block, and row p among the held rows
-        U, W, G = self.U, self.W, self.inv
-        row = G[..., t, :] - (U[:, t, None, :t] @ W[:, :t])[:, 0]
-        col = G[..., t:, p] - (U[:, t:, :t] @ W[:, :t, p, None])[..., 0]
-        shift = self.add * row[:, p]
-        d = 1.0 + shift
-        if not (np.all(np.isfinite(d)) and np.all(np.abs(d) > 1e-10 * (1.0 + np.abs(shift)))):
-            raise Singular("vanishing rank-one denominator in the window inverse")
-        U[:, t:, t] = col
-        W[:, t] = (self.add / d)[:, None] * row
-        self.last = self.last - col[:, -1:] * W[:, t]
-        self.p += 1
-        if t + 1 == _CHAIN_BLOCK:
-            b = _CHAIN_BLOCK
-            self.inv = G[..., b:, :] - U[:, b:] @ W
-            self.base += b
-            self.U = np.zeros((U.shape[0], U.shape[1] - b, b), dtype=complex)
-            W[:] = 0.0
-        return self.last
+        m = inv.shape[0]
+        u, head = inv[-1].astype(complex), inv[:m - 1].astype(complex)
+        out = np.empty((self.add.size, m - 1, m), dtype=complex)
+        for j, d in enumerate(self.add):
+            lu, piv, info = lapack.zgetrf(np.eye(m - 1) + d * head[:, :m - 1], overwrite_a=True)
+            if info != 0 or np.any(piv != np.arange(m - 1)):
+                raise Singular("zero pivot or row exchange in a killed window's LU")
+            y = blas.ztrsm(1.0, lu, u[None, :m - 1], side=1)[0]
+            K = blas.ztrsm(1.0, lu, head, lower=1, diag=1)
+            np.cumsum(y[:, None] * K, axis=0, out=out[j])
+            out[j] *= -d
+            out[j] += u
+        if not np.all(np.isfinite(out)):
+            raise Singular("non-finite row of a killed window's inverse")
+        return out
 
 
 def _last_rows(gen: Generator, lo: int, hi: int, kv: np.ndarray,
@@ -645,8 +632,8 @@ def _last_rows(gen: Generator, lo: int, hi: int, kv: np.ndarray,
     One dispatch on the window's structure.  An interior lattice window
     (1 <= lo, hi <= n-2) has a Toeplitz block, and takes:
 
-    * rank-one steps when it is one of the nested killing patterns of
-      ``nested`` that its chain starts or carries up to;
+    * the pattern table of ``nested`` when it is one of that killing's
+      patterns with a free row (``_NestedKilling.rows``);
     * the Levinson recursion (``_toeplitz_solves``) when one node vector
       kills every row.
 
@@ -656,13 +643,13 @@ def _last_rows(gen: Generator, lo: int, hi: int, kv: np.ndarray,
     """
     m = hi - lo + 1
     interior = gen.structure == TOEPLITZ_LEVY and lo >= 1 and hi <= gen.n - 2
-    if interior and nested is not None and nested.steps_to(lo, m):
+    if interior and nested is not None and nested.pattern(lo, m) < m:
         return nested.rows(gen, lo, hi)
     e = np.zeros(m)
     e[-1] = 1.0
     if interior and np.all(kv == kv[0]):
         return _toeplitz_solves(gen, lo, hi, kv[0], e, trans=True)
-    return _node_solves(gen.window_block(lo, hi), kv, e, trans=True)
+    return _node_solves(gen.block(lo, hi, lo, hi), kv, e, trans=True)
 
 
 class _WindowSolver:
@@ -674,8 +661,9 @@ class _WindowSolver:
     On a lattice the rows are cached by the window's killing pattern.  A
     killing over the states that classifies as nested
     (``_NestedKilling.of``, once per solver) keys a window by (width,
-    reaches state 0, killed rows) in O(1), and its chain serves the
-    partly killed patterns, each once per sweep and so left uncached.
+    reaches state 0, killed rows) in O(1), and its pattern table serves
+    the partly killed patterns, each met once per sweep and so left out of
+    the cache.
     Any other killing is keyed by its bytes.  Each row is kept over the a
     states i - a + 1 .. i, 0 below the window and at the absorbing state
     0 (whose right-hand side is 0), in the right-hand sides' (a, k)
@@ -719,9 +707,8 @@ class _WindowSolver:
             yield i, 1, (i - lo, lo == 0, kv.tobytes()) if lattice else None, lattice, kv
 
     def block(self, t0: int, t1: int, killing_fn: Callable):
-        """The windows topped at t0 .. t1, solved from t1 down (the chain's
-        order), as runs (j0, j1, row) of the tops t0 + j0 .. t0 + j1 - 1
-        that share a last row, from t0 up.  A row is a triple: the row
+        """The windows topped at t0 .. t1, as runs (j0, j1, row) of the tops
+        t0 + j0 .. t0 + j1 - 1 that share a last row, from t0 up.  A row is a triple: the row
         conjugated (k, a), and its products with the rates at width b =
         t1 - t0 + 1 (``_OffDiagonal.window_products``) on the window's
         bottom b columns and, negated, on the top's column and the b - 1
@@ -816,10 +803,10 @@ def backward_window_sweep(gen: Generator, a_steps: int, killing, f_arr: np.ndarr
     upper triangular, g_i = w_i . (R[lo..i] - P_i) and C[i, z] = w_i .
     G[lo..i, z].  Per block:
 
-    * the solver gives the rows in descending order (its rank-one chain
-      needs them so), in runs of tops that share a cached row, with each
-      row's products with the rates at the window's bottom b columns and
-      at the b columns from its top up (``_WindowSolver.block``);
+    * the solver gives the rows in runs of tops that share a cached row,
+      with each row's products with the rates at the window's bottom b
+      columns and at the b columns from its top up
+      (``_WindowSolver.block``);
     * per run, one product of the row with R over the tops' windows and
       one with the payoff columns give g; the products above the tops
       fill the band of C;
@@ -1397,7 +1384,7 @@ def _a_strip(gen: Generator, nodes: np.ndarray, a_steps: int, b_steps: int,
     n, k = gen.n, nodes.size
     top = min(n - 2, eta + b_steps + 1)
     first, low = max(0, eta - a_steps + 1), max(0, eta - b_steps + 1)
-    blk = gen.window_block(first, top)
+    blk = gen.block(first, top, first, top)
     inflow = np.zeros(top - first + 1, dtype=complex)
     if first > 0:   # rows first..T only, into the states below first
         inflow = _real_times(gen.block(first, top, 0, first - 1), f_arr[:first, None])[:, 0]

@@ -292,6 +292,22 @@ class TestMain:
         with open(out) as fh:
             assert fh.readline().strip() == "i,j,rate"
 
+    def test_dump_generator_bounds_its_output(self, capsys, tmp_path):
+        # the shipped VG config's 12,927-state lattice has about 167M
+        # nonzero rates: refused before the file is opened.  The shipped BS
+        # config's dump (19,197 rates) is pinned by its SHA-256
+        import hashlib
+
+        out = tmp_path / "gen.csv"
+        vg = os.path.join(CONFIG_DIR, "insurance_no_recovery_vg.ini")
+        assert main(["dump-generator", "--out", str(out), "-c", vg]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure (TooLarge): ")
+        assert not out.exists()
+        bs = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
+        assert main(["dump-generator", "--out", str(out), "-c", bs]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "27cdfb2509f4f50219c2454eedb9f9dda06c0efceb5407d2dff20246d779521f")
+
     def test_aw_flag_aliases(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run_price", lambda cfg: seen.append(cfg) or PriceTable([], {}))

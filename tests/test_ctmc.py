@@ -260,13 +260,13 @@ class TestLevyGenerator:
             for j in (0, 1, n // 2, n - 2, n - 1):
                 assert np.allclose(gen.block(0, n - 1, j, j)[:, 0], dense[:, j], atol=1e-14)
                 assert np.allclose(gen.block(j, j, 0, n - 1)[0], dense[j], atol=1e-14)
-            blk = gen.window_block(1, n - 2)
+            blk = gen.block(1, n - 2, 1, n - 2)
             assert np.allclose(blk, dense[1:n - 1, 1:n - 1], atol=1e-14)
-            blk = gen.window_block(0, n - 1)
+            blk = gen.block(0, n - 1, 0, n - 1)
             assert np.allclose(blk, dense, atol=1e-14)
             # a mid-lattice window carries the same floats as the dense matrix
             lo, hi = n // 3, n // 3 + 6
-            assert np.array_equal(gen.window_block(lo, hi), dense[lo:hi + 1, lo:hi + 1])
+            assert np.array_equal(gen.block(lo, hi, lo, hi), dense[lo:hi + 1, lo:hi + 1])
 
     @pytest.mark.parametrize("chain", ["DEJD", "VG", "BS"])
     def test_to_dense_equals_its_columns_bit_for_bit(self, chain):
@@ -295,7 +295,7 @@ class TestLevyGenerator:
         gen = build_levy_generator(model, 0.05, -0.6, 0.6)
         n = gen.n
         for lo, hi in ((1, 1), (1, 6), (n // 3, n // 3 + 6), (3, n - 2), (1, n - 2)):
-            blk = gen.window_block(lo, hi)
+            blk = gen.block(lo, hi, lo, hi)
             sym = toeplitz(gen.block(lo, hi, lo, lo)[:, 0], gen.block(lo, lo, lo, hi)[0])
             off = ~np.eye(hi - lo + 1, dtype=bool)
             assert np.array_equal(sym[off], blk[off])
@@ -396,10 +396,6 @@ class TestBlock:
                                (0, 2, 0, n), (3, 2, 0, 1), (0, 1, 3, 2)):
             with pytest.raises(ValueError, match="not inside"):
                 gen.block(r0, r1, c0, c1)
-        with pytest.raises(ValueError):
-            gen.window_block(-1, 2)
-        with pytest.raises(ValueError):
-            gen.window_block(n - 3, n + 1)
 
 
 class TestSchemeChoice:

@@ -38,6 +38,22 @@ class TestInvert:
         assert np.all(nodes.real > 0.0)
         assert nodes.size == weights.size == 15 + 11 + 1
 
+    @pytest.mark.parametrize("base, euler", [(15, 11), (1, 1), (40, 3), (15, 60)])
+    def test_euler_weights_bit_for_bit(self, base, euler):
+        # the running binomial sum against one sum of binomials per term
+        from math import comb, exp
+
+        T, decay = 0.7, 18.4
+        _, w = inversion_nodes_weights(T, InversionConfig(decay, base, euler))
+        ks = np.arange(base + euler + 1)
+        tail = np.ones(ks.size)
+        for ell in range(1, euler + 1):
+            tail[base + ell] = sum(comb(euler, j) for j in range(ell, euler + 1)) / 2.0 ** euler
+        scale = exp(0.5 * decay) / (2.0 * T)
+        ref = scale * 2.0 * (-1.0) ** ks * tail
+        ref[0] = scale * tail[0]
+        assert np.array_equal(w.view(np.int64), ref.view(np.int64))
+
     def test_invert_values_length_guard(self):
         with pytest.raises(ValueError):
             invert_values(np.ones(5), 0.5)

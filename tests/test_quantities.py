@@ -885,11 +885,11 @@ class TestNodeAxis:
             assert abs(V[gen.grid.eta_x, j] - ref) <= 1e-12 * abs(ref)
 
     # the window-solve routes each lattice case takes from the anchor: the
-    # Levinson recursion on uniformly killed interior windows, B's rank-one
-    # chain between its nested patterns (a = 4 steps, xi = -0.05: patterns
-    # 0 and 1 only), and the reduction for C's fixed pattern and for the
-    # windows of the Hn sweep that reach state 0
-    WINDOW_ROUTES = {"Q": {"levinson"}, "B": {"chain"}, "C": {"reduction"},
+    # Levinson recursion on uniformly killed interior windows, B's pattern
+    # table for its nested patterns with a free row (a = 4 steps, xi =
+    # -0.05: patterns 0 and 1 only), and the reduction for C's fixed
+    # pattern and for the windows of the Hn sweep that reach state 0
+    WINDOW_ROUTES = {"Q": {"levinson"}, "B": {"table"}, "C": {"reduction"},
                      "Hn": {"levinson", "reduction"}, "Hsum": {"levinson"}, "Jsum": {"levinson"}}
 
     @pytest.mark.parametrize("req", LATTICE_CASES, ids=[r.kind for r in LATTICE_CASES])
@@ -907,7 +907,7 @@ class TestNodeAxis:
         dense = gen.to_dense()
         solve, shifted = qmod._node_solves, qmod._shifted_solves
         last_rows, toeplitz = qmod._last_rows, qmod._toeplitz_solves
-        chain = qmod._NestedKilling.rows
+        table = qmod._NestedKilling.rows
         calls, reduced, windows, routes = [], [], [], set()
 
         def recorded(blk, kv, rhs, **kwargs):
@@ -927,9 +927,9 @@ class TestNodeAxis:
             windows.append((lo, hi, kv, rhs, trans, out))
             return out
 
-        def chain_recorded(self, *args):
-            routes.add("chain")
-            return chain(self, *args)
+        def table_recorded(self, *args):
+            routes.add("table")
+            return table(self, *args)
 
         def counted(*args):
             reduced.append(args)
@@ -938,7 +938,7 @@ class TestNodeAxis:
         monkeypatch.setattr(qmod, "_node_solves", recorded)
         monkeypatch.setattr(qmod, "_last_rows", rows_recorded)
         monkeypatch.setattr(qmod, "_toeplitz_solves", toeplitz_recorded)
-        monkeypatch.setattr(qmod._NestedKilling, "rows", chain_recorded)
+        monkeypatch.setattr(qmod._NestedKilling, "rows", table_recorded)
         evaluate(gen, replace(req, q=self.NODES))
         monkeypatch.setattr(qmod, "_shifted_solves", counted)
         assert routes == self.WINDOW_ROUTES[req.kind]
@@ -991,7 +991,7 @@ class TestNodeAxis:
         up[6] = 0.0
         gen = BirthDeathGenerator(Grid(states=states, h=0.1, eta_x=4, x0=float(states[4])),
                                   up, down)
-        blk = gen.window_block(2, 6)
+        blk = gen.block(2, 6, 2, 6)
         with pytest.raises(Singular):
             qmod._killed_solve(blk, np.zeros(5), np.ones(5))
         with pytest.raises(Singular):
@@ -1000,7 +1000,7 @@ class TestNodeAxis:
 
 class TestWindowRoutes:
     """The three window-solve routes of ``_last_rows`` on lattices: the
-    Levinson recursion, B's rank-one chain and the reduction."""
+    Levinson recursion, B's pattern table and the reduction."""
 
     NODES = np.append(inversion_nodes_weights(0.1)[0], 1.0 + 800.0j)
 
@@ -1012,30 +1012,33 @@ class TestWindowRoutes:
         return build_levy_generator(ModelSpec.dejd() if model == "DEJD" else ModelSpec.vg(),
                                     h, -1.0, 1.0)
 
-    @pytest.mark.parametrize("block", [1, 3, 16])
-    def test_every_b_pattern_matches_the_reduction(self, lattice, block, monkeypatch):
-        # B's killing with its breakpoint inside the lattice: pattern 0
-        # starts the chain, 1..m-1 are rank-one steps, m is Levinson's;
-        # the steps applied every step, every three, or every 16 (m = 20
-        # on the 401-state lattices)
+    @pytest.mark.parametrize("T", [0.01, 0.5, 5.0], ids=["T0.01", "T0.5", "T5"])
+    def test_every_b_pattern_matches_the_reduction(self, lattice, T):
+        # B's killing with its breakpoint inside the lattice: pattern 0 is
+        # the free window, 1..m-1 come from the table, m is Levinson's
+        # (m = 20 on the 401-state lattices); the inversion nodes of T and
+        # 1 + 800i, with shifts small and large, in the reverse of a
+        # sweep's order
         import drawdown_ctmc.quantities as qmod
         from drawdown_ctmc.linsolve import killing_values
 
-        monkeypatch.setattr(qmod, "_CHAIN_BLOCK", block)
         gen = lattice
         m = gen.grid.steps_of(0.1)
-        kill = killing_values(occupation_below_killing(self.NODES, 0.3, 0.05), gen.states)
-        nested = qmod._NestedKilling.of(kill)
-        assert nested is not None and nested.free == 0.05
+        nodes = np.append(inversion_nodes_weights(T)[0], 1.0 + 800.0j)
         e = np.eye(m)[-1]
-        for p in range(m + 1):
-            lo = nested.cut - p
-            kv = kill[lo:lo + m]
-            assert nested.pattern(lo, m) == p and nested.steps_to(lo, m) == (p < m)
-            got = qmod._last_rows(gen, lo, lo + m - 1, kv, nested)
-            ref = qmod._node_solves(gen.window_block(lo, lo + m - 1), kv, e, trans=True)
-            scale = np.max(np.abs(ref), axis=1, keepdims=True)
-            assert np.all(np.abs(got - ref) <= 1e-12 * scale), p
+        for shift in (0.0, 0.05, 2.0):
+            kill = killing_values(occupation_below_killing(nodes, 0.3, shift), gen.states)
+            nested = qmod._NestedKilling.of(kill)
+            assert nested is not None and nested.free == shift
+            for p in range(m, -1, -1):
+                lo = nested.cut - p
+                kv = kill[lo:lo + m]
+                assert nested.pattern(lo, m) == p
+                got = qmod._last_rows(gen, lo, lo + m - 1, kv, nested)
+                ref = qmod._node_solves(gen.block(lo, lo + m - 1, lo, lo + m - 1), kv, e,
+                                        trans=True)
+                scale = np.max(np.abs(ref), axis=1, keepdims=True)
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), (shift, p)
 
     PIN_CASES = [
         QuantityRequest("Q", a=0.1),
@@ -1060,12 +1063,12 @@ class TestWindowRoutes:
         got = evaluate(lattice, req)
 
         def reduced_rows(gen, lo, hi, kv, nested=None):
-            return qmod._node_solves(gen.window_block(lo, hi), kv, np.eye(hi - lo + 1)[-1],
+            return qmod._node_solves(gen.block(lo, hi, lo, hi), kv, np.eye(hi - lo + 1)[-1],
                                      trans=True)
 
         def reduced_toeplitz(gen, lo, hi, nodes, rhs, *, trans=False):
             kv = np.broadcast_to(nodes, (hi - lo + 1, nodes.size))
-            return qmod._node_solves(gen.window_block(lo, hi), kv, rhs, trans=trans)
+            return qmod._node_solves(gen.block(lo, hi, lo, hi), kv, rhs, trans=trans)
 
         monkeypatch.setattr(qmod, "_last_rows", reduced_rows)
         monkeypatch.setattr(qmod, "_toeplitz_solves", reduced_toeplitz)
@@ -1075,25 +1078,26 @@ class TestWindowRoutes:
 
     def test_route_counts(self, monkeypatch):
         # Hessenberg reductions (``dgehrd``, looked up at call time) and
-        # dense window blocks per route on the 81-state DEJD lattice
+        # dense window blocks (square reads of more than one state) per
+        # route on the 81-state DEJD lattice
         import scipy.linalg.lapack as lapack
         from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
 
         gen = build_levy_generator(ModelSpec.dejd(), 0.025, -1.0, 1.0)
         a_steps = gen.grid.steps_of(0.1)
-        dgehrd, window_block = lapack.dgehrd, ToeplitzLevyGenerator.window_block
+        dgehrd, block = lapack.dgehrd, ToeplitzLevyGenerator.block
         counts = {"dgehrd": 0, "window_block": 0}
 
         def counted_dgehrd(*args, **kwargs):
             counts["dgehrd"] += 1
             return dgehrd(*args, **kwargs)
 
-        def counted_block(self, lo, hi):
-            counts["window_block"] += 1
-            return window_block(self, lo, hi)
+        def counted_block(self, r0, r1, c0, c1):
+            counts["window_block"] += (r0, r1) == (c0, c1) and r1 > r0
+            return block(self, r0, r1, c0, c1)
 
         monkeypatch.setattr(lapack, "dgehrd", counted_dgehrd)
-        monkeypatch.setattr(ToeplitzLevyGenerator, "window_block", counted_block)
+        monkeypatch.setattr(ToeplitzLevyGenerator, "block", counted_block)
 
         def run(req):
             counts.update(dgehrd=0, window_block=0)
@@ -1150,15 +1154,26 @@ class TestWindowRoutes:
         with pytest.raises(Singular, match="singular leading block"):
             q_drawdown(zero_lattice, np.zeros(2), 0.2)
 
-    def test_vanishing_rank_one_denominator_raises(self, zero_lattice):
-        # killing 1 from the anchor up and 0 below it: the top window is
-        # the free pattern 0 (the identity), and killing its lower row with
-        # add = -1 leaves the zero matrix of the next window
+    def test_zero_pivot_raises(self, zero_lattice):
+        # killing 1 from the anchor up and 0 below it: the free window is
+        # the identity, and pattern 1 kills its lower row with d = -1, so
+        # I + d A^{-1} has a zero first pivot
         from drawdown_ctmc.linsolve import Singular
 
         k = occupation_below_killing(-np.ones(2), -0.05, 1.0)
-        with pytest.raises(Singular, match="rank-one denominator"):
+        with pytest.raises(Singular, match="zero pivot"):
             occupation_until_drawdown(zero_lattice, k, 0.2)
+
+    def test_row_exchange_raises(self):
+        # a free inverse whose killed leading block would need pivoting:
+        # I + d B = [[0.1, 1], [1, 1]] with d = 1 exchanges its rows
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import Singular
+
+        nested = qmod._NestedKilling(5, 0.0, np.array([1.0 + 0.0j]))
+        inv = np.array([[-0.9, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 1.0]])
+        with pytest.raises(Singular, match="row exchange"):
+            nested._patterns(inv)
 
 
 class TestToeplitzInflow:
