@@ -42,6 +42,8 @@ for model in (ModelSpec.bs(), ModelSpec.dejd()):
     print(f"{model.kind:>4} via build_generator: {gen.structure:15s} ({gen.n} states)")
 lat = build_levy_generator(ModelSpec.dejd(), 0.01, -1.0, 1.0)
 print(f"DEJD via build_levy_generator: {lat.structure} ({lat.n} states)")
+print("DEJD and VG rates have one builder; build_generator's chain is its dense copy:",
+      np.array_equal(build_generator(ModelSpec.dejd(), grid).to_dense(), lat.to_dense()))
 
 print("\nrow sums vanish (conservative rates):",
       float(np.abs(build_generator(ModelSpec.dejd(), grid).to_dense().sum(axis=1)).max()))

@@ -12,8 +12,11 @@ Three storage regimes, each read through one method, ``block``:
 * ``birth_death``   -- tridiagonal (diffusions): three diagonals.
 * ``toeplitz_levy`` -- spatially homogeneous models on an h-lattice:
                        one stencil row plus boundary-tail vectors.
-* ``general``       -- dense matrix (jump models on an arbitrary grid,
-                       dense copies of any chain, hand-built test chains).
+* ``general``       -- dense matrix (dense copies of any chain, the jump
+                       chains of ``build_generator`` among them, and
+                       hand-built test chains).
+
+DEJD and VG rates have one assembly, ``build_levy_generator``.
 
 Grids and generators are immutable after assembly.
 """
@@ -150,6 +153,8 @@ class Generator:
     (absorbing).  Each storage reads its rates through one method,
     ``block(r0, r1, c0, c1)``, the dense G[r0..r1, c0..c1] (inclusive
     bounds): rows, columns, windows and the whole matrix are blocks.
+    Every DEJD or VG chain reads the rates of one builder,
+    ``build_levy_generator``: its lattice, or a dense copy of it.
     """
 
     structure: str = GENERAL
@@ -213,6 +218,17 @@ def _band(blk: np.ndarray, r0: int, c0: int, d: int):
     return blk.reshape(-1)[start:start + max(hi - lo, 0) * (cols + 1):cols + 1], slice(lo, hi)
 
 
+def _check_rates(states: np.ndarray, up: np.ndarray, down: np.ndarray) -> None:
+    """Raise ``NegativeRate`` at the first state with a negative neighbor
+    rate, its up rate checked first."""
+    bad = np.flatnonzero((up < 0.0) | (down < 0.0))
+    if bad.size:
+        i = bad[0]
+        if up[i] < 0.0:
+            raise NegativeRate(states[i], states[i + 1], up[i])
+        raise NegativeRate(states[i], states[i - 1], down[i])
+
+
 class BirthDeathGenerator(Generator):
     """Tridiagonal generator: only nearest-neighbor moves."""
 
@@ -226,11 +242,7 @@ class BirthDeathGenerator(Generator):
         self.down = np.asarray(down, dtype=float).copy()
         self.up[0] = self.up[n - 1] = 0.0
         self.down[0] = self.down[n - 1] = 0.0
-        if np.any(self.up < 0.0) or np.any(self.down < 0.0):
-            i = int(np.argmin(np.minimum(self.up, self.down)))
-            bad_up = self.up[i] < self.down[i]
-            raise NegativeRate(grid.states[i], grid.states[i + 1 if bad_up else i - 1],
-                               float(min(self.up[i], self.down[i])))
+        _check_rates(grid.states, self.up, self.down)
         self._diag = 0.0 - (self.up + self.down)   # +0.0, not -0.0, on the absorbing rows
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -264,12 +276,13 @@ class ToeplitzLevyGenerator(Generator):
         self.center = n - 1
         self.tail_bot = np.asarray(tail_bot, dtype=float)  # row m -> mass of (-inf, (0-m)h + h/2]
         self.tail_top = np.asarray(tail_top, dtype=float)  # row m -> mass of [(n-1-m)h - h/2, inf)
-        up_rate = self.local_up + self.stencil[self.center + 1]
-        dn_rate = self.local_down + self.stencil[self.center - 1]
-        if up_rate < 0.0:
-            raise NegativeRate(grid.states[1], grid.states[2], up_rate)
-        if dn_rate < 0.0:
-            raise NegativeRate(grid.states[1], grid.states[0], dn_rate)
+        # the neighbor rates as assembled: row 1's down rate and row n - 2's
+        # up rate land in the end columns, which carry the tails
+        up = np.full(n, self.local_up + self.stencil[self.center + 1])
+        down = np.full(n, self.local_down + self.stencil[self.center - 1])
+        up[-2], down[1] = self.tail_top[-2] + self.local_up, self.tail_bot[1] + self.local_down
+        up[[0, -1]] = down[[0, -1]] = 0.0
+        _check_rates(grid.states, up, down)
         # prefix and suffix sums for O(1) stencil range sums:
         # csum[k] = sum(stencil[:k]), rsum[k] = sum(stencil[k:])
         self._csum = np.concatenate([[0.0], np.cumsum(self.stencil)])
@@ -326,9 +339,9 @@ class ToeplitzLevyGenerator(Generator):
 
 
 class DenseGenerator(Generator):
-    """Dense storage: the jump chains of ``build_generator`` and dense
-    copies of any chain, which are the reference routes, plus hand-built
-    test chains."""
+    """Dense storage: dense copies of any chain, which are the reference
+    routes, plus hand-built test chains.  ``build_generator``'s jump
+    chains are dense copies of ``build_levy_generator``'s lattice."""
 
     structure = GENERAL
 
@@ -394,56 +407,26 @@ def _local_rates(model: ModelSpec, x, d_minus, d_plus,
 
 
 def build_generator(model: ModelSpec, grid: Grid, *, drift_scheme: str = "auto") -> Generator:
-    """Assemble the rate matrix on an arbitrary grid.
+    """Assemble the rate matrix on a grid.
 
-    Diffusions produce a tridiagonal generator; jump models produce a dense
-    one (every interior row carries a full set of jump bins).
+    Diffusions produce a tridiagonal generator.  A jump model (DEJD, VG)
+    produces the dense copy of ``build_levy_generator``'s lattice over the
+    grid's states, so its rates have one assembly; a grid off the lattice
+    x0 + h*k of ``build_grid`` raises ``ValueError``.
     """
-    n = grid.n
     states = grid.states
-    if not model.has_jumps:
-        x = states[1:-1]
-        up = np.zeros(n)
-        down = np.zeros(n)
-        up[1:-1], down[1:-1] = _local_rates(model, x, x - states[:-2], states[2:] - x,
-                                            scheme=drift_scheme)
-        bad = np.flatnonzero((up < 0.0) | (down < 0.0))
-        if bad.size:   # the first offending state, its up rate checked first
-            i = bad[0]
-            if up[i] < 0.0:
-                raise NegativeRate(states[i], states[i + 1], up[i])
-            raise NegativeRate(states[i], states[i - 1], down[i])
-        return BirthDeathGenerator(grid, up, down)
-
-    spacing = np.diff(states)
-    d_minus = np.concatenate([spacing[:1], spacing])
-    d_plus = np.concatenate([spacing, spacing[-1:]])
-    edge_lo = states - 0.5 * d_minus
-    edge_hi = states + 0.5 * d_plus
+    if model.has_jumps:
+        lattice = build_levy_generator(model, grid.h, states[0], states[-1], x0=grid.x0,
+                                       drift_scheme=drift_scheme)
+        if not np.array_equal(lattice.states, states):
+            raise ValueError("a DEJD or VG chain needs the uniform lattice x0 + h*k of build_grid")
+        return DenseGenerator(grid, lattice.to_dense())
     x = states[1:-1]
-    # every interior row's bins around the other states, the end bins
-    # extended to +/-infinity so that jumps past the lattice are absorbed
-    lo = np.concatenate([[-np.inf], edge_lo[1:]]) - x[:, None]
-    hi = np.concatenate([edge_hi[:-1], [np.inf]]) - x[:, None]
-    off = np.arange(n) != np.arange(1, n - 1)[:, None]
-    rates = np.zeros((n, n))
-    rates[1:-1][off] = levy_bin_mass(model, lo[off], hi[off])
-    # the scheme decision uses the plain neighbor bins (no end-bin
-    # extension) so that it cannot differ between boundary-adjacent
-    # rows here and the translation-invariant builder
-    nu_up, nu_dn = levy_bin_mass(model, np.stack([edge_lo[2:], edge_lo[:-2]]) - x,
-                                 np.stack([edge_hi[2:], edge_hi[:-2]]) - x)
-    for i in range(1, n - 1):
-        u, dn = _local_rates(model, states[i], d_minus[i], d_plus[i],
-                             nu_up=nu_up[i - 1], nu_dn=nu_dn[i - 1], scheme=drift_scheme)
-        rates[i, i + 1] += u
-        rates[i, i - 1] += dn
-        if rates[i, i + 1] < 0.0:
-            raise NegativeRate(states[i], states[i + 1], rates[i, i + 1])
-        if rates[i, i - 1] < 0.0:
-            raise NegativeRate(states[i], states[i - 1], rates[i, i - 1])
-        rates[i, i] = -rates[i].sum()
-    return DenseGenerator(grid, rates)
+    up = np.zeros(grid.n)
+    down = np.zeros(grid.n)
+    up[1:-1], down[1:-1] = _local_rates(model, x, x - states[:-2], states[2:] - x,
+                                        scheme=drift_scheme)
+    return BirthDeathGenerator(grid, up, down)
 
 
 def default_levy_truncation(a: float) -> float:

@@ -146,11 +146,25 @@ class TestBirthDeathAssembly:
         assert (err.value.state, err.value.neighbor) == (state, neighbor)
         assert err.value.rate == pytest.approx(rate, rel=1e-14)
 
+    def test_direct_construction_names_the_first_state(self):
+        # the first offending state, not the most negative rate; at one
+        # state the up rate is checked before the down rate
+        grid = build_grid(0.0, 0.2, 4, -0.4, 0.4)
+        s, up, down = grid.states, np.ones(grid.n), np.ones(grid.n)
+        down[2], up[5] = -1.0, -5.0
+        with pytest.raises(NegativeRate) as err:
+            BirthDeathGenerator(grid, up, down)
+        assert (err.value.state, err.value.neighbor, err.value.rate) == (s[2], s[1], -1.0)
+        up[2] = -0.5
+        with pytest.raises(NegativeRate) as err:
+            BirthDeathGenerator(grid, up, down)
+        assert (err.value.state, err.value.neighbor, err.value.rate) == (s[2], s[3], -0.5)
+
 
 class TestDenseJumpAssembly:
-    """build_generator's jump branch takes all its bin masses from array
-    calls; the reference is each bin's closed form, written out entry by
-    entry."""
+    """build_generator's jump chains are dense copies of the lattice of
+    build_levy_generator, which takes all its bin masses from array calls;
+    the reference is each bin's closed form, written out entry by entry."""
 
     GRIDS = [(0.13, 0.35, 7, -2.0, 1.0), (0.0, 0.2, 8, -0.8, 0.4)]
 
@@ -195,11 +209,16 @@ class TestDenseJumpAssembly:
         nz = expect != 0.0
         assert np.all(np.abs(got[nz] - expect[nz]) <= 1e-13 * np.abs(expect[nz]))
 
-    @pytest.mark.parametrize("grid_args", GRIDS, ids=["offset", "small"])
-    @pytest.mark.parametrize("model", [
-        ModelSpec.dejd(sigma=0.05, r_f=0.5, d=0.0),     # down rate
-        ModelSpec.dejd(sigma=0.05, r_f=0.0, d=0.5),     # up rate
-    ], ids=["down", "up"])
+    @pytest.mark.parametrize("model, grid_args", [
+        pytest.param(model, grid_args, id=f"{side}-{where}")
+        for where, grid_args in zip(["offset", "small"], GRIDS)
+        for side, model in [("down", ModelSpec.dejd(sigma=0.05, r_f=0.5, d=0.0)),
+                            ("up", ModelSpec.dejd(sigma=0.05, r_f=0.0, d=0.5))]
+    ] + [
+        # row 1's down rate adds the tail below the lattice and stays positive
+        pytest.param(ModelSpec.dejd(sigma=0.05, lam=20.0, r_f=0.5, d=0.0), GRIDS[1],
+                     id="down-past-the-tail-small"),
+    ])
     def test_central_failure_names_the_first_state(self, model, grid_args):
         grid = build_grid(*grid_args)
         s, edges = grid.states, self.edges(grid)
@@ -218,13 +237,38 @@ class TestDenseJumpAssembly:
 
 
 class TestLevyGenerator:
+    GRIDS = [(0.0, 0.2, 4, -0.5, 0.5), *TestDenseJumpAssembly.GRIDS, (0.0, 0.2, 40, -2.0, 2.0)]
+
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()])
     def test_matches_general_builder_row_wise(self, model):
+        # the dense jump chain is the lattice over the same bounds, bit for bit
+        for x0, a, n_x, lo, hi in self.GRIDS:
+            dense = build_generator(model, build_grid(x0, a, n_x, lo, hi)).to_dense()
+            levy = build_levy_generator(model, a / n_x, lo, hi, x0=x0).to_dense()
+            assert np.array_equal(dense, levy), (x0, a, n_x, lo, hi)
+
+    def test_off_lattice_grid_refused(self):
         g = build_grid(0.0, 0.2, 4, -0.5, 0.5)
-        dense = build_generator(model, g).to_dense()
-        levy = build_levy_generator(model, g.h, -0.5, 0.5).to_dense()
-        scale = np.abs(dense).max()
-        assert np.abs(dense - levy)[1:-1, :].max() <= 1e-10 * scale
+        states = g.states.copy()
+        states[3] += 0.1 * g.h
+        moved = Grid(states=states, h=g.h, eta_x=g.eta_x, x0=g.x0)
+        for model in (ModelSpec.dejd(), ModelSpec.vg()):
+            with pytest.raises(ValueError, match="lattice"):
+                build_generator(model, moved)
+        assert build_generator(ModelSpec.bs(), moved).n == g.n   # a diffusion takes any grid
+
+    def test_central_failure_names_the_first_assembled_rate(self):
+        # an interior down rate is -1.888, but row 1's adds the tail below
+        # the lattice and reads +4.985: the first negative rate is row 2's
+        model = ModelSpec.dejd(sigma=0.05, lam=20.0, r_f=0.5, d=0.0)
+        with pytest.raises(NegativeRate) as err:
+            build_levy_generator(model, 0.025, -0.8, 0.4, drift_scheme="central")
+        assert (err.value.state, err.value.neighbor) == (-0.75, -0.775)
+        assert err.value.rate == pytest.approx(-1.8876469, rel=1e-7)
+        gen = build_levy_generator(model, 0.025, -0.8, 0.4, drift_scheme="upwind")
+        down = _local_rates(model, 0.0, 0.025, 0.025, scheme="central")[1]
+        assert down + gen.stencil[gen.center - 1] == err.value.rate
+        assert down + gen.tail_bot[1] == pytest.approx(4.985, abs=1e-3)
 
     def test_bs_lattice_is_toeplitz(self):
         gen = build_levy_generator(ModelSpec.bs(), 0.01, -0.3, 0.3)

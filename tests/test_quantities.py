@@ -1298,6 +1298,24 @@ class TestEventCore:
                 start[eta_y] = 1.0
             assert np.max(np.abs(core.start - start)) <= 1e-12, (eta_x, eta_y)
 
+    @pytest.mark.parametrize("chain_id", ["DEJD-dense", "VG-lattice"])
+    def test_exit_matrix_factors_through_the_window_inverses(self, chain_id):
+        # I - P = S (qI - G) on the interior rows, row i of S the last row
+        # of (qI - G)^{-1} over the window topped at i: Hsum's (I - P) H = c
+        # is then H = (qI - G)^{-1} S^{-1} c
+        gen = (build_generator(ModelSpec.dejd(), build_grid(0.0, 0.2, 5, -0.8, 0.6))
+               if chain_id == "DEJD-dense" else build_levy_generator(ModelSpec.vg(), 0.02, -0.5, 0.5))
+        q, a_steps, n, eta = 2.0 + 3.0j, 7, gen.n, gen.grid.eta_x
+        dense = gen.to_dense()
+        core = _EventCore(dense, q, a_steps, eta, eta, False)
+        S = np.zeros((n, n), dtype=complex)
+        for i in range(1, n - 1):
+            lo = max(0, i - a_steps + 1)
+            S[i, lo:i + 1] = np.linalg.inv(q * np.eye(i - lo + 1) - dense[lo:i + 1, lo:i + 1])[-1]
+        lhs = (np.eye(n) - core.below - core.above)[1:-1]
+        rhs = (S @ (q * np.eye(n) - dense))[1:-1]
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
     def test_started_at_the_absorbing_bottom_is_zero(self, chain):
         bottom, a = chain.states[0], 4 * chain.grid.h
         assert np.all(insurance_with_recovery(chain, self.NODES, a, x=bottom, y=bottom) == 0.0)
