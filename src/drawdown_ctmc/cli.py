@@ -322,12 +322,15 @@ def _build_generator_for(cfg: RunConfig, n_x: int, drift_scheme: str):
     return build_generator(model, grid, drift_scheme=drift_scheme)
 
 
+_SELF_BENCHMARK_CAP = 2048   # the finest n_x the self-benchmark builds
+
+
 def _resolve_scheme(cfg: RunConfig) -> str:
     if cfg.drift_scheme != "auto":
         return cfg.drift_scheme
     finest = max(cfg.n_x)
     if cfg.benchmark == "self":
-        finest = max(finest, 2048)   # the self-benchmark may refine this far
+        finest = max(finest, _SELF_BENCHMARK_CAP)   # the self-benchmark may refine this far
     h = cfg.a / finest
     if cfg.model.is_levy:
         sample = np.array([cfg.x])
@@ -394,11 +397,11 @@ def run_price(cfg: RunConfig) -> PriceTable:
 def _self_benchmark(cfg: RunConfig, scheme: str, nodes, last_value: float,
                     last_n: int) -> float:
     """Continue doubling until the extrapolated value is stable to 4
-    decimals (capped at n_x = 2048)."""
+    decimals, no rung above ``_SELF_BENCHMARK_CAP``."""
     prev_value = last_value
     prev_extra = None
     n_x = last_n
-    while n_x < 2048:
+    while 2 * n_x <= _SELF_BENCHMARK_CAP:
         n_x *= 2
         gen = _build_generator_for(cfg, n_x, scheme)
         value = _price_at(cfg, gen, nodes)

@@ -11,7 +11,8 @@ Three storage regimes, each read through one method, ``block``:
 
 * ``birth_death``   -- tridiagonal (diffusions): three diagonals.
 * ``toeplitz_levy`` -- spatially homogeneous models on an h-lattice:
-                       one stencil row plus boundary-tail vectors.
+                       the local rates and the jump measure's one-sided
+                       masses, from which every rate follows.
 * ``general``       -- dense matrix (dense copies of any chain, the jump
                        chains of ``build_generator`` among them, and
                        hand-built test chains).
@@ -258,82 +259,78 @@ class BirthDeathGenerator(Generator):
 
 
 class ToeplitzLevyGenerator(Generator):
-    """Translation-invariant generator on an h-lattice.
+    """Translation-invariant generator on an h-lattice, held as its local
+    neighbor rates and the jump measure's one-sided masses: above[d] and
+    below[d] weigh the jumps beyond (d + 1/2) h up and down, d = 0..n-1.
 
-    Interior rates depend only on the column offset; the two end columns
-    additionally absorb the jump tails beyond the lattice.
+    Every rate comes from them.  An interior rate depends only on the
+    column offset (``line``); the end columns absorb the jumps past the
+    lattice (row m reads below[m - 1] and above[n - 2 - m]), so every
+    interior diagonal entry is ``diag``, minus the correctly rounded sum
+    local_up + local_down + above[0] + below[0].
     """
 
     structure = TOEPLITZ_LEVY
 
     def __init__(self, grid: Grid, local_up: float, local_down: float,
-                 stencil: np.ndarray, tail_bot: np.ndarray, tail_top: np.ndarray):
+                 above: np.ndarray, below: np.ndarray):
         self.grid = grid
         n = grid.n
         self.local_up = float(local_up)
         self.local_down = float(local_down)
-        self.stencil = np.asarray(stencil, dtype=float)   # offset d -> stencil[d + n - 1]
-        self.center = n - 1
-        self.tail_bot = np.asarray(tail_bot, dtype=float)  # row m -> mass of (-inf, (0-m)h + h/2]
-        self.tail_top = np.asarray(tail_top, dtype=float)  # row m -> mass of [(n-1-m)h - h/2, inf)
+        self.above = np.asarray(above, dtype=float)
+        self.below = np.asarray(below, dtype=float)
+        # the off-diagonal rate at offset d at line[d + n - 1], 0 at the centre
+        line = self.line = np.zeros(2 * n - 1)
+        line[n:] = self.above[:-1] - self.above[1:]
+        line[:n - 1] = (self.below[:-1] - self.below[1:])[::-1]
+        line[n] += self.local_up
+        line[n - 2] += self.local_down
         # the neighbor rates as assembled: row 1's down rate and row n - 2's
         # up rate land in the end columns, which carry the tails
-        up = np.full(n, self.local_up + self.stencil[self.center + 1])
-        down = np.full(n, self.local_down + self.stencil[self.center - 1])
-        up[-2], down[1] = self.tail_top[-2] + self.local_up, self.tail_bot[1] + self.local_down
+        up, down = np.full(n, line[n]), np.full(n, line[n - 2])
+        up[-2], down[1] = self.above[0] + self.local_up, self.below[0] + self.local_down
         up[[0, -1]] = down[[0, -1]] = 0.0
         _check_rates(grid.states, up, down)
-        # prefix and suffix sums for O(1) stencil range sums:
-        # csum[k] = sum(stencil[:k]), rsum[k] = sum(stencil[k:])
-        self._csum = np.concatenate([[0.0], np.cumsum(self.stencil)])
-        self._rsum = np.concatenate([np.cumsum(self.stencil[::-1])[::-1], [0.0]])
-        self._diag = self._build_diagonal()
-
-    def _build_diagonal(self) -> np.ndarray:
-        n, c, csum = self.n, self.center, self._csum
-        m = np.arange(1, n - 1)
-        d = np.zeros(n)
-        # stencil over the interior columns (offsets 1-m .. n-2-m) less the centre
-        s = (self.local_up + self.local_down) \
-            + ((csum[2 * n - 2 - m] - csum[n - m]) - (csum[c + 1] - csum[c]))
-        d[m] = -(s + (self.tail_bot[m] + self.tail_top[m]))
-        return d
+        self.diag = -math.fsum((self.local_up, self.local_down, self.above[0], self.below[0]))
 
     def window_exit_masses(self, lo: int, hi: int):
         """Total rates of the interior rows lo..hi into the states below lo
-        and above hi: two (hi - lo + 1,) arrays from the boundary tails,
-        the local rates and one-sided stencil sums (prefix sums for the
-        offsets below, suffix sums for those above, so that a small tail
-        mass is not the difference of two large ones)."""
+        and above hi: two (hi - lo + 1,) arrays, the masses beyond each
+        row's distance to the window's edge plus the end rows' local
+        rates."""
         if not 1 <= lo <= hi <= self.n - 2:
             raise ValueError("exit masses need interior rows")
-        n, c = self.n, self.center
-        m = np.arange(lo, hi + 1)
-        below = self.tail_bot[m] + (self._csum[lo - m + c] - self._csum[1 - m + c])
-        above = self.tail_top[m] + (self._rsum[hi + 1 - m + c] - self._rsum[n - 1 - m + c])
+        m = hi - lo + 1
+        below, above = self.below[:m].copy(), self.above[m - 1::-1].copy()
         below[0] += self.local_down
         above[-1] += self.local_up
         return below, above
 
     def diagonal(self) -> np.ndarray:
-        return self._diag.copy()
+        d = np.zeros(self.n)
+        d[1:-1] = self.diag
+        return d
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         self._check_block(r0, r1, c0, c1)
-        n, c = self.n, self.center
-        # row i holds the stencil at the offsets c0 - i .. c1 - i (a strided view)
-        starts = np.lib.stride_tricks.sliding_window_view(self.stencil, c1 - c0 + 1)
-        blk = starts[c + c0 - r1:c + c0 - r0 + 1][::-1].copy()
-        # the end columns carry the extended-tail bins
+        n = self.n
+        # row i holds the line at the offsets c0 - i .. c1 - i (a strided view)
+        starts = np.lib.stride_tricks.sliding_window_view(self.line, c1 - c0 + 1)
+        blk = starts[n - 1 + c0 - r1:n - 1 + c0 - r0 + 1][::-1].copy()
+        # the end columns carry the masses past the lattice
         if c0 == 0:
-            blk[:, 0] = self.tail_bot[r0:r1 + 1]
+            bot = max(r0, 1)
+            blk[bot - r0:, 0] = self.below[bot - 1:r1]
+            if r0 <= 1 <= r1:
+                blk[1 - r0, 0] += self.local_down
         if c1 == n - 1:
-            blk[:, -1] = self.tail_top[r0:r1 + 1]
-        for d, rate in ((1, self.local_up), (-1, self.local_down)):
-            band, _ = _band(blk, r0, c0, d)
-            band += rate
-        band, i = _band(blk, r0, c0, 0)
-        band[:] = self._diag[i]
+            top = min(r1, n - 2)
+            blk[:top - r0 + 1, -1] = self.above[n - 2 - top:n - 1 - r0][::-1]
+            if r0 <= n - 2 <= r1:
+                blk[n - 2 - r0, -1] += self.local_up
+        band, _ = _band(blk, r0, c0, 0)
+        band[:] = self.diag
         blk[[r - r0 for r in (0, n - 1) if r0 <= r <= r1]] = 0.0   # the absorbing rows
         return blk
 
@@ -455,7 +452,7 @@ def build_levy_generator(model: ModelSpec, h: float, trunc_lo: float, trunc_hi: 
     [trunc_lo, trunc_hi], with absorbing ends.
 
     Requires a spatially homogeneous model (BS, DEJD, VG); BS is carried as
-    the degenerate case with an all-zero jump stencil.
+    the degenerate case with zero jump masses.
     """
     if not model.is_levy:
         raise ValueError(f"{model.kind} is not translation invariant")
@@ -471,23 +468,13 @@ def build_levy_generator(model: ModelSpec, h: float, trunc_lo: float, trunc_hi: 
 
     if not model.has_jumps:
         lu, ld = _local_rates(model, x0, h, h, scheme=drift_scheme)
-        stencil = np.zeros(2 * n - 1)
-        return ToeplitzLevyGenerator(grid, lu, ld, stencil, np.zeros(n), np.zeros(n))
+        return ToeplitzLevyGenerator(grid, lu, ld, np.zeros(n), np.zeros(n))
 
-    # One-sided tail masses nu[e_d, inf) and nu(-inf, -e_d] at the bin edges
-    # e_d = (d - 1/2) h, d = 1..n: every stencil bin and every truncation
-    # tail is one of them or the difference of two.
-    edges = (np.arange(1, n + 1, dtype=float) - 0.5) * h
+    # the one-sided masses beyond the bin edges (d + 1/2) h, d = 0..n-1:
+    # every rate is one of them or the difference of two
+    edges = (np.arange(n, dtype=float) + 0.5) * h
     above = levy_bin_mass(model, edges, np.full(n, np.inf))
     below = levy_bin_mass(model, np.full(n, -np.inf), -edges)
-    stencil = np.zeros(2 * n - 1)
-    stencil[n:] = above[:-1] - above[1:]
-    stencil[:n - 1] = (below[:-1] - below[1:])[::-1]
-    lu, ld = _local_rates(model, x0, h, h, nu_up=stencil[n], nu_dn=stencil[n - 2],
-                          scheme=drift_scheme)
-    # state m's jumps past the ends: below state 0 and above state n - 1
-    tail_bot = np.zeros(n)
-    tail_top = np.zeros(n)
-    tail_bot[1:n - 1] = below[:n - 2]
-    tail_top[1:n - 1] = above[n - 3::-1]
-    return ToeplitzLevyGenerator(grid, lu, ld, stencil, tail_bot, tail_top)
+    lu, ld = _local_rates(model, x0, h, h, nu_up=above[0] - above[1],
+                          nu_dn=below[0] - below[1], scheme=drift_scheme)
+    return ToeplitzLevyGenerator(grid, lu, ld, above, below)

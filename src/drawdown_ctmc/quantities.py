@@ -19,7 +19,7 @@ solves do not read V), then one batch of products builds g and C, and
 all nodes' systems are solved together as one banded triangular system
 (``_unit_upper_solves``).  After the block one product folds it into
 the rows below.  Every sweep is O(N) window solves plus O(N^2) work in
-BLAS products; a lattice reads its rates from the stencil, with no
+BLAS products; a lattice reads its rates by offset (``line``), with no
 generator column per top (``_OffDiagonal``).  On translation-invariant
 lattices every interior window block is the same Toeplitz matrix, so
 window solves, and their products with the rates, are cached by the
@@ -242,19 +242,19 @@ def drawdown_occupation_killing(q, xi: float, shift: complex = 0.0) -> Callable:
 
 
 def _anchor_index(gen: Generator, x) -> int:
+    """Grid index of the start level x (the anchor x0 by default)."""
     if x is None:
         return gen.grid.eta_x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
     return gen.grid.index_of(float(x))
 
 
 def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
     """Off-diagonal payoff inflow sum_{z <= cut, z != m} G(m, z) f[z] on a
     translation-invariant lattice, one column per payoff column: one
-    circular correlation with the stencil by real numpy FFTs (a complex
-    payoff as stacked real and imaginary columns) at a length >= 2n - 1,
-    so that no offset wraps, plus the local rates and boundary columns."""
+    circular correlation with the generator's ``line`` of rates by offset
+    by real numpy FFTs (a complex payoff as stacked real and imaginary
+    columns) at a length >= 2n - 1, so that no offset wraps, plus the
+    boundary columns."""
     n = gen.n
     D = np.zeros(f_arr.shape, dtype=complex)
     if cut < 0:
@@ -262,8 +262,8 @@ def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
     hi = min(cut, n - 2)
     if hi >= 1:
         size = min(c << (-(-(2 * n - 1) // c) - 1).bit_length() for c in (1, 3, 5))
-        kernel = np.zeros(size)   # kernel[j]: the stencil at offset -j (mod size)
-        kernel[:n], kernel[size - n + 1:] = gen.stencil[n - 1::-1], gen.stencil[:n - 1:-1]
+        kernel = np.zeros(size)   # kernel[j]: the line at offset -j (mod size)
+        kernel[:n], kernel[size - n + 1:] = gen.line[n - 1::-1], gen.line[:n - 1:-1]
         seg, k = f_arr[1:hi + 1], f_arr.shape[1]
         cplx = np.iscomplexobj(seg)
         cols = np.hstack([seg.real, seg.imag]) if cplx else seg
@@ -271,8 +271,6 @@ def _toeplitz_D_init(gen, f_arr: np.ndarray, cut: int) -> np.ndarray:
         out = np.fft.irfft(np.fft.rfft(cols, size, axis=0) * np.fft.rfft(kernel)[:, None],
                            size, axis=0)[:n - 2]
         D[1:n - 1] = out[:, :k] + 1j * out[:, k:] if cplx else out
-        D[0:hi] += gen.local_up * seg
-        D[2:hi + 2] += gen.local_down * seg
     # the boundary columns carry the extended tail bins
     D += gen.block(0, n - 1, 0, 0) * f_arr[0]
     if cut == n - 1:
@@ -298,12 +296,12 @@ class _OffDiagonal:
     rates from each window's rows to the columns around it
     (``window_products``).
 
-    A lattice keeps its stencil line, with the centre set to 0 and the
-    local rates added at offsets +-1, and one (n - 2 + a, width) panel of
-    it: every interior block is a row slice of the panel, so no N x N
-    array is built.  Column 0, whose rates are the tail bins, is the one
-    boundary column the sweep reads (``block(0, N, 0, 0)``, once).  A dense
-    generator keeps its rates with the diagonal zeroed.
+    A lattice keeps one (n - 2 + a, width) panel of the generator's
+    ``line`` of rates by offset: every interior block is a row slice of
+    the panel, so no N x N array is built.  Column 0, whose rates are the
+    masses below the lattice, is the one boundary column the sweep reads
+    (``block(0, N, 0, 0)``, once).  A dense generator keeps its rates with
+    the diagonal zeroed.
     """
 
     def __init__(self, gen: Generator, a_steps: int, width: int):
@@ -311,18 +309,13 @@ class _OffDiagonal:
         self.gen, self.a = gen, a_steps
         self.col0 = gen.block(0, n - 1, 0, 0)[:, 0]
         if gen.structure == TOEPLITZ_LEVY:
-            line = gen.stencil.copy()   # offset z - m at line[z - m + n - 1]
-            line[n - 1] = 0.0
-            line[n] += gen.local_up
-            line[n - 2] += gen.local_down
             # panel[p, j] is the rate at offset j - p + n - 3, so rows m0..m1
             # of columns z0.. are the slice from p = n - 3 + m0 - z0, which
             # is >= 0 for interior rows and columns and ends by n - 3 + a
             rows, width = n - 2 + a_steps, min(width, n)
-            ext = np.concatenate([np.zeros(rows), line, np.zeros(width)])
+            ext = np.concatenate([np.zeros(rows), gen.line, np.zeros(width)])
             starts = np.lib.stride_tricks.sliding_window_view(ext, width)
             self.panel = np.ascontiguousarray(starts[2 * n - 3:2 * n - 3 + rows][::-1])
-            self.line = line
             self.correlators = {}
         else:
             self.dense = gen.to_dense()
@@ -369,7 +362,7 @@ class _OffDiagonal:
         .. i, 0 on the states below 1.  Entries at columns outside 0 .. N-2
         are not meaningful (the sweep reads none).  On a lattice G(r, z)
         depends on z - r only, so a row serves every interior window that
-        shares it: one real GEMM correlates the stack with the stencil, and
+        shares it: one real GEMM correlates the stack with the line, and
         column 0, the tail bins, is set from ``col0`` for the windows that
         reach state 0 (each the only one with its row).  A dense generator
         caches no rows, so each row has its own top: one batched product
@@ -399,7 +392,7 @@ class _OffDiagonal:
         if corr is None:
             n, a = self.n, self.a
             pad = a + width
-            ext = np.concatenate([np.zeros(pad), self.line, np.zeros(pad)])
+            ext = np.concatenate([np.zeros(pad), self.gen.line, np.zeros(pad)])
             offsets = np.concatenate([np.arange(width), np.arange(width) + a])
             corr = ext[n - 1 + pad + offsets - np.arange(a)[:, None]]
             self.correlators[width] = corr
@@ -1625,7 +1618,7 @@ def insurance_with_recovery(gen: Generator, q, a: float, x=None, y=None):
     if gen.structure == BIRTH_DEATH:
         out = _jsum_diffusion(gen, nodes, a_steps, eta_x, eta_y)
     elif gen.structure == TOEPLITZ_LEVY and eta_y == grid.eta_x:
-        return j_levy_closed_form(gen, q, a, x=eta_x, y=eta_y)
+        return j_levy_closed_form(gen, q, a, x=x, y=y)
     else:
         dense = _core_dense(gen)
         out = np.array([_EventCore(dense, q, a_steps, eta_x, eta_y, True).event_sum()

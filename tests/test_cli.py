@@ -148,6 +148,16 @@ class TestRunners:
         assert slope is not None
         assert -1.4 < slope < -0.6
 
+    def test_self_benchmark_builds_no_rung_above_2048(self, monkeypatch):
+        # a price that never settles: the ladder doubles up to n_x = 2048
+        # and no further
+        built = []
+        monkeypatch.setattr(cli, "_build_generator_for",
+                            lambda cfg, n_x, scheme: built.append(n_x) or n_x)
+        monkeypatch.setattr(cli, "_price_at", lambda cfg, n_x, nodes: float(n_x.bit_length() % 2))
+        run_table(smoke_config(**{"grid.n_x": "10,20,40", "output.benchmark": "self"}))
+        assert built == [10, 20, 40, 80, 160, 320, 640, 1280]
+
     def test_convergence_needs_benchmark(self):
         with pytest.raises(NoBenchmark):
             run_convergence(smoke_config())

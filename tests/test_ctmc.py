@@ -18,7 +18,7 @@ from drawdown_ctmc.ctmc import (
     default_levy_truncation,
     _local_rates,
 )
-from drawdown_ctmc.models import ModelSpec
+from drawdown_ctmc.models import ModelSpec, levy_bin_mass
 
 
 class TestGrid:
@@ -267,8 +267,8 @@ class TestLevyGenerator:
         assert err.value.rate == pytest.approx(-1.8876469, rel=1e-7)
         gen = build_levy_generator(model, 0.025, -0.8, 0.4, drift_scheme="upwind")
         down = _local_rates(model, 0.0, 0.025, 0.025, scheme="central")[1]
-        assert down + gen.stencil[gen.center - 1] == err.value.rate
-        assert down + gen.tail_bot[1] == pytest.approx(4.985, abs=1e-3)
+        assert down + (gen.below[0] - gen.below[1]) == err.value.rate
+        assert down + gen.below[0] == pytest.approx(4.985, abs=1e-3)
 
     def test_bs_lattice_is_toeplitz(self):
         gen = build_levy_generator(ModelSpec.bs(), 0.01, -0.3, 0.3)
@@ -330,43 +330,52 @@ class TestLevyGenerator:
         i = np.arange(1, n - 1)
         assert np.all(dense[i, i - 1] > 0.0) and np.all(dense[i, i + 1] > 0.0)
 
-    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
+    @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg(), ModelSpec.bs()],
+                             ids=["DEJD", "VG", "BS"])
     def test_window_symbol_spans_the_interior_block(self, model):
-        # an interior window is Toeplitz: its first column and first row
-        # (the symbol the Levinson route reads) give every entry
+        # an interior window is Toeplitz, diagonal included: its first
+        # column and first row (the symbol the Levinson route reads) give
+        # every entry
         from scipy.linalg import toeplitz
 
-        gen = build_levy_generator(model, 0.05, -0.6, 0.6)
-        n = gen.n
-        for lo, hi in ((1, 1), (1, 6), (n // 3, n // 3 + 6), (3, n - 2), (1, n - 2)):
-            blk = gen.block(lo, hi, lo, hi)
-            sym = toeplitz(gen.block(lo, hi, lo, lo)[:, 0], gen.block(lo, lo, lo, hi)[0])
-            off = ~np.eye(hi - lo + 1, dtype=bool)
-            assert np.array_equal(sym[off], blk[off])
-            assert np.allclose(np.diag(sym), np.diag(blk), rtol=1e-14, atol=0.0)
+        for h, bound in ((0.05, 0.6), (0.01, 1.0)):
+            gen = build_levy_generator(model, h, -bound, bound)
+            n = gen.n
+            for lo, hi in ((1, 1), (1, 6), (n // 3, n // 3 + 6), (3, n - 2), (1, n - 2)):
+                blk = gen.block(lo, hi, lo, hi)
+                sym = toeplitz(gen.block(lo, hi, lo, lo)[:, 0], gen.block(lo, lo, lo, hi)[0])
+                assert np.array_equal(sym, blk), (h, lo, hi)
         with pytest.raises(ValueError):
             gen.block(1, 4, 5, 4)
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg()], ids=["DEJD", "VG"])
-    def test_diagonal_matches_per_state_stencil_sums(self, model):
-        # the per-state loop with one prefix-sum difference per range
-        gen = build_levy_generator(model, 0.01, -1.0, 1.0)
-        n, c, csum = gen.n, gen.center, gen._csum
-        expect = np.zeros(n)
-        for m in range(1, n - 1):
-            s = gen.local_up + gen.local_down
-            s += float(csum[n - 2 - m + c + 1] - csum[1 - m + c]) - float(csum[c + 1] - csum[c])
-            s += gen.tail_bot[m] + gen.tail_top[m]
-            expect[m] = -s
-        assert np.array_equal(gen.diagonal(), expect)
+    def test_interior_diagonal_is_one_float_and_rows_sum_to_zero(self, model):
+        # every interior row leaves at the one rate local_up + local_down +
+        # above[0] + below[0]; the exact sum of its stored rates is 0 to
+        # within a tenth of a unit in the last place of the diagonal
+        for h, bound in ((0.05, 0.6), (0.01, 1.0), (0.005, 4.0)):
+            gen = build_levy_generator(model, h, -bound, bound)
+            n, diag = gen.n, gen.diagonal()
+            assert diag[0] == diag[-1] == 0.0
+            assert np.unique(diag[1:-1]).size == 1
+            for row in gen.block(1, n - 2, 0, n - 1):
+                assert abs(math.fsum(row)) <= 1e-16 * abs(diag[1]), h
 
     @pytest.mark.parametrize("model", [ModelSpec.dejd(), ModelSpec.vg(), ModelSpec.bs()],
                              ids=["DEJD", "VG", "BS"])
     def test_window_exit_masses_match_row_sums(self, model):
         gen = build_levy_generator(model, 0.005, -1.0, 1.0)
-        n = gen.n
+        n, h = gen.n, gen.grid.h
         for lo, hi in ((1, 1), (1, 6), (20, 60), (n // 2, n - 2), (1, n - 2), (n - 2, n - 2)):
             below, above = gen.window_exit_masses(lo, hi)
+            # the masses beyond each row's distance to the window's edges
+            dist = np.arange(hi - lo + 1) + 0.5
+            expect_below = levy_bin_mass(model, np.full(dist.size, -np.inf), -dist * h)
+            expect_above = levy_bin_mass(model, dist[::-1] * h, np.full(dist.size, np.inf))
+            expect_below[0] += gen.local_down
+            expect_above[-1] += gen.local_up
+            assert np.allclose(below, expect_below, rtol=1e-14, atol=0.0), (lo, hi)
+            assert np.allclose(above, expect_above, rtol=1e-14, atol=0.0), (lo, hi)
             rows = gen.block(lo, hi, 0, n - 1)
             ref_below = np.array([row[:lo].sum() for row in rows])
             ref_above = np.array([row[hi + 1:].sum() for row in rows])
@@ -399,8 +408,15 @@ def _entrywise(gen):
             ref[i, i] = diag[i]
             continue
         for j in range(n):
-            ref[i, j] = gen.tail_bot[i] if j == 0 else gen.tail_top[i] if j == n - 1 \
-                else gen.stencil[j - i + gen.center]
+            d = j - i
+            if j == 0:
+                ref[i, j] = gen.below[i - 1]
+            elif j == n - 1:
+                ref[i, j] = gen.above[n - 2 - i]
+            elif d > 0:
+                ref[i, j] = gen.above[d - 1] - gen.above[d]
+            elif d < 0:
+                ref[i, j] = gen.below[-d - 1] - gen.below[-d]
             if j == i + 1:
                 ref[i, j] += gen.local_up
             elif j == i - 1:

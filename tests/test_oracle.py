@@ -600,8 +600,8 @@ MC_PINS = {
     ("BS", "Jsum"): (0.09144667861067877, 0.0022451965408278192),
     ("DEJD", "A"): (0.23225375705286208, 0.006714918568674921),
     ("DEJD", "B"): (0.6724181122691542, 0.006032442451401737),
-    ("DEJD", "C"): (0.7661223913557182, 0.006636127890911227),
-    ("DEJD", "Hn"): (0.24845545174388897, 0.004328078925917247),
+    ("DEJD", "C"): (0.7661223913557185, 0.006636127890911218),
+    ("DEJD", "Hn"): (0.24845545174388908, 0.004328078925917247),
     ("VG", "B"): (0.9643962581674841, 0.0019594447292994636),
     ("VG", "C"): (0.9813534744696721, 0.0019765096052194293),
 }

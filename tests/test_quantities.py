@@ -236,7 +236,7 @@ class TestOccupationUntilDrawdown:
         rng = np.random.default_rng(5)
         f1, f2 = rng.random(14), rng.random(14)
         a, b = 0.7, -1.3
-        for x in range(1, 13):
+        for x in gen.states[1:13]:
             v1, v2, v12 = (occupation_until_drawdown(gen, 2.0, 0.16, f=f, x=x)
                            for f in (f1, f2, a * f1 + b * f2))
             assert abs(v12 - (a * v1 + b * v2)) < 1e-12
@@ -248,7 +248,7 @@ class TestOccupationUntilDrawdown:
             f = rng.random(12)
             rates = rng.uniform(0.0, 3.0, 12)
             kill = lambda s: np.interp(s, gen.states, rates)
-            for x in range(1, 11):
+            for x in gen.states[1:11]:
                 v = occupation_until_drawdown(gen, kill, 0.16, f=f, x=x).real
                 assert -1e-12 <= v <= 1.0 + 1e-12
 
@@ -626,6 +626,25 @@ class TestDispatch:
             v = evaluate(bs_small, req)
             assert np.isfinite(v.real) and 0.0 <= v.real <= 1.1
 
+    @pytest.mark.parametrize("chain", ["BS-birth-death", "DEJD-lattice"])
+    def test_integer_starts_are_levels(self, chain):
+        # x = 0 is the level 0.0, not the absorbing state 0
+        if chain == "BS-birth-death":
+            gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 10, -1.0, 1.0))
+        else:
+            gen = build_levy_generator(ModelSpec.dejd(), 0.02, -1.0, 1.0)
+        q = np.array([2.0, 1.0 + 3.0j])
+        assert np.array_equal(q_drawdown(gen, q, 0.2, x=0), q_drawdown(gen, q, 0.2, x=0.0))
+        assert q_drawdown(gen, 2.0, 0.2, x=0) != 0.0
+        for ints, floats in (((0, None), (0.0, None)), ((-0.1, 0), (-0.1, 0.0))):
+            assert np.array_equal(insurance_with_recovery(gen, q, 0.2, *ints),
+                                  insurance_with_recovery(gen, q, 0.2, *floats))
+        assert np.array_equal(drawdown_before_drawup(gen, q, 0.2, 0.3, x=0, y=-0.1),
+                              drawdown_before_drawup(gen, q, 0.2, 0.3, x=0.0, y=-0.1))
+        for kind in ("Q", "Jsum"):
+            as_int, as_float = (QuantityRequest(kind, a=0.2, q=2.0, x=x) for x in (0, 0.0))
+            assert dense_product_solve(gen, as_int) == dense_product_solve(gen, as_float)
+
     def test_kind_aliases(self):
         assert QuantityRequest("DrawdownBeforeDrawup_A", a=0.1, b=0.2).kind == "A"
         assert QuantityRequest("InsuranceWithRecovery_Jsum", a=0.1).kind == "Jsum"
@@ -822,10 +841,10 @@ class TestNodeAxis:
                 assert counts["_last_rows"] == (1 if stop > 3 else 5)
 
     def test_lattice_sweep_reads_only_boundary_columns(self, chains, monkeypatch):
-        # the inflow comes from the stencil panel: however many window tops
-        # a lattice sweep runs, the only generator columns it builds are
-        # the boundary ones (full-height blocks; window blocks are not
-        # columns)
+        # the inflow comes from the panel of rates by offset: however
+        # many window tops a lattice sweep runs, the only generator columns
+        # it builds are the boundary ones (full-height blocks; window
+        # blocks are not columns)
         from drawdown_ctmc.ctmc import ToeplitzLevyGenerator
         from drawdown_ctmc.quantities import backward_window_sweep
 
@@ -1146,7 +1165,7 @@ class TestWindowRoutes:
 
         grid = build_grid(0.0, 0.2, 2, -0.25, 0.25)
         n = grid.n
-        return ToeplitzLevyGenerator(grid, 0.0, 0.0, np.zeros(2 * n - 1), np.zeros(n), np.zeros(n))
+        return ToeplitzLevyGenerator(grid, 0.0, 0.0, np.zeros(n), np.zeros(n))
 
     def test_zero_levinson_pivot_raises(self, zero_lattice):
         from drawdown_ctmc.linsolve import Singular
@@ -1237,9 +1256,10 @@ class TestToeplitzInflow:
     def test_window_products_match_the_dense_rates(self, lattice, a):
         # each window row times the rates of its rows at the window's bottom
         # columns and at the columns from its top up, on the lattice (one
-        # stencil correlation, column 0 from the tail bins) and through a
-        # dense copy (gathered rates), for interior windows and windows
-        # that reach state 0; columns outside 0 .. n - 2 are never read
+        # correlation with its line, column 0 from the tail masses) and
+        # through a dense copy (gathered rates), for interior windows and
+        # windows that reach state 0; columns outside 0 .. n - 2 are never
+        # read
         from drawdown_ctmc.quantities import _OffDiagonal
 
         gen, dense = lattice
@@ -1569,8 +1589,8 @@ class TestEventCoreMemory:
         finally:
             tracemalloc.stop()
         assert peak < 6.0 * gen.n ** 2 * 16
-        assert (value.real.hex(), value.imag.hex()) == ("-0x1.3d631dc911a9dp-11",
-                                                        "-0x1.710940980c1dcp-12")
+        assert (value.real.hex(), value.imag.hex()) == ("-0x1.3d631dc911a9ap-11",
+                                                        "-0x1.710940980c1efp-12")
 
     def test_one_hsum_node_of_a_557_state_lattice(self):
         # I - above - below is built in above's storage, and above in P's:
