@@ -10,7 +10,8 @@ whose solution is the killed exit functional with payoff f.  This module
 holds the killing fields and payoffs they read, and:
 
 * ``psi_pair``      -- the two fundamental solutions of a tridiagonal
-                       (birth-death) chain, held in scaled mantissa/exponent
+                       (birth-death) chain, or of the chain cut to its
+                       states lo .. N-1, held in scaled mantissa/exponent
                        form so that growth like e^{kappa * span} never
                        overflows; any two-sided exit coefficient is a ratio
                        of 2x2 "bridge" determinants of the pair
@@ -100,34 +101,43 @@ class PsiPair:
     """Scaled fundamental solutions of (k - G) psi = 0 on a birth-death chain,
     one pair per column of the killing.
 
-    ``killing`` is an (n, k) array whose column j is the per-state killing
-    of node j.  psi+ vanishes at the bottom state and equals 1 at the
-    top; psi- mirrors it.  Both are stored as mantissa *
-    exp(log_scale) in (n, k) arrays.  The index-array methods return
-    arrays of shape ``index_shape + (k,)``; a pair built from a single
-    node (``single``) drops the node axis.
+    ``killing`` is an (N, k) array whose column j is the per-state killing
+    of node j.  The pair solves the chain cut to the states lo .. N-1:
+    psi+ vanishes at the state ``lo`` and equals 1 at the top; psi-
+    vanishes at the top and equals 1 at ``lo``.  Both are stored as
+    mantissa * exp(log_scale) in (N - lo, k) arrays, row r holding state
+    lo + r; the methods take global state indices, and a state below
+    ``lo`` raises.  Any two-sided exit coefficient of a window inside the
+    range is the same whichever lo spans it, but a pair that need not
+    reach down to state 0 carries less growth across the range, so its
+    bridges keep more digits.  The index-array methods return arrays of
+    shape ``index_shape + (k,)``; a pair built from a single node
+    (``single``) drops the node axis.
     """
 
-    def __init__(self, gen: Generator, killing: np.ndarray, *, single: bool = False):
+    def __init__(self, gen: Generator, killing: np.ndarray, *, single: bool = False,
+                 lo: int = 0):
         if gen.structure != BIRTH_DEATH:
             raise NotBirthDeath("psi pair requires a birth-death generator")
-        n = gen.n
+        if lo < 0:
+            raise DegenerateWindow("the pair's lowest state is below the grid")
+        n = gen.n - lo
         if n < 3:
             raise DegenerateWindow("need at least one interior state")
-        if killing.ndim != 2 or killing.shape[0] != n:
+        if killing.ndim != 2 or killing.shape[0] != gen.n:
             raise ValueError("killing needs one row per state and one column per node")
-        self.gen = gen
-        self.single = single
-        up, down = gen.up[1:n - 1], gen.down[1:n - 1]
+        self.gen, self.single, self.lo = gen, single, lo
+        up, down = gen.up[lo + 1:gen.n - 1], gen.down[lo + 1:gen.n - 1]
         if np.any(up <= 0.0) or np.any(down <= 0.0):
             raise DegenerateWindow("birth-death chain has a zero interior rate")
 
-        # Interior row i reads c_i psi_i = up_i psi_{i+1} + down_i psi_{i-1}.
-        # Step the ratios of consecutive values, r_i = psi+_{i+1} / psi+_i
-        # upward from psi+_0 = 0, psi+_1 = 1, and s_i = psi-_{i-1} / psi-_i
-        # downward from psi-_{n-1} = 0, psi-_{n-2} = 1 (row j is state j + 1),
-        # both in one loop: step j holds r_j and s_{n-3-j}.
-        c = killing[1:n - 1] - gen.diagonal()[1:n - 1, None]
+        # From here on i is a row, state lo + i.  Interior row i reads
+        # c_i psi_i = up_i psi_{i+1} + down_i psi_{i-1}.  Step the ratios of
+        # consecutive values, r_i = psi+_{i+1} / psi+_i upward from
+        # psi+_0 = 0, psi+_1 = 1, and s_i = psi-_{i-1} / psi-_i downward from
+        # psi-_{n-1} = 0, psi-_{n-2} = 1 (entry j is row j + 1), both in one
+        # loop: step j holds r_j and s_{n-3-j}.
+        c = killing[lo + 1:gen.n - 1] - gen.diagonal()[lo + 1:gen.n - 1, None]
         k = killing.shape[1]
         coef = np.empty((n - 2, 2, k), dtype=complex)
         np.divide(c, up[:, None], out=coef[:, 0])
@@ -181,17 +191,23 @@ class PsiPair:
         pair's arrays.  Each column's recursion is its own, so the slice
         equals, bit for bit, a pair built from those columns alone."""
         part = object.__new__(PsiPair)
-        part.gen, part.single = self.gen, False
+        part.gen, part.single, part.lo = self.gen, False, self.lo
         for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):
             setattr(part, name, getattr(self, name)[:, cols])
         return part
+
+    def _rows(self, states):
+        """The rows of the global ``states``."""
+        rows = np.asarray(states, dtype=int) - self.lo
+        if np.any(rows < 0):
+            raise DegenerateWindow("a state below the pair's range")
+        return rows
 
     # -- scaled determinants over index arrays ---------------------------------
 
     def ratio_plus(self, i, j):
         """psi+_i / psi+_j (one-sided hitting weights); indices or arrays."""
-        i = np.asarray(i, dtype=int)
-        j = np.asarray(j, dtype=int)
+        i, j = self._rows(i), self._rows(j)
         if np.any(self._um[j] == 0.0):
             raise Singular("psi+ vanishes at the reference state")
         d = self._uL[i] - self._uL[j]
@@ -203,13 +219,16 @@ class PsiPair:
         """(mantissa, log) arrays of the bridge determinant
         psi+_I psi-_J - psi+_J psi-_I; adjacent states, in either order,
         take the cancellation-free Wronskian."""
-        I, J = np.broadcast_arrays(np.asarray(I, dtype=int), np.asarray(J, dtype=int))
+        I, J = np.broadcast_arrays(self._rows(I), self._rows(J))
+        adj = np.abs(I - J) == 1
+        if adj.all():
+            upper = np.maximum(I, J)
+            return self._out((I - J)[..., None] * self._wm[upper]), self._out(self._wL[upper])
         L1 = self._uL[I] + self._dL[J]
         L2 = self._uL[J] + self._dL[I]
         L = np.maximum(L1, L2)
         mant = (self._um[I] * self._dm[J] * np.exp(L1 - L)
                 - self._um[J] * self._dm[I] * np.exp(L2 - L))
-        adj = np.abs(I - J) == 1
         if np.any(adj):
             upper = np.maximum(I, J)[adj]
             mant[adj] = (I - J)[adj][:, None] * self._wm[upper]   # W_upper, signed
@@ -240,13 +259,14 @@ class PsiPair:
         return onto_top, onto_bottom
 
 
-def psi_pair(gen: Generator, q) -> PsiPair:
+def psi_pair(gen: Generator, q, lo: int = 0) -> PsiPair:
     """Fundamental solution pairs for killing ``q``: a scalar, a (k,) vector
     of nodes (one pair per node, constant killing), or an (n, k) per-state
-    killing with one column per node (the occupation-time fast path)."""
+    killing with one column per node (the occupation-time fast path).  The
+    pairs span the states lo .. n-1 (``PsiPair``)."""
     q = np.asarray(q, dtype=complex)
     if q.ndim > 2:
         raise ValueError("killing must be a scalar, a node vector or an (n, k) array")
     killing = q if q.ndim == 2 else np.broadcast_to(q.reshape(-1), (gen.n, q.size))
-    return PsiPair(gen, killing, single=q.ndim == 0)
+    return PsiPair(gen, killing, single=q.ndim == 0, lo=lo)
 

@@ -52,7 +52,11 @@ the reachable strip of tops min(N-2, eta + b + 1) .. eta, and its cost
 per node depends on a and b, not on N (``_a_diffusion``, ``_a_strip``).
 Jn and Jsum read their values at the start max eta_y and run down from
 the top, so they stop at eta_y.  Hsum keeps every top: its fixed point
-couples each top to the one a below it.
+couples each top to the one a below it.  B (and Q) and C stop at the
+start eta, and their pairs span only the states eta - a .. N-1 that
+those tops' windows read (``_pair_floor``).  Hn, Hsum, Jn and Jsum keep
+the pair over the whole chain: restarts and recovery passages read
+every state below the start.
 
 Node batching: every quantity takes one Laplace node or a vector of
 them, and a vector gives one value per node.  Most routes carry the nodes
@@ -1026,12 +1030,19 @@ def _chain_down(n: int, tops: np.ndarray, up: np.ndarray, src: np.ndarray) -> np
     return V
 
 
+def _pair_floor(gen: Generator, a_steps: int, stop: int) -> int:
+    """The lowest state the windows of the tops stop .. N-2 read: the
+    floor of the lowest top.  Their pairs span only the states above it."""
+    return max(min(stop, gen.n - 2) - a_steps, 0)
+
+
 def _psi_sweep_coeffs(gen: Generator, killing, a_steps: int, stop: int):
     """Per-top exit weights of the drawdown windows from one fundamental-
     solution pair per node (reusable across repeated sweeps); ``killing``
     is a (k,) node vector or an (n, k) per-state killing."""
     idx = np.arange(stop, gen.n - 1)
-    up, down = _window_weights(psi_pair(gen, killing), idx, a_steps)
+    pair = psi_pair(gen, killing, _pair_floor(gen, a_steps, stop))
+    up, down = _window_weights(pair, idx, a_steps)
     return idx, up, down
 
 
@@ -1139,7 +1150,7 @@ def _spliced_sweep_coeffs(gen: Generator, nodes: np.ndarray, a_steps: int, xi: f
     then shift alone): ``low`` is its first k columns and ``high`` its
     last, node independent, column, so the per-state recursion runs once."""
     idx = np.arange(stop, gen.n - 1)
-    pair = psi_pair(gen, np.append(nodes + shift, shift))
+    pair = psi_pair(gen, np.append(nodes + shift, shift), _pair_floor(gen, a_steps, stop))
     low, high = pair._columns(slice(None, -1)), pair._columns(slice(-1, None))
     floor = np.maximum(idx - a_steps, 0)
     tol = _IND_TOL * max(1.0, abs(xi))

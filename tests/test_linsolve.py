@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drawdown_ctmc.ctmc import BirthDeathGenerator, Grid, build_generator, build_grid
-from drawdown_ctmc.linsolve import NotBirthDeath, psi_pair
+from drawdown_ctmc.linsolve import DegenerateWindow, NotBirthDeath, psi_pair
 from drawdown_ctmc.models import ModelSpec
 from helpers import random_jump_chain
 
@@ -45,6 +45,26 @@ class TestPsiPair:
         assert plus[8] == pytest.approx(1.0)
         assert minus[8] == 0.0
         assert minus[0] == pytest.approx(1.0)
+
+    def test_cut_chain(self):
+        # the pair of the states lo .. N-1: psi+ vanishes at lo, every
+        # window inside the range exits as on the whole chain, and a state
+        # below the range is refused
+        gen = random_birth_death(14, 9)
+        q = 1.3 + 0.2j
+        whole, cut = psi_pair(gen, q), psi_pair(gen, q, lo=4)
+        plus, minus = raw_values(cut)
+        assert plus.size == 10 and plus[0] == 0.0 and minus[9] == 0.0
+        assert plus[9] == pytest.approx(1.0) and minus[0] == pytest.approx(1.0)
+        x = np.arange(5, 13)
+        bottom, top = np.maximum(x - 3, 4), x + 1
+        for got, ref in zip(cut.exit_weights(x, bottom, top), whole.exit_weights(x, bottom, top)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        with pytest.raises(DegenerateWindow, match="below the pair's range"):
+            cut.exit_weights(6, 3, 8)
+        for lo in (-1, gen.n - 2):
+            with pytest.raises(DegenerateWindow):
+                psi_pair(gen, q, lo=lo)
 
     def test_monotone_for_real_killing(self):
         gen = random_birth_death(11, 7)
@@ -232,6 +252,15 @@ class TestPsiPairNodeAxis:
         assert np.array_equal(psi._uL, uL - uL[n - 1])
         assert np.array_equal(psi._dL, dL - dL[0])
         assert np.array_equal(psi._um, um / um[n - 1])
+
+    def test_adjacent_bridges_are_the_signed_wronskian(self):
+        # a call of adjacent pairs only returns the Wronskian directly, with
+        # the bits the same pairs get inside a call that also takes a far one
+        psi = psi_pair(random_birth_death(16, 50), self.NODES)
+        I, J = np.array([5, 6, 9, 2]), np.array([6, 5, 8, 3])
+        mixed = psi.bridge_many(np.append(I, 12), np.append(J, 4))
+        for alone, part in zip(psi.bridge_many(I, J), mixed):
+            assert np.array_equal(alone, part[:-1])
 
     def test_rejects_killing_of_the_wrong_shape(self):
         gen = random_birth_death(10, 51)

@@ -1539,13 +1539,13 @@ class TestOneSplicedPair:
     breakpoint and shift above it, from one pair over k + 1 columns."""
 
     @staticmethod
-    def two_pairs(gen, killing):
+    def two_pairs(gen, killing, lo):
         # the node columns and the shift column built as two pairs, joined
         from drawdown_ctmc.linsolve import PsiPair, psi_pair
 
-        low, high = psi_pair(gen, killing[:-1]), psi_pair(gen, killing[-1:])
+        low, high = psi_pair(gen, killing[:-1], lo), psi_pair(gen, killing[-1:], lo)
         joined = object.__new__(PsiPair)
-        joined.gen, joined.single = gen, False
+        joined.gen, joined.single, joined.lo = gen, False, lo
         for name in ("_um", "_uL", "_dm", "_dL", "_wm", "_wL"):
             setattr(joined, name, np.hstack([getattr(low, name), getattr(high, name)]))
         return joined
@@ -1567,6 +1567,42 @@ class TestOneSplicedPair:
         for got, case in zip(one, cases):
             ref = qmod._spliced_sweep_coeffs(gen, nodes, a_steps, *case)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref)), case
+
+
+class TestCutPair:
+    """B and C sweep the tops at and above the start eta, whose windows read
+    no state below eta - a, so their pairs span only eta - a .. N-1.  On
+    the shipped BS studies' node sets this cut pair stays within 2e-14 of
+    the dense window sweep, where a pair over the whole chain strays by up
+    to 1.5e-13; a start within a steps of state 0 cuts nothing."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def request(self, name, n_x):
+        from drawdown_ctmc import cli
+
+        cfg = cli.load_config(str(self.ROOT / "configs" / f"{name}.ini"), [f"grid.n_x={n_x}"])
+        gen = cli._build_generator_for(cfg, n_x, cli._resolve_scheme(cfg))
+        nodes, _ = inversion_nodes_weights(cfg.T, cfg.laplace)
+        return gen, cli._snap_request(gen, cli._node_request(cfg, nodes)[0])
+
+    @pytest.mark.parametrize("start", ["anchor", "within a of state 0"])
+    @pytest.mark.parametrize("n_x", [10, 20])
+    @pytest.mark.parametrize("name", ["occupation_digital_bs", "drawdown_occupation_digital_bs"],
+                             ids=["B", "C"])
+    def test_node_values(self, monkeypatch, name, n_x, start):
+        import drawdown_ctmc.quantities as qmod
+        from drawdown_ctmc.linsolve import psi_pair
+
+        gen, req = self.request(name, n_x)
+        if start == "anchor":
+            dense = evaluate(dense_copy(gen), req)
+            assert np.max(np.abs(evaluate(gen, req) - dense)) <= 2e-14
+        else:
+            req = replace(req, x=float(gen.states[gen.grid.steps_of(req.a) // 2]))
+            got = evaluate(gen, req)
+            monkeypatch.setattr(qmod, "psi_pair", lambda gen, q, lo=0: psi_pair(gen, q))
+            assert np.array_equal(got, evaluate(gen, req))
 
 
 class TestEventCoreMemory:

@@ -7,6 +7,16 @@ recorded in ``study_pins.json``.  The values were recorded at commit
 answers read (A's reachable strip, Jsum from the start, one spliced pair
 for C); regenerate them only for a change that is meant to move a price,
 with ``python tests/test_study_pins.py``.
+
+The ``occupation_digital_bs`` (B) and ``drawdown_occupation_digital_bs``
+(C) pins were regenerated once since, by a route change meant to move
+their prices towards the dense window sweep: their fundamental-solution
+pairs now span only the states eta - a .. N-1 that their windows read,
+and ψ+ vanishes at eta - a instead of state 0.  The rungs moved by at
+most 2.0e-10 relative and the extrapolations by at most 4.4e-10; every
+rung is now within 5.3e-12 relative of the dense route, where it was
+within 2.0e-10.  The other four pins were left as recorded and still
+hold bit for bit.
 """
 
 import json
