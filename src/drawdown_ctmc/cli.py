@@ -14,6 +14,10 @@ section or key is a configuration error.  Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
+Each command runs with the OpenBLAS copies of numpy's and scipy's wheels
+capped to one thread (``_one_blas_thread``), so its prices do not depend
+on the BLAS thread count; the previous counts come back when it ends.
+
 Prices come from the Laplace-domain quantities via the maturity-T
 inversion of value(q)/q, with the model rate r_f entering as the constant
 discount part of the killing (occupation quantities) or as a shift of the
@@ -24,9 +28,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import importlib.util
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -551,6 +559,54 @@ def _emit(cfg: RunConfig, text: str) -> None:
     sys.stdout.write(text)
 
 
+# The OpenBLAS copy each wheel carries: package, library glob in its
+# ``<package>.libs`` directory, thread-count setter and getter.
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so",
+     "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so",
+     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_threads() -> list:
+    """(set, get) thread-count functions of every OpenBLAS copy in
+    ``_OPENBLAS`` that is installed.  ``find_spec`` imports nothing, and
+    loading a library that scipy loads later makes scipy share this copy.
+    A missing package, library or symbol (another wheel, MKL) is left out."""
+    found = []
+    for package, pattern, set_name, get_name in _OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        libs = Path(next(iter(spec.submodule_search_locations))).parent / f"{package}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            found.append((set_threads, get_threads))
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS copy at one thread, and give each
+    its previous count back on the way out, also after an error."""
+    threads = _openblas_threads()
+    previous = [get() for _, get in threads]
+    for set_threads, _ in threads:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(threads, previous):
+            set_threads(count)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ddctmc",
                                      description="drawdown functionals by chain approximation")
@@ -569,27 +625,28 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "price":
-            _emit(cfg, run_price(cfg).to_csv(cfg.precision, cfg.timings))
-        elif args.command == "table":
-            _emit(cfg, run_table(cfg).to_csv(cfg.precision, cfg.timings))
-        elif args.command == "convergence":
-            table, pairs, slope = run_convergence(cfg)
-            lines = ["log10_n_x,log10_abs_err"]
-            lines += [f"{a:.6f},{b:.6f}" for a, b in pairs]
-            lines.append(f"# slope={'converged' if slope is None else f'{slope:.4f}'}")
-            _emit(cfg, "\n".join(lines) + "\n")
-        elif args.command == "oracle":
-            rows = run_oracle(cfg)
-            lines = ["n_x,analytic,mc,stderr,z,dense"]
-            for r in rows:
-                dense = "" if r["dense"] is None else f"{r['dense']:.9f}"
-                lines.append(f"{r['n_x']},{r['analytic']:.9f},{r['mc']:.9f},"
-                             f"{r['stderr']:.3e},{r['z']:.3f},{dense}")
-            _emit(cfg, "\n".join(lines) + "\n")
-        elif args.command == "dump-generator":
-            gen = _build_generator_for(cfg, max(cfg.n_x), _resolve_scheme(cfg))
-            gen.dump_csv(args.out)
+        with _one_blas_thread():
+            if args.command == "price":
+                _emit(cfg, run_price(cfg).to_csv(cfg.precision, cfg.timings))
+            elif args.command == "table":
+                _emit(cfg, run_table(cfg).to_csv(cfg.precision, cfg.timings))
+            elif args.command == "convergence":
+                table, pairs, slope = run_convergence(cfg)
+                lines = ["log10_n_x,log10_abs_err"]
+                lines += [f"{a:.6f},{b:.6f}" for a, b in pairs]
+                lines.append(f"# slope={'converged' if slope is None else f'{slope:.4f}'}")
+                _emit(cfg, "\n".join(lines) + "\n")
+            elif args.command == "oracle":
+                rows = run_oracle(cfg)
+                lines = ["n_x,analytic,mc,stderr,z,dense"]
+                for r in rows:
+                    dense = "" if r["dense"] is None else f"{r['dense']:.9f}"
+                    lines.append(f"{r['n_x']},{r['analytic']:.9f},{r['mc']:.9f},"
+                                 f"{r['stderr']:.3e},{r['z']:.3f},{dense}")
+                _emit(cfg, "\n".join(lines) + "\n")
+            elif args.command == "dump-generator":
+                gen = _build_generator_for(cfg, max(cfg.n_x), _resolve_scheme(cfg))
+                gen.dump_csv(args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

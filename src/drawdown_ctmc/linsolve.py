@@ -17,7 +17,11 @@ holds the killing fields and payoffs they read, and:
                        of 2x2 "bridge" determinants of the pair
                        (``PsiPair.exit_weights``).  The pair carries a
                        trailing node axis: one recursion over the states
-                       builds the pairs of every Laplace node at once.
+                       builds the pairs of every Laplace node at once, each
+                       state's step two ufuncs on that state's node-wide
+                       row.  The methods read a run of consecutive states
+                       as a view of the pair's arrays and gather any other
+                       index array, at the same bits.
 
 Adjacent-state bridge determinants are evaluated through the Wronskian
 product recurrence W_{i+1} = (down_i / up_i) W_i, which is cancellation
@@ -106,13 +110,14 @@ class PsiPair:
     psi+ vanishes at the state ``lo`` and equals 1 at the top; psi-
     vanishes at the top and equals 1 at ``lo``.  Both are stored as
     mantissa * exp(log_scale) in (N - lo, k) arrays, row r holding state
-    lo + r; the methods take global state indices, and a state below
-    ``lo`` raises.  Any two-sided exit coefficient of a window inside the
-    range is the same whichever lo spans it, but a pair that need not
-    reach down to state 0 carries less growth across the range, so its
-    bridges keep more digits.  The index-array methods return arrays of
-    shape ``index_shape + (k,)``; a pair built from a single node
-    (``single``) drops the node axis.
+    lo + r; the methods take global state indices, and a state outside
+    lo .. N-1 raises ``DegenerateWindow``.  Any two-sided exit coefficient
+    of a window inside the range is the same whichever lo spans it, but a
+    pair that need not reach down to state 0 carries less growth across
+    the range, so its bridges keep more digits.  The index-array methods
+    return arrays of shape ``index_shape + (k,)``, reading a run of
+    consecutive states as a view (``_rows``); a pair built from a single
+    node (``single``) drops the node axis.
     """
 
     def __init__(self, gen: Generator, killing: np.ndarray, *, single: bool = False,
@@ -142,15 +147,17 @@ class PsiPair:
         coef = np.empty((n - 2, 2, k), dtype=complex)
         np.divide(c, up[:, None], out=coef[:, 0])
         np.divide(c, down[:, None], out=coef[::-1, 1])
-        # The loop allocates nothing per step: it divides into one buffer and
-        # subtracts into rs, and ``back`` is complex already, so nothing is cast.
-        back = np.stack([down / up, (up / down)[::-1]], axis=1).astype(complex)[:, :, None]
+        # Step j reads r_j = coef_j - back_j / r_{j-1} (and s likewise), with
+        # back_j = down_j / up_j (up_j / down_j for s).  rs holds ``back``
+        # node-wide before the loop, so each step is two contiguous ufuncs
+        # on its own row: divide there by the row below, subtract there.
         rs = np.empty_like(coef)
-        rs[0] = x = coef[0]
-        tmp = np.empty_like(x)
-        for j in range(1, n - 2):
-            np.divide(back[j], x, out=tmp)
-            x = np.subtract(coef[j], tmp, out=rs[j])
+        rs[:, 0] = (down / up)[:, None]
+        rs[:, 1] = (up / down)[::-1, None]
+        rs[0] = below = coef[0]
+        for row, cj in zip(rs[1:], coef[1:]):
+            np.divide(row, below, out=row)
+            below = np.subtract(cj, row, out=row)
         r, s = rs[:, 0], rs[::-1, 1]
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))
                 and np.all(r != 0.0) and np.all(s != 0.0)):
@@ -197,17 +204,29 @@ class PsiPair:
         return part
 
     def _rows(self, states):
-        """The rows of the global ``states``."""
+        """The rows of the global ``states``, and their selector: a slice
+        (the rows read as a view) when the states are one run of
+        consecutive states, else the rows themselves (gathered)."""
         rows = np.asarray(states, dtype=int) - self.lo
-        if np.any(rows < 0):
+        if rows.size == 0:
+            return rows, rows
+        if rows.ndim == 1 and rows[-1] - rows[0] == rows.size - 1 and (
+                rows.size < 3 or np.all(np.diff(rows) == 1)):
+            first, last = rows[0], rows[-1]
+            sel = slice(first, last + 1)
+        else:
+            first, last, sel = rows.min(), rows.max(), rows
+        if first < 0:
             raise DegenerateWindow("a state below the pair's range")
-        return rows
+        if last >= self._um.shape[0]:
+            raise DegenerateWindow("a state above the pair's top")
+        return rows, sel
 
     # -- scaled determinants over index arrays ---------------------------------
 
     def ratio_plus(self, i, j):
         """psi+_i / psi+_j (one-sided hitting weights); indices or arrays."""
-        i, j = self._rows(i), self._rows(j)
+        (_, i), (_, j) = self._rows(i), self._rows(j)
         if np.any(self._um[j] == 0.0):
             raise Singular("psi+ vanishes at the reference state")
         d = self._uL[i] - self._uL[j]
@@ -219,16 +238,19 @@ class PsiPair:
         """(mantissa, log) arrays of the bridge determinant
         psi+_I psi-_J - psi+_J psi-_I; adjacent states, in either order,
         take the cancellation-free Wronskian."""
-        I, J = np.broadcast_arrays(self._rows(I), self._rows(J))
+        (I, i), (J, j) = map(self._rows, np.broadcast_arrays(I, J))
         adj = np.abs(I - J) == 1
         if adj.all():
-            upper = np.maximum(I, J)
+            if isinstance(i, slice) and isinstance(j, slice):
+                upper = i if i.start > j.start else j
+            else:
+                upper = np.maximum(I, J)
             return self._out((I - J)[..., None] * self._wm[upper]), self._out(self._wL[upper])
-        L1 = self._uL[I] + self._dL[J]
-        L2 = self._uL[J] + self._dL[I]
+        L1 = self._uL[i] + self._dL[j]
+        L2 = self._uL[j] + self._dL[i]
         L = np.maximum(L1, L2)
-        mant = (self._um[I] * self._dm[J] * np.exp(L1 - L)
-                - self._um[J] * self._dm[I] * np.exp(L2 - L))
+        mant = (self._um[i] * self._dm[j] * np.exp(L1 - L)
+                - self._um[j] * self._dm[i] * np.exp(L2 - L))
         if np.any(adj):
             upper = np.maximum(I, J)[adj]
             mant[adj] = (I - J)[adj][:, None] * self._wm[upper]   # W_upper, signed

@@ -390,6 +390,54 @@ class TestNonFiniteNode:
         assert "nan" not in out.out
 
 
+class TestOneBlasThread:
+    """Each ddctmc command runs with every OpenBLAS copy at one thread and
+    gives the previous counts back, also after a numerical failure."""
+
+    CONFIG = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
+
+    @pytest.fixture
+    def counts(self):
+        threads = cli._openblas_threads()
+        if not threads:
+            pytest.skip("no OpenBLAS copy with a thread setter is installed")
+        before = [get() for _, get in threads]
+        for set_threads, _ in threads:
+            set_threads(2)
+        yield lambda: [get() for _, get in threads]
+        for (set_threads, _), count in zip(threads, before):
+            set_threads(count)
+
+    def record(self, monkeypatch, counts, fail):
+        seen = []
+        run_table = cli.run_table
+
+        def recording(cfg):
+            seen.append(counts())
+            if fail:
+                raise cli.Singular("made to fail inside the command")
+            return run_table(cfg)
+
+        monkeypatch.setattr(cli, "run_table", recording)
+        return seen
+
+    @pytest.mark.parametrize("fail, code", [(False, 0), (True, 3)], ids=["ok", "exit-3"])
+    def test_one_thread_inside_restored_after(self, monkeypatch, capsys, counts, fail, code):
+        seen = self.record(monkeypatch, counts, fail)
+        assert main(["table", "-c", self.CONFIG, "grid.n_x=4,8"]) == code
+        assert seen == [[1] * len(seen[0])]
+        assert counts() == [2] * len(seen[0])
+
+    def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, capsys):
+        package, pattern, set_name, get_name = cli._OPENBLAS[0]
+        monkeypatch.setattr(cli, "_OPENBLAS", (
+            (package, pattern, set_name + "_missing", get_name),
+            (package, "libno_such_openblas*.so", set_name, get_name),
+            ("no_such_package_here", pattern, set_name, get_name)))
+        assert cli._openblas_threads() == []
+        assert main(["table", "-c", self.CONFIG, "grid.n_x=4,8"]) == 0
+
+
 class TestColdImport:
     """Importing the package loads no scipy module.  The window solves of
     lattice and dense chains load scipy.linalg at their first solve, the
@@ -422,6 +470,13 @@ class TestColdImport:
         for name in ("occupation_digital_bs", "insurance_with_recovery_cev"):
             config = os.path.join(CONFIG_DIR, f"{name}.ini")
             code += f"run_table(load_config({config!r}, ['grid.n_x=8,16']))\n"
+        assert self.loaded_after(code) == set()
+
+    def test_bs_table_through_main_loads_no_scipy(self):
+        # the thread cap finds scipy's OpenBLAS without importing scipy
+        config = os.path.join(CONFIG_DIR, "occupation_digital_bs.ini")
+        code = ("from drawdown_ctmc.cli import main\n"
+                f"assert main(['table', '-c', {config!r}, 'grid.n_x=8,16']) == 0")
         assert self.loaded_after(code) == set()
 
     def test_dejd_lattice_loads_linalg_only(self):

@@ -266,3 +266,91 @@ class TestPsiPairNodeAxis:
         gen = random_birth_death(10, 51)
         with pytest.raises(ValueError):
             psi_pair(gen, np.ones((9, 2)))
+
+
+def reference_pair_arrays(gen, killing, lo):
+    """The six scaled arrays of the pair on the states lo .. N-1, with the
+    ratio step written as one broadcast division of a (2, 1) row per state."""
+    n = gen.n - lo
+    up, down = gen.up[lo + 1:gen.n - 1], gen.down[lo + 1:gen.n - 1]
+    c = killing[lo + 1:gen.n - 1] - gen.diagonal()[lo + 1:gen.n - 1, None]
+    k = killing.shape[1]
+    coef = np.empty((n - 2, 2, k), dtype=complex)
+    np.divide(c, up[:, None], out=coef[:, 0])
+    np.divide(c, down[:, None], out=coef[::-1, 1])
+    back = np.stack([down / up, (up / down)[::-1]], axis=1).astype(complex)[:, :, None]
+    rs = np.empty_like(coef)
+    rs[0] = x = coef[0]
+    tmp = np.empty_like(x)
+    for j in range(1, n - 2):
+        np.divide(back[j], x, out=tmp)
+        x = np.subtract(coef[j], tmp, out=rs[j])
+    r, s = rs[:, 0], rs[::-1, 1]
+    abs_r, abs_s = np.abs(r), np.abs(rs[:, 1])[::-1]
+    um, uL = np.zeros((n, k), dtype=complex), np.zeros((n, k))
+    um[1] = 1.0
+    um[2:] = np.cumprod(r / abs_r, axis=0)
+    uL[2:] = np.cumsum(np.log(abs_r), axis=0)
+    dm, dL = np.zeros((n, k), dtype=complex), np.zeros((n, k))
+    dm[n - 2] = 1.0
+    dm[:n - 2] = np.cumprod((s / abs_s)[::-1], axis=0)[::-1]
+    dL[:n - 2] = np.cumsum(np.log(abs_s)[::-1], axis=0)[::-1]
+    uL -= uL[n - 1]
+    um /= um[n - 1]
+    dL -= dL[0]
+    dm /= dm[0]
+    wm, wL = np.zeros((n, k), dtype=complex), np.zeros((n, k))
+    wm[1:] = um[1] * dm[0]
+    wL[1:] = (uL[1] + dL[0]) + np.concatenate(([0.0], np.cumsum(np.log(down / up))))[:, None]
+    return {"_um": um, "_uL": uL, "_dm": dm, "_dL": dL, "_wm": wm, "_wL": wL}
+
+
+class TestRunsAsViews:
+    """The pair steps node-wide rows and reads a run of consecutive states
+    as a view; neither changes a bit."""
+
+    NODES = np.array([0.9, 2.0 + 15.0j, 5.0 - 40.0j, 9.2 + 800.0j])
+
+    @pytest.fixture(scope="class")
+    def cev(self):
+        return build_generator(ModelSpec.cev(), build_grid(0.0, 0.2, 20, -1.5, 0.5))
+
+    @pytest.mark.parametrize("lo", [0, 17])
+    def test_pair_arrays_match_the_broadcast_step(self, cev, lo):
+        # B's two-valued killing q 1{x < xi} + shift, one column per node
+        killing = np.where((cev.states < -0.1)[:, None], self.NODES, 0.0) + 0.05
+        psi = psi_pair(cev, killing, lo)
+        for name, ref in reference_pair_arrays(cev, killing, lo).items():
+            assert np.array_equal(getattr(psi, name), ref), name
+
+    @pytest.mark.parametrize("lo", [0, 9])
+    def test_a_run_reads_the_bits_of_a_gather(self, cev, lo):
+        # each call on a run of states, against the same states passed out
+        # of order (gathered) and put back
+        psi = psi_pair(cev, self.NODES, lo)
+        run = np.arange(lo + 12, cev.n - 2)
+        calls = {
+            "bridge far": lambda s: psi.bridge_many(s + 1, s - 11),
+            "bridge adjacent": lambda s: psi.bridge_many(s, s + 1),
+            "ratio_plus": lambda s: (psi.ratio_plus(s - 11, s),),
+            "exit_weights": lambda s: psi.exit_weights(s, s - 11, s + 1),
+        }
+        for seed, (name, fn) in enumerate(calls.items()):
+            perm = np.random.default_rng(seed).permutation(run.size)
+            for got, shuffled in zip(fn(run), fn(run[perm])):
+                ref = np.empty_like(shuffled)
+                ref[perm] = shuffled
+                assert np.array_equal(got, ref), name
+
+    def test_states_outside_the_pair_are_refused(self, cev):
+        psi = psi_pair(cev, self.NODES, lo=5)
+        top = cev.n - 1
+        for call in (lambda: psi.bridge_many(top + 1, top - 3),
+                     lambda: psi.bridge_many(np.arange(top - 3, top + 2), np.arange(top - 6, top - 1)),
+                     lambda: psi.ratio_plus(np.array([top - 2, top + 1]), top),
+                     lambda: psi.exit_weights(np.arange(top - 4, top), np.arange(top - 8, top - 4),
+                                              np.arange(top - 3, top + 1) + 1)):
+            with pytest.raises(DegenerateWindow, match="above the pair's top"):
+                call()
+        with pytest.raises(DegenerateWindow, match="below the pair's range"):
+            psi.bridge_many(np.arange(4, 9), np.arange(6, 11))
