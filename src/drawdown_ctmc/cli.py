@@ -15,8 +15,9 @@ section or key is a configuration error.  Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Each command runs with the OpenBLAS copies of numpy's and scipy's wheels
-capped to one thread (``_one_blas_thread``), so its prices do not depend
-on the BLAS thread count; the previous counts come back when it ends.
+capped to one thread (``_one_blas_thread``), so where those copies are
+found its prices do not depend on the BLAS thread count; the previous
+counts come back when it ends.  Another BLAS is left as it is.
 
 Prices come from the Laplace-domain quantities via the maturity-T
 inversion of value(q)/q, with the model rate r_f entering as the constant

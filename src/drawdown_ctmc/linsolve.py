@@ -20,8 +20,8 @@ holds the killing fields and payoffs they read, and:
                        builds the pairs of every Laplace node at once, each
                        state's step two ufuncs on that state's node-wide
                        row.  The methods read a run of consecutive states
-                       as a view of the pair's arrays and gather any other
-                       index array, at the same bits.
+                       as a view of the pair's read-only arrays and gather
+                       any other index array, at the same bits.
 
 Adjacent-state bridge determinants are evaluated through the Wronskian
 product recurrence W_{i+1} = (down_i / up_i) W_i, which is cancellation
@@ -116,8 +116,8 @@ class PsiPair:
     pair that need not reach down to state 0 carries less growth across
     the range, so its bridges keep more digits.  The index-array methods
     return arrays of shape ``index_shape + (k,)``, reading a run of
-    consecutive states as a view (``_rows``); a pair built from a single
-    node (``single``) drops the node axis.
+    consecutive states as a view (``_rows``), so the arrays are read-only;
+    a pair built from a single node (``single``) drops the node axis.
     """
 
     def __init__(self, gen: Generator, killing: np.ndarray, *, single: bool = False,
@@ -189,6 +189,11 @@ class PsiPair:
         steps = np.concatenate(([0.0], np.cumsum(np.log(down / up))))
         wL[1:] = (uL[1] + dL[0]) + steps[:, None]
         self._wm, self._wL = wm, wL
+        # The methods may return views of these arrays (a run of states, the
+        # column pairs of ``_columns``), so a write into a result raises
+        # instead of changing the pair for every later reader.
+        for arr in (um, uL, dm, dL, wm, wL):
+            arr.flags.writeable = False
 
     def _out(self, arr):
         return arr[..., 0] if self.single else arr
@@ -249,8 +254,12 @@ class PsiPair:
         L1 = self._uL[i] + self._dL[j]
         L2 = self._uL[j] + self._dL[i]
         L = np.maximum(L1, L2)
-        mant = (self._um[i] * self._dm[j] * np.exp(L1 - L)
-                - self._um[j] * self._dm[i] * np.exp(L2 - L))
+        # ``view * temporary`` may run in place on a large temporary with
+        # the operands swapped, and complex products are not commutative
+        # bit for bit: np.multiply keeps the order whether a side is a
+        # run's view or a gathered copy
+        mant = (np.multiply(self._um[i], self._dm[j]) * np.exp(L1 - L)
+                - np.multiply(self._um[j], self._dm[i]) * np.exp(L2 - L))
         if np.any(adj):
             upper = np.maximum(I, J)[adj]
             mant[adj] = (I - J)[adj][:, None] * self._wm[upper]   # W_upper, signed

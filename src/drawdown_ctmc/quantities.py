@@ -1005,18 +1005,10 @@ class _EventCore:
 
 def _window_weights(psi, tops: np.ndarray, a_steps: int):
     """Exit weights of the drawdown windows (y_i - a, y_i] started at their
-    ascending tops i: onto the state above the top, and onto the floor
-    state i - a.  The down weight is 0 where the window reaches the
-    absorbing state 0.  The windows that reach it and the others go as
-    two calls, so that each of a run of tops reads its states as views."""
-    p = int(np.searchsorted(tops, a_steps))
-    high = tops[p:]
-    up, down = psi.exit_weights(high, high - a_steps, high + 1)
-    if p:
-        low = tops[:p]
-        low_up, _ = psi.exit_weights(low, 0, low + 1)
-        up, down = np.concatenate([low_up, up]), np.concatenate([np.zeros_like(low_up), down])
-    return up, down
+    tops i: onto the state above the top, and onto the floor state i - a.
+    The down weight is 0 where the window reaches the absorbing state 0."""
+    up, down = psi.exit_weights(tops, np.maximum(tops - a_steps, 0), tops + 1)
+    return up, np.where((tops >= a_steps)[:, None], down, 0.0)
 
 
 def _recovery_weights(psi, tops: np.ndarray, a_steps: int) -> np.ndarray:
@@ -1042,18 +1034,6 @@ def _chain_down(n: int, tops: np.ndarray, up: np.ndarray, src: np.ndarray) -> np
     return V
 
 
-def _chain_start(up: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """The value at the lowest top of ``_chain_down``'s recursion, one per
-    node, in the same operations, for routes that read only their start:
-    one running value, no (N, k) array."""
-    v = np.zeros(up.shape[1], dtype=complex)
-    prod = np.empty_like(v)
-    for u, s in zip(up[::-1], src[::-1]):
-        np.multiply(u, v, out=prod)
-        np.add(s, prod, out=v)
-    return v
-
-
 def _pair_floor(gen: Generator, a_steps: int, stop: int) -> int:
     """The lowest state the windows of the tops stop .. N-2 read: the
     floor of the lowest top.  Their pairs span only the states above it."""
@@ -1070,15 +1050,13 @@ def _psi_sweep_coeffs(gen: Generator, killing, a_steps: int, stop: int):
     return idx, up, down
 
 
-def _psi_inflow(a_steps: int, f_arr: np.ndarray, coeffs):
-    """Birth-death fast path: the per-top terms (up, down * payoff) of the
-    chain recursion (``_chain_down``, ``_chain_start``) from the window
-    weights ``coeffs`` of one fundamental-solution pair.  ``f_arr`` is the
-    down-exit payoff over the states, shared by the nodes or one column
-    per node."""
+def _q_psi_sweep(gen: Generator, a_steps: int, f_arr: np.ndarray, coeffs) -> np.ndarray:
+    """Birth-death fast path: every window exit weight is a bridge ratio of
+    one fundamental-solution pair.  ``f_arr`` is the down-exit payoff over
+    the states, shared by the nodes or one column per node."""
     idx, up, down = coeffs
     pay = f_arr[np.maximum(idx - a_steps, 0)]
-    return up, down * (pay if pay.ndim == 2 else pay[:, None])
+    return _chain_down(gen.n, idx, up, down * (pay if pay.ndim == 2 else pay[:, None]))
 
 
 def _nodes(q):
@@ -1120,11 +1098,10 @@ def occupation_until_drawdown(gen: Generator, k, a: float, f=None, x=None):
     single = kill.ndim == 1
     kill = kill.reshape(gen.n, -1)
     if gen.structure == BIRTH_DEATH:
-        coeffs = _psi_sweep_coeffs(gen, kill, a_steps, eta)
-        start = _chain_start(*_psi_inflow(a_steps, f_arr, coeffs))
+        V = _q_psi_sweep(gen, a_steps, f_arr, _psi_sweep_coeffs(gen, kill, a_steps, eta))
     else:
-        start = backward_window_sweep(gen, a_steps, kill, f_arr, eta)[eta]
-    return _per_node(start, single)
+        V = backward_window_sweep(gen, a_steps, kill, f_arr, eta)
+    return _per_node(V[eta], single)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,12 +1132,12 @@ def drawdown_occupation(gen: Generator, q, a: float, xi: float, f=None, x=None, 
     if gen.structure == BIRTH_DEATH:
         _check_nonneg_real(np.append(nodes + shift, shift))
         coeffs = _spliced_sweep_coeffs(gen, nodes, a_steps, xi, shift, eta)
-        start = _chain_start(*_psi_inflow(a_steps, f_arr, coeffs))
+        V = _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     else:
         kf, states = drawdown_occupation_killing(nodes, xi, shift), gen.states
-        start = backward_window_sweep(
-            gen, a_steps, lambda i, lo: kf(states[lo:i + 1], states[i]), f_arr, eta)[eta]
-    return _per_node(start, single)
+        V = backward_window_sweep(
+            gen, a_steps, lambda i, lo: kf(states[lo:i + 1], states[i]), f_arr, eta)
+    return _per_node(V[eta], single)
 
 
 def _spliced_sweep_coeffs(gen: Generator, nodes: np.ndarray, a_steps: int, xi: float,
@@ -1471,8 +1448,7 @@ def _hn_terms(gen: Generator, nodes: np.ndarray, a_steps: int, f_arr: np.ndarray
     the event count, so they are built once and reused by every step."""
     if gen.structure == BIRTH_DEATH:
         coeffs = _psi_sweep_coeffs(gen, nodes, a_steps, 0)
-        idx = coeffs[0]
-        sweep = lambda f_arr: _chain_down(gen.n, idx, *_psi_inflow(a_steps, f_arr, coeffs))
+        sweep = lambda f_arr: _q_psi_sweep(gen, a_steps, f_arr, coeffs)
     else:
         kill = np.broadcast_to(nodes, (gen.n, nodes.size))
         solver = _WindowSolver(gen, kill, a_steps)
@@ -1679,12 +1655,10 @@ def _jsum_diffusion(gen, q, a_steps, eta_x, eta_y) -> np.ndarray:
     cycle = 1.0 - dn * _recovery_weights(psi, idx, a_steps)
     if np.any(np.abs(cycle) < 1e-15):
         raise FixedPointSingular("recovery cycle weight reached 1")
-    # the start is the lowest top, or the absorbing state 0, which holds 0
-    start = (_chain_start(up / cycle, dn / cycle) if eta_y
-             else np.zeros(up.shape[1], dtype=complex))
+    diag = _chain_down(nn, idx, up / cycle, dn / cycle)
     if eta_x == eta_y:
-        return start
-    return psi.ratio_plus(eta_x, eta_y) * start
+        return diag[eta_y]
+    return psi.ratio_plus(eta_x, eta_y) * diag[eta_y]
 
 
 def j_levy_closed_form(gen: Generator, q, a: float, x=None, y=None):

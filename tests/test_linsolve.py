@@ -342,6 +342,21 @@ class TestRunsAsViews:
                 ref[perm] = shuffled
                 assert np.array_equal(got, ref), name
 
+    def test_a_run_against_a_gather_on_a_large_pair(self):
+        # a run of tops against their floors, which are no run, over a pair
+        # large enough (27 nodes x 801 states) for NumPy to run products on
+        # temporaries in place: the bits of the same states out of order
+        gen = build_generator(ModelSpec.bs(), build_grid(0.0, 0.2, 40, -2.0, 2.0))
+        psi = psi_pair(gen, np.linspace(0.5, 3.0, 27) + 1j * np.linspace(-400.0, 400.0, 27))
+        tops = np.arange(1, gen.n - 2)
+        perm = np.random.default_rng(3).permutation(tops.size)
+        floors = np.maximum(tops - 20, 0)
+        for got, shuffled in zip(psi.bridge_many(tops, floors),
+                                 psi.bridge_many(tops[perm], floors[perm])):
+            ref = np.empty_like(shuffled)
+            ref[perm] = shuffled
+            assert np.array_equal(got, ref)
+
     def test_states_outside_the_pair_are_refused(self, cev):
         psi = psi_pair(cev, self.NODES, lo=5)
         top = cev.n - 1
@@ -354,3 +369,15 @@ class TestRunsAsViews:
                 call()
         with pytest.raises(DegenerateWindow, match="below the pair's range"):
             psi.bridge_many(np.arange(4, 9), np.arange(6, 11))
+
+    def test_returned_views_are_read_only(self, cev):
+        # a run of adjacent states reads the Wronskian log as a view, and
+        # _columns hands out views: writing into either raises
+        psi = psi_pair(cev, self.NODES, lo=3)
+        run = np.arange(10, 20)
+        _, L = psi.bridge_many(run, run + 1)
+        assert np.shares_memory(L, psi._wL)
+        with pytest.raises(ValueError, match="read-only"):
+            L += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            psi._columns(slice(1, 3))._um[5] = 0.0

@@ -1535,8 +1535,8 @@ class TestRecoveryFromTheStart:
 
 
 class TestChainReadout:
-    """The window weights and the chain recursion at the bits of a plain
-    gathered call and a plain per-top loop."""
+    """The chain recursion, stepped through row views, at the bits of a
+    plain per-top loop."""
 
     NODES, _ = inversion_nodes_weights(0.5)
 
@@ -1546,16 +1546,6 @@ class TestChainReadout:
 
         model = ModelSpec.bs() if request.param == "BS" else ModelSpec.cev()
         return psi_pair(build_generator(model, build_grid(0.0, 0.2, 10, -1.0, 0.6)), self.NODES)
-
-    @pytest.mark.parametrize("first", [1, 6, 40])
-    def test_window_weights_match_one_gathered_call(self, psi, first):
-        import drawdown_ctmc.quantities as qmod
-
-        a_steps, tops = 20, np.arange(first, psi.gen.n - 1)
-        up, down = psi.exit_weights(tops, np.maximum(tops - a_steps, 0), tops + 1)
-        got = qmod._window_weights(psi, tops, a_steps)
-        assert np.array_equal(got[0], up)
-        assert np.array_equal(got[1], np.where((tops >= a_steps)[:, None], down, 0.0))
 
     @pytest.mark.parametrize("first", [0, 3, 30])
     def test_chain_matches_a_per_top_loop(self, psi, first):
@@ -1569,7 +1559,6 @@ class TestChainReadout:
         for pos in range(tops.size - 1, -1, -1):
             ref[tops[pos]] = src[pos] + up[pos] * ref[tops[pos] + 1]
         assert np.array_equal(qmod._chain_down(n, tops, up, src), ref)
-        assert np.array_equal(qmod._chain_start(up, src), ref[first])
 
 
 class TestOneSplicedPair:
